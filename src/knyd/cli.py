@@ -26,9 +26,9 @@ from .ydmod import (build_simple, check_yd, dimension_census, direct_sum,
                     list_simples, parse_label, braided_space)
 from .fusion import (closed_form_fuse, decompose, fusion_table, sample_pairs,
                      tensor_module, uw0_isomorphism)
-from .nichols import (MemoryBudgetError, a2_criterion, graded_dims,
-                      infinite_precheck, square_zero_monomial_space,
-                      sum_criterion)
+from .nichols import (MemoryBudgetError, _memory_budget_cells, a2_criterion,
+                      graded_dims, infinite_precheck,
+                      square_zero_monomial_space, sum_criterion)
 from . import rackbattery
 from . import __version__
 
@@ -68,6 +68,10 @@ def main():
     """Exact verification toolkit for the Hopf algebras K_n, their
     Yetter-Drinfeld modules, fusion rules, Nichols algebras, and the
     associated rack machinery."""
+    try:
+        _memory_budget_cells()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 # -- hopf-verify -----------------------------------------------------------------
@@ -386,10 +390,8 @@ def square_zero(n, module_text, json_out):
 
 @main.command("rack")
 @_n_option
-@click.option("--check-all", is_flag=True, default=True,
-              help="Run the full rack/cocycle/twist battery (default).")
 @_json_option
-def rack_cmd(n, check_all, json_out):
+def rack_cmd(n, json_out):
     """Rack, cocycle, and twist-equivalence verification battery."""
     results = rackbattery.run_battery(n)
     ok = all(v for _, v in results)

@@ -7,7 +7,8 @@ f_{ij} = p_{ij} x^, for i, j in Z_n, so dim K_n = 2n^2.  Basis indices are
     p_{ij} p_{ij} = p_{ij}       p_{ij} f_{ij} = f_{ij}
     f_{ij} p_{ji} = f_{ij}       f_{ij} f_{ji} = p_{ij}
 
-with all other products of basis elements zero, and
+with all other products of basis elements zero (`product_table` is the one
+implementation of this rule), and
 
     Delta(p_{ij}) = sum_{i'+i''=i, j'+j''=j} p_{i'j'} (x) p_{i''j''}
     Delta(f_{ij}) = sum            xi^{i'j'' - j'i''} f_{i'j'} (x) f_{i''j''}
@@ -126,33 +127,31 @@ class KnElement:
         return multiply(self, other)
 
 
-def _basis_product(k1, k2):
-    """Product of two basis elements; returns the resulting basis key or
-    None (product zero).  Coefficient is always 1."""
-    kind1, i, j = k1
-    kind2, a, b = k2
-    if kind1 == P:
-        if (a, b) != (i, j):
-            return None
-        return (P, i, j) if kind2 == P else (F, i, j)
-    # kind1 == F: right factor must carry the swapped index (j, i)
-    if (a, b) != (j, i):
-        return None
-    return (F, i, j) if kind2 == P else (P, i, j)
+@lru_cache(maxsize=None)
+def product_table(n: int) -> dict:
+    """The one product rule of K_n: {left key: ((right key, product key),
+    (right key, product key))}, the two right basis factors (kinds P, F in
+    that order) with a nonzero product.  The coefficient is always 1 and the
+    product's kind is kind1 XOR kind2."""
+    out = {}
+    for key in KnAlgebra(n).basis_indices():
+        kind, i, j = key
+        a, b = (i, j) if kind == P else (j, i)
+        out[key] = tuple(((kind2, a, b), (kind ^ kind2, i, j))
+                         for kind2 in (P, F))
+    return out
 
 
 def multiply(x: KnElement, y: KnElement) -> KnElement:
     x._check(y)
+    table = product_table(x.algebra.n)
     out: dict = {}
     ycoeffs = y.coeffs
-    for (kind1, i, j), v in x.coeffs.items():
-        # only two right-hand basis keys can meet a given left factor
-        a, b = (i, j) if kind1 == P else (j, i)
-        for kind2 in (P, F):
-            w = ycoeffs.get((kind2, a, b))
+    for k1, v in x.coeffs.items():
+        for k2, key in table[k1]:
+            w = ycoeffs.get(k2)
             if w is None:
                 continue
-            key = (kind1 if kind2 == P else (F if kind1 == P else P), i, j)
             c = v * w
             s = out.get(key)
             out[key] = c if s is None else s + c
@@ -195,18 +194,18 @@ class TensorElement:
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise algebra product on K_n (x) K_n."""
+        table = product_table(self.algebra.n)
+        ocoeffs = other.coeffs
         out: dict = {}
         for (l1, r1), v in self.coeffs.items():
-            for (l2, r2), w in other.coeffs.items():
-                kl = _basis_product(l1, l2)
-                if kl is None:
-                    continue
-                kr = _basis_product(r1, r2)
-                if kr is None:
-                    continue
-                c = v * w
-                s = out.get((kl, kr))
-                out[(kl, kr)] = c if s is None else s + c
+            for l2, kl in table[l1]:
+                for r2, kr in table[r1]:
+                    w = ocoeffs.get((l2, r2))
+                    if w is None:
+                        continue
+                    c = v * w
+                    s = out.get((kl, kr))
+                    out[(kl, kr)] = c if s is None else s + c
         return TensorElement(self.algebra, out)
 
 
@@ -233,17 +232,16 @@ def comultiply(x: KnElement) -> TensorElement:
     return TensorElement(A, out)
 
 
+def antipode_key(n: int, key):
+    """S on a basis key: S(p_{ij}) = p_{-i,-j}, S(f_{ij}) = f_{-j,-i}."""
+    kind, i, j = key
+    return (P, -i % n, -j % n) if kind == P else (F, -j % n, -i % n)
+
+
 def antipode(x: KnElement) -> KnElement:
     n = x.algebra.n
-    out: dict = {}
-    for (kind, i, j), v in x.coeffs.items():
-        if kind == P:
-            key = (P, (-i) % n, (-j) % n)
-        else:
-            key = (F, (-j) % n, (-i) % n)
-        s = out.get(key)
-        out[key] = v if s is None else s + v
-    return KnElement(x.algebra, out)
+    return KnElement(x.algebra, {antipode_key(n, k): v
+                                 for k, v in x.coeffs.items()})
 
 
 def counit(x: KnElement) -> CycNum:
@@ -298,16 +296,6 @@ def delta_terms(A: KnAlgebra, key) -> list:
     return _delta_cache(A.n)[key]
 
 
-def delta2_index(A: KnAlgebra, key) -> dict:
-    """Delta^2 of a basis element, indexed as {key1: [(key2, key3, coeff)]}.
-
-    Delta^2(p_{ij}) has terms p (x) p (x) p over all splittings i1+i2+i3 = i,
-    j1+j2+j3 = j; Delta^2(f_{ij}) carries the iterated twist
-    xi^{i1(j2+j3) - j1(i2+i3)} xi^{i2 j3 - j2 i3}.
-    """
-    return _delta2_cache(A.n)[key]
-
-
 @lru_cache(maxsize=None)
 def _delta_cache(n: int):
     A = KnAlgebra(n)
@@ -317,30 +305,6 @@ def _delta_cache(n: int):
         for (k1, k2), v in comultiply(A.basis(*key)).coeffs.items():
             terms.append((k1, k2, v))
         out[key] = terms
-    return out
-
-
-@lru_cache(maxsize=None)
-def _delta2_cache(n: int):
-    A = KnAlgebra(n)
-    out = {}
-    for key in A.basis_indices():
-        kind, i, j = key
-        index: dict = {}
-        for i1 in range(n):
-            for j1 in range(n):
-                bucket = index.setdefault((kind, i1, j1), [])
-                for i2 in range(n):
-                    i3 = (i - i1 - i2) % n
-                    for j2 in range(n):
-                        j3 = (j - j1 - j2) % n
-                        if kind == P:
-                            c = CycNum.one(n)
-                        else:
-                            c = cyc(n, i1 * (j2 + j3) - j1 * (i2 + i3)
-                                    + i2 * j3 - j2 * i3)
-                        bucket.append(((kind, i2, j2), (kind, i3, j3), c))
-        out[key] = index
     return out
 
 

@@ -33,7 +33,14 @@ class MemoryBudgetError(Exception):
 
 
 def _memory_budget_cells() -> int:
-    mb = int(os.environ.get("KN_MEMORY_MB", "1024"))
+    text = os.environ.get("KN_MEMORY_MB", "1024")
+    try:
+        mb = int(text)
+    except ValueError:
+        mb = 0
+    if mb <= 0:
+        raise ValueError("invalid KN_MEMORY_MB: must be a positive integer "
+                         "(megabytes), got %r" % text)
     # a sparse CycNum entry costs on the order of 200 bytes
     return mb * 1024 * 1024 // 200
 
@@ -65,16 +72,6 @@ def check_braid_equation(B: BraidedSpace) -> bool:
     c1 = B.c.kron(ident)
     c2 = ident.kron(B.c)
     return c1 @ c2 @ c1 == c2 @ c1 @ c2
-
-
-def flip_braiding(n: int, dim: int) -> BraidedSpace:
-    """The flip c(e_a (x) e_b) = e_b (x) e_a over Q(xi_n)."""
-    c = CycMatrix.zero(n, dim * dim, dim * dim)
-    one = CycNum.one(n)
-    for a in range(dim):
-        for b in range(dim):
-            c.set(b * dim + a, a * dim + b, one)
-    return BraidedSpace(dim, c, name="flip")
 
 
 # -- braid words and the Matsumoto lift --------------------------------------------------
@@ -142,23 +139,36 @@ def braid_representation(B: BraidedSpace, word: BraidWord) -> CycMatrix:
 # -- quantum symmetrizers -----------------------------------------------------------
 
 
-def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
-    """QS_k as a d^k x d^k matrix, by the recursive coset factorization."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = B.dim
+def _check_budget(d: int, k: int):
     if d ** k * min(_factorial(k), d ** k) > _memory_budget_cells():
         raise MemoryBudgetError(
             "QS_%d on a %d-dimensional space exceeds the memory budget "
             "(set KN_MEMORY_MB to raise it)" % (k, d))
+
+
+def _symmetrizers(B: BraidedSpace, k: int):
+    """Yield QS_1, ..., QS_k, checking the memory budget before each degree."""
+    d = B.dim
     qs = CycMatrix.identity(B.n, d)
+    yield qs
     for deg in range(2, k + 1):
+        _check_budget(d, deg)
         shuffle = CycMatrix.identity(B.n, d ** deg)
         term = shuffle
         for j in range(deg - 1, 0, -1):
             term = _strand_matrix(B, j, deg) @ term
             shuffle = shuffle + term
         qs = shuffle @ qs.kron(CycMatrix.identity(B.n, d))
+        yield qs
+
+
+def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
+    """QS_k as a d^k x d^k matrix, by the recursive coset factorization."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _check_budget(B.dim, k)
+    for qs in _symmetrizers(B, k):
+        pass
     return qs
 
 
@@ -224,19 +234,10 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     d = B.dim
     dims = [1, d]
     relations: dict[int, list] = {}
-    qs = CycMatrix.identity(B.n, d)
     finite = False
-    for deg in range(2, cutoff + 1):
-        if d ** deg * min(_factorial(deg), d ** deg) > _memory_budget_cells():
-            raise MemoryBudgetError(
-                "QS_%d on a %d-dimensional space exceeds the memory budget "
-                "(set KN_MEMORY_MB to raise it)" % (deg, d))
-        shuffle = CycMatrix.identity(B.n, d ** deg)
-        term = shuffle
-        for j in range(deg - 1, 0, -1):
-            term = _strand_matrix(B, j, deg) @ term
-            shuffle = shuffle + term
-        qs = shuffle @ qs.kron(CycMatrix.identity(B.n, d))
+    for deg, qs in enumerate(_symmetrizers(B, cutoff), start=1):
+        if deg == 1:
+            continue
         if want_relations:
             kernel = qs.kernel_basis()
             rank = d ** deg - len(kernel)

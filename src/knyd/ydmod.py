@@ -22,8 +22,9 @@ from functools import lru_cache
 
 from .cyclotomic import CycNum
 from .linalg import CycMatrix
-from .hopf import (P, F, KnAlgebra, KnElement, character, comatrix_element,
-                   counit, delta_terms, comultiply, multiply)
+from .hopf import (P, F, KnAlgebra, KnElement, antipode_key, character,
+                   comatrix_element, counit, delta_terms, multiply,
+                   product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -256,11 +257,6 @@ def direct_sum(M1: YDModule, M2: YDModule) -> YDModule:
 # -- YD axiom checking ----------------------------------------------------------------
 
 
-def _antipode_key(key):
-    kind, i, j = key
-    return (P, -i, -j) if kind == P else (F, -j, -i)
-
-
 @lru_cache(maxsize=None)
 def _delta2_forced(n: int, hkey):
     """Delta^2(h) indexed for sandwich products: {h1key: {h3key: (h2key, coeff)}}.
@@ -293,20 +289,17 @@ def _delta2_forced(n: int, hkey):
 def _sandwich_term(n: int, hkind: int, gkey):
     """For h1 g S(h3) with h1, h3 of kind hkind and g a basis key, the unique
     nonzero combination: returns (h1key, h3key, result_key)."""
+    table = product_table(n)
     gkind, c, d = gkey
-    if hkind == P:
-        h1 = (P, c, d)
-        q = (gkind, c, d)                       # p.p = p, p.f = f
-    else:
-        h1 = (F, d, c)
-        q = ((F, d, c) if gkind == P else (P, d, c))
-    kq, qi, qj = q
-    # right factor of kind hkind meeting q nonzero
-    sk = (hkind, qi, qj) if kq == P else (hkind, qj, qi)
-    h3kind, a, b = _antipode_key(sk)
-    h3 = (h3kind, a % n, b % n)
-    result = (kq ^ hkind, qi, qj)
-    return h1, h3, result
+    # h1 g != 0 needs g at h1's partner position; the partner map on index
+    # pairs is an involution, so h1 sits at the partner position of (c, d)
+    _, a, b = table[(hkind, c, d)][0][0]
+    h1 = (hkind, a, b)
+    q = table[h1][gkind][1]                     # h1 g
+    # s3 = S(h3) is the right factor of kind hkind meeting q; S is an
+    # involution on basis keys, so h3 = S(s3)
+    s3, result = table[q][hkind]
+    return h1, antipode_key(n, s3), result
 
 
 def check_yd(M: YDModule) -> dict:

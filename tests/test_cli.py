@@ -136,6 +136,15 @@ def test_memory_budget_error(runner, monkeypatch):
     assert "memory budget exceeded" in result.output
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_memory_budget_env(runner, monkeypatch, value):
+    monkeypatch.setenv("KN_MEMORY_MB", value)
+    result = runner.invoke(main, ["nichols", "--n", "3", "--module",
+                                  "W(-1,0,0)"])
+    assert result.exit_code == 2
+    assert "invalid KN_MEMORY_MB" in result.output
+
+
 def test_error_messages_are_distinct(runner, monkeypatch):
     msgs = set()
     result = runner.invoke(main, ["fuse", "--n", "3", "--left", "bogus",

@@ -3,9 +3,9 @@
 import pytest
 
 from knyd.cyclotomic import CycNum, cyc
-from knyd.hopf import (F, KnAlgebra, KnElement, P, adjoint_action, antipode,
-                       character, comatrix_element, comultiply, counit,
-                       multiply, verify_hopf_axioms, xhat)
+from knyd.hopf import (F, KnAlgebra, KnElement, P, TensorElement,
+                       adjoint_action, antipode, character, comatrix_element,
+                       comultiply, counit, multiply, verify_hopf_axioms, xhat)
 
 
 @pytest.fixture(scope="module")
@@ -13,29 +13,56 @@ def A3():
     return KnAlgebra(3)
 
 
-def test_structure_constants(A3):
-    n = 3
+@pytest.mark.parametrize("n", [3, 9])
+def test_structure_constants(n):
+    A = KnAlgebra(n)
     for i in range(n):
         for j in range(n):
-            p = A3.basis(P, i, j)
-            f = A3.basis(F, i, j)
+            p = A.basis(P, i, j)
+            f = A.basis(F, i, j)
             assert multiply(p, p) == p
             assert multiply(p, f) == f
-            assert multiply(f, A3.basis(P, j, i)) == f
-            assert multiply(f, A3.basis(F, j, i)) == p
+            assert multiply(f, A.basis(P, j, i)) == f
+            assert multiply(f, A.basis(F, j, i)) == p
             # a zero product: p_{ij} p_{i+1,j}
-            assert multiply(p, A3.basis(P, i + 1, j)).is_zero()
+            assert multiply(p, A.basis(P, i + 1, j)).is_zero()
             # f_{ij} f_{ij} = 0 unless j == i
             if i != j:
                 assert multiply(f, f).is_zero()
 
 
-def test_unit_element(A3):
-    one = A3.unit()
-    for key in A3.basis_indices():
-        x = A3.basis(*key)
+@pytest.mark.parametrize("n", [3, 9])
+def test_unit_element(n):
+    A = KnAlgebra(n)
+    one = A.unit()
+    for key in A.basis_indices():
+        x = A.basis(*key)
         assert multiply(one, x) == x
         assert multiply(x, one) == x
+
+
+def test_tensor_product_is_factorwise_multiply(A3):
+    # reference: multiply each tensor factor on its own, over all pairs of
+    # terms of Delta(x) and Delta(y)
+    nonzero = 0
+    for kx in A3.basis_indices():
+        dx = comultiply(A3.basis(*kx))
+        for ky in A3.basis_indices():
+            dy = comultiply(A3.basis(*ky))
+            expected: dict = {}
+            for (l1, r1), v in dx.coeffs.items():
+                for (l2, r2), w in dy.coeffs.items():
+                    left = multiply(A3.basis(*l1), A3.basis(*l2))
+                    right = multiply(A3.basis(*r1), A3.basis(*r2))
+                    for kl, a in left.coeffs.items():
+                        for kr, b in right.coeffs.items():
+                            c = v * w * a * b
+                            s = expected.get((kl, kr))
+                            expected[(kl, kr)] = c if s is None else s + c
+            product = dx * dy
+            assert product == TensorElement(A3, expected), (kx, ky)
+            nonzero += not product.is_zero()
+    assert nonzero > 0
 
 
 def test_comultiplication_coefficients(A3):
