@@ -21,9 +21,10 @@ import sys
 
 import click
 
+from .cyclotomic import cyc, root_order
 from .hopf import KnAlgebra, verify_hopf_axioms
-from .ydmod import (build_simple, check_yd, dimension_census, direct_sum,
-                    list_simples, parse_label, braided_space)
+from .ydmod import (U, V, build_simple, check_yd, dimension_census,
+                    direct_sum, list_simples, parse_label, braided_space)
 from .fusion import (closed_form_fuse, decompose, fusion_table, sample_pairs,
                      tensor_module, uw0_isomorphism)
 from .nichols import (MemoryBudgetError, _memory_budget_cells, a2_criterion,
@@ -55,6 +56,24 @@ def _emit_json(payload, dest):
             fh.write(text)
 
 
+def _report_checks(title, payload, checks, json_out):
+    """Emit a battery of named (name, ok) checks: `payload` plus "ok" and
+    "checks" as JSON, or [ok]/[FAIL] lines under `title`; exit 1 if any
+    check failed."""
+    ok = all(v for _, v in checks)
+    if json_out is not None:
+        _emit_json(dict(payload, ok=ok,
+                        checks={name: bool(v) for name, v in checks}),
+                   json_out)
+    else:
+        click.echo(title)
+        for name, v in checks:
+            click.echo("  [%s] %s" % ("ok" if v else "FAIL", name))
+        click.echo("overall: %s" % ("pass" if ok else "FAIL"))
+    if not ok:
+        sys.exit(1)
+
+
 _json_option = click.option(
     "--json", "json_out", is_flag=False, flag_value="-", default=None,
     help="Emit JSON (to stdout, or to the given path).")
@@ -62,7 +81,18 @@ _n_option = click.option("--n", "n", type=int, required=True,
                          callback=_odd_n, help="Odd integer n >= 3.")
 
 
-@click.group()
+class _KnGroup(click.Group):
+    """Reports an exceeded memory budget from any command as an error
+    message rather than a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryBudgetError as exc:
+            raise click.ClickException("memory budget exceeded: %s" % exc)
+
+
+@click.group(cls=_KnGroup)
 @click.version_option(version=__version__, prog_name="kn")
 def main():
     """Exact verification toolkit for the Hopf algebras K_n, their
@@ -274,10 +304,7 @@ def nichols_cmd(n, module_text, cutoff, want_relations, json_out):
         raise click.UsageError("invalid cutoff: must be >= 2")
     A = KnAlgebra(n)
     B, label = _braided_space_for(A, module_text)
-    try:
-        report = graded_dims(B, cutoff, want_relations=want_relations)
-    except MemoryBudgetError as exc:
-        raise click.ClickException("memory budget exceeded: %s" % exc)
+    report = graded_dims(B, cutoff, want_relations=want_relations)
     payload = report.to_json()
     if not want_relations:
         payload["relations"] = None
@@ -325,11 +352,7 @@ def nichols_sum(n, labels_text, cutoff, json_out):
         M = build_simple(A, labels[0])
         for L in labels[1:]:
             M = direct_sum(M, build_simple(A, L))
-        try:
-            report = graded_dims(braided_space(M), cutoff,
-                                 want_relations=False)
-        except MemoryBudgetError as exc:
-            raise click.ClickException("memory budget exceeded: %s" % exc)
+        report = graded_dims(braided_space(M), cutoff, want_relations=False)
         payload["graded"] = {"dims": list(report.dims),
                              "status": report.status,
                              "total": report.total}
@@ -393,19 +416,8 @@ def square_zero(n, module_text, json_out):
 @_json_option
 def rack_cmd(n, json_out):
     """Rack, cocycle, and twist-equivalence verification battery."""
-    results = rackbattery.run_battery(n)
-    ok = all(v for _, v in results)
-    if json_out is not None:
-        _emit_json({"n": n, "ok": ok,
-                    "checks": {name: bool(v) for name, v in results}},
-                   json_out)
-    else:
-        click.echo("rack battery, n=%d" % n)
-        for name, v in results:
-            click.echo("  [%s] %s" % ("ok" if v else "FAIL", name))
-        click.echo("overall: %s" % ("pass" if ok else "FAIL"))
-    if not ok:
-        sys.exit(1)
+    _report_checks("rack battery, n=%d" % n, {"n": n},
+                   rackbattery.run_battery(n), json_out)
 
 
 # -- paper-verify --------------------------------------------------------------------
@@ -443,7 +455,6 @@ def paper_verify(n, seed, json_out):
                    mismatches == 0))
 
     if n == 3:
-        from .ydmod import W, U
         B, _ = _braided_space_for(A, "W(-1,0,0)")
         rep = graded_dims(B, 6, want_relations=False)
         checks.append(("nichols-W(-1,0,0)-dims",
@@ -463,8 +474,6 @@ def paper_verify(n, seed, json_out):
                        infinite_precheck(Bw) is not None))
     else:
         # one-dimensional Nichols algebras are exact at any n
-        from .ydmod import V
-        from .cyclotomic import cyc
         ok1 = True
         for i in range(n):
             for m in range(n):
@@ -472,7 +481,6 @@ def paper_verify(n, seed, json_out):
                     continue
                 Bv = braided_space(build_simple(A, V(n, 1, i, m)))
                 rep = graded_dims(Bv, n + 1, want_relations=False)
-                from .cyclotomic import root_order
                 expected = root_order(cyc(n, i * (m - i)))
                 ok1 = ok1 and rep.status == "finite" and rep.total == expected
         checks.append(("nichols-one-dimensional", ok1))
@@ -480,18 +488,8 @@ def paper_verify(n, seed, json_out):
     rack_results = rackbattery.run_battery(n)
     checks.append(("rack-battery", all(v for _, v in rack_results)))
 
-    ok = all(v for _, v in checks)
-    if json_out is not None:
-        _emit_json({"n": n, "seed": seed, "ok": ok,
-                    "checks": {name: bool(v) for name, v in checks}},
-                   json_out)
-    else:
-        click.echo("verification battery, n=%d" % n)
-        for name, v in checks:
-            click.echo("  [%s] %s" % ("ok" if v else "FAIL", name))
-        click.echo("overall: %s" % ("pass" if ok else "FAIL"))
-    if not ok:
-        sys.exit(1)
+    _report_checks("verification battery, n=%d" % n, {"n": n, "seed": seed},
+                   checks, json_out)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Two independent routes are provided and cross-validated:
 
-  * decompose(): an oracle that builds the actual tensor-product module and
-    computes the multiplicity of every simple via Hom spaces (valid by
+  * decompose(): an oracle that builds the actual tensor-product module,
+    on which K_n acts through its one comultiplication `hopf.delta_terms`,
+    and computes the multiplicity of every simple via Hom spaces (valid by
     semisimplicity of the category);
   * closed_form_fuse(): the symbolic fusion-ring relations, with every
     product reduced to products of modules of dimension at most two and the
@@ -18,9 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum
 from .linalg import CycMatrix
-from .hopf import F, KnAlgebra, KnElement, multiply
+from .hopf import F, P, KnAlgebra, delta_terms, multiply
 from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
                     hom_dimension, list_simples)
 
@@ -73,46 +73,37 @@ def zn_orbit_set(n: int) -> list[tuple[int, int]]:
 
 def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
     """The tensor product in the YD category: h acts through the
-    comultiplication, the coaction is delta(v (x) w) = v_{-1}w_{-1} (x)
-    (v_0 (x) w_0).  Basis is row-major: index of v_a (x) w_b is
-    a*dim(M2) + b."""
+    comultiplication (`hopf.delta_terms`), the coaction is delta(v (x) w) =
+    v_{-1}w_{-1} (x) (v_0 (x) w_0).  Basis is row-major: index of v_a (x) w_b
+    is a*dim(M2) + b."""
     if M1.algebra.n != M2.algebra.n:
         raise ValueError("algebra mismatch")
     A = M1.algebra
     n = A.n
     d1, d2 = M1.dim, M2.dim
     dim = d1 * d2
-    zero = CycMatrix.zero
 
-    # Delta(p_{ab}) = sum over a1+a2=a, b1+b2=b of p_{a1 b1} (x) p_{a2 b2}
-    action_p = {}
-    for a in range(n):
-        for b in range(n):
-            acc = zero(n, dim, dim)
-            for a1 in range(n):
-                for b1 in range(n):
-                    m1 = M1.action_p[(a1, b1)]
-                    if not m1.data:
-                        continue
-                    m2 = M2.action_p[((a - a1) % n, (b - b1) % n)]
-                    if not m2.data:
-                        continue
-                    acc = acc + m1.kron(m2)
-            action_p[(a, b)] = acc
+    def act(keys) -> CycMatrix:
+        # sum over h in keys and Delta(h) = sum v h1 (x) h2 of
+        # h1 (x) v h2, with the h2 side summed first for each h1
+        right: dict = {}
+        for key in keys:
+            for k1, k2, v in delta_terms(A, key):
+                m2 = M2.action_of(k2)
+                if not m2.data or not M1.action_of(k1).data:
+                    continue
+                if not v.is_one():
+                    m2 = m2.scale(v)
+                prev = right.get(k1)
+                right[k1] = m2 if prev is None else prev + m2
+        out = CycMatrix.zero(n, dim, dim)
+        for k1, m2 in right.items():
+            out = out + M1.action_of(k1).kron(m2)
+        return out
 
-    # x^ = sum f_{ij}; Delta(f_{ij}) = sum xi^{i1 j2 - j1 i2}
-    # f_{i1 j1} (x) f_{i2 j2}, so summing over all (i,j) decouples:
-    # x^ acts by sum_{i1,j1} f_{i1 j1} (x) (sum_{i2,j2} xi^{i1 j2 - j1 i2}
-    # f_{i2 j2}).
-    action_x = zero(n, dim, dim)
-    for i1 in range(n):
-        for j1 in range(n):
-            left = M1.action_of((F, i1, j1))
-            if not left.data:
-                continue
-            elem = KnElement(A, {(F, i2, j2): A.xi(i1 * j2 - j1 * i2)
-                                 for i2 in range(n) for j2 in range(n)})
-            action_x = action_x + left.kron(M2.act(elem))
+    action_p = {(a, b): act([(P, a, b)]) for a in range(n) for b in range(n)}
+    # x^ = sum of all f_{ab}
+    action_x = act([(F, a, b) for a in range(n) for b in range(n)])
 
     coaction = []
     for a in range(d1):

@@ -62,9 +62,6 @@ class CycMatrix:
         else:
             self.data.setdefault(r, {})[c] = v
 
-    def row_entries(self, r: int):
-        return self.data.get(r, {})
-
     def is_zero(self) -> bool:
         return not any(self.data.values())
 
@@ -165,15 +162,6 @@ class CycMatrix:
                     acc = acc + v * vec[c]
             out[r] = acc
         return out
-
-    def to_dense(self) -> list[list[CycNum]]:
-        zero = CycNum.zero(self.n)
-        return [[self.data.get(r, {}).get(c, zero) for c in range(self.cols)]
-                for r in range(self.rows)]
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[v.to_json() for v in row] for row in self.to_dense()]}
 
     # -- elimination -------------------------------------------------------------
 

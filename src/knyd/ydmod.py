@@ -12,6 +12,11 @@ W(eps,i,m) (dim n):
 U labels are canonicalized to the lexicographically smaller of (i,j,m,t)
 and (j,i,t+2i,m-2j); a U label with i=j and t=m-2i is reducible (it splits
 as V(+1,i,m) + V(-1,i,m)) and is rejected by the constructor.
+
+YD maps S -> M are the solutions of one sparse linear system
+(`_hom_system`): x^- and p-equivariance and the intertwining of the two
+coaction matrices (`YDModule.comatrix`).  `hom_dimension` is its nullity and
+`is_yd_map` tests a given matrix against it.
 """
 
 from __future__ import annotations
@@ -131,6 +136,7 @@ class YDModule:
         self.label = label
         self._weights = None
         self._act_cache: dict = {}
+        self._comatrix = None
 
     def action_of(self, key) -> CycMatrix:
         """Matrix of a basis element of K_n."""
@@ -148,6 +154,24 @@ class YDModule:
         for key, v in h.coeffs.items():
             out = out + self.action_of(key).scale(v)
         return out
+
+    def comatrix(self) -> dict:
+        """The coaction as a matrix over K_n: {(j, k): {basis key: coeff}}
+        with delta(v_j) = sum_k H_jk (x) v_k, zero entries pruned."""
+        if self._comatrix is None:
+            co: dict = {}
+            for j, terms in enumerate(self.coaction):
+                for h, k in terms:
+                    cell = co.setdefault((j, k), {})
+                    for hkey, v in h.coeffs.items():
+                        s = cell.get(hkey)
+                        cell[hkey] = v if s is None else s + v
+            self._comatrix = {}
+            for jk, cell in co.items():
+                cell = {hkey: v for hkey, v in cell.items() if not v.is_zero()}
+                if cell:
+                    self._comatrix[jk] = cell
+        return self._comatrix
 
     def weights(self):
         """If every p_{ab} acts diagonally with 0/1 entries, the weight
@@ -462,96 +486,85 @@ def braided_space(M: YDModule):
 # -- hom spaces and isomorphism ---------------------------------------------------------
 
 
-def hom_dimension(S: YDModule, M: YDModule) -> int:
-    """Dimension of the space of maps S -> M commuting with all p_{ab} and
-    x^ and intertwining the coactions, via one assembled linear system."""
+def _hom_system(S: YDModule, M: YDModule):
+    """The linear system whose solutions are the YD maps T: S -> M, where
+    T[k][j] is the coefficient of m_k in T(s_j).  Returns (cells, rows):
+    cells maps each (k, j) that may be nonzero to its unknown's index, and
+    each row is a sparse {index: coeff} that T must annihilate."""
     if S.algebra.n != M.algebra.n:
         raise ValueError("algebra mismatch")
-    n = S.algebra.n
     ds, dm = S.dim, M.dim
     wS, wM = S.weights(), M.weights()
-    if wS is not None and wM is not None:
-        # p-equivariance forces T[k][j] = 0 unless weights match
-        allowed = [(k, j) for k in range(dm) for j in range(ds)
-                   if wM[k] == wS[j]]
-        include_p = False
-    else:
-        allowed = [(k, j) for k in range(dm) for j in range(ds)]
-        include_p = True
-    if not allowed:
-        return 0
-    unknown = {kj: idx for idx, kj in enumerate(allowed)}
+    # between weight modules, p-equivariance is exactly T[k][j] = 0 unless
+    # the weights of m_k and s_j match
+    weighted = wS is not None and wM is not None
+    cells = {}
+    for k in range(dm):
+        for j in range(ds):
+            if not weighted or wM[k] == wS[j]:
+                cells[(k, j)] = len(cells)
     rows: list[dict[int, CycNum]] = []
 
+    def add_row(row: dict):
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        if row:
+            rows.append(row)
+
     def add_commutant_rows(mat_m: CycMatrix, mat_s: CycMatrix):
-        # mat_m T - T mat_s = 0, restricted to allowed unknowns
+        # mat_m T - T mat_s = 0, one row per entry
         for k in range(dm):
+            mrow = mat_m.data.get(k, {})
             for j in range(ds):
                 row: dict[int, CycNum] = {}
-                mrow = mat_m.data.get(k, {})
                 for l, v in mrow.items():
-                    idx = unknown.get((l, j))
+                    idx = cells.get((l, j))
                     if idx is not None:
-                        s = row.get(idx)
-                        row[idx] = v if s is None else s + v
+                        row[idx] = v
                 for j1 in range(ds):
                     v = mat_s.get(j1, j)
-                    if v.is_zero():
+                    idx = cells.get((k, j1))
+                    if idx is None or v.is_zero():
                         continue
-                    idx = unknown.get((k, j1))
-                    if idx is not None:
-                        s = row.get(idx)
-                        row[idx] = -v if s is None else s - v
-                row = {c: v for c, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
+                    s = row.get(idx)
+                    row[idx] = -v if s is None else s - v
+                add_row(row)
 
     add_commutant_rows(M.action_x, S.action_x)
-    if include_p:
+    if not weighted:
         for key in S.action_p:
             add_commutant_rows(M.action_p[key], S.action_p[key])
 
-    # coaction intertwining: for each (j, l), sum_k T[k][j] H^M_{k,l}
-    # = sum_{j'} H^S_{j,j'} T[l][j'] in K_n, one row per K_n basis key
-    co_m: dict = {}
-    for k in range(dm):
-        for h, l in M.coaction[k]:
-            for hkey, v in h.coeffs.items():
-                co_m.setdefault((k, l), {})[hkey] = \
-                    co_m.get((k, l), {}).get(hkey, CycNum.zero(n)) + v
-    co_s: dict = {}
-    for j in range(ds):
-        for h, j1 in S.coaction[j]:
-            for hkey, v in h.coeffs.items():
-                co_s.setdefault((j, j1), {})[hkey] = \
-                    co_s.get((j, j1), {}).get(hkey, CycNum.zero(n)) + v
-    for j in range(ds):
+    # coaction rows: for each (j, l), sum_k T[k][j] H^M_{kl}
+    # = sum_{j1} H^S_{j j1} T[l][j1] in K_n, one row per K_n basis key
+    cond: dict = {}
+    for (k, l), h in M.comatrix().items():
+        for j in range(ds):
+            idx = cells.get((k, j))
+            if idx is not None:
+                for hkey, v in h.items():
+                    cond.setdefault((j, l, hkey), {})[idx] = v
+    for (j, j1), h in S.comatrix().items():
         for l in range(dm):
-            cond: dict = {}
-            for k in range(dm):
-                idx = unknown.get((k, j))
-                if idx is None:
-                    continue
-                for hkey, v in co_m.get((k, l), {}).items():
-                    bucket = cond.setdefault(hkey, {})
-                    s = bucket.get(idx)
-                    bucket[idx] = v if s is None else s + v
-            for j1 in range(ds):
-                idx = unknown.get((l, j1))
-                if idx is None:
-                    continue
-                for hkey, v in co_s.get((j, j1), {}).items():
-                    bucket = cond.setdefault(hkey, {})
-                    s = bucket.get(idx)
-                    bucket[idx] = -v if s is None else s - v
-            for bucket in cond.values():
-                row = {c: v for c, v in bucket.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
+            idx = cells.get((l, j1))
+            if idx is None:
+                continue
+            for hkey, v in h.items():
+                bucket = cond.setdefault((j, l, hkey), {})
+                s = bucket.get(idx)
+                bucket[idx] = -v if s is None else s - v
+    for row in cond.values():
+        add_row(row)
+    return cells, rows
 
-    mat = CycMatrix(n, len(rows), len(allowed),
-                    {i: row for i, row in enumerate(rows)})
-    return len(allowed) - mat.rank()
+
+def hom_dimension(S: YDModule, M: YDModule) -> int:
+    """Dimension of the space of YD maps S -> M: the nullity of the system
+    of `_hom_system`."""
+    cells, rows = _hom_system(S, M)
+    if not cells:
+        return 0
+    mat = CycMatrix(S.algebra.n, len(rows), len(cells), dict(enumerate(rows)))
+    return len(cells) - mat.rank()
 
 
 def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:
@@ -559,41 +572,16 @@ def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:
 
 
 def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:
-    """Whether the dm x ds matrix T intertwines actions and coactions."""
-    n = S.algebra.n
+    """Whether the dm x ds matrix T intertwines actions and coactions: T is
+    zero off the cells of `_hom_system` and satisfies each of its rows."""
     if T.rows != M.dim or T.cols != S.dim:
         raise ValueError("shape mismatch")
-    for key in S.action_p:
-        if M.action_p[key] @ T != T @ S.action_p[key]:
-            return False
-    if M.action_x @ T != T @ S.action_x:
-        return False
-    # coactions: delta_M(T s_j) = (id (x) T) delta_S(s_j)
-    for j in range(S.dim):
-        lhs: dict = {}
-        for k in range(M.dim):
-            coeff = T.get(k, j)
-            if coeff.is_zero():
-                continue
-            for h, l in M.coaction[k]:
-                for hkey, v in h.coeffs.items():
-                    key = (hkey, l)
-                    c = coeff * v
-                    s = lhs.get(key)
-                    lhs[key] = c if s is None else s + c
-        rhs: dict = {}
-        for h, j1 in S.coaction[j]:
-            for hkey, v in h.coeffs.items():
-                for l in range(M.dim):
-                    coeff = T.get(l, j1)
-                    if coeff.is_zero():
-                        continue
-                    key = (hkey, l)
-                    c = v * coeff
-                    s = rhs.get(key)
-                    rhs[key] = c if s is None else s + c
-        lhs = {k_: v for k_, v in lhs.items() if not v.is_zero()}
-        rhs = {k_: v for k_, v in rhs.items() if not v.is_zero()}
-        if lhs != rhs:
-            return False
-    return True
+    cells, rows = _hom_system(S, M)
+    for k, row in T.data.items():
+        for j, v in row.items():
+            if (k, j) not in cells and not v.is_zero():
+                return False
+    value = [T.get(k, j) for k, j in cells]
+    zero = CycNum.zero(S.algebra.n)
+    return all(sum((v * value[c] for c, v in row.items()), zero).is_zero()
+               for row in rows)

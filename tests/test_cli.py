@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from knyd import cli
 from knyd.cli import main
+from knyd.nichols import MemoryBudgetError
 
 
 @pytest.fixture()
@@ -128,12 +130,25 @@ def test_invalid_cutoff(runner):
     assert "invalid cutoff" in result.output
 
 
-def test_memory_budget_error(runner, monkeypatch):
+def _raise_budget(*args, **kwargs):
+    raise MemoryBudgetError("forced")
+
+
+@pytest.mark.parametrize("args", [
+    ["nichols", "--n", "3", "--module", "W(-1,0,0)", "--cutoff", "9"],
+    ["nichols-sum", "--n", "3", "--labels", "U(0,1,0,2);U(0,1,2,1)",
+     "--cutoff", "9"],
+    ["paper-verify", "--n", "3"],
+], ids=["nichols", "nichols-sum", "paper-verify"])
+def test_memory_budget_error(runner, monkeypatch, args):
     monkeypatch.setenv("KN_MEMORY_MB", "1")
-    result = runner.invoke(main, ["nichols", "--n", "3", "--module",
-                                  "W(-1,0,0)", "--cutoff", "9"])
-    assert result.exit_code != 0
+    # paper-verify reaches the Nichols battery only after minutes of other
+    # checks, so its first check stands in for an exceeded budget
+    monkeypatch.setattr(cli, "verify_hopf_axioms", _raise_budget)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
     assert "memory budget exceeded" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

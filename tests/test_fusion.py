@@ -207,3 +207,11 @@ def test_uw0_isomorphism_spot_n5():
     for (i, j, m, t) in [(1, 0, 1, 0), (2, 4, 3, 1)]:
         source, target, phi = uw0_isomorphism(A, i, j, m, t)
         assert is_yd_map(source, target, phi)
+
+
+def test_closed_form_matches_oracle_n9():
+    # a composite conductor: ord(xi^X) takes proper-divisor values
+    A = KnAlgebra(9)
+    for L1, L2 in [(U(9, 1, 0, 1, 0), U(9, 0, 2, 1, 2)),
+                   (U(9, 3, 6, 0, 0), U(9, 6, 3, 2, 1))]:
+        assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)

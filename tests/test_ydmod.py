@@ -180,11 +180,12 @@ def test_w_self_braiding_formula_spot_n5():
 # -- hom spaces and isomorphism ---------------------------------------------------
 
 
-def test_hom_dimension_schur(A3):
-    n = 3
+@pytest.mark.parametrize("n", [3, 9])
+def test_hom_dimension_schur(n):
+    A = KnAlgebra(n)
     sample = [V(n, 1, 0, 0), V(n, -1, 1, 2), U(n, 1, 0, 1, 0),
               U(n, 0, 2, 1, 2), W(n, 1, 0, 0), W(n, -1, 2, 1)]
-    mods = {L: build_simple(A3, L) for L in sample}
+    mods = {L: build_simple(A, L) for L in sample}
     for L1 in sample:
         for L2 in sample:
             expected = 1 if L1 == L2 else 0
@@ -230,3 +231,59 @@ def test_is_yd_map_identity_and_swap(A3):
     swap.set(1, 0, A3.scalar(1))
     swap.set(2, 2, A3.scalar(1))
     assert not is_yd_map(M, M, swap)
+
+
+def test_is_yd_map_rejects_maps_wrong_on_one_side(A3):
+    n = 3
+    one = CycMatrix.identity(n, 1)
+    # same action, different coaction
+    assert not is_yd_map(build_simple(A3, V(n, 1, 0, 0)),
+                         build_simple(A3, V(n, 1, 0, 1)), one)
+    # same coaction, different x^
+    assert not is_yd_map(build_simple(A3, V(n, 1, 1, 2)),
+                         build_simple(A3, V(n, -1, 1, 2)), one)
+    # the two presentations of one U module, related by the swap
+    swap = CycMatrix.from_rows(n, [[0, 1], [1, 0]])
+    assert is_yd_map(build_u_module(A3, 1, 0, 1, 0),
+                     build_u_module(A3, 0, 1, 2, 1), swap)
+
+
+def _change_basis(M, P, Pinv):
+    """M in the basis v'_j = sum_i P[i][j] v_i."""
+    n = M.algebra.n
+    action_p = {key: Pinv @ mat @ P for key, mat in M.action_p.items()}
+    coaction = []
+    for j in range(M.dim):
+        terms = []
+        for i in range(M.dim):
+            for h, k in M.coaction[i]:
+                for l in range(M.dim):
+                    c = P.get(i, j) * Pinv.get(l, k)
+                    if not c.is_zero():
+                        terms.append((h.scale(c), l))
+        coaction.append(terms)
+    return YDModule(M.algebra, M.dim, action_p, Pinv @ M.action_x @ P,
+                    coaction)
+
+
+def test_hom_system_without_weights(A3):
+    # a module whose p_{ab} are not diagonal exercises the p-commutant rows
+    n = 3
+    P = CycMatrix.from_rows(n, [[1, 1], [0, 1]])
+    Pinv = CycMatrix.from_rows(n, [[1, -1], [0, 1]])
+    Um = build_u_module(A3, 1, 0, 1, 0)
+    Mp = _change_basis(Um, P, Pinv)
+    assert Mp.weights() is None
+    assert check_yd(Mp)["ok"]
+    assert hom_dimension(Um, Mp) == 1
+    assert hom_dimension(Mp, Um) == 1
+    assert hom_dimension(build_simple(A3, V(n, 1, 1, 1)), Mp) == 0
+    assert is_yd_map(Um, Mp, Pinv)
+    assert not is_yd_map(Um, Mp, CycMatrix.identity(n, 2))
+    # the same x^ and coaction with the weights of u1 and u2 swapped: only
+    # the p-commutant rows tell it apart
+    swapped = build_u_module(A3, 0, 1, 1, 0)
+    fake = _change_basis(YDModule(A3, 2, swapped.action_p, Um.action_x,
+                                  Um.coaction), P, Pinv)
+    assert hom_dimension(Um, fake) == 0
+    assert not is_yd_map(Um, fake, Pinv)
