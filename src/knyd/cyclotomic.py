@@ -6,13 +6,18 @@ form and equality is coefficient-wise.  Internally a CycNum keeps an integer
 numerator vector together with a single positive integer denominator; the
 whole vector is reduced by the gcd of all entries, which keeps arithmetic in
 fast integer operations and still gives a canonical form.
+
+`mod_p` reduces an element to F_p for a prime p = 1 (mod n), sending xi to
+a primitive n-th root of unity mod p; `modular_prime` fixes one such p per
+n.  The reduction is a ring map wherever it is defined, so a matrix rank
+mod p never exceeds the rank over Q(xi_n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
@@ -331,6 +336,48 @@ def _xi_powers(n: int) -> tuple[CycNum, ...]:
 def cyc(n: int, k: int) -> CycNum:
     """xi^k in Q(xi_n); conductor must be odd and >= 3."""
     return _xi_powers(n)[k % n]
+
+
+@lru_cache(maxsize=None)
+def modular_prime(n: int) -> int:
+    """The least prime p > 2^30 with p = 1 (mod n), so that F_p holds a
+    primitive n-th root of unity."""
+    p = (2 ** 30 // (2 * n) + 1) * 2 * n + 1   # odd and 1 mod n
+    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += 2 * n
+    return p
+
+
+@lru_cache(maxsize=None)
+def _omega_powers(n: int, p: int) -> tuple[int, ...]:
+    """omega^0 .. omega^{deg-1} mod p for omega = g^((p-1)/n), g the least
+    base with omega of order exactly n.  For a prime p = 1 (mod n) omega is
+    then a root of Phi_n mod p, so xi -> omega is a ring map from Z[xi]."""
+    if (p - 1) % n:
+        raise ValueError("p = %d is not 1 mod %d" % (p, n))
+    deg, _, _ = _field_data(n)
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, k, p) != 1 for k in range(1, n)):
+            return tuple(pow(omega, k, p) for k in range(deg))
+    raise ValueError("no primitive %d-th root of unity mod %d" % (n, p))
+
+
+def mod_p(a: CycNum, p: int) -> int | None:
+    """The image of a in F_p under xi -> omega (`_omega_powers`), or None
+    when p divides the denominator of a."""
+    return _mod_p(a.n, a.num, a.den, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def _mod_p(n: int, num: tuple[int, ...], den: int, p: int) -> int | None:
+    # Hom systems repeat a few roots of unity many times over
+    if den % p == 0:
+        return None
+    value = sum(c * w for c, w in zip(num, _omega_powers(n, p)))
+    if den != 1:
+        value *= pow(den, -1, p)
+    return value % p
 
 
 def root_order(a: CycNum) -> int | None:

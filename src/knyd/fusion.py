@@ -5,7 +5,8 @@ Two independent routes are provided and cross-validated:
   * decompose(): an oracle that builds the actual tensor-product module,
     on which K_n acts through its one comultiplication `hopf.delta_terms`,
     and computes the multiplicity of every simple via Hom spaces (valid by
-    semisimplicity of the category);
+    semisimplicity of the category), first mod p and certified by the
+    dimension count, else exactly;
   * closed_form_fuse(): the symbolic fusion-ring relations, with every
     product reduced to products of modules of dimension at most two and the
     n-dimensional generator W(+1,0,0) via W(eps,i,m) = V(eps,i,m).W(+1,0,0).
@@ -19,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .cyclotomic import modular_prime
 from .linalg import CycMatrix
 from .hopf import F, P, KnAlgebra, delta_terms, multiply
 from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
@@ -146,31 +148,49 @@ def _label_weights(lab: Label):
 def decompose(M: YDModule, simples: list[Label] | None = None
               ) -> FusionDecomposition:
     """Decompose M into simples; the multiplicity of S is dim Hom(S, M).
-    Fails loudly if the multiplicities do not account for dim M."""
+
+    The multiplicities are first computed over F_p (`modular_prime`).  Each
+    is an upper bound on the true one, and by semisimplicity the true ones
+    satisfy sum mult * dim = dim M, so bounds that add up to dim M are all
+    exact.  Otherwise they are recomputed over Q(xi).  Fails loudly if the
+    exact multiplicities do not account for dim M either."""
     A = M.algebra
     if simples is None:
         simples = list_simples(A)
     wM = M.weights()
     weight_count = Counter(wM) if wM is not None else None
-    remaining = M.dim
-    pairs = []
+    # both filters are exact: a nonzero map from a simple is injective and
+    # keeps weights
+    candidates = []
     for lab in simples:
-        if lab.dim() > remaining:
+        if lab.dim() > M.dim:
             continue
         if weight_count is not None:
             need = Counter(_label_weights(lab))
             if any(weight_count.get(w, 0) < c for w, c in need.items()):
                 continue
-        mult = hom_dimension(_simple(A, lab), M)
-        if mult:
-            pairs.append((lab, mult))
-            remaining -= mult * lab.dim()
-            if remaining == 0:
-                break
-    if remaining != 0:
+        candidates.append(lab)
+    found = _multiplicities(M, candidates, modular_prime(A.n))
+    if found is None or found.dim() != M.dim:
+        found = _multiplicities(M, candidates, None)
+    if found.dim() != M.dim:
         raise ArithmeticError(
             "decomposition does not balance: %d of %d dimensions unaccounted"
-            % (remaining, M.dim))
+            % (M.dim - found.dim(), M.dim))
+    return found
+
+
+def _multiplicities(M: YDModule, candidates: list[Label], prime):
+    """The candidates with their multiplicities dim Hom(S, M), over F_prime
+    or, for prime None, over Q(xi); None if some Hom system cannot be
+    reduced mod prime.  Every candidate is evaluated: a sum of upper bounds
+    proves nothing until it is complete."""
+    pairs = []
+    for lab in candidates:
+        mult = hom_dimension(_simple(M.algebra, lab), M, prime)
+        if mult is None:
+            return None
+        pairs.append((lab, mult))
     return FusionDecomposition.from_pairs(pairs)
 
 

@@ -5,12 +5,13 @@ the representation never affects results.  Elimination uses a deterministic
 pivot rule: columns are scanned in order and the first remaining row with a
 nonzero entry in the current column becomes the pivot, with no scaling
 heuristics.  Kernel bases are returned in reduced echelon form (pivot =
-first nonzero column).
+first nonzero column).  `CycMatrix.rank(prime)` runs the same elimination on
+the image of the matrix over F_p (`cyclotomic.mod_p`), in machine integers.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, mod_p
 
 
 class CycMatrix:
@@ -188,6 +189,8 @@ class CycMatrix:
             return root
 
         for row in self.data.values():
+            if not row:   # `set` to zero can empty a row
+                continue
             it = iter(row)
             first = next(it)
             parent.setdefault(first, first)
@@ -210,12 +213,29 @@ class CycMatrix:
             blocks.append((rows_of[root], sorted(groups[root])))
         return blocks
 
-    def rank(self) -> int:
+    def rank(self, prime: int | None = None) -> int | None:
+        """The rank over Q(xi_n); with a prime p = 1 (mod n), the rank of
+        the image over F_p under `mod_p` instead, which is at most the rank
+        over Q(xi_n), or None if some entry's denominator is divisible by
+        p."""
         rank = 0
         for rows, cols in self._component_blocks():
-            remap = {c: i for i, c in enumerate(cols)}
-            work = [{remap[c]: v for c, v in row.items()} for row in rows]
-            rank += len(_rref_rows(work, len(cols))[1])
+            if prime is None:
+                remap = {c: i for i, c in enumerate(cols)}
+                work = [{remap[c]: v for c, v in row.items()} for row in rows]
+                rank += len(_rref_rows(work, len(cols))[1])
+                continue
+            work = []
+            for row in rows:
+                mrow = {}
+                for c, v in row.items():
+                    x = mod_p(v, prime)
+                    if x is None:
+                        return None
+                    if x:
+                        mrow[c] = x
+                work.append(mrow)
+            rank += _rank_mod(work, cols, prime)
         return rank
 
     def kernel_basis(self) -> list[list[CycNum]]:
@@ -275,6 +295,41 @@ class CycMatrix:
         for i, p in enumerate(pivots):
             x[p] = red[i].get(self.cols, zero)
         return x, self.kernel_basis()
+
+
+def _rank_mod(work: list[dict[int, int]], cols: list[int], p: int) -> int:
+    """Rank of sparse rows over F_p, eliminating in place below each pivot;
+    the pivot rule of `_rref_rows`, with the columns taken in the order of
+    `cols`."""
+    rank = 0
+    nrows = len(work)
+    for c in cols:
+        pivot_row = None
+        for r in range(rank, nrows):
+            if c in work[r]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        prow = work[rank]
+        inv = pow(prow[c], -1, p)
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            factor = row.get(c)
+            if factor is None:
+                continue
+            factor = factor * inv % p
+            for k, v in prow.items():
+                s = (row.get(k, 0) - factor * v) % p
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def _rref_rows(work: list[dict[int, CycNum]], cols: int):

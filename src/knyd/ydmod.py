@@ -557,14 +557,18 @@ def _hom_system(S: YDModule, M: YDModule):
     return cells, rows
 
 
-def hom_dimension(S: YDModule, M: YDModule) -> int:
+def hom_dimension(S: YDModule, M: YDModule,
+                  prime: int | None = None) -> int | None:
     """Dimension of the space of YD maps S -> M: the nullity of the system
-    of `_hom_system`."""
+    of `_hom_system`.  With a prime, the nullity over F_p (see
+    `CycMatrix.rank`): an upper bound on the dimension, or None if the
+    system cannot be reduced mod p."""
     cells, rows = _hom_system(S, M)
     if not cells:
         return 0
     mat = CycMatrix(S.algebra.n, len(rows), len(cells), dict(enumerate(rows)))
-    return len(cells) - mat.rank()
+    rank = mat.rank(prime)
+    return None if rank is None else len(cells) - rank
 
 
 def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:

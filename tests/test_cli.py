@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from knyd import cli
 from knyd.cli import main
-from knyd.nichols import MemoryBudgetError
 
 
 @pytest.fixture()
@@ -123,15 +122,24 @@ def test_invalid_n(runner):
         assert "invalid n" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["yd-verify", "--n", "3", "--sample", "-3"],
+    ["yd-verify", "--n", "3", "--sample", "0"],
+    ["fusion-table", "--n", "3", "--sample", "-2"],
+    ["fusion-table", "--n", "3", "--sample", "0"],
+], ids=["yd-verify-neg", "yd-verify-0", "fusion-table-neg", "fusion-table-0"])
+def test_invalid_sample(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "invalid sample" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_invalid_cutoff(runner):
     result = runner.invoke(main, ["nichols", "--n", "3", "--module",
                                   "W(-1,0,0)", "--cutoff", "1"])
     assert result.exit_code != 0
     assert "invalid cutoff" in result.output
-
-
-def _raise_budget(*args, **kwargs):
-    raise MemoryBudgetError("forced")
 
 
 @pytest.mark.parametrize("args", [
@@ -142,13 +150,16 @@ def _raise_budget(*args, **kwargs):
 ], ids=["nichols", "nichols-sum", "paper-verify"])
 def test_memory_budget_error(runner, monkeypatch, args):
     monkeypatch.setenv("KN_MEMORY_MB", "1")
-    # paper-verify reaches the Nichols battery only after minutes of other
-    # checks, so its first check stands in for an exceeded budget
-    monkeypatch.setattr(cli, "verify_hopf_axioms", _raise_budget)
+    # paper-verify must meet the budget in its Nichols checks before it
+    # starts the minutes-long Hopf, YD and fusion sweeps
+    audits = []
+    monkeypatch.setattr(cli, "verify_hopf_axioms",
+                        lambda A: audits.append(A.n))
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "memory budget exceeded" in result.output
     assert "Traceback" not in result.output
+    assert audits == []
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

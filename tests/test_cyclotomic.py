@@ -4,8 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knyd.cyclotomic import (CycNum, cyc, cyclotomic_polynomial, root_order)
+from knyd.cyclotomic import (CycNum, cyc, cyclotomic_polynomial, mod_p,
+                             modular_prime, root_order)
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -104,3 +107,52 @@ def test_json_round_trip():
 def test_mixed_conductor_rejected():
     with pytest.raises(ValueError):
         cyc(3, 1) + cyc(5, 1)
+
+
+# -- reduction mod p -----------------------------------------------------------------
+
+SMALL_PRIME = {3: 7, 5: 11, 7: 29, 9: 19, 15: 31}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15])
+def test_modular_root_is_a_root_of_phi(n):
+    # xi -> omega is a ring map Z[xi] -> F_p exactly when Phi_n(omega) = 0
+    for p in (modular_prime(n), SMALL_PRIME[n]):
+        assert p % n == 1
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        omega = mod_p(cyc(n, 1), p)
+        phi = cyclotomic_polynomial(n)
+        assert sum(c * pow(omega, k, p) for k, c in enumerate(phi)) % p == 0
+        assert [k for k in range(1, n + 1) if pow(omega, k, p) == 1] == [n]
+    assert modular_prime(n) > 2 ** 30
+
+
+@st.composite
+def _elements(draw, n):
+    deg = len(cyclotomic_polynomial(n)) - 1
+    coeffs = draw(st.lists(st.fractions(min_value=-5, max_value=5,
+                                        max_denominator=6),
+                           min_size=deg, max_size=deg))
+    return CycNum.from_coeffs(n, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL_PRIME)).flatmap(
+    lambda n: st.tuples(st.just(n), _elements(n), _elements(n))))
+def test_mod_p_is_a_ring_map(case):
+    n, a, b = case
+    for p in (modular_prime(n), SMALL_PRIME[n]):
+        ra, rb = mod_p(a, p), mod_p(b, p)
+        assert mod_p(a + b, p) == (ra + rb) % p
+        assert mod_p(a * b, p) == ra * rb % p
+        if rb:
+            # 1/b is stored over the rational norm of b, which p may divide
+            # even when b is a unit mod p: then there is no image
+            assert mod_p(a / b, p) in (None, ra * pow(rb, -1, p) % p)
+
+
+def test_mod_p_undefined_on_p_in_denominator():
+    n, p = 3, SMALL_PRIME[3]
+    assert mod_p(CycNum.rational(n, Fraction(2, p)), p) is None
+    assert mod_p(CycNum.rational(n, Fraction(p, 2)), p) == 0
+    assert mod_p(CycNum.rational(n, Fraction(1, 2)), p) == pow(2, -1, p)

@@ -1,12 +1,16 @@
 """Fusion rules: closed forms against the semisimple-decomposition oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from knyd import fusion
+from knyd.cyclotomic import modular_prime
 from knyd.hopf import KnAlgebra
-from knyd.ydmod import (U, V, W, build_simple, build_u_module, is_yd_map,
-                        list_simples)
+from knyd.linalg import CycMatrix
+from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
+                        check_yd, hom_dimension, is_yd_map, list_simples)
 from knyd.fusion import (FusionDecomposition, closed_form_fuse, decompose,
                          fusion_table, sample_pairs, tensor_module,
                          uw0_isomorphism, zn_orbit_set)
@@ -215,3 +219,61 @@ def test_closed_form_matches_oracle_n9():
     for L1, L2 in [(U(9, 1, 0, 1, 0), U(9, 0, 2, 1, 2)),
                    (U(9, 3, 6, 0, 0), U(9, 6, 3, 2, 1))]:
         assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+
+
+# -- the modular certificate and its exact fallback ------------------------------------
+
+
+def _record_primes(monkeypatch):
+    """Record the prime of every Hom dimension `decompose` asks for."""
+    primes = []
+    hom = fusion.hom_dimension
+
+    def recording(S, M, prime=None):
+        primes.append(prime)
+        return hom(S, M, prime)
+
+    monkeypatch.setattr(fusion, "hom_dimension", recording)
+    return primes
+
+
+def test_decompose_needs_no_fallback(A3, monkeypatch):
+    primes = _record_primes(monkeypatch)
+    for L1, L2 in sample_pairs(A3, 12, 5):
+        assert _oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+    assert primes and None not in primes
+
+
+def test_decompose_falls_back_when_balance_fails(A3, monkeypatch):
+    # a modular rank one short, as at an unlucky prime, inflates the Hom
+    # bounds past dim M; the exact pass must then give the answer
+    rank = CycMatrix.rank
+
+    def short_rank(self, prime=None):
+        r = rank(self, prime)
+        return r if prime is None or r == 0 else r - 1
+
+    monkeypatch.setattr(CycMatrix, "rank", short_rank)
+    primes = _record_primes(monkeypatch)
+    for L1, L2 in sample_pairs(A3, 12, 6):
+        del primes[:]
+        assert _oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+        assert primes[0] is not None and None in primes, (L1, L2)
+
+
+def test_decompose_falls_back_when_an_entry_does_not_reduce(A3, monkeypatch):
+    # U(1,0,1,0) in the basis (p u1, u2): x^ has the entry 1/p, which has
+    # no image in F_p, so only the exact pass can decompose it
+    n = 3
+    p = modular_prime(n)
+    Um = build_u_module(A3, 1, 0, 1, 0)
+    x = CycMatrix.from_rows(n, [[0, Fraction(1, p)], [p, 0]])
+    scaled = YDModule(A3, 2, Um.action_p, x, Um.coaction)
+    assert check_yd(scaled)["ok"]
+    S = build_simple(A3, U(n, 1, 0, 1, 0))
+    assert hom_dimension(S, scaled, p) is None
+    assert hom_dimension(S, scaled) == 1
+    primes = _record_primes(monkeypatch)
+    assert decompose(scaled) == FusionDecomposition.from_pairs(
+        [(U(n, 1, 0, 1, 0), 1)])
+    assert primes[0] == p and None in primes

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knyd.cyclotomic import CycNum, cyc
+from knyd.cyclotomic import CycNum, cyc, modular_prime
 from knyd.linalg import CycMatrix
 
 
@@ -118,6 +120,15 @@ def test_rank_nullity_random_sparse():
         assert A.rank() + len(A.kernel_basis()) == A.cols
 
 
+def test_row_emptied_by_set():
+    n = 3
+    A = _mat(n, [[1, 0], [1, 1]])
+    A.set(0, 0, CycNum.zero(n))
+    assert A.rank() == 1
+    assert len(A.kernel_basis()) == 1
+    assert A.rank(modular_prime(n)) == 1
+
+
 def test_shape_mismatch_rejected():
     n = 3
     A = CycMatrix.zero(n, 2, 3)
@@ -126,3 +137,72 @@ def test_shape_mismatch_rejected():
         A + B
     with pytest.raises(ValueError):
         B @ A @ A
+
+
+# -- properties on random sparse matrices ---------------------------------------------
+
+# per conductor, a small prime = 1 (mod n): ranks mod a small prime fall
+# below the true rank far more often than mod `modular_prime(n)`
+SMALL_PRIME = {3: 7, 5: 11, 7: 29, 9: 19, 15: 31}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A random sparse matrix over Q(xi_n) whose entries are small rational
+    multiples of one or two roots of unity; with some probability one more
+    row is a combination of two others, so that ranks drop."""
+    n = draw(st.sampled_from(sorted(SMALL_PRIME)))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    term = st.builds(lambda k, c, d: cyc(n, k) * CycNum.rational(n, Fraction(c, d)),
+                     st.integers(0, n - 1),
+                     st.integers(-3, 3).filter(bool), st.integers(1, 2))
+    entry = st.one_of(term, st.builds(lambda a, b: a + b, term, term))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), entry,
+        max_size=rows * cols))
+    A = CycMatrix.zero(n, rows, cols)
+    for (r, c), v in cells.items():
+        A.set(r, c, v)
+    if rows >= 2 and draw(st.booleans()):
+        r1, r2 = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, b = draw(entry), draw(entry)
+        A.rows += 1
+        for c in range(cols):
+            A.set(rows, c, a * A.get(r1, c) + b * A.get(r2, c))
+    return A
+
+
+_properties = settings(max_examples=60, deadline=None)
+
+
+@_properties
+@given(sparse_matrices())
+def test_modular_rank_is_a_lower_bound(A):
+    exact = A.rank()
+    for p in (modular_prime(A.n), SMALL_PRIME[A.n]):
+        rank_p = A.rank(p)
+        assert rank_p is not None and rank_p <= exact
+
+
+@_properties
+@given(sparse_matrices())
+def test_rank_of_transpose(A):
+    assert A.rank() == A.transpose().rank()
+
+
+@_properties
+@given(sparse_matrices())
+def test_rank_nullity_and_kernel(A):
+    ker = A.kernel_basis()
+    assert A.rank() + len(ker) == A.cols
+    for vec in ker:
+        assert all(x.is_zero() for x in A.apply(vec))
+
+
+def test_modular_rank_undefined_on_p_in_denominator():
+    n = 3
+    p = SMALL_PRIME[n]
+    A = _mat(n, [[1, Fraction(1, p)], [0, 1]])
+    assert A.rank() == 2
+    assert A.rank(p) is None
+    assert A.rank(modular_prime(n)) == 2
