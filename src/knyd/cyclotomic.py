@@ -366,17 +366,11 @@ def _omega_powers(n: int, p: int) -> tuple[int, ...]:
 def mod_p(a: CycNum, p: int) -> int | None:
     """The image of a in F_p under xi -> omega (`_omega_powers`), or None
     when p divides the denominator of a."""
-    return _mod_p(a.n, a.num, a.den, p)
-
-
-@lru_cache(maxsize=1 << 16)
-def _mod_p(n: int, num: tuple[int, ...], den: int, p: int) -> int | None:
-    # Hom systems repeat a few roots of unity many times over
-    if den % p == 0:
+    if a.den % p == 0:
         return None
-    value = sum(c * w for c, w in zip(num, _omega_powers(n, p)))
-    if den != 1:
-        value *= pow(den, -1, p)
+    value = sum(c * w for c, w in zip(a.num, _omega_powers(a.n, p)))
+    if a.den != 1:
+        value *= pow(a.den, -1, p)
     return value % p
 
 
