@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import sys
 
@@ -53,12 +54,32 @@ def _parse(text: str, n: int):
         raise click.UsageError("invalid label grammar: %s" % exc)
 
 
+def _output_path(ctx, param, value):
+    """Reject an output file that cannot be written before any work starts
+    ("-" is stdout)."""
+    if value is None or value == "-":
+        return value
+    parent = os.path.dirname(os.path.abspath(value)) or os.sep
+    if (os.path.isdir(value) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)
+            or (os.path.exists(value) and not os.access(value, os.W_OK))):
+        raise click.UsageError("invalid output path: cannot write %s" % value)
+    return value
+
+
+def _open_output(path, **kwargs):
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise click.UsageError("invalid output path: %s" % exc)
+
+
 def _emit_json(payload, dest):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if dest in (None, "-"):
         click.echo(text, nl=False)
     else:
-        with open(dest, "w", encoding="utf-8") as fh:
+        with _open_output(dest) as fh:
             fh.write(text)
 
 
@@ -82,6 +103,7 @@ def _report_checks(title, payload, checks, json_out):
 
 _json_option = click.option(
     "--json", "json_out", is_flag=False, flag_value="-", default=None,
+    callback=_output_path,
     help="Emit JSON (to stdout, or to the given path).")
 _n_option = click.option("--n", "n", type=int, required=True,
                          callback=_odd_n, help="Odd integer n >= 3.")
@@ -252,7 +274,8 @@ def fuse(n, left, right, verify, json_out):
 @main.command("fusion-table")
 @_n_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              default=None, help="Write the table as CSV to this path.")
+              default=None, callback=_output_path,
+              help="Write the table as CSV to this path.")
 @click.option("--sample", type=int, default=None, callback=_positive_sample,
               help="Use this many seeded random pairs instead of all pairs.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -267,7 +290,7 @@ def fusion_table_cmd(n, out_path, sample, seed, verify, json_out):
     fields = ["left", "right", "closed_form"] + \
         (["oracle", "match"] if verify else [])
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _open_output(out_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)
             for row in rows:

@@ -308,42 +308,85 @@ def _delta_cache(n: int):
     return out
 
 
+def delta2_term(n: int, h, h1, h3):
+    """The one Delta^2 rule: the term h1 (x) h2 (x) h3 of Delta^2(h) for
+    basis keys h1, h3 of h's kind, as (h2 key, coefficient).  Every term of
+    Delta^2(h) has three factors of h's kind, indices adding up to h's:
+    i2 = i - i1 - i3, j2 = j - j1 - j3, with coefficient 1 for p and
+    xi^{i1(j2+j3) - j1(i2+i3) + i2 j3 - j2 i3} for f."""
+    kind, i, j = h
+    _, i1, j1 = h1
+    _, i3, j3 = h3
+    i2 = (i - i1 - i3) % n
+    j2 = (j - j1 - j3) % n
+    if kind == P:
+        return (P, i2, j2), cyc(n, 0)
+    return (F, i2, j2), cyc(n, i1 * (j2 + j3) - j1 * (i2 + i3)
+                           + i2 * j3 - j2 * i3)
+
+
 # -- axiom verification ---------------------------------------------------------
+
+
+def _left_partners(table: dict) -> dict:
+    """The inverse of `product_table`: {right key: [(left key, product key)]}."""
+    out: dict = {}
+    for k1, partners in table.items():
+        for k2, key in partners:
+            out.setdefault(k2, []).append((k1, key))
+    return out
+
+
+def _collect(terms) -> dict:
+    """Sum (key, CycNum) terms into a dict, zeros pruned."""
+    out: dict = {}
+    for key, c in terms:
+        s = out.get(key)
+        out[key] = c if s is None else s + c
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _first_mismatch(lhs: dict, rhs: dict):
+    """The least key on which two sparse maps differ, or None."""
+    bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)]
+    return min(bad) if bad else None
 
 
 def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     """Exhaustive Hopf-axiom audit over the basis.  Returns a report dict
-    {axiom: {"ok": bool, "counterexample": ... or None}}.  An alternative
-    antipode may be injected for negative-control tests."""
+    {axiom: {"ok": bool, "counterexample": ... or None}}; a counterexample
+    is the first failing basis key, pair or triple in basis order.  An
+    alternative antipode may be injected for negative-control tests.
+
+    The product checks read `product_table`: a product of basis elements is
+    one basis element with coefficient 1, or zero."""
     S = antipode_fn if antipode_fn is not None else antipode
     n = A.n
     report = {}
     basis = list(A.basis_indices())
     one = A.unit()
+    table = product_table(n)
+    left_of = _left_partners(table)
 
-    # associativity on basis triples
-    ce = None
-    for kx in basis:
-        x = A.basis(*kx)
-        for ky in basis:
-            y = A.basis(*ky)
-            xy = multiply(x, y)
-            for kz in basis:
-                z = A.basis(*kz)
-                if multiply(xy, z) != multiply(x, multiply(y, z)):
-                    ce = (kx, ky, kz)
-                    break
-            if ce:
-                break
-        if ce:
-            break
+    # associativity on basis triples: both sides of every triple are one
+    # basis key or zero, so comparing the nonzero triples of (xy)z and of
+    # x(yz), 4 dim each, covers all dim^3
+    lhs = {(x, y, z): xyz for x, partners in table.items()
+           for y, xy in partners for z, xyz in table[xy]}
+    rhs = {(x, y, z): xyz for y, partners in table.items()
+           for z, yz in partners for x, xyz in left_of[yz]}
+    ce = _first_mismatch(lhs, rhs)
     report["associativity"] = {"ok": ce is None, "counterexample": ce}
 
-    # unit
+    # unit: 1 x = x = x 1
     ce = None
+    unit = one.coeffs
     for kx in basis:
-        x = A.basis(*kx)
-        if multiply(one, x) != x or multiply(x, one) != x:
+        x = {kx: A.scalar(1)}
+        if (_collect((key, unit[k1]) for k1, key in left_of[kx] if k1 in unit)
+                != x
+                or _collect((key, unit[k2]) for k2, key in table[kx]
+                            if k2 in unit) != x):
             ce = kx
             break
     report["unit"] = {"ok": ce is None, "counterexample": ce}
@@ -385,38 +428,52 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
             break
     report["counit"] = {"ok": ce is None, "counterexample": ce}
 
-    # Delta is an algebra map; Delta(1) acts as the unit of the image
+    # Delta is an algebra map; Delta(1) acts as the unit of the image.  A
+    # term l1 (x) r1 of Delta(x) meets only the 2 x 2 tensors of right
+    # partners of l1 and r1, and each such tensor is a term of Delta(y) for
+    # one y, so one pass over Delta(x) gives Delta(x) Delta(y) for every y.
+    owner: dict = {}
+    for ky in basis:
+        for l2, r2, w in delta_terms(A, ky):
+            owner.setdefault((l2, r2), []).append((ky, w))
+    du = comultiply(one).coeffs
     ce = None
-    du = comultiply(one)
     for kx in basis:
-        x = A.basis(*kx)
-        dx = comultiply(x)
-        if du * dx != dx:
+        dx = delta_terms(A, kx)
+        if _collect(((kl, kr), du[(l1, r1)] * v) for l2, r2, v in dx
+                    for l1, kl in left_of[l2] for r1, kr in left_of[r2]
+                    if (l1, r1) in du) != {(l2, r2): v for l2, r2, v in dx}:
             ce = ("unit", kx)
             break
+        products: dict = {}
+        for l1, r1, v in dx:
+            for l2, kl in table[l1]:
+                for r2, kr in table[r1]:
+                    for ky, w in owner.get((l2, r2), ()):
+                        products.setdefault(ky, []).append(((kl, kr), v * w))
+        xy = dict(table[kx])
         for ky in basis:
-            y = A.basis(*ky)
-            if comultiply(multiply(x, y)) != dx * comultiply(y):
+            expected = ({} if ky not in xy else
+                        {(l2, r2): w for l2, r2, w in delta_terms(A, xy[ky])})
+            if _collect(products.get(ky, ())) != expected:
                 ce = (kx, ky)
                 break
         if ce:
             break
     report["delta_multiplicative"] = {"ok": ce is None, "counterexample": ce}
 
-    # eps is an algebra map
+    # eps is an algebra map: eps(xy) = eps(x) eps(y) on basis pairs
     ce = None
     if not counit(one).is_one():
         ce = "unit"
     else:
-        for kx in basis:
-            x = A.basis(*kx)
-            for ky in basis:
-                y = A.basis(*ky)
-                if counit(multiply(x, y)) != counit(x) * counit(y):
-                    ce = (kx, ky)
-                    break
-            if ce:
-                break
+        eps = {k: counit(A.basis(*k)) for k in basis}
+        support = [k for k in basis if not eps[k].is_zero()]
+        lhs = {(x, y): eps[xy] for x, partners in table.items()
+               for y, xy in partners if not eps[xy].is_zero()}
+        rhs = _collect(((x, y), eps[x] * eps[y])
+                       for x in support for y in support)
+        ce = _first_mismatch(lhs, rhs)
     report["counit_multiplicative"] = {"ok": ce is None, "counterexample": ce}
 
     # antipode axiom: m(S x id)Delta = eps(.)1 = m(id x S)Delta

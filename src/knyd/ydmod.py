@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclotomic import CycNum
 from .linalg import CycMatrix
-from .hopf import (P, F, KnAlgebra, KnElement, antipode_key, character,
-                   comatrix_element, counit, delta_terms, multiply,
-                   product_table)
+from .hopf import (F, KnAlgebra, KnElement, antipode_key, character,
+                   comatrix_element, counit, delta2_term, delta_terms,
+                   multiply, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -281,35 +280,6 @@ def direct_sum(M1: YDModule, M2: YDModule) -> YDModule:
 # -- YD axiom checking ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _delta2_forced(n: int, hkey):
-    """Delta^2(h) indexed for sandwich products: {h1key: {h3key: (h2key, coeff)}}.
-
-    For a basis element h of kind K, every Delta^2 term is K (x) K (x) K over
-    index splittings i1+i2+i3 = i, j1+j2+j3 = j, with twist coefficient
-    xi^{i1(j2+j3) - j1(i2+i3) + i2 j3 - j2 i3} in the F case.
-    """
-    from .cyclotomic import cyc
-    kind, i, j = hkey
-    out: dict = {}
-    one = CycNum.one(n)
-    for i1 in range(n):
-        for j1 in range(n):
-            inner = {}
-            for i3 in range(n):
-                i2 = (i - i1 - i3) % n
-                for j3 in range(n):
-                    j2 = (j - j1 - j3) % n
-                    if kind == P:
-                        c = one
-                    else:
-                        c = cyc(n, i1 * (j2 + j3) - j1 * (i2 + i3)
-                                + i2 * j3 - j2 * i3)
-                    inner[(kind, i3, j3)] = ((kind, i2, j2), c)
-            out[(kind, i1, j1)] = inner
-    return out
-
-
 def _sandwich_term(n: int, hkind: int, gkey):
     """For h1 g S(h3) with h1, h3 of kind hkind and g a basis key, the unique
     nonzero combination: returns (h1key, h3key, result_key)."""
@@ -405,22 +375,30 @@ def check_yd(M: YDModule) -> dict:
     report["comodule"] = failure
 
     # YD compatibility on every (basis of K_n) x (basis of M)
+    columns: dict = {}
+
+    def column(key, c):
+        """The nonzero entries (row, coeff) of column c of key's action."""
+        cols = columns.get(key)
+        if cols is None:
+            cols = columns[key] = {}
+            for r, row in M.action_of(key).data.items():
+                for c1, v in row.items():
+                    if not v.is_zero():
+                        cols.setdefault(c1, []).append((r, v))
+        return cols.get(c, ())
+
     failure = None
     for hkey in A.basis_indices():
-        hmat = M.action_of(hkey)
-        idx = _delta2_forced(n, hkey)
         hkind = hkey[0]
         for j in range(M.dim):
             # lhs: delta(h . v_j)
             lhs: dict = {}
-            for k in range(M.dim):
-                coeff = hmat.get(k, j)
-                if coeff.is_zero():
-                    continue
+            for k, coeff in column(hkey, j):
                 for g, l in M.coaction[k]:
                     for gkey, v in g.coeffs.items():
                         key = (gkey, l)
-                        c = coeff * v
+                        c = v if coeff.is_one() else coeff * v
                         s = lhs.get(key)
                         lhs[key] = c if s is None else s + c
             # rhs: h1 v_{-1} S(h3) (x) h2 . v_0
@@ -428,15 +406,11 @@ def check_yd(M: YDModule) -> dict:
             for g, k in M.coaction[j]:
                 for gkey, gamma in g.coeffs.items():
                     h1, h3, result = _sandwich_term(n, hkind, gkey)
-                    h2key, coeff = idx[h1][h3]
-                    c0 = gamma * coeff
-                    col = M.action_of(h2key)
-                    for row in range(M.dim):
-                        w = col.get(row, k)
-                        if w.is_zero():
-                            continue
+                    h2key, coeff = delta2_term(n, hkey, h1, h3)
+                    c0 = gamma if coeff.is_one() else gamma * coeff
+                    for row, w in column(h2key, k):
                         key = (result, row)
-                        c = c0 * w
+                        c = c0 if w.is_one() else c0 * w
                         s = rhs.get(key)
                         rhs[key] = c if s is None else s + c
             lhs = {k_: v for k_, v in lhs.items() if not v.is_zero()}

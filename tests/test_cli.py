@@ -135,6 +135,32 @@ def test_invalid_sample(runner, args):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["hopf-verify", "--n", "3", "--json", "{missing}/x.json"],
+    ["hopf-verify", "--n", "3", "--json", "{tmp}"],
+    ["fusion-table", "--n", "3", "--sample", "2", "--out", "{missing}/t.csv"],
+], ids=["json-missing-dir", "json-is-dir", "csv-missing-dir"])
+def test_unwritable_output_path(runner, monkeypatch, tmp_path, args):
+    # the path is rejected before the computation starts
+    built = []
+    monkeypatch.setattr(cli, "KnAlgebra", lambda n: built.append(n))
+    args = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
+            for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "invalid output path" in result.output
+    assert "Traceback" not in result.output
+    assert built == []
+
+
+def test_json_to_a_file(runner, tmp_path):
+    out = tmp_path / "audit.json"
+    result = runner.invoke(main, ["hopf-verify", "--n", "3", "--json",
+                                  str(out)])
+    assert result.exit_code == 0 and result.output == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["ok"]
+
+
 def test_invalid_cutoff(runner):
     result = runner.invoke(main, ["nichols", "--n", "3", "--module",
                                   "W(-1,0,0)", "--cutoff", "1"])

@@ -151,6 +151,28 @@ def test_mod_p_is_a_ring_map(case):
             assert mod_p(a / b, p) in (None, ra * pow(rb, -1, p) % p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 9, 15]).flatmap(
+    lambda n: st.tuples(st.just(n), _elements(n), _elements(n),
+                        _elements(n))))
+def test_field_axioms(case):
+    n, a, b, c = case
+    zero, one = CycNum.zero(n), CycNum.one(n)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a - a).is_zero()
+    assert a + (-a) == zero and (a * zero).is_zero()
+    if not a.is_zero():
+        assert a * a.inv() == one and a.inv().inv() == a
+        assert (b / a) * a == b
+        if not b.is_zero():
+            assert (a * b).inv() == a.inv() * b.inv()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+
+
 def test_mod_p_undefined_on_p_in_denominator():
     n, p = 3, SMALL_PRIME[3]
     assert mod_p(CycNum.rational(n, Fraction(2, p)), p) is None

@@ -1,11 +1,15 @@
 """Structure maps and axioms of K_n."""
 
+import random
+
 import pytest
 
+from knyd import hopf
 from knyd.cyclotomic import CycNum, cyc
 from knyd.hopf import (F, KnAlgebra, KnElement, P, TensorElement,
                        adjoint_action, antipode, character, comatrix_element,
-                       comultiply, counit, multiply, verify_hopf_axioms, xhat)
+                       comultiply, counit, delta2_term, delta_terms, multiply,
+                       product_table, verify_hopf_axioms, xhat)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,134 @@ def test_corrupted_antipode_detected(A3):
     # the other axioms do not involve S and still pass
     assert report["associativity"]["ok"]
     assert report["coassociativity"]["ok"]
+
+
+# -- the table audit against element-level loops ------------------------------
+
+
+def _reference_audit(A):
+    """Counterexamples of the product axioms found by multiplying basis
+    elements: every triple for associativity, every pair for the rest."""
+    basis = list(A.basis_indices())
+    e = {k: A.basis(*k) for k in basis}
+    one = A.unit()
+
+    def delta(x):
+        out = TensorElement(A, {})
+        for key, v in x.coeffs.items():
+            out = out + TensorElement(A, {(k1, k2): w for k1, k2, w
+                                          in delta_terms(A, key)}).scale(v)
+        return out
+
+    def first(cases):
+        return next((ce for ce, bad in cases if bad), None)
+
+    def delta_cases():
+        du = delta(one)
+        for x in basis:
+            dx = delta(e[x])
+            yield ("unit", x), du * dx != dx
+            for y in basis:
+                yield (x, y), delta(multiply(e[x], e[y])) != dx * delta(e[y])
+
+    return {
+        "associativity": first(
+            ((x, y, z), multiply(multiply(e[x], e[y]), e[z])
+             != multiply(e[x], multiply(e[y], e[z])))
+            for x in basis for y in basis for z in basis),
+        "unit": first((x, multiply(one, e[x]) != e[x]
+                       or multiply(e[x], one) != e[x]) for x in basis),
+        "delta_multiplicative": first(delta_cases()),
+        "counit_multiplicative": first(
+            ((x, y), counit(multiply(e[x], e[y])) != counit(e[x]) * counit(e[y]))
+            for x in basis for y in basis),
+    }
+
+
+def _wrong_product(n, key=(P, 0, 0), slot=0, right=(P, 0, 0),
+                   product=(P, 1, 1)):
+    """product_table with one wrong entry: key's right partner number
+    `slot` becomes `right`, with the product `product`."""
+    table = dict(product_table(n))
+    partners = list(table[key])
+    partners[slot] = (right, product)
+    table[key] = tuple(partners)
+    return table
+
+
+def _wrong_twist(n):
+    """The Delta cache with one twist of Delta(f_12) multiplied by xi."""
+    cache = dict(hopf._delta_cache(n))
+    terms = list(cache[(F, 1, 2)])
+    k1, k2, v = terms[1]
+    terms[1] = (k1, k2, v * cyc(n, 1))
+    cache[(F, 1, 2)] = terms
+    return cache
+
+
+FAULTS = {
+    "product": {},                                   # p00 p00 = p11
+    "right-unit": {"key": (F, 0, 1), "right": (P, 1, 0),
+                   "product": (F, 1, 1)},            # f01 p10 = f11
+    # f20 p20 = f21 in place of f20 f02 = p20: the first failure of Delta
+    # multiplicativity is a pair whose product is zero
+    "partner": {"key": (F, 2, 0), "slot": 1, "right": (P, 2, 0),
+                "product": (F, 2, 1)},
+}
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS, "twist"])
+def test_table_audit_matches_element_loops(A3, monkeypatch, fault):
+    if fault in FAULTS:
+        monkeypatch.setattr(hopf, "product_table",
+                            lambda n, t=_wrong_product(3, **FAULTS[fault]): t)
+    elif fault == "twist":
+        monkeypatch.setattr(hopf, "_delta_cache",
+                            lambda n, c=_wrong_twist(3): c)
+    report = verify_hopf_axioms(A3)
+    reference = _reference_audit(A3)
+    for axiom, ce in reference.items():
+        assert report[axiom]["ok"] == (ce is None), axiom
+        assert report[axiom]["counterexample"] == ce, axiom
+    if fault is not None:
+        assert any(ce is not None for ce in reference.values())
+
+
+def test_wrong_product_key_fails_associativity(A3, monkeypatch):
+    monkeypatch.setattr(hopf, "product_table",
+                        lambda n, t=_wrong_product(3): t)
+    report = verify_hopf_axioms(A3)
+    assert not report["ok"] and not report["associativity"]["ok"]
+    ce = report["associativity"]["counterexample"]
+    basis = set(A3.basis_indices())
+    assert len(ce) == 3 and all(key in basis for key in ce)
+    x, y, z = (A3.basis(*key) for key in ce)
+    assert multiply(multiply(x, y), z) != multiply(x, multiply(y, z))
+
+
+def test_wrong_twist_fails_delta_axioms(A3, monkeypatch):
+    monkeypatch.setattr(hopf, "_delta_cache", lambda n, c=_wrong_twist(3): c)
+    report = verify_hopf_axioms(A3)
+    assert not report["delta_multiplicative"]["ok"]
+    assert not report["coassociativity"]["ok"]
+    assert report["associativity"]["ok"] and report["unit"]["ok"]
+
+
+@pytest.mark.parametrize("n,samples", [(3, None), (9, 6)])
+def test_delta2_term_is_delta_applied_twice(n, samples):
+    A = KnAlgebra(n)
+    keys = list(A.basis_indices())
+    if samples is not None:
+        keys = random.Random(n).sample(keys, samples)
+    for h in keys:
+        # (Delta (x) id) Delta(h) through comultiply alone
+        terms: dict = {}
+        for (k1, k2), v in comultiply(A.basis(*h)).coeffs.items():
+            for (k11, k12), w in comultiply(A.basis(*k1)).coeffs.items():
+                terms[(k11, k12, k2)] = v * w
+        assert len(terms) == n ** 4
+        for (h1, h2, h3), c in terms.items():
+            assert delta2_term(n, h, h1, h3) == (h2, c), (h, h1, h3)
 
 
 def test_characters_are_group_like(A3):

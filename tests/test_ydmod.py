@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc
 from knyd.hopf import KnAlgebra, character
@@ -51,6 +53,26 @@ def test_u_canonicalization():
         parse_label("U(0,0,2,2)", 3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 9, 15]).flatmap(
+    lambda n: st.tuples(st.just(n), *[st.integers(-2 * n, 2 * n)] * 4)))
+def test_u_canonicalization_properties(case):
+    n, i, j, m, t = case
+    try:
+        label = U(n, i, j, m, t)
+    except ValueError:
+        # only the reducible parameters are rejected, in both forms
+        assert (i - j) % n == 0 and (t - m + 2 * i) % n == 0
+        with pytest.raises(ValueError):
+            U(n, j, i, t + 2 * i, m - 2 * j)
+        return
+    # both partner forms give the label, which is a fixed point
+    assert U(n, j, i, t + 2 * i, m - 2 * j) == label
+    assert U(n, *label.data) == label
+    assert parse_label(str(label), n) == label
+    assert all(0 <= a < n for a in label.data)
+
+
 def test_list_simples_counts_and_census(A3):
     labels = list_simples(A3)
     assert len(labels) == 72
@@ -81,6 +103,24 @@ def test_yd_axioms_sampled_n5():
     labels = random.Random(1).sample(list_simples(A), 10)
     for L in labels:
         assert check_yd(build_simple(A, L))["ok"], str(L)
+
+
+def test_yd_axioms_sampled_n9():
+    # composite n: one seeded label of each kind, and a module whose action
+    # and coaction are each valid but not compatible
+    A = KnAlgebra(9)
+    rng = random.Random(9)
+    labels = list_simples(A)
+    for kind in "VUW":
+        L = rng.choice([lab for lab in labels if lab.kind == kind])
+        assert check_yd(build_simple(A, L))["ok"], str(L)
+    M = build_simple(A, V(9, 1, 0, 0))
+    mixed = YDModule(A, M.dim, M.action_p, M.action_x,
+                     build_simple(A, V(9, 1, 1, 0)).coaction)
+    report = check_yd(mixed)
+    assert not report["ok"]
+    assert report["module"] is None and report["comodule"] is None
+    assert report["yd"] is not None
 
 
 def test_reducible_u_module_satisfies_axioms(A3):
