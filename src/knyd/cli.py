@@ -59,7 +59,7 @@ def _output_path(ctx, param, value):
     ("-" is stdout)."""
     if value is None or value == "-":
         return value
-    parent = os.path.dirname(os.path.abspath(value)) or os.sep
+    parent = os.path.dirname(os.path.abspath(value))
     if (os.path.isdir(value) or not os.path.isdir(parent)
             or not os.access(parent, os.W_OK)
             or (os.path.exists(value) and not os.access(value, os.W_OK))):
@@ -273,8 +273,7 @@ def fuse(n, left, right, verify, json_out):
 
 @main.command("fusion-table")
 @_n_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              default=None, callback=_output_path,
+@click.option("--out", "out_path", default=None, callback=_output_path,
               help="Write the table as CSV to this path.")
 @click.option("--sample", type=int, default=None, callback=_positive_sample,
               help="Use this many seeded random pairs instead of all pairs.")

@@ -398,7 +398,7 @@ def check_yd(M: YDModule) -> dict:
                 for g, l in M.coaction[k]:
                     for gkey, v in g.coeffs.items():
                         key = (gkey, l)
-                        c = v if coeff.is_one() else coeff * v
+                        c = coeff * v
                         s = lhs.get(key)
                         lhs[key] = c if s is None else s + c
             # rhs: h1 v_{-1} S(h3) (x) h2 . v_0
@@ -407,10 +407,9 @@ def check_yd(M: YDModule) -> dict:
                 for gkey, gamma in g.coeffs.items():
                     h1, h3, result = _sandwich_term(n, hkind, gkey)
                     h2key, coeff = delta2_term(n, hkey, h1, h3)
-                    c0 = gamma if coeff.is_one() else gamma * coeff
                     for row, w in column(h2key, k):
                         key = (result, row)
-                        c = c0 if w.is_one() else c0 * w
+                        c = gamma * coeff * w
                         s = rhs.get(key)
                         rhs[key] = c if s is None else s + c
             lhs = {k_: v for k_, v in lhs.items() if not v.is_zero()}

@@ -139,7 +139,8 @@ def test_invalid_sample(runner, args):
     ["hopf-verify", "--n", "3", "--json", "{missing}/x.json"],
     ["hopf-verify", "--n", "3", "--json", "{tmp}"],
     ["fusion-table", "--n", "3", "--sample", "2", "--out", "{missing}/t.csv"],
-], ids=["json-missing-dir", "json-is-dir", "csv-missing-dir"])
+    ["fusion-table", "--n", "3", "--sample", "2", "--out", "{tmp}"],
+], ids=["json-missing-dir", "json-is-dir", "csv-missing-dir", "csv-is-dir"])
 def test_unwritable_output_path(runner, monkeypatch, tmp_path, args):
     # the path is rejected before the computation starts
     built = []
