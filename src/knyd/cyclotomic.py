@@ -9,8 +9,9 @@ fast integer operations and still gives a canonical form.
 
 `mod_p` reduces an element to F_p for a prime p = 1 (mod n), sending xi to
 a primitive n-th root of unity mod p; `modular_prime` fixes one such p per
-n.  The reduction is a ring map wherever it is defined, so a matrix rank
-mod p never exceeds the rank over Q(xi_n).
+n.  The reduction is the ring map at the prime (p, xi - omega), defined on
+every element integral there, so a matrix rank mod p never exceeds the rank
+over Q(xi_n).
 """
 
 from __future__ import annotations
@@ -365,13 +366,31 @@ def _omega_powers(n: int, p: int) -> tuple[int, ...]:
 
 def mod_p(a: CycNum, p: int) -> int | None:
     """The image of a in F_p under xi -> omega (`_omega_powers`), or None
-    when p divides the denominator of a."""
+    when a is not integral at the prime (p, xi - omega)."""
     if a.den % p == 0:
-        return None
+        return _mod_p_lifted(a, p)
     value = sum(c * w for c, w in zip(a.num, _omega_powers(a.n, p)))
     if a.den != 1:
         value *= pow(a.den, -1, p)
     return value % p
+
+
+def _mod_p_lifted(a: CycNum, p: int) -> int | None:
+    """`mod_p` when p divides the denominator p^v u of a: omega is lifted
+    to the root of unity w = omega^(p^v) mod p^(v+1), a root of Phi_n there
+    since p is unramified, and a is integral exactly when p^v divides
+    num(w); its image is then num(w) / p^v * u^(-1) mod p."""
+    v, u = 0, a.den
+    while u % p == 0:
+        u //= p
+        v += 1
+    modulus = p ** (v + 1)
+    lift = pow(_omega_powers(a.n, p)[1], p ** v, modulus)
+    value = sum(c * pow(lift, k, modulus) for k, c in enumerate(a.num))
+    value %= modulus
+    if value % p ** v:
+        return None
+    return value // p ** v * pow(u, -1, p) % p
 
 
 def root_order(a: CycNum) -> int | None:

@@ -213,18 +213,26 @@ class CycMatrix:
             blocks.append((rows_of[root], sorted(groups[root])))
         return blocks
 
+    def _block_rrefs(self, reverse: bool = False):
+        """Per component block, (red, pivots, order): the block's RREF with
+        its columns taken in ascending order, or in descending order with
+        reverse=True.  order lists the block's columns in that order, and
+        pivots and the keys of red index into it."""
+        for rows, cols in self._component_blocks():
+            order = cols[::-1] if reverse else cols
+            remap = {c: i for i, c in enumerate(order)}
+            work = [{remap[c]: v for c, v in row.items()} for row in rows]
+            red, pivots = _rref_rows(work, len(order))
+            yield red, pivots, order
+
     def rank(self, prime: int | None = None) -> int | None:
         """The rank over Q(xi_n); with a prime p = 1 (mod n), the rank of
         the image over F_p under `mod_p` instead, which is at most the rank
-        over Q(xi_n), or None if some entry's denominator is divisible by
-        p."""
+        over Q(xi_n), or None if some entry has no image mod p."""
+        if prime is None:
+            return sum(len(pivots) for _, pivots, _ in self._block_rrefs())
         rank = 0
         for rows, cols in self._component_blocks():
-            if prime is None:
-                remap = {c: i for i, c in enumerate(cols)}
-                work = [{remap[c]: v for c, v in row.items()} for row in rows]
-                rank += len(_rref_rows(work, len(cols))[1])
-                continue
             work = []
             for row in rows:
                 mrow = {}
@@ -238,42 +246,51 @@ class CycMatrix:
             rank += _rank_mod(work, cols, prime)
         return rank
 
+    def row_echelon(self) -> tuple[list[dict[int, CycNum]], list[int]]:
+        """The reduced echelon basis of the row space, eliminated block by
+        block: (its rows as sparse dicts, their pivot columns), in
+        ascending pivot order.  Equal to the nonzero rows of `rref()`."""
+        rows = []
+        for red, pivots, order in self._block_rrefs():
+            rows += [(order[p], {order[c]: v for c, v in row.items()})
+                     for row, p in zip(red, pivots)]
+        rows.sort(key=lambda item: item[0])
+        return [row for _, row in rows], [p for p, _ in rows]
+
     def kernel_basis(self) -> list[list[CycNum]]:
         """Basis of the right kernel, as rows of a reduced-echelon matrix
         (each basis vector's first nonzero entry is a leading 1 in a column
-        no other basis vector uses)."""
+        no other basis vector uses).
+
+        Each block is eliminated with its columns in descending order, so a
+        row with pivot p has its other entries in columns below p.  The
+        vector e_f - sum_i red[i][f] e_{p_i} of a free column f then has its
+        leading 1 at f and vanishes on every other free column: sorted by
+        f, these vectors are the reduced echelon basis, which is unique."""
         zero = CycNum.zero(self.n)
         one = CycNum.one(self.n)
-        vecs: list[dict[int, CycNum]] = []
+        vecs: list[tuple[int, dict[int, CycNum]]] = []
         seen_cols: set[int] = set()
-        for rows, cols in self._component_blocks():
-            seen_cols.update(cols)
-            remap = {c: i for i, c in enumerate(cols)}
-            work = [{remap[c]: v for c, v in row.items()} for row in rows]
-            red, pivots = _rref_rows(work, len(cols))
+        for red, pivots, order in self._block_rrefs(reverse=True):
+            seen_cols.update(order)
             pivot_set = set(pivots)
-            for f in range(len(cols)):
+            for f in range(len(order)):
                 if f in pivot_set:
                     continue
-                v = {cols[f]: one}
+                v = {order[f]: one}
                 for i, p in enumerate(pivots):
                     coeff = red[i].get(f)
                     if coeff is not None:
-                        v[cols[p]] = -coeff
-                vecs.append(v)
-        for c in range(self.cols):
-            if c not in seen_cols:
-                vecs.append({c: one})
-        if not vecs:
-            return []
-        red2, _ = _rref_rows(vecs, self.cols)
+                        v[order[p]] = -coeff
+                vecs.append((order[f], v))
+        vecs += [(c, {c: one}) for c in range(self.cols) if c not in seen_cols]
+        vecs.sort(key=lambda item: item[0])
         out = []
-        for row in red2:
-            if row:
-                v = [zero] * self.cols
-                for c, x in row.items():
-                    v[c] = x
-                out.append(v)
+        for _, row in vecs:
+            v = [zero] * self.cols
+            for c, x in row.items():
+                v[c] = x
+            out.append(v)
         return out
 
     def solve(self, b: list[CycNum]):

@@ -6,15 +6,29 @@ row-major tensor basis (the index of e_a (x) e_b is a*d + b; this ordering
 is fixed once and used by every kernel basis and JSON report).
 
 The k-th quantum symmetrizer QS_k = sum over the symmetric group of the
-braid-group representation applied to the Matsumoto lift is assembled by
-the length-additive coset factorization
+braid-group representation applied to the Matsumoto lift satisfies the
+length-additive coset factorization
 
-    QS_k = (id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1})
-           o (QS_{k-1} (x) id),
+    QS_k = T_k (QS_{k-1} (x) id),
+    T_k = id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1},
 
 which agrees with the naive |S_k|-term sum (the naive sum is kept as a test
-oracle).  The d-th graded component of the Nichols algebra has dimension
-rank(QS_d), and the degree-d relations are ker(QS_d).
+oracle).  `_shuffle` applies T_k to a matrix with d^k rows by index
+arithmetic on its rows, with no strand matrix; `quantum_symmetrizer` runs
+the recursion through it on full d^k x d^k matrices.
+
+The k-th graded component of the Nichols algebra has dimension rank(QS_k),
+and the degree-k relations are ker(QS_k).  `graded_dims` never forms QS_k:
+it carries the rank factorization QS_k = C_k R_k, with R_k the reduced
+echelon basis of the row space of QS_k, P_k its pivot columns and
+C_k = QS_k[:, P_k], which has only r_k = rank(QS_k) columns.  Since
+
+    QS_k = T_k (C_{k-1} (x) id) (R_{k-1} (x) id) = M_k (R_{k-1} (x) id)
+
+with R_{k-1} (x) id of full row rank, rank(QS_k) = rank(M_k), a matrix of
+r_{k-1} d columns; R_k is the reduced echelon form of G (R_{k-1} (x) id) for
+G the reduced echelon basis of the row space of M_k;
+C_k = M_k (R_{k-1} (x) id)[:, P_k]; and ker(QS_k) = ker(R_k).
 """
 
 from __future__ import annotations
@@ -146,29 +160,53 @@ def _check_budget(d: int, k: int):
             "(set KN_MEMORY_MB to raise it)" % (k, d))
 
 
-def _symmetrizers(B: BraidedSpace, k: int):
-    """Yield QS_1, ..., QS_k, checking the memory budget before each degree."""
+def _shuffle(B: BraidedSpace, k: int, X: CycMatrix) -> CycMatrix:
+    """T_k X for the shuffle factor
+
+        T_k = id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1}
+
+    and a matrix X with d^k rows.  c_j, acting on strands j and j+1, is
+    applied by index arithmetic on the rows: row (a, x, b), with x the index
+    of the two strands, gets sum_y c[x][y] * row (a, y, b)."""
     d = B.dim
-    qs = CycMatrix.identity(B.n, d)
-    yield qs
-    for deg in range(2, k + 1):
-        _check_budget(d, deg)
-        shuffle = CycMatrix.identity(B.n, d ** deg)
-        term = shuffle
-        for j in range(deg - 1, 0, -1):
-            term = _strand_matrix(B, j, deg) @ term
-            shuffle = shuffle + term
-        qs = shuffle @ qs.kron(CycMatrix.identity(B.n, d))
-        yield qs
+    c_cols: dict[int, list] = {}
+    for x, row in B.c.data.items():
+        for y, v in row.items():
+            c_cols.setdefault(y, []).append((x, v))
+    out = X
+    term = X.data
+    for j in range(k - 1, 0, -1):
+        inner = d ** (k - 1 - j)   # the strands after j + 1
+        outer = d * d * inner
+        new: dict[int, dict] = {}
+        for r, row in term.items():
+            a, rest = divmod(r, outer)
+            y, b = divmod(rest, inner)
+            for x, cv in c_cols.get(y, ()):
+                orow = new.setdefault(a * outer + x * inner + b, {})
+                for col, v in row.items():
+                    p = cv * v
+                    s = orow.get(col)
+                    orow[col] = p if s is None else s + p
+        term = {}
+        for r, row in new.items():
+            row = {col: v for col, v in row.items() if not v.is_zero()}
+            if row:
+                term[r] = row
+        out = out + CycMatrix(X.n, X.rows, X.cols, term)
+    return out
 
 
 def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
-    """QS_k as a d^k x d^k matrix, by the recursive coset factorization."""
+    """QS_k as a d^k x d^k matrix, by the recursive coset factorization
+    QS_k = T_k (QS_{k-1} (x) id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_budget(B.dim, k)
-    for qs in _symmetrizers(B, k):
-        pass
+    ident = CycMatrix.identity(B.n, B.dim)
+    qs = ident
+    for deg in range(2, k + 1):
+        qs = _shuffle(B, deg, qs.kron(ident))
     return qs
 
 
@@ -224,7 +262,9 @@ class GradedReport:
 
 def graded_dims(B: BraidedSpace, cutoff: int,
                 want_relations: bool = True) -> GradedReport:
-    """dims[d] = rank(QS_d) for d = 0..; stops early once a graded
+    """dims[d] = rank(QS_d) for d = 0.., and relations[d] the reduced
+    echelon basis of ker(QS_d), both read off the rank factorization
+    QS_d = C_d R_d of the module docstring; stops early once a graded
     component vanishes (Nichols algebras are generated in degree 1, so all
     later components vanish too) and reports status "finite"; otherwise
     "infinite" when a diagonal fixed vector of c certifies an infinite
@@ -235,19 +275,33 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     dims = [1, d]
     relations: dict[int, list] = {}
     finite = False
-    for deg, qs in enumerate(_symmetrizers(B, cutoff), start=1):
-        if deg == 1:
-            continue
+    # QS_1 = C_1 R_1 with C_1 = R_1 = id
+    ident = CycMatrix.identity(B.n, d)
+    C = R = ident
+    for deg in range(2, cutoff + 1):
+        _check_budget(d, deg)
+        M = _shuffle(B, deg, C.kron(ident))
+        G, _ = M.row_echelon()
+        rank = len(G)
+        R_id = R.kron(ident)
+        red, pivots = (CycMatrix(B.n, rank, R_id.rows, dict(enumerate(G)))
+                       @ R_id).row_echelon()
+        R = CycMatrix(B.n, rank, d ** deg, dict(enumerate(red)))
         if want_relations:
-            kernel = qs.kernel_basis()
-            rank = d ** deg - len(kernel)
-            relations[deg] = kernel
-        else:
-            rank = qs.rank()
+            relations[deg] = R.kernel_basis()
         dims.append(rank)
         if rank == 0:
             finite = True
             break
+        if deg < cutoff:
+            position = {p: i for i, p in enumerate(pivots)}
+            columns = {}
+            for r, row in R_id.data.items():
+                kept = {position[c]: v for c, v in row.items()
+                        if c in position}
+                if kept:
+                    columns[r] = kept
+            C = M @ CycMatrix(B.n, R_id.rows, rank, columns)
     if finite:
         top = max(i for i, v in enumerate(dims) if v)
         return GradedReport(dims=dims, relations=relations, status="finite",

@@ -147,8 +147,8 @@ def test_mod_p_is_a_ring_map(case):
         assert mod_p(a * b, p) == ra * rb % p
         if rb:
             # 1/b is stored over the rational norm of b, which p may divide
-            # even when b is a unit mod p: then there is no image
-            assert mod_p(a / b, p) in (None, ra * pow(rb, -1, p) % p)
+            # even when b is a unit mod p; a / b still has its image
+            assert mod_p(a / b, p) == ra * pow(rb, -1, p) % p
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,3 +178,28 @@ def test_mod_p_undefined_on_p_in_denominator():
     assert mod_p(CycNum.rational(n, Fraction(2, p)), p) is None
     assert mod_p(CycNum.rational(n, Fraction(p, 2)), p) == 0
     assert mod_p(CycNum.rational(n, Fraction(1, 2)), p) == pow(2, -1, p)
+
+
+def test_mod_p_on_p_integral_elements():
+    # 1 + 2 xi has norm 11 at n = 5: p = 11 divides the denominator of
+    # xi^3 / (xi^2 + 2 xi^3), yet xi -> omega = 4 keeps 1 + 2 omega a unit
+    n, p = 5, SMALL_PRIME[5]
+    omega = mod_p(cyc(n, 1), p)
+    two = CycNum.rational(n, 2)
+    b = cyc(n, 2) + two * cyc(n, 3)
+    w2 = (omega ** 2 + 2 * omega ** 3) % p
+    assert w2
+    a = cyc(n, 3) / b
+    assert a.den % p == 0
+    assert mod_p(a, p) == omega ** 3 * pow(w2, -1, p) % p
+    assert mod_p(a / b, p) == omega ** 3 * pow(w2, -2, p) % p
+    # 1 + 2 xi^2 vanishes at omega (1 + 2 * 16 = 33): its inverse has no
+    # image, but (1 + 2 xi^2) / 11 is a unit at the prime
+    c = CycNum.one(n) + two * cyc(n, 2)
+    assert mod_p(c, p) == 0
+    assert mod_p(c.inv(), p) is None
+    assert mod_p(c.inv() * c.inv(), p) is None
+    u = c * CycNum.rational(n, Fraction(1, p))
+    ru = mod_p(u, p)
+    assert ru and mod_p(u.inv(), p) * ru % p == 1
+    assert mod_p(u * cyc(n, 1), p) == ru * omega % p

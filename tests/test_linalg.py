@@ -190,13 +190,63 @@ def test_rank_of_transpose(A):
     assert A.rank() == A.transpose().rank()
 
 
+
+
+@st.composite
+def block_matrices(draw):
+    """A random sparse matrix over Q(xi_3) or Q(xi_5) whose rows and columns
+    fall into up to three component blocks, with some columns left zero;
+    with some probability one more row of a block is a combination of two
+    of its rows."""
+    n = draw(st.sampled_from([3, 5]))
+    blocks = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    row_block = draw(st.lists(st.integers(0, blocks - 1), min_size=rows,
+                              max_size=rows))
+    col_block = draw(st.lists(st.integers(-1, blocks - 1), min_size=cols,
+                              max_size=cols))   # -1: a zero column
+    entry = st.builds(lambda k, c: cyc(n, k) * CycNum.rational(n, c),
+                      st.integers(0, n - 1), st.integers(-2, 2).filter(bool))
+    A = CycMatrix.zero(n, rows, cols)
+    for r in range(rows):
+        for c in range(cols):
+            if col_block[c] == row_block[r] and draw(st.booleans()):
+                A.set(r, c, draw(entry))
+    if rows >= 2 and draw(st.booleans()):
+        r1, r2 = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        if row_block[r1] == row_block[r2]:
+            a, b = draw(entry), draw(entry)
+            A.rows += 1
+            for c in range(cols):
+                A.set(rows, c, a * A.get(r1, c) + b * A.get(r2, c))
+    return A
+
+
 @_properties
-@given(sparse_matrices())
+@given(st.one_of(sparse_matrices(), block_matrices()))
 def test_rank_nullity_and_kernel(A):
+    # the kernel is the reduced echelon basis: leading 1s in ascending
+    # columns, each column led by one vector and zero in all the others
     ker = A.kernel_basis()
     assert A.rank() + len(ker) == A.cols
+    assert len(A.rref()[1]) == A.rank()   # the plain elimination agrees
+    leads = []
     for vec in ker:
+        assert len(vec) == A.cols
         assert all(x.is_zero() for x in A.apply(vec))
+        lead = next(i for i, x in enumerate(vec) if not x.is_zero())
+        assert vec[lead].is_one()
+        leads.append(lead)
+    assert leads == sorted(set(leads))
+    for i, vec in enumerate(ker):
+        assert all(vec[lead].is_zero() for j, lead in enumerate(leads)
+                   if j != i)
+
+
+@_properties
+@given(st.one_of(sparse_matrices(), block_matrices()))
+def test_row_echelon_is_the_plain_rref(A):
+    assert A.row_echelon() == A.rref()
 
 
 def test_modular_rank_undefined_on_p_in_denominator():

@@ -114,6 +114,47 @@ def test_recursive_qs_equals_naive(A3, label, k):
     assert quantum_symmetrizer(B, k) == naive_quantum_symmetrizer(B, k)
 
 
+def _assert_reduced_echelon(vectors):
+    """Each vector has a leading 1, in ascending columns, and every other
+    vector vanishes in that column."""
+    leads = [next(i for i, x in enumerate(vec) if not x.is_zero())
+             for vec in vectors]
+    assert leads == sorted(set(leads))
+    for vec, lead in zip(vectors, leads):
+        assert vec[lead].is_one()
+    for i, vec in enumerate(vectors):
+        assert all(vec[lead].is_zero() for j, lead in enumerate(leads)
+                   if j != i)
+
+
+@pytest.mark.parametrize("n, summands, top", [
+    (3, "V(+1,1,1)", 4), (3, "U(1,0,1,0)", 4), (3, "W(-1,0,0)", 4),
+    (3, "W(-1,1,1)", 4), (5, "W(-1,0,0)", 3),
+    (3, "U(0,1,0,2);U(0,1,2,1)", 3)])
+def test_graded_dims_against_full_symmetrizer(n, summands, top):
+    # the factored recursion carries only the image of QS_k; its ranks and
+    # relations must agree with the full d^k x d^k matrix, degree by degree
+    from knyd.ydmod import parse_label
+    A = KnAlgebra(n)
+    modules = [build_simple(A, parse_label(text, n))
+               for text in summands.split(";")]
+    M = modules[0]
+    for other in modules[1:]:
+        M = direct_sum(M, other)
+    B = braided_space(M)
+    report = graded_dims(B, top, want_relations=True)
+    assert sorted(report.relations) == list(range(2, top + 1))
+    for k in range(2, top + 1):
+        qs = quantum_symmetrizer(B, k)
+        rank = qs.rank()
+        assert report.dims[k] == rank, k
+        rels = report.relations[k]
+        assert len(rels) == B.dim ** k - rank, k
+        for vec in rels:
+            assert all(x.is_zero() for x in qs.apply(vec)), k
+        _assert_reduced_echelon(rels)
+
+
 def test_qs1_is_identity(A3):
     B = _space(A3, "W(-1,0,0)")
     assert quantum_symmetrizer(B, 1) == CycMatrix.identity(3, 3)
@@ -225,6 +266,28 @@ _FINITE_U_N3 = {
     "U(0,2,0,1)": 27, "U(0,2,1,2)": 27, "U(0,2,2,1)": 9, "U(0,2,2,2)": 9,
     "U(1,1,0,2)": 27, "U(1,1,1,0)": 27, "U(2,2,0,1)": 27, "U(2,2,1,1)": 27,
 }
+
+
+def test_a2_criterion_totals_at_composite_n():
+    # n = 9: labels whose vertex root xi^X has order N = 3, a proper divisor
+    # of n; ten seeded labels of each finite kind must reach a zero
+    # component with the predicted total N^3 or N^2
+    n = 9
+    A = KnAlgebra(n)
+    by_kind: dict = {}
+    for L in list_simples(A):
+        if L.kind == "U":
+            crit = a2_criterion(L)
+            if crit["finite"] and crit["N"] == 3:
+                by_kind.setdefault(crit["kind"], []).append((L, crit))
+    assert sorted(by_kind) == ["cartan-A2", "quantum-linear-space"]
+    rng = random.Random(9)
+    for kind in sorted(by_kind):
+        for L, crit in rng.sample(by_kind[kind], 10):
+            B = braided_space(build_simple(A, L))
+            rep = graded_dims(B, 9, want_relations=False)
+            assert rep.status == "finite", str(L)
+            assert rep.total == crit["predicted_total"], str(L)
 
 
 def test_criterion_matches_oracle_table(A3):
