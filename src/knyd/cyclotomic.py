@@ -157,9 +157,6 @@ class CycNum:
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "CycNum"):
@@ -283,10 +280,6 @@ class CycNum:
             coeffs.append([f.numerator, f.denominator])
         return {"n": self.n, "coeffs": coeffs}
 
-    @staticmethod
-    def from_json(obj: dict) -> "CycNum":
-        return CycNum.from_coeffs(obj["n"], [Fraction(p, q) for p, q in obj["coeffs"]])
-
 
 def _frac_poly_divmod(a, b):
     a = list(a)
@@ -337,6 +330,17 @@ def _xi_powers(n: int) -> tuple[CycNum, ...]:
 def cyc(n: int, k: int) -> CycNum:
     """xi^k in Q(xi_n); conductor must be odd and >= 3."""
     return _xi_powers(n)[k % n]
+
+
+@lru_cache(maxsize=None)
+def root_exponents(n: int) -> dict[CycNum, int]:
+    """The 2n roots of unity of Q(xi_n), each mapped to its exponent e in
+    Z/2n.  Since n is odd, Z/2n = Z/2 x Z/n by CRT and e stands for
+    (-1)^(e mod 2) xi^(e mod n), so a product of roots is the root of the
+    sum of their exponents mod 2n."""
+    powers = _xi_powers(n)
+    return {(-powers[e % n] if e % 2 else powers[e % n]): e
+            for e in range(2 * n)}
 
 
 @lru_cache(maxsize=None)

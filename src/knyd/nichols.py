@@ -37,7 +37,7 @@ import os
 from dataclasses import dataclass
 from itertools import permutations
 
-from .cyclotomic import CycNum, root_order
+from .cyclotomic import CycNum, root_exponents, root_order
 from .linalg import CycMatrix
 
 
@@ -79,9 +79,46 @@ class BraidedSpace:
             self.name or "?", self.dim, self.n)
 
 
+def _monomial_columns(c: CycMatrix):
+    """For c with exactly one nonzero entry in each column, every one a
+    root of unity: the list of (row, exponent in Z/2n) per column (see
+    `root_exponents`).  None for any other c."""
+    roots = root_exponents(c.n)
+    cols = [None] * c.cols
+    for r, row in c.data.items():
+        for j, v in row.items():
+            e = roots.get(v)
+            if e is None or cols[j] is not None:
+                return None
+            cols[j] = (r, e)
+    return None if None in cols else cols
+
+
 def check_braid_equation(B: BraidedSpace) -> bool:
     """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c)
-    as d^3 x d^3 matrices."""
+    as d^3 x d^3 matrices.
+
+    When c is monomial with root-of-unity entries (`_monomial_columns`), so
+    is every product of c1 = c (x) id and c2 = id (x) c, and both sides are
+    compared on each basis triple as a (target index, exponent mod 2n)
+    pair: exact integer arithmetic in the roots of unity.  Any other c
+    takes the route through kron and matrix products."""
+    cols = _monomial_columns(B.c)
+    if cols is not None:
+        d, N = B.dim, 2 * B.n
+        dd = d * d
+        c1 = [(r * d + z, e) for r, e in cols for z in range(d)]
+        c2 = [(x * dd + r, e) for x in range(d) for r, e in cols]
+        for t in range(dd * d):
+            u, e1 = c1[t]
+            u, e2 = c2[u]
+            u, e3 = c1[u]
+            v, f1 = c2[t]
+            v, f2 = c1[v]
+            v, f3 = c2[v]
+            if u != v or (e1 + e2 + e3 - f1 - f2 - f3) % N:
+                return False
+        return True
     ident = CycMatrix.identity(B.n, B.dim)
     c1 = B.c.kron(ident)
     c2 = ident.kron(B.c)

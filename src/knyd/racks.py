@@ -21,11 +21,19 @@ related diagonal-rack cocycle family
 on the dihedral rack satisfies the rack 2-cocycle condition and is the
 standard exponent-1 parameterization; the two families coincide up to the
 relabeling i -> 2i, m -> (m+3i)/2 of Z_n.
+
+Every cocycle value is a root of unity, and for odd n the roots of unity
+in Q(xi_n) are the 2n elements +-xi^k.  A CocycleTable therefore also
+carries its values as exponents e in Z/2n, where e stands for
+(-1)^(e mod 2) xi^(e mod n) (Z/2n = Z/2 x Z/n by CRT).  A product of
+values is the root of the sum of their exponents, so the cocycle, rack
+cocycle, invariance and twist identities are checked as integer sums
+mod 2n, with no field multiplication.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, cyc
+from .cyclotomic import CycNum, cyc, root_exponents
 from .linalg import CycMatrix
 from .nichols import BraidedSpace
 
@@ -162,18 +170,20 @@ def derived_rack(B: BraidedSet) -> Rack:
 
 
 class CocycleTable:
-    """A table of nonzero scalars indexed by X x X."""
+    """A table of roots of unity indexed by X x X.  `values` holds them as
+    field elements, `exps` as exponents in Z/2n (see `root_exponents`)."""
 
     def __init__(self, values):
         self.size = len(values)
         if any(len(row) != self.size for row in values):
             raise ValueError("table must be square")
         self.values = [list(row) for row in values]
-        for row in self.values:
-            for v in row:
-                if v.is_zero():
-                    raise ValueError("cocycle values must be nonzero")
         self.n = self.values[0][0].n
+        roots = root_exponents(self.n)
+        try:
+            self.exps = [[roots[v] for v in row] for row in self.values]
+        except KeyError:
+            raise ValueError("cocycle values must be roots of unity") from None
 
     def __getitem__(self, xy):
         x, y = xy
@@ -220,26 +230,33 @@ def check_F_cocycle(B: BraidedSet, F: CocycleTable) -> bool:
     """The set-theoretic 2-cocycle condition making s^F a braiding:
 
         F[x][y] F[f_y(x)][z] F[g_x(y)][g_{f_y(x)}(z)]
-          = F[y][z] F[x][g_y(z)] F[f_{g_y(z)}(x)][f_z(y)]."""
+          = F[y][z] F[x][g_y(z)] F[f_{g_y(z)}(x)][f_z(y)],
+
+    compared as exponent sums mod 2n."""
     size = B.size
     g, f = B.g, B.f
+    E, N = F.exps, 2 * F.n
     for x in range(size):
         for y in range(size):
             for z in range(size):
-                lhs = F[x, y] * F[f[y][x], z] * F[g[x][y], g[f[y][x]][z]]
-                rhs = F[y, z] * F[x, g[y][z]] * F[f[g[y][z]][x], f[z][y]]
-                if lhs != rhs:
+                lhs = E[x][y] + E[f[y][x]][z] + E[g[x][y]][g[f[y][x]][z]]
+                rhs = E[y][z] + E[x][g[y][z]] + E[f[g[y][z]][x]][f[z][y]]
+                if (lhs - rhs) % N:
                     return False
     return True
 
 
 def check_rack_cocycle(R: Rack, q: CocycleTable) -> bool:
-    """q[x][y|>z] q[y][z] = q[x|>y][x|>z] q[x][z] on all triples."""
-    op = R.op
-    for x in range(R.size):
-        for y in range(R.size):
-            for z in range(R.size):
-                if q[x, op(y, z)] * q[y, z] != q[op(x, y), op(x, z)] * q[x, z]:
+    """q[x][y|>z] q[y][z] = q[x|>y][x|>z] q[x][z] on all triples, compared
+    as exponent sums mod 2n."""
+    t = R.table
+    E, N = q.exps, 2 * q.n
+    r = range(R.size)
+    for x in r:
+        for y in r:
+            for z in r:
+                if (E[x][t[y][z]] + E[y][z] - E[t[x][y]][t[x][z]]
+                        - E[x][z]) % N:
                     return False
     return True
 
@@ -279,14 +296,15 @@ def sF_braiding(B: BraidedSet, F: CocycleTable) -> BraidedSpace:
 def t_equivalence_cocycle(B: BraidedSet, F: CocycleTable) -> CocycleTable:
     """q[x][y] = F[f_y^{-1}(x)][y], a rack 2-cocycle on the derived rack
     whose braiding is t-equivalent to s^F, provided the invariance
-    hypothesis q[f_z(x)][f_z(y)] = q[x][y] holds (checked)."""
+    hypothesis q[f_z(x)][f_z(y)] = q[x][y] holds (checked on exponents)."""
     size = B.size
     rows = [[F[B.f_inv(y, x), y] for y in range(size)] for x in range(size)]
     q = CocycleTable(rows)
+    E, f = q.exps, B.f
     for x in range(size):
         for y in range(size):
             for z in range(size):
-                if q[B.f[z][x], B.f[z][y]] != q[x, y]:
+                if E[f[z][x]][f[z][y]] != E[x][y]:
                     raise ValueError("invariance hypothesis fails at "
                                      "(%d,%d,%d)" % (x, y, z))
     return q
@@ -304,26 +322,30 @@ def twist_equivalence_check(B: BraidedSet, F: CocycleTable,
 
         phi(f_y(x), y) F[x][y] = phi(f_x(g_x(y)), x) G[x][y]
 
-    must hold for all arguments."""
+    must hold for all arguments.  Both are compared as exponent sums
+    mod 2n."""
     size = B.size
     if not isinstance(phi, CocycleTable):
         phi = CocycleTable(phi)
-    R = derived_rack(B)
-    op = R.op
+    if not F.n == G.n == phi.n:
+        raise ValueError("conductor mismatch: %d, %d, %d" % (F.n, G.n, phi.n))
+    t = derived_rack(B).table
+    P, N = phi.exps, 2 * phi.n
     for x in range(size):
         for y in range(size):
             for z in range(size):
-                yz = op(y, z)
-                lhs = (phi[x, z] * phi[op(x, y), op(x, z)]
-                       * phi[op(x, yz), x] * phi[yz, y])
-                rhs = (phi[y, z] * phi[x, yz]
-                       * phi[op(x, yz), op(x, y)] * phi[op(x, z), x])
-                if lhs != rhs:
+                yz = t[y][z]
+                lhs = (P[x][z] + P[t[x][y]][t[x][z]]
+                       + P[t[x][yz]][x] + P[yz][y])
+                rhs = (P[y][z] + P[x][yz]
+                       + P[t[x][yz]][t[x][y]] + P[t[x][z]][x])
+                if (lhs - rhs) % N:
                     return False
+    FE, GE, f, g = F.exps, G.exps, B.f, B.g
     for x in range(size):
         for y in range(size):
-            lhs = phi[B.f[y][x], y] * F[x, y]
-            rhs = phi[B.f[x][B.g[x][y]], x] * G[x, y]
-            if lhs != rhs:
+            lhs = P[f[y][x]][y] + FE[x][y]
+            rhs = P[f[x][g[x][y]]][x] + GE[x][y]
+            if (lhs - rhs) % N:
                 return False
     return True

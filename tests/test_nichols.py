@@ -5,19 +5,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, root_order
 from knyd.hopf import KnAlgebra
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, braided_space, build_simple, direct_sum,
                         list_simples)
-from knyd.nichols import (BraidWord, MemoryBudgetError, a2_criterion,
-                          braid_representation, check_braid_equation,
-                          diagonal_data, graded_dims, infinite_precheck,
-                          is_square_zero, matsumoto_lift,
+from knyd.nichols import (BraidedSpace, BraidWord, MemoryBudgetError,
+                          a2_criterion, braid_representation,
+                          check_braid_equation, diagonal_data, graded_dims,
+                          infinite_precheck, is_square_zero, matsumoto_lift,
                           naive_quantum_symmetrizer, presentation_check,
                           quantum_symmetrizer, square_zero_monomial_space,
                           sum_criterion, tensor_vector)
+from knyd.racks import (cq_braiding, d_cocycle, dihedral_rack, sF_braiding,
+                        standard_solution, w_cocycle)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +105,81 @@ def test_braid_equation_negative_control(A3):
     c.set(1, 1, A3.scalar(2))
     B = BraidedSpace(2, c, name="corrupt")
     assert not check_braid_equation(B)
+
+
+def _braid_equation_oracle(c, d):
+    ident = CycMatrix.identity(c.n, d)
+    c1, c2 = c.kron(ident), ident.kron(c)
+    return c1 @ c2 @ c1 == c2 @ c1 @ c2
+
+
+def _check_and_route(B):
+    """check_braid_equation(B), and whether it took the monomial route
+    (no CycMatrix.kron call) rather than the fallback."""
+    calls = []
+    kron = CycMatrix.kron
+
+    def counting(self, other):
+        calls.append(1)
+        return kron(self, other)
+
+    CycMatrix.kron = counting
+    try:
+        return check_braid_equation(B), not calls
+    finally:
+        CycMatrix.kron = kron
+
+
+def _pm_xi(n, j):
+    return cyc(n, j) if j < n else -cyc(n, j - n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_monomial_braid_equation_against_matrix_products(data):
+    n = 3
+    d = data.draw(st.sampled_from([2, 3]))
+    c = CycMatrix.zero(n, d * d, d * d)
+    for col in range(d * d):
+        row = data.draw(st.integers(0, d * d - 1))
+        c.set(row, col, _pm_xi(n, data.draw(st.integers(0, 2 * n - 1))))
+    verdict, monomial = _check_and_route(BraidedSpace(d, c))
+    assert monomial
+    assert verdict == _braid_equation_oracle(c, d)
+
+
+def test_rack_braidings_braid_equation_against_matrix_products():
+    n = 3
+    B, R = standard_solution(n), dihedral_rack(n)
+    spaces = [f(n, eps, i, m) for f in (
+        lambda *lab: sF_braiding(B, w_cocycle(*lab)),
+        lambda *lab: cq_braiding(R, d_cocycle(*lab)))
+        for eps in (1, -1) for i in range(n) for m in range(n)]
+    for S in spaces:
+        assert _check_and_route(S) == (True, True)
+        # one entry times xi: still monomial
+        bad = S.c.copy()
+        r, row = next(iter(bad.data.items()))
+        col = next(iter(row))
+        bad.set(r, col, row[col] * cyc(n, 1))
+        verdict, monomial = _check_and_route(BraidedSpace(S.dim, bad))
+        assert monomial and verdict == _braid_equation_oracle(bad, S.dim)
+        # a column with two entries, or a non-root entry, takes the
+        # fallback, which must still be right
+        two = S.c.copy()
+        two.set((r + 1) % S.dim ** 2, col, cyc(n, 1))
+        scaled = S.c.copy()
+        scaled.set(r, col, row[col] * CycNum.rational(n, 2))
+        for c in (two, scaled):
+            verdict, monomial = _check_and_route(BraidedSpace(S.dim, c))
+            assert not monomial
+            assert verdict == _braid_equation_oracle(c, S.dim)
+    # the flip scaled by 2 is a braiding with no root-of-unity entries
+    flip = CycMatrix.zero(n, 9, 9)
+    for a in range(3):
+        for b in range(3):
+            flip.set(b * 3 + a, a * 3 + b, CycNum.rational(n, 2))
+    assert _check_and_route(BraidedSpace(3, flip)) == (True, False)
 
 
 # -- quantum symmetrizers ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Set-theoretic solutions, racks, 2-cocycles, and equivalences."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc
 from knyd.hopf import KnAlgebra
@@ -94,6 +96,19 @@ def test_zero_cocycle_value_rejected():
     n = 3
     rows = [[CycNum.one(n)] * n for _ in range(n)]
     rows[1][2] = CycNum.zero(n)
+    with pytest.raises(ValueError):
+        CocycleTable(rows)
+
+
+@pytest.mark.parametrize("n,value", [
+    (3, CycNum.rational(3, 2)),
+    (5, CycNum.rational(5, 2)),
+    # 1 + xi = -xi^2 is a root of unity at n = 3, but not at n = 5
+    (5, CycNum.one(5) + cyc(5, 1)),
+])
+def test_non_root_cocycle_value_rejected(n, value):
+    rows = [[CycNum.one(n)] * n for _ in range(n)]
+    rows[0][1] = value
     with pytest.raises(ValueError):
         CocycleTable(rows)
 
@@ -228,12 +243,119 @@ def test_twist_equivalence_trivial_and_negative():
     rows[0][1] = rows[0][1] * cyc(n, 1)
     G = CocycleTable(rows)
     assert not twist_equivalence_check(B, F, G, one)
+    # phi over another conductor
+    with pytest.raises(ValueError):
+        twist_equivalence_check(B, F, F, constant_cocycle(5, n, CycNum.one(5)))
+
+
+# -- the exponent-sum checks against literal field products ---------------------------
+
+
+def _pm_xi(n, j):
+    """xi^j for 0 <= j < n, and -xi^(j-n) for n <= j < 2n."""
+    return cyc(n, j) if j < n else -cyc(n, j - n)
+
+
+@st.composite
+def _tables(draw, n, members):
+    """An n x n table of +-xi^k: either uniformly random, or a table drawn
+    from `members` (lists of known cocycles) with at most one entry
+    multiplied by a random root.  Random tables mostly fail the identities
+    and the members pass them, so both verdicts occur."""
+    j = st.integers(0, 2 * n - 1)
+    if draw(st.booleans()):
+        return CocycleTable([[_pm_xi(n, draw(j)) for _ in range(n)]
+                             for _ in range(n)])
+    rows = [list(row) for row in draw(st.sampled_from(members)).values]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[x][y] = rows[x][y] * _pm_xi(n, draw(j))
+    return CocycleTable(rows)
+
+
+def _labels(n):
+    return [(eps, i, m) for eps in (1, -1)
+            for i in range(n) for m in range(n)]
+
+
+def _oracle_F(B, F):
+    g, f, V = B.g, B.f, F.values
+    r = range(B.size)
+    return all(V[x][y] * V[f[y][x]][z] * V[g[x][y]][g[f[y][x]][z]]
+               == V[y][z] * V[x][g[y][z]] * V[f[g[y][z]][x]][f[z][y]]
+               for x in r for y in r for z in r)
+
+
+def _oracle_rack(R, q):
+    op, V = R.op, q.values
+    r = range(R.size)
+    return all(V[x][op(y, z)] * V[y][z] == V[op(x, y)][op(x, z)] * V[x][z]
+               for x in r for y in r for z in r)
+
+
+def _oracle_twist(B, F, G, phi):
+    op, P = derived_rack(B).op, phi.values
+    r = range(B.size)
+    cocycle = all(
+        P[x][z] * P[op(x, y)][op(x, z)] * P[op(x, op(y, z))][x]
+        * P[op(y, z)][y]
+        == P[y][z] * P[x][op(y, z)] * P[op(x, op(y, z))][op(x, y)]
+        * P[op(x, z)][x]
+        for x in r for y in r for z in r)
+    f, g = B.f, B.g
+    compare = all(P[f[y][x]][y] * F.values[x][y]
+                  == P[f[x][g[x][y]]][x] * G.values[x][y]
+                  for x in r for y in r)
+    return cocycle and compare
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cocycle_checks_agree_with_field_products(n, data):
+    B, R = standard_solution(n), dihedral_rack(n)
+    members = [fam(n, *lab) for fam in (w_cocycle, d_cocycle)
+               for lab in _labels(n)]
+    F = data.draw(_tables(n, members))
+    assert check_F_cocycle(B, F) == _oracle_F(B, F)
+    assert check_rack_cocycle(R, F) == _oracle_rack(R, F)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_t_equivalence_agrees_with_field_products(n, data):
+    B = standard_solution(n)
+    F = data.draw(_tables(n, [w_cocycle(n, *lab) for lab in _labels(n)]))
+    r = range(n)
+    rows = [[F.values[B.f_inv(y, x)][y] for y in r] for x in r]
+    invariant = all(rows[B.f[z][x]][B.f[z][y]] == rows[x][y]
+                    for x in r for y in r for z in r)
+    if invariant:
+        assert t_equivalence_cocycle(B, F).values == rows
+    else:
+        with pytest.raises(ValueError):
+            t_equivalence_cocycle(B, F)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_twist_check_agrees_with_field_products(n, data):
+    B = standard_solution(n)
+    i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    F, G = w_cocycle(n, -1, i, i), w_cocycle(n, -1, k, k)
+    witness = CocycleTable([[cyc(n, 4 * (i - k) * (l - 2 * r))
+                             for r in range(n)] for l in range(n)])
+    phi = data.draw(_tables(n, [witness]))
+    assert twist_equivalence_check(B, F, G, phi) == \
+        _oracle_twist(B, F, G, phi)
 
 
 # -- the aggregated battery -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_run_battery(n):
     results = run_battery(n)
     assert all(v for _, v in results), [name for name, v in results if not v]
