@@ -5,8 +5,12 @@ the representation never affects results.  Elimination uses a deterministic
 pivot rule: columns are scanned in order and the first remaining row with a
 nonzero entry in the current column becomes the pivot, with no scaling
 heuristics.  Kernel bases are returned in reduced echelon form (pivot =
-first nonzero column).  `CycMatrix.rank(prime)` runs the same elimination on
-the image of the matrix over F_p (`cyclotomic.mod_p`), in machine integers.
+first nonzero column).  Exact rank, kernel and echelon computations run
+block by block over the connected components of the row/column graph.
+`CycMatrix.rank(prime)` is the rank of the image of the matrix over F_p
+(`cyclotomic.mod_p`), in machine integers: one incremental echelon pass over
+the rows, with no block split, since the rank does not depend on the pivot
+order.
 """
 
 from __future__ import annotations
@@ -228,23 +232,41 @@ class CycMatrix:
     def rank(self, prime: int | None = None) -> int | None:
         """The rank over Q(xi_n); with a prime p = 1 (mod n), the rank of
         the image over F_p under `mod_p` instead, which is at most the rank
-        over Q(xi_n), or None if some entry has no image mod p."""
+        over Q(xi_n), or None if some entry has no image mod p.  For the
+        modular rank, entries may also be ints, read as residues mod p.
+
+        The modular rank is one incremental echelon pass: each row is
+        reduced against the stored pivot rows, keyed by their least column,
+        and kept as a new pivot row if anything remains."""
         if prime is None:
             return sum(len(pivots) for _, pivots, _ in self._block_rrefs())
-        rank = 0
-        for rows, cols in self._component_blocks():
-            work = []
-            for row in rows:
-                mrow = {}
-                for c, v in row.items():
-                    x = mod_p(v, prime)
-                    if x is None:
-                        return None
-                    if x:
-                        mrow[c] = x
-                work.append(mrow)
-            rank += _rank_mod(work, cols, prime)
-        return rank
+        pivot_rows: dict[int, dict[int, int]] = {}
+        for row in self.data.values():
+            work = {}
+            for c, v in row.items():
+                x = v % prime if type(v) is int else mod_p(v, prime)
+                if x is None:
+                    return None
+                if x:
+                    work[c] = x
+            # at full rank the remaining rows are only mapped, so an entry
+            # with no image still gives None
+            while work and len(pivot_rows) < self.cols:
+                lead = min(work)
+                prow = pivot_rows.get(lead)
+                if prow is None:
+                    inv = pow(work[lead], -1, prime)
+                    pivot_rows[lead] = {c: v * inv % prime
+                                        for c, v in work.items()}
+                    break
+                factor = work[lead]
+                for c, v in prow.items():
+                    s = (work.get(c, 0) - factor * v) % prime
+                    if s:
+                        work[c] = s
+                    else:
+                        work.pop(c, None)
+        return len(pivot_rows)
 
     def row_echelon(self) -> tuple[list[dict[int, CycNum]], list[int]]:
         """The reduced echelon basis of the row space, eliminated block by
@@ -312,41 +334,6 @@ class CycMatrix:
         for i, p in enumerate(pivots):
             x[p] = red[i].get(self.cols, zero)
         return x, self.kernel_basis()
-
-
-def _rank_mod(work: list[dict[int, int]], cols: list[int], p: int) -> int:
-    """Rank of sparse rows over F_p, eliminating in place below each pivot;
-    the pivot rule of `_rref_rows`, with the columns taken in the order of
-    `cols`."""
-    rank = 0
-    nrows = len(work)
-    for c in cols:
-        pivot_row = None
-        for r in range(rank, nrows):
-            if c in work[r]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        prow = work[rank]
-        inv = pow(prow[c], -1, p)
-        for r in range(rank + 1, nrows):
-            row = work[r]
-            factor = row.get(c)
-            if factor is None:
-                continue
-            factor = factor * inv % p
-            for k, v in prow.items():
-                s = (row.get(k, 0) - factor * v) % p
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _rref_rows(work: list[dict[int, CycNum]], cols: int):

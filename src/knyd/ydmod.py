@@ -15,8 +15,10 @@ as V(+1,i,m) + V(-1,i,m)) and is rejected by the constructor.
 
 YD maps S -> M are the solutions of one sparse linear system
 (`_hom_system`): x^- and p-equivariance and the intertwining of the two
-coaction matrices (`YDModule.comatrix`).  `hom_dimension` is its nullity and
-`is_yd_map` tests a given matrix against it.
+coaction matrices (`YDModule.comatrix`), over Q(xi_n) or, from the images
+of the module tables that each module caches per prime, over F_p.
+`hom_dimension` is its nullity and `is_yd_map` tests a given matrix against
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
 from .hopf import (F, KnAlgebra, KnElement, antipode_key, character,
                    comatrix_element, counit, delta2_term, delta_terms,
@@ -136,6 +138,7 @@ class YDModule:
         self._weights = None
         self._act_cache: dict = {}
         self._comatrix = None
+        self._images: dict = {}
 
     def action_of(self, key) -> CycMatrix:
         """Matrix of a basis element of K_n."""
@@ -171,6 +174,35 @@ class YDModule:
                 if cell:
                     self._comatrix[jk] = cell
         return self._comatrix
+
+    def hom_table(self, part: str, prime: int | None = None):
+        """One family of matrices that `_hom_system` reads, as a list of
+        (tag, row, col, coeff) entries: part "x" is x^ (tag "x"), "p" the
+        p_{ab} (tag (a, b)), "co" the transposed comatrix, one matrix per
+        K_n basis key (its tag).  With a prime, the image over F_p under
+        `mod_p`, computed once and cached, or None if some entry has no
+        image."""
+        if prime is not None:
+            key = (part, prime)
+            if key not in self._images:
+                image = []
+                for tag, r, c, v in self.hom_table(part):
+                    x = mod_p(v, prime)
+                    if x is None:
+                        image = None
+                        break
+                    image.append((tag, r, c, x))
+                self._images[key] = image
+            return self._images[key]
+        if part == "x":
+            mats = [("x", self.action_x)]
+        elif part == "p":
+            mats = list(self.action_p.items())
+        else:
+            return [(hkey, l, k, v) for (k, l), h in self.comatrix().items()
+                    for hkey, v in h.items()]
+        return [(tag, r, c, v) for tag, mat in mats
+                for r, row in mat.data.items() for c, v in row.items()]
 
     def weights(self):
         """If every p_{ab} acts diagonally with 0/1 entries, the weight
@@ -436,18 +468,17 @@ def braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
         raise ValueError("algebra mismatch")
     n = Mv.algebra.n
     dv, dw = Mv.dim, Mw.dim
-    out = CycMatrix.zero(n, dw * dv, dv * dw)
+    acc: dict = {}
     for a in range(dv):
         for g, a1 in Mv.coaction[a]:
-            gmat = Mw.act(g)
-            for b in range(dw):
-                col = a * dw + b
-                for c_ in range(dw):
-                    v = gmat.get(c_, b)
-                    if not v.is_zero():
-                        row = c_ * dv + a1
-                        prev = out.data.get(row, {}).get(col)
-                        out.set(row, col, v if prev is None else prev + v)
+            for c_, grow in Mw.act(g).data.items():
+                for b, v in grow.items():
+                    key = (c_ * dv + a1, a * dw + b)
+                    prev = acc.get(key)
+                    acc[key] = v if prev is None else prev + v
+    out = CycMatrix.zero(n, dw * dv, dv * dw)
+    for (row, col), v in acc.items():
+        out.set(row, col, v)
     return out
 
 
@@ -459,11 +490,18 @@ def braided_space(M: YDModule):
 # -- hom spaces and isomorphism ---------------------------------------------------------
 
 
-def _hom_system(S: YDModule, M: YDModule):
+def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
     """The linear system whose solutions are the YD maps T: S -> M, where
     T[k][j] is the coefficient of m_k in T(s_j).  Returns (cells, rows):
     cells maps each (k, j) that may be nonzero to its unknown's index, and
-    each row is a sparse {index: coeff} that T must annihilate."""
+    each row is a sparse {index: coeff} that T must annihilate.
+
+    Every condition is a commutant equation A^M T = T A^S for a pair of
+    matrices of `YDModule.hom_table`: x^, the p_{ab} unless both modules
+    have weights, and per K_n basis key h the transposed coaction matrices,
+    since sum_k T[k][j] H^M_{kl} = sum_{j1} H^S_{j j1} T[l][j1].  With a
+    prime the rows are built from the tables' images over F_p, as residues;
+    the result is None if a table has no image."""
     if S.algebra.n != M.algebra.n:
         raise ValueError("algebra mismatch")
     ds, dm = S.dim, M.dim
@@ -476,67 +514,47 @@ def _hom_system(S: YDModule, M: YDModule):
         for j in range(ds):
             if not weighted or wM[k] == wS[j]:
                 cells[(k, j)] = len(cells)
-    rows: list[dict[int, CycNum]] = []
-
-    def add_row(row: dict):
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        if row:
-            rows.append(row)
-
-    def add_commutant_rows(mat_m: CycMatrix, mat_s: CycMatrix):
-        # mat_m T - T mat_s = 0, one row per entry
-        for k in range(dm):
-            mrow = mat_m.data.get(k, {})
-            for j in range(ds):
-                row: dict[int, CycNum] = {}
-                for l, v in mrow.items():
-                    idx = cells.get((l, j))
-                    if idx is not None:
-                        row[idx] = v
-                for j1 in range(ds):
-                    v = mat_s.get(j1, j)
-                    idx = cells.get((k, j1))
-                    if idx is None or v.is_zero():
-                        continue
-                    s = row.get(idx)
-                    row[idx] = -v if s is None else s - v
-                add_row(row)
-
-    add_commutant_rows(M.action_x, S.action_x)
-    if not weighted:
-        for key in S.action_p:
-            add_commutant_rows(M.action_p[key], S.action_p[key])
-
-    # coaction rows: for each (j, l), sum_k T[k][j] H^M_{kl}
-    # = sum_{j1} H^S_{j j1} T[l][j1] in K_n, one row per K_n basis key
-    cond: dict = {}
-    for (k, l), h in M.comatrix().items():
-        for j in range(ds):
-            idx = cells.get((k, j))
-            if idx is not None:
-                for hkey, v in h.items():
-                    cond.setdefault((j, l, hkey), {})[idx] = v
-    for (j, j1), h in S.comatrix().items():
-        for l in range(dm):
-            idx = cells.get((l, j1))
-            if idx is None:
-                continue
-            for hkey, v in h.items():
-                bucket = cond.setdefault((j, l, hkey), {})
-                s = bucket.get(idx)
-                bucket[idx] = -v if s is None else s - v
-    for row in cond.values():
-        add_row(row)
-    return cells, rows
+    if not cells:
+        return cells, []
+    cells_in_row: dict[int, list] = {}
+    cells_in_col: dict[int, list] = {}
+    for (k, j), idx in cells.items():
+        cells_in_row.setdefault(k, []).append((j, idx))
+        cells_in_col.setdefault(j, []).append((k, idx))
+    # eqs[(tag, k, j)]: entry (k, j) of A^M T - T A^S for the pair `tag`
+    eqs: dict = {}
+    for part in ("x", "co") if weighted else ("x", "co", "p"):
+        m_table, s_table = M.hom_table(part, prime), S.hom_table(part, prime)
+        if m_table is None or s_table is None:
+            return None
+        for tag, k, l, v in m_table:
+            for j, idx in cells_in_row.get(l, ()):
+                eqs.setdefault((tag, k, j), {})[idx] = v
+        for tag, j1, j, v in s_table:
+            for k, idx in cells_in_col.get(j1, ()):
+                eq = eqs.setdefault((tag, k, j), {})
+                s = eq.get(idx)
+                eq[idx] = -v if s is None else s - v
+    if prime is None:
+        rows = [{c: v for c, v in eq.items() if not v.is_zero()}
+                for eq in eqs.values()]
+    else:
+        rows = [{c: r for c, v in eq.items() if (r := v % prime)}
+                for eq in eqs.values()]
+    return cells, [row for row in rows if row]
 
 
 def hom_dimension(S: YDModule, M: YDModule,
                   prime: int | None = None) -> int | None:
     """Dimension of the space of YD maps S -> M: the nullity of the system
     of `_hom_system`.  With a prime, the nullity over F_p (see
-    `CycMatrix.rank`): an upper bound on the dimension, or None if the
-    system cannot be reduced mod p."""
-    cells, rows = _hom_system(S, M)
+    `CycMatrix.rank`) of the system built from the modules' cached F_p
+    images: an upper bound on the dimension, or None if the system cannot
+    be reduced mod p."""
+    system = _hom_system(S, M, prime)
+    if system is None:
+        return None
+    cells, rows = system
     if not cells:
         return 0
     mat = CycMatrix(S.algebra.n, len(rows), len(cells), dict(enumerate(rows)))

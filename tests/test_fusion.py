@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knyd import fusion
 from knyd.cyclotomic import modular_prime
@@ -221,6 +223,25 @@ def test_closed_form_matches_oracle_n9():
         assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
 
 
+_LABELS = {n: list_simples(KnAlgebra(n)) for n in (5, 7)}
+
+
+@st.composite
+def label_pairs(draw):
+    """Two simple labels over K_5 or K_7, from the full list."""
+    labels = _LABELS[draw(st.sampled_from([5, 7]))]
+    return draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_pairs())
+def test_closed_form_preserves_dimension_and_commutes(pair):
+    L1, L2 = pair
+    fused = closed_form_fuse(L1, L2)
+    assert fused.dim() == L1.dim() * L2.dim()
+    assert fused == closed_form_fuse(L2, L1)
+
+
 # -- the modular certificate and its exact fallback ------------------------------------
 
 
@@ -277,3 +298,19 @@ def test_decompose_falls_back_when_an_entry_does_not_reduce(A3, monkeypatch):
     assert decompose(scaled) == FusionDecomposition.from_pairs(
         [(U(n, 1, 0, 1, 0), 1)])
     assert primes[0] == p and None in primes
+
+
+def test_decompose_composite_n9_every_kind_pair(monkeypatch):
+    # one seeded pair per ordered kind pair at the composite conductor 9,
+    # through the certified modular pass alone
+    A = KnAlgebra(9)
+    labels = list_simples(A)
+    rng = random.Random(9)
+    primes = _record_primes(monkeypatch)
+    for k1 in "VUW":
+        for k2 in "VUW":
+            L1 = rng.choice([L for L in labels if L.kind == k1])
+            L2 = rng.choice([L for L in labels if L.kind == k2])
+            M = tensor_module(build_simple(A, L1), build_simple(A, L2))
+            assert decompose(M, labels) == closed_form_fuse(L1, L2), (L1, L2)
+    assert primes and None not in primes

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knyd.cyclotomic import CycNum, cyc, modular_prime
+from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
 from knyd.linalg import CycMatrix
 
 
@@ -182,6 +182,39 @@ def test_modular_rank_is_a_lower_bound(A):
     for p in (modular_prime(A.n), SMALL_PRIME[A.n]):
         rank_p = A.rank(p)
         assert rank_p is not None and rank_p <= exact
+
+
+def _dense_rank_mod(rows, cols, p):
+    """Rank over F_p of dense integer rows, by textbook elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inv
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@_properties
+@given(sparse_matrices())
+def test_modular_rank_reads_residues(A):
+    # entries given as their residues mod p, as the Hom systems of
+    # `ydmod._hom_system` give them, have the rank of the CycNum entries,
+    # and both agree with a dense elimination of the residues
+    p = modular_prime(A.n)
+    residues = CycMatrix(A.n, A.rows, A.cols,
+                         {r: {c: mod_p(v, p) for c, v in row.items()}
+                          for r, row in A.data.items()})
+    dense = [[residues.data.get(r, {}).get(c, 0) for c in range(A.cols)]
+             for r in range(A.rows)]
+    assert residues.rank(p) == A.rank(p) == _dense_rank_mod(dense, A.cols, p)
 
 
 @_properties

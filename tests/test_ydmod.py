@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knyd.cyclotomic import CycNum, cyc
+from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
+from knyd.fusion import closed_form_fuse, tensor_module
 from knyd.hopf import KnAlgebra, character
 from knyd.linalg import CycMatrix
-from knyd.ydmod import (U, V, W, YDModule, braided_space, braiding,
+from knyd.ydmod import (U, V, W, YDModule, _hom_system, braided_space,
+                        braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
                         is_isomorphic, is_yd_map, list_simples, parse_label)
@@ -327,3 +329,68 @@ def test_hom_system_without_weights(A3):
                                   Um.coaction), P, Pinv)
     assert hom_dimension(Um, fake) == 0
     assert not is_yd_map(Um, fake, Pinv)
+
+
+# -- the Hom system over F_p --------------------------------------------------------------
+
+
+def _check_modular_system(S, M, p):
+    """The F_p system of (S, M) is the image of the exact one under mod_p,
+    row for row once zero entries and zero rows are dropped, and it has the
+    exact nullity."""
+    cells, rows = _hom_system(S, M)
+    cells_p, rows_p = _hom_system(S, M, p)
+    assert cells_p == cells
+    image = []
+    for row in rows:
+        row = {c: mod_p(v, p) for c, v in row.items()}
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            image.append(row)
+    assert rows_p == image
+    assert all(0 < x < p for row in rows_p for x in row.values())
+    assert hom_dimension(S, M, p) == hom_dimension(S, M)
+
+
+def _shifted(L):
+    """A simple label with the weights of L and another coaction."""
+    n = L.n
+    if L.kind == "U":
+        i, j, m, t = L.data
+        return U(n, i, j, m + 1, t + 1)
+    eps, i, m = L.data
+    return (V if L.kind == "V" else W)(n, eps, i, m + 1)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (9, 2)])
+def test_modular_hom_system_is_the_image_of_the_exact_one(n, seed):
+    # M = L1 (x) L2 against two of its summands and a label of the same
+    # weights as a summand, which has a nonempty system
+    A = KnAlgebra(n)
+    p = modular_prime(n)
+    rng = random.Random(seed)
+    labels = list_simples(A)
+    for _ in range(3):
+        L1, L2 = rng.choice(labels), rng.choice(labels)
+        M = tensor_module(build_simple(A, L1), build_simple(A, L2))
+        summands = [L for L, _ in closed_form_fuse(L1, L2).terms[:2]]
+        for S in summands + [_shifted(summands[0])]:
+            _check_modular_system(build_simple(A, S), M, p)
+
+
+def test_modular_hom_system_without_weights(A3):
+    # the p-commutant rows over F_p, on the module of
+    # test_hom_system_without_weights
+    n = 3
+    p = modular_prime(n)
+    P = CycMatrix.from_rows(n, [[1, 1], [0, 1]])
+    Pinv = CycMatrix.from_rows(n, [[1, -1], [0, 1]])
+    Um = build_u_module(A3, 1, 0, 1, 0)
+    Mp = _change_basis(Um, P, Pinv)
+    swapped = build_u_module(A3, 0, 1, 1, 0)
+    fake = _change_basis(YDModule(A3, 2, swapped.action_p, Um.action_x,
+                                  Um.coaction), P, Pinv)
+    for S, M in [(Um, Mp), (Mp, Um), (Mp, Mp), (Um, fake),
+                 (build_simple(A3, V(n, 1, 1, 1)), Mp)]:
+        _check_modular_system(S, M, p)
+    assert Mp.hom_table("p", p) is not None
