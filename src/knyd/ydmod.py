@@ -176,33 +176,30 @@ class YDModule:
         return self._comatrix
 
     def hom_table(self, part: str, prime: int | None = None):
-        """One family of matrices that `_hom_system` reads, as a list of
-        (tag, row, col, coeff) entries: part "x" is x^ (tag "x"), "p" the
-        p_{ab} (tag (a, b)), "co" the transposed comatrix, one matrix per
-        K_n basis key (its tag).  With a prime, the image over F_p under
-        `mod_p`, computed once and cached, or None if some entry has no
-        image."""
+        """One family of matrices that `_hom_system` reads, as four
+        parallel columns (tags, rows, cols, coeffs) of its entries: part
+        "x" is x^ (tag "x"), "p" the p_{ab} (tag (a, b)), "co" the
+        transposed comatrix, one matrix per K_n basis key (its tag).  With a
+        prime, the image over F_p under `mod_p`, computed once and cached,
+        or None if some entry has no image; it shares the tags, rows and
+        cols of the exact table and adds only the residues."""
         if prime is not None:
             key = (part, prime)
             if key not in self._images:
-                image = []
-                for tag, r, c, v in self.hom_table(part):
-                    x = mod_p(v, prime)
-                    if x is None:
-                        image = None
-                        break
-                    image.append((tag, r, c, x))
-                self._images[key] = image
+                tags, rows, cols, coeffs = self.hom_table(part)
+                residues = tuple(mod_p(v, prime) for v in coeffs)
+                self._images[key] = (None if None in residues
+                                     else (tags, rows, cols, residues))
             return self._images[key]
-        if part == "x":
-            mats = [("x", self.action_x)]
-        elif part == "p":
-            mats = list(self.action_p.items())
+        if part == "co":
+            entries = [(hkey, l, k, v) for (k, l), h in self.comatrix().items()
+                       for hkey, v in h.items()]
         else:
-            return [(hkey, l, k, v) for (k, l), h in self.comatrix().items()
-                    for hkey, v in h.items()]
-        return [(tag, r, c, v) for tag, mat in mats
-                for r, row in mat.data.items() for c, v in row.items()]
+            mats = ([("x", self.action_x)] if part == "x"
+                    else self.action_p.items())
+            entries = [(tag, r, c, v) for tag, mat in mats
+                       for r, row in mat.data.items() for c, v in row.items()]
+        return tuple(zip(*entries)) or ((),) * 4
 
     def weights(self):
         """If every p_{ab} acts diagonally with 0/1 entries, the weight
@@ -471,11 +468,13 @@ def braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
     acc: dict = {}
     for a in range(dv):
         for g, a1 in Mv.coaction[a]:
-            for c_, grow in Mw.act(g).data.items():
-                for b, v in grow.items():
-                    key = (c_ * dv + a1, a * dw + b)
-                    prev = acc.get(key)
-                    acc[key] = v if prev is None else prev + v
+            for hkey, coeff in g.coeffs.items():
+                for c_, grow in Mw.action_of(hkey).data.items():
+                    for b, v in grow.items():
+                        key = (c_ * dv + a1, a * dw + b)
+                        term = coeff * v
+                        prev = acc.get(key)
+                        acc[key] = term if prev is None else prev + term
     out = CycMatrix.zero(n, dw * dv, dv * dw)
     for (row, col), v in acc.items():
         out.set(row, col, v)
@@ -527,10 +526,10 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
         m_table, s_table = M.hom_table(part, prime), S.hom_table(part, prime)
         if m_table is None or s_table is None:
             return None
-        for tag, k, l, v in m_table:
+        for tag, k, l, v in zip(*m_table):
             for j, idx in cells_in_row.get(l, ()):
                 eqs.setdefault((tag, k, j), {})[idx] = v
-        for tag, j1, j, v in s_table:
+        for tag, j1, j, v in zip(*s_table):
             for k, idx in cells_in_col.get(j1, ()):
                 eq = eqs.setdefault((tag, k, j), {})
                 s = eq.get(idx)
