@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
-from .hopf import (F, KnAlgebra, KnElement, antipode_key, character,
-                   comatrix_element, counit, delta2_term, delta_terms,
-                   multiply, product_table)
+from .hopf import (F, KnAlgebra, antipode_key, character, comatrix_element,
+                   counit, delta2_term, delta_terms, multiply, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -150,12 +149,6 @@ class YDModule:
                 m = m @ self.action_x
             self._act_cache[key] = m
         return m
-
-    def act(self, h: KnElement) -> CycMatrix:
-        out = CycMatrix.zero(self.algebra.n, self.dim, self.dim)
-        for key, v in h.coeffs.items():
-            out = out + self.action_of(key).scale(v)
-        return out
 
     def comatrix(self) -> dict:
         """The coaction as a matrix over K_n: {(j, k): {basis key: coeff}}
