@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .cyclotomic import modular_prime
 from .linalg import CycMatrix
-from .hopf import F, P, KnAlgebra, delta_terms, multiply
+from .hopf import F, KnAlgebra, delta_terms, multiply
 from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
-                    hom_dimension, list_simples)
+                    hom_dimension, label_weights, list_simples)
 
 
 # -- decompositions ---------------------------------------------------------------
@@ -75,22 +75,26 @@ def zn_orbit_set(n: int) -> list[tuple[int, int]]:
 
 def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
     """The tensor product in the YD category: h acts through the
-    comultiplication (`hopf.delta_terms`), the coaction is delta(v (x) w) =
-    v_{-1}w_{-1} (x) (v_0 (x) w_0).  Basis is row-major: index of v_a (x) w_b
-    is a*dim(M2) + b."""
+    comultiplication, the coaction is delta(v (x) w) = v_{-1}w_{-1} (x)
+    (v_0 (x) w_0).  Basis is row-major: index of v_a (x) w_b is a*dim(M2) + b.
+    Delta(p_{ab}) is the sum of p_{a'b'} (x) p_{a''b''} over (a',b') +
+    (a'',b'') = (a,b), so the weight of v_a (x) w_b is the sum of theirs;
+    x^, the sum of all f_{ab}, acts through `hopf.delta_terms`."""
     if M1.algebra.n != M2.algebra.n:
         raise ValueError("algebra mismatch")
     A = M1.algebra
     n = A.n
     d1, d2 = M1.dim, M2.dim
     dim = d1 * d2
+    weights = [((a1 + a2) % n, (b1 + b2) % n)
+               for a1, b1 in M1.weights for a2, b2 in M2.weights]
 
-    def act(keys) -> CycMatrix:
-        # sum over h in keys and Delta(h) = sum v h1 (x) h2 of
-        # h1 (x) v h2, with the h2 side summed first for each h1
-        right: dict = {}
-        for key in keys:
-            for k1, k2, v in delta_terms(A, key):
+    # sum over the f_{ab} and Delta(f_{ab}) = sum v h1 (x) h2 of
+    # h1 (x) v h2, with the h2 side summed first for each h1
+    right: dict = {}
+    for a in range(n):
+        for b in range(n):
+            for k1, k2, v in delta_terms(A, (F, a, b)):
                 m2 = M2.action_of(k2)
                 if not m2.data or not M1.action_of(k1).data:
                     continue
@@ -98,14 +102,9 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
                     m2 = m2.scale(v)
                 prev = right.get(k1)
                 right[k1] = m2 if prev is None else prev + m2
-        out = CycMatrix.zero(n, dim, dim)
-        for k1, m2 in right.items():
-            out = out + M1.action_of(k1).kron(m2)
-        return out
-
-    action_p = {(a, b): act([(P, a, b)]) for a in range(n) for b in range(n)}
-    # x^ = sum of all f_{ab}
-    action_x = act([(F, a, b) for a in range(n) for b in range(n)])
+    action_x = CycMatrix.zero(n, dim, dim)
+    for k1, m2 in right.items():
+        action_x = action_x + M1.action_of(k1).kron(m2)
 
     coaction = []
     for a in range(d1):
@@ -115,7 +114,7 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
                 for h, b1 in M2.coaction[b]:
                     terms.append((multiply(g, h), a1 * d2 + b1))
             coaction.append(terms)
-    return YDModule(A, dim, action_p, action_x, coaction)
+    return YDModule(A, dim, weights, action_x, coaction)
 
 
 # -- the Hom-space oracle ----------------------------------------------------------
@@ -133,18 +132,6 @@ def _simple(A: KnAlgebra, lab: Label) -> YDModule:
     return mod
 
 
-def _label_weights(lab: Label):
-    n = lab.n
-    if lab.kind == "V":
-        _, i, _ = lab.data
-        return [(i, i)]
-    if lab.kind == "U":
-        i, j, _, _ = lab.data
-        return [(i, j), (j, i)]
-    _, i, _ = lab.data
-    return [((i + 2 * r) % n, (i - 2 * r) % n) for r in range(n)]
-
-
 def decompose(M: YDModule, simples: list[Label] | None = None
               ) -> FusionDecomposition:
     """Decompose M into simples; the multiplicity of S is dim Hom(S, M).
@@ -157,18 +144,16 @@ def decompose(M: YDModule, simples: list[Label] | None = None
     A = M.algebra
     if simples is None:
         simples = list_simples(A)
-    wM = M.weights()
-    weight_count = Counter(wM) if wM is not None else None
+    weight_count = Counter(M.weights)
     # both filters are exact: a nonzero map from a simple is injective and
     # keeps weights
     candidates = []
     for lab in simples:
         if lab.dim() > M.dim:
             continue
-        if weight_count is not None:
-            need = Counter(_label_weights(lab))
-            if any(weight_count.get(w, 0) < c for w, c in need.items()):
-                continue
+        need = Counter(label_weights(lab))
+        if any(weight_count.get(w, 0) < c for w, c in need.items()):
+            continue
         candidates.append(lab)
     found = _multiplicities(M, candidates, modular_prime(A.n))
     if found is None or found.dim() != M.dim:

@@ -35,64 +35,49 @@ def run_battery(n: int):
 
     labels = [(eps, i, m) for eps in (1, -1)
               for i in range(n) for m in range(n)]
-
-    ok = all(check_F_cocycle(B, w_cocycle(n, *lab)) for lab in labels)
-    results.append(("braiding cocycles satisfy the set-theoretic "
-                    "cocycle condition (all labels)", ok))
-
+    w = {lab: w_cocycle(n, *lab) for lab in labels}
+    d = {lab: d_cocycle(n, *lab) for lab in labels}
     R = dihedral_rack(n)
-    ok = all(check_rack_cocycle(R, d_cocycle(n, *lab)) for lab in labels)
-    results.append(("diagonal-family rack 2-cocycles hold (all labels)", ok))
+
+    results.append(("braiding cocycles satisfy the set-theoretic "
+                    "cocycle condition (all labels)",
+                    all(check_F_cocycle(B, w[lab]) for lab in labels)))
+    results.append(("diagonal-family rack 2-cocycles hold (all labels)",
+                    all(check_rack_cocycle(R, d[lab]) for lab in labels)))
 
     A = KnAlgebra(n)
-    ok = True
-    for (eps, i, m) in labels:
-        cat = braided_space(build_simple(A, W(n, eps, i, m))).c
-        sf = sF_braiding(B, w_cocycle(n, eps, i, m)).c
-        if cat != sf:
-            ok = False
-            break
+    sf = {lab: sF_braiding(B, w[lab]) for lab in labels}
     results.append(("set-theoretic braiding matches the categorical "
-                    "W braiding entry-wise (all labels)", ok))
-
-    ok = True
-    for lab in labels:
-        try:
-            q = t_equivalence_cocycle(B, w_cocycle(n, *lab))
-        except ValueError:
-            ok = False
-            break
-        if not check_rack_cocycle(R, q):
-            ok = False
-            break
+                    "W braiding entry-wise (all labels)",
+                    all(braided_space(build_simple(A, W(n, *lab))).c
+                        == sf[lab].c for lab in labels)))
     results.append(("t-equivalence cocycles exist and are rack "
-                    "2-cocycles (all labels)", ok))
-
-    ok = True
-    for lab in labels:
-        bs = sF_braiding(B, w_cocycle(n, *lab))
-        cq = cq_braiding(R, d_cocycle(n, *lab))
-        if not (check_braid_equation(bs) and check_braid_equation(cq)):
-            ok = False
-            break
+                    "2-cocycles (all labels)",
+                    all(_t_cocycle_holds(B, R, w[lab]) for lab in labels)))
     results.append(("all produced braidings satisfy the braid equation",
-                    ok))
+                    all(check_braid_equation(sf[lab])
+                        and check_braid_equation(cq_braiding(R, d[lab]))
+                        for lab in labels)))
 
     # twist-equivalence within the diagonal family W(-1,i,i) through
     # phi_{i,k}(l,r) = xi^{4(i-k)(l-2r)}; for n=3 the factor 4 reduces to 1
-    ok = True
-    for i in range(n):
-        for k in range(n):
-            F = w_cocycle(n, -1, i, i)
-            G = w_cocycle(n, -1, k, k)
-            phi = CocycleTable([[cyc(n, 4 * (i - k) * (l - 2 * r))
-                                 for r in range(n)] for l in range(n)])
-            if not twist_equivalence_check(B, F, G, phi):
-                ok = False
-                break
-        if not ok:
-            break
-    results.append(("twist-equivalence of the diagonal family through "
-                    "the exponential cocycle", ok))
+    results.append((
+        "twist-equivalence of the diagonal family through the exponential "
+        "cocycle",
+        all(twist_equivalence_check(
+            B, w[(-1, i, i)], w[(-1, k, k)],
+            CocycleTable([[cyc(n, 4 * (i - k) * (l - 2 * r))
+                           for r in range(n)] for l in range(n)]))
+            for i in range(n) for k in range(n))))
 
     return results
+
+
+def _t_cocycle_holds(B, R, F) -> bool:
+    """Whether the t-equivalence cocycle of s^F exists and is a rack
+    2-cocycle on R."""
+    try:
+        q = t_equivalence_cocycle(B, F)
+    except ValueError:
+        return False
+    return check_rack_cocycle(R, q)

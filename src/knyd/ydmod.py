@@ -13,10 +13,17 @@ U labels are canonicalized to the lexicographically smaller of (i,j,m,t)
 and (j,i,t+2i,m-2j); a U label with i=j and t=m-2i is reducible (it splits
 as V(+1,i,m) + V(-1,i,m)) and is rejected by the constructor.
 
+Every module is stored in a weight basis.  The p_{ab} are orthogonal
+idempotents summing to 1, so every finite-dimensional K_n-module has a basis
+on which each p_{ab} acts by 0 or 1.  A module is then given by the weight
+(a,b) of each basis vector (f.v = f(a,b) v above), the matrix of x^ and the
+coaction.
+
 YD maps S -> M are the solutions of one sparse linear system
-(`_hom_system`): x^- and p-equivariance and the intertwining of the two
-coaction matrices (`YDModule.comatrix`), over Q(xi_n) or, from the images
-of the module tables that each module caches per prime, over F_p.
+(`_hom_system`): T pairs only basis vectors of equal weight
+(p-equivariance), commutes with x^ and intertwines the two coaction
+matrices (`YDModule.comatrix`), over Q(xi_n) or, from the images of the
+module tables that each module caches per prime, over F_p.
 `hom_dimension` is its nullity and `is_yd_map` tests a given matrix against
 it.
 """
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
-from .hopf import (F, KnAlgebra, antipode_key, character, comatrix_element,
+from .hopf import (F, P, KnAlgebra, antipode_key, character, comatrix_element,
                    counit, delta2_term, delta_terms, multiply, product_table)
 
 
@@ -119,35 +126,59 @@ def dimension_census(A: KnAlgebra) -> int:
 
 
 class YDModule:
-    """A finite-dimensional YD module over K_n.
+    """A finite-dimensional YD module over K_n, stored in a weight basis.
 
-    action_p maps (a,b) to the matrix of p_{ab}; action_x is the matrix of
-    x^; f_{ab} acts by action_p[(a,b)] @ action_x.  coaction[j] is a list of
-    (KnElement, k) pairs with delta(v_j) = sum h (x) v_k.
+    The p_{ab} are orthogonal idempotents summing to 1, so every
+    finite-dimensional K_n-module is the direct sum of their images and has
+    a basis of weight vectors: weights[r] = (a, b) says that p_{ab} fixes
+    v_r and every other p kills it.  With action_x, the matrix of x^, the
+    weights give the whole action (`action_of`): f_{ab} = p_{ab} x^.
+    coaction[j] is a list of (KnElement, k) pairs with
+    delta(v_j) = sum h (x) v_k.
+
+    The third argument may also be a dict {(a, b): matrix of p_{ab}}.  It is
+    read once and must describe a weight basis, else ValueError.
     """
 
-    def __init__(self, algebra: KnAlgebra, dim: int, action_p: dict,
+    def __init__(self, algebra: KnAlgebra, dim: int, weights,
                  action_x: CycMatrix, coaction: list, label: Label | None = None):
+        if isinstance(weights, dict):
+            weights = _weights_of(weights, dim)
+        if len(weights) != dim:
+            raise ValueError("%d weights for dimension %d" % (len(weights), dim))
         self.algebra = algebra
         self.dim = dim
-        self.action_p = action_p
+        self.weights = tuple(weights)
         self.action_x = action_x
         self.coaction = coaction
         self.label = label
-        self._weights = None
         self._act_cache: dict = {}
         self._comatrix = None
         self._images: dict = {}
 
+    @property
+    def action_p(self) -> dict:
+        """{(a, b): matrix of p_{ab}}, derived from the weights."""
+        n = self.algebra.n
+        return {(a, b): self.action_of((P, a, b))
+                for a in range(n) for b in range(n)}
+
     def action_of(self, key) -> CycMatrix:
-        """Matrix of a basis element of K_n."""
+        """Matrix of a basis element of K_n: p_{ab} is the 0/1 diagonal on
+        the vectors of weight (a, b), f_{ab} = p_{ab} x^ the rows of x^ at
+        those vectors."""
         m = self._act_cache.get(key)
         if m is None:
             kind, a, b = key
-            m = self.action_p[(a, b)]
+            n = self.algebra.n
+            rows = [r for r, w in enumerate(self.weights) if w == (a, b)]
             if kind == F:
-                m = m @ self.action_x
-            self._act_cache[key] = m
+                x = self.action_x.data
+                data = {r: dict(x[r]) for r in rows if r in x}
+            else:
+                one = CycNum.one(n)
+                data = {r: {r: one} for r in rows}
+            m = self._act_cache[key] = CycMatrix(n, self.dim, self.dim, data)
         return m
 
     def comatrix(self) -> dict:
@@ -171,11 +202,12 @@ class YDModule:
     def hom_table(self, part: str, prime: int | None = None):
         """One family of matrices that `_hom_system` reads, as four
         parallel columns (tags, rows, cols, coeffs) of its entries: part
-        "x" is x^ (tag "x"), "p" the p_{ab} (tag (a, b)), "co" the
-        transposed comatrix, one matrix per K_n basis key (its tag).  With a
-        prime, the image over F_p under `mod_p`, computed once and cached,
-        or None if some entry has no image; it shares the tags, rows and
-        cols of the exact table and adds only the residues."""
+        "x" is x^ (tag "x"), "co" the transposed comatrix, one matrix per
+        K_n basis key (its tag).  The p_{ab} need no table: between weight
+        bases they only fix which cells of T may be nonzero.  With a prime,
+        the image over F_p under `mod_p`, computed once and cached, or None
+        if some entry has no image; it shares the tags, rows and cols of the
+        exact table and adds only the residues."""
         if prime is not None:
             key = (part, prime)
             if key not in self._images:
@@ -188,70 +220,72 @@ class YDModule:
             entries = [(hkey, l, k, v) for (k, l), h in self.comatrix().items()
                        for hkey, v in h.items()]
         else:
-            mats = ([("x", self.action_x)] if part == "x"
-                    else self.action_p.items())
-            entries = [(tag, r, c, v) for tag, mat in mats
-                       for r, row in mat.data.items() for c, v in row.items()]
+            entries = [("x", r, c, v) for r, row in self.action_x.data.items()
+                       for c, v in row.items()]
         return tuple(zip(*entries)) or ((),) * 4
-
-    def weights(self):
-        """If every p_{ab} acts diagonally with 0/1 entries, the weight
-        (a,b) of each basis vector; otherwise None."""
-        if self._weights is not None:
-            return self._weights
-        wt = [None] * self.dim
-        for (a, b), mat in self.action_p.items():
-            for r, row in mat.data.items():
-                for c, v in row.items():
-                    if r != c or not v.is_one():
-                        return None
-                    if wt[r] is not None:
-                        return None
-                    wt[r] = (a, b)
-        if any(w is None for w in wt):
-            return None
-        self._weights = wt
-        return wt
 
     def __repr__(self):
         return "YDModule(%s, dim %d over K_%d)" % (
             self.label if self.label else "?", self.dim, self.algebra.n)
 
 
+def _weights_of(action_p: dict, dim: int) -> list:
+    """The weights of a basis on which the p_{ab} act by the matrices of
+    action_p; ValueError unless each is diagonal with entries 0 and 1 and
+    each basis vector is fixed by exactly one of them."""
+    weights = [None] * dim
+    for ab, mat in action_p.items():
+        for r, row in mat.data.items():
+            for c, v in row.items():
+                if v.is_zero():
+                    continue
+                if r != c or not v.is_one() or weights[r] is not None:
+                    raise ValueError("p_%s does not act on a weight basis"
+                                     % (ab,))
+                weights[r] = ab
+    if None in weights:
+        raise ValueError("basis vector %d has no weight" % weights.index(None))
+    return weights
+
+
+def label_weights(label: Label) -> list:
+    """The weight (a, b) of each basis vector of the simple module."""
+    n = label.n
+    if label.kind == "U":
+        i, j, _, _ = label.data
+        return [(i, j), (j, i)]
+    _, i, _ = label.data
+    if label.kind == "V":
+        return [(i, i)]
+    return [((i + 2 * r) % n, (i - 2 * r) % n) for r in range(n)]
+
+
 def build_simple(A: KnAlgebra, label: Label) -> YDModule:
     n = A.n
     if label.n != n:
         raise ValueError("label/algebra conductor mismatch")
-    zero = CycMatrix.zero
-    if label.kind == "V":
-        eps, i, m = label.data
-        action_p = {(a, b): (CycMatrix.identity(n, 1) if (a, b) == (i, i)
-                             else zero(n, 1, 1))
-                    for a in range(n) for b in range(n)}
-        action_x = CycMatrix.from_rows(n, [[A.scalar(eps)]])
-        coaction = [[(character(A, m, m - 2 * i), 0)]]
-        return YDModule(A, 1, action_p, action_x, coaction, label)
     if label.kind == "U":
         mod = build_u_module(A, *label.data)
         mod.label = label
         return mod
-    # W
     eps, i, m = label.data
-    action_p = {(a, b): zero(n, n, n) for a in range(n) for b in range(n)}
-    for r in range(n):
-        action_p[((i + 2 * r) % n, (i - 2 * r) % n)].set(r, r, A.scalar(1))
-    action_x = zero(n, n, n)
+    chi = character(A, m, m - 2 * i)
+    if label.kind == "V":
+        return YDModule(A, 1, label_weights(label),
+                        CycMatrix.from_rows(n, [[A.scalar(eps)]]),
+                        [[(chi, 0)]], label)
+    # W
+    action_x = CycMatrix.zero(n, n, n)
     for r in range(n):
         coeff = A.xi(4 * i * r)
         if eps == -1:
             coeff = -coeff
         action_x.set((-r) % n, r, coeff)
-    chi = character(A, m, m - 2 * i)
     coaction = []
     for r in range(n):
         coaction.append([(multiply(chi, comatrix_element(A, r, k)), k)
                          for k in range(n)])
-    return YDModule(A, n, action_p, action_x, coaction, label)
+    return YDModule(A, n, label_weights(label), action_x, coaction, label)
 
 
 def build_u_module(A: KnAlgebra, i: int, j: int, m: int, t: int) -> YDModule:
@@ -260,43 +294,26 @@ def build_u_module(A: KnAlgebra, i: int, j: int, m: int, t: int) -> YDModule:
     t=m-2i case is the reducible module V(+1,i,m) + V(-1,i,m))."""
     n = A.n
     i, j, m, t = i % n, j % n, m % n, t % n
-    action_p = {}
-    for a in range(n):
-        for b in range(n):
-            mat = CycMatrix.zero(n, 2, 2)
-            if (a, b) == (i, j):
-                mat.set(0, 0, A.scalar(1))
-            if (a, b) == (j, i):
-                mat.set(1, 1, A.scalar(1))
-            action_p[(a, b)] = mat
     action_x = CycMatrix.from_rows(n, [[0, 1], [1, 0]])
     coaction = [[(character(A, m, t), 0)],
                 [(character(A, t + 2 * i, m - 2 * j), 1)]]
-    return YDModule(A, 2, action_p, action_x, coaction)
+    return YDModule(A, 2, [(i, j), (j, i)], action_x, coaction)
 
 
 def direct_sum(M1: YDModule, M2: YDModule) -> YDModule:
     if M1.algebra.n != M2.algebra.n:
         raise ValueError("algebra mismatch")
     A = M1.algebra
-    n = A.n
-    d1, d2 = M1.dim, M2.dim
-    dim = d1 + d2
-
-    def block(m1: CycMatrix, m2: CycMatrix) -> CycMatrix:
-        out = CycMatrix.zero(n, dim, dim)
-        for r, row in m1.data.items():
-            out.data[r] = dict(row)
-        for r, row in m2.data.items():
-            out.data[r + d1] = {c + d1: v for c, v in row.items()}
-        return out
-
-    action_p = {key: block(M1.action_p[key], M2.action_p[key])
-                for key in M1.action_p}
-    action_x = block(M1.action_x, M2.action_x)
+    d1 = M1.dim
+    dim = d1 + M2.dim
+    action_x = CycMatrix.zero(A.n, dim, dim)
+    for r, row in M1.action_x.data.items():
+        action_x.data[r] = dict(row)
+    for r, row in M2.action_x.data.items():
+        action_x.data[r + d1] = {c + d1: v for c, v in row.items()}
     coaction = [list(terms) for terms in M1.coaction]
     coaction += [[(h, k + d1) for h, k in terms] for terms in M2.coaction]
-    return YDModule(A, dim, action_p, action_x, coaction)
+    return YDModule(A, dim, M1.weights + M2.weights, action_x, coaction)
 
 
 # -- YD axiom checking ----------------------------------------------------------------
@@ -326,35 +343,19 @@ def check_yd(M: YDModule) -> dict:
     report = {"module": None, "comodule": None, "yd": None}
 
     # module axioms via generator relations (equivalent to rho being an
-    # algebra map on the basis): p's are orthogonal idempotents summing to
-    # the identity, x^2 = 1, and x p_{ab} = p_{ba} x.
+    # algebra map on the basis).  On a weight basis the p's are orthogonal
+    # idempotents summing to the identity by construction; left are x^2 = 1
+    # and x p_{ab} = p_{ba} x, i.e. x^ maps weight (a,b) to weight (b,a).
+    wt = M.weights
     failure = None
-    total = CycMatrix.zero(n, M.dim, M.dim)
-    for (a, b), mat in M.action_p.items():
-        total = total + mat
-        if not (mat @ mat == mat):
-            failure = ("p_idempotent", (a, b))
-            break
-    ident = CycMatrix.identity(n, M.dim)
-    if failure is None and total != ident:
-        failure = ("p_sum", None)
-    if failure is None:
-        for (a, b), mat in M.action_p.items():
-            for (c, d), mat2 in M.action_p.items():
-                if (a, b) < (c, d):
-                    prod = mat @ mat2
-                    if not prod.is_zero():
-                        failure = ("p_orthogonal", ((a, b), (c, d)))
-                        break
-            if failure:
-                break
-    if failure is None and M.action_x @ M.action_x != ident:
+    if M.action_x @ M.action_x != CycMatrix.identity(n, M.dim):
         failure = ("x_squared", None)
-    if failure is None:
-        for (a, b), mat in M.action_p.items():
-            if M.action_x @ mat != M.action_p[(b, a)] @ M.action_x:
-                failure = ("x_p_commutation", (a, b))
-                break
+    else:
+        bad = next((wt[c] for r, row in M.action_x.data.items()
+                    for c, v in row.items()
+                    if wt[r] != wt[c][::-1] and not v.is_zero()), None)
+        if bad is not None:
+            failure = ("x_p_commutation", bad)
     report["module"] = failure
 
     # comodule axioms
@@ -488,23 +489,21 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
     cells maps each (k, j) that may be nonzero to its unknown's index, and
     each row is a sparse {index: coeff} that T must annihilate.
 
-    Every condition is a commutant equation A^M T = T A^S for a pair of
-    matrices of `YDModule.hom_table`: x^, the p_{ab} unless both modules
-    have weights, and per K_n basis key h the transposed coaction matrices,
-    since sum_k T[k][j] H^M_{kl} = sum_{j1} H^S_{j j1} T[l][j1].  With a
-    prime the rows are built from the tables' images over F_p, as residues;
-    the result is None if a table has no image."""
+    Both modules are in weight bases, so p-equivariance is exactly
+    T[k][j] = 0 unless m_k and s_j have the same weight: the cells.  Every
+    other condition is a commutant equation A^M T = T A^S for a pair of
+    matrices of `YDModule.hom_table`: x^, and per K_n basis key h the
+    transposed coaction matrices, since
+    sum_k T[k][j] H^M_{kl} = sum_{j1} H^S_{j j1} T[l][j1].  With a prime the
+    rows are built from the tables' images over F_p, as residues; the
+    result is None if a table has no image."""
     if S.algebra.n != M.algebra.n:
         raise ValueError("algebra mismatch")
-    ds, dm = S.dim, M.dim
-    wS, wM = S.weights(), M.weights()
-    # between weight modules, p-equivariance is exactly T[k][j] = 0 unless
-    # the weights of m_k and s_j match
-    weighted = wS is not None and wM is not None
+    wS = S.weights
     cells = {}
-    for k in range(dm):
-        for j in range(ds):
-            if not weighted or wM[k] == wS[j]:
+    for k, w in enumerate(M.weights):
+        for j in range(S.dim):
+            if w == wS[j]:
                 cells[(k, j)] = len(cells)
     if not cells:
         return cells, []
@@ -515,7 +514,7 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
         cells_in_col.setdefault(j, []).append((k, idx))
     # eqs[(tag, k, j)]: entry (k, j) of A^M T - T A^S for the pair `tag`
     eqs: dict = {}
-    for part in ("x", "co") if weighted else ("x", "co", "p"):
+    for part in ("x", "co"):
         m_table, s_table = M.hom_table(part, prime), S.hom_table(part, prime)
         if m_table is None or s_table is None:
             return None

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knyd import fusion
-from knyd.cyclotomic import modular_prime
-from knyd.hopf import KnAlgebra
+from knyd.cyclotomic import CycNum, modular_prime
+from knyd.hopf import P, KnAlgebra, delta_terms
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
                         check_yd, hom_dimension, is_yd_map, list_simples)
@@ -25,6 +25,33 @@ def A3():
 
 def _oracle(A, L1, L2):
     return decompose(tensor_module(build_simple(A, L1), build_simple(A, L2)))
+
+
+# -- tensor products ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (9, 2)])
+def test_tensor_weights_match_the_comultiplication(n, seed):
+    # p_{ab} acts on M1 (x) M2 through Delta(p_{ab}) = sum h1 (x) h2 as
+    # sum h1 . kron h2 . ; that must be the 0/1 diagonal of the weights
+    # tensor_module assigns
+    A = KnAlgebra(n)
+    one = CycNum.one(n)
+    rng = random.Random(seed)
+    labels = list_simples(A)
+    for _ in range(3):
+        M1, M2 = (build_simple(A, rng.choice(labels)) for _ in range(2))
+        M = tensor_module(M1, M2)
+        for a in range(n):
+            for b in range(n):
+                act = CycMatrix.zero(n, M.dim, M.dim)
+                for k1, k2, v in delta_terms(A, (P, a, b)):
+                    m1, m2 = M1.action_of(k1), M2.action_of(k2)
+                    if m1.data and m2.data:
+                        act = act + m1.kron(m2.scale(v))
+                diagonal = {r: {r: one} for r, w in enumerate(M.weights)
+                            if w == (a, b)}
+                assert act == CycMatrix(n, M.dim, M.dim, diagonal), (a, b)
 
 
 # -- the decomposition container ----------------------------------------------------

@@ -14,7 +14,8 @@ from knyd.ydmod import (U, V, W, YDModule, _hom_system, braided_space,
                         braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
-                        is_isomorphic, is_yd_map, list_simples, parse_label)
+                        is_isomorphic, is_yd_map, label_weights, list_simples,
+                        parse_label)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +166,7 @@ def test_w_weights(A3):
     n = 3
     for i in range(n):
         M = build_simple(A3, W(n, 1, i, 0))
-        wt = M.weights()
+        wt = M.weights
         for r in range(n):
             assert wt[r] == ((i + 2 * r) % n, (i - 2 * r) % n)
 
@@ -290,45 +291,74 @@ def test_is_yd_map_rejects_maps_wrong_on_one_side(A3):
                      build_u_module(A3, 0, 1, 2, 1), swap)
 
 
-def _change_basis(M, P, Pinv):
-    """M in the basis v'_j = sum_i P[i][j] v_i."""
-    n = M.algebra.n
-    action_p = {key: Pinv @ mat @ P for key, mat in M.action_p.items()}
-    coaction = []
-    for j in range(M.dim):
-        terms = []
-        for i in range(M.dim):
-            for h, k in M.coaction[i]:
-                for l in range(M.dim):
-                    c = P.get(i, j) * Pinv.get(l, k)
-                    if not c.is_zero():
-                        terms.append((h.scale(c), l))
-        coaction.append(terms)
-    return YDModule(M.algebra, M.dim, action_p, Pinv @ M.action_x @ P,
-                    coaction)
+def _p_action(n, dim, entries):
+    """A p_{ab} dict of zero matrices but for entries {(a, b): [(r, c, v)]}."""
+    action_p = {(a, b): CycMatrix.zero(n, dim, dim)
+                for a in range(n) for b in range(n)}
+    for ab, cells in entries.items():
+        for r, c, v in cells:
+            action_p[ab].set(r, c, CycNum.rational(n, v))
+    return action_p
 
 
-def test_hom_system_without_weights(A3):
-    # a module whose p_{ab} are not diagonal exercises the p-commutant rows
-    n = 3
-    P = CycMatrix.from_rows(n, [[1, 1], [0, 1]])
-    Pinv = CycMatrix.from_rows(n, [[1, -1], [0, 1]])
+@pytest.mark.parametrize("entries", [
+    {(1, 0): [(0, 0, 1), (0, 1, 1)], (0, 1): [(1, 1, 1)]},   # not diagonal
+    {(1, 0): [(0, 0, 2)], (0, 1): [(1, 1, 1)]},              # not 0/1
+    {(1, 0): [(0, 0, 1)], (0, 1): [(0, 0, 1), (1, 1, 1)]},   # two weights
+    {(1, 0): [(0, 0, 1)]},                                   # no weight
+], ids=["off-diagonal", "entry-2", "doubly-weighted", "unweighted"])
+def test_non_weight_p_action_is_rejected(A3, entries):
     Um = build_u_module(A3, 1, 0, 1, 0)
-    Mp = _change_basis(Um, P, Pinv)
-    assert Mp.weights() is None
-    assert check_yd(Mp)["ok"]
-    assert hom_dimension(Um, Mp) == 1
-    assert hom_dimension(Mp, Um) == 1
-    assert hom_dimension(build_simple(A3, V(n, 1, 1, 1)), Mp) == 0
-    assert is_yd_map(Um, Mp, Pinv)
-    assert not is_yd_map(Um, Mp, CycMatrix.identity(n, 2))
-    # the same x^ and coaction with the weights of u1 and u2 swapped: only
-    # the p-commutant rows tell it apart
+    with pytest.raises(ValueError):
+        YDModule(A3, 2, _p_action(3, 2, entries), Um.action_x, Um.coaction)
+
+
+def test_x_must_map_weight_ab_to_ba(A3):
+    # x^ swaps u1 and u2, so their weights must be transposes of each other
+    Um = build_u_module(A3, 1, 0, 1, 0)
+    bad = YDModule(A3, 2, [(1, 0), (1, 0)], Um.action_x, Um.coaction)
+    assert check_yd(bad)["module"] == ("x_p_commutation", (1, 0))
+    square = YDModule(A3, 2, Um.weights, Um.action_x.scale(cyc(3, 1)),
+                      Um.coaction)
+    assert check_yd(square)["module"] == ("x_squared", None)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_module_rebuilt_from_its_p_action(n):
+    # the p_{ab} matrices of a V, a U and a W, read back as weights, give
+    # the same module
+    A = KnAlgebra(n)
+    rng = random.Random(n)
+    labels = list_simples(A)
+    for kind in "VUW":
+        M = build_simple(A, rng.choice([L for L in labels if L.kind == kind]))
+        rebuilt = YDModule(A, M.dim, M.action_p, M.action_x, M.coaction)
+        assert rebuilt.weights == M.weights
+        assert check_yd(rebuilt)["ok"]
+        assert hom_dimension(M, rebuilt) == 1
+
+
+def test_label_weights_are_the_built_weights(A3):
+    for L in list_simples(A3):
+        assert build_simple(A3, L).weights == tuple(label_weights(L)), str(L)
+
+
+def test_swapped_weights_are_told_apart(A3):
+    # the x^ and coaction of U(1,0,1,0) with the weights of u1 and u2
+    # swapped: only the weights tell it apart
+    n = 3
+    p = modular_prime(n)
+    Um = build_u_module(A3, 1, 0, 1, 0)
     swapped = build_u_module(A3, 0, 1, 1, 0)
-    fake = _change_basis(YDModule(A3, 2, swapped.action_p, Um.action_x,
-                                  Um.coaction), P, Pinv)
+    fake = YDModule(A3, 2, swapped.weights, Um.action_x, Um.coaction)
+    assert fake.weights == tuple(reversed(Um.weights))
     assert hom_dimension(Um, fake) == 0
-    assert not is_yd_map(Um, fake, Pinv)
+    assert hom_dimension(Um, fake, p) == 0
+    assert hom_dimension(Um, Um, p) == 1
+    _check_modular_system(Um, fake, p)
+    assert not is_yd_map(Um, fake, CycMatrix.identity(n, 2))
+    assert not is_yd_map(Um, fake, CycMatrix.from_rows(n, [[0, 1], [1, 0]]))
+    assert is_yd_map(Um, Um, CycMatrix.identity(n, 2))
 
 
 # -- the Hom system over F_p --------------------------------------------------------------
@@ -376,21 +406,3 @@ def test_modular_hom_system_is_the_image_of_the_exact_one(n, seed):
         summands = [L for L, _ in closed_form_fuse(L1, L2).terms[:2]]
         for S in summands + [_shifted(summands[0])]:
             _check_modular_system(build_simple(A, S), M, p)
-
-
-def test_modular_hom_system_without_weights(A3):
-    # the p-commutant rows over F_p, on the module of
-    # test_hom_system_without_weights
-    n = 3
-    p = modular_prime(n)
-    P = CycMatrix.from_rows(n, [[1, 1], [0, 1]])
-    Pinv = CycMatrix.from_rows(n, [[1, -1], [0, 1]])
-    Um = build_u_module(A3, 1, 0, 1, 0)
-    Mp = _change_basis(Um, P, Pinv)
-    swapped = build_u_module(A3, 0, 1, 1, 0)
-    fake = _change_basis(YDModule(A3, 2, swapped.action_p, Um.action_x,
-                                  Um.coaction), P, Pinv)
-    for S, M in [(Um, Mp), (Mp, Um), (Mp, Mp), (Um, fake),
-                 (build_simple(A3, V(n, 1, 1, 1)), Mp)]:
-        _check_modular_system(S, M, p)
-    assert Mp.hom_table("p", p) is not None
