@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over Q(xi_n).
 
 Matrices are stored sparsely as a dict of row index -> {col index: CycNum};
-the representation never affects results.  Elimination uses a deterministic
-pivot rule: columns are scanned in order and the first remaining row with a
-nonzero entry in the current column becomes the pivot, with no scaling
-heuristics.  Kernel bases are returned in reduced echelon form (pivot =
-first nonzero column).  Exact rank, kernel and echelon computations run
-block by block over the connected components of the row/column graph.
-`CycMatrix.rank(prime)` is the rank of the image of the matrix over F_p
-(`cyclotomic.mod_p`), in machine integers: one incremental echelon pass over
-the rows, with no block split, since the rank does not depend on the pivot
-order.
+the representation never affects results.  Every rank, echelon basis, kernel
+and solution comes from one elimination, `_echelon`: an incremental pass
+over the rows that keeps one pivot row per pivot column, keyed by the row's
+least column (its greatest, for kernels), followed over Q(xi_n) by the
+back-substitution `_reduce`.  The reduced echelon form is unique, so the
+results do not depend on the row order.  Kernel bases are returned in
+reduced echelon form (pivot = first nonzero column).
+`CycMatrix.rank(prime)` runs the same pass on the image of the matrix over
+F_p (`cyclotomic.mod_p`), in machine integers.  `rref()` keeps the plain
+column-by-column elimination as a reference.
 """
 
 from __future__ import annotations
@@ -176,107 +176,19 @@ class CycMatrix:
                 for r in range(self.rows)]
         return _rref_rows(work, self.cols)
 
-    def _component_blocks(self):
-        """Split the support into connected components of the bipartite
-        row/column graph; elimination never mixes components, so rank and
-        kernel computations run block by block.  Returns a list of
-        (rows, cols) with rows a list of sparse row dicts and cols the
-        sorted column indices of the block."""
-        parent: dict[int, int] = {}
-
-        def find(c):
-            root = c
-            while parent[root] != root:
-                root = parent[root]
-            while parent[c] != root:
-                parent[c], c = root, parent[c]
-            return root
-
-        for row in self.data.values():
-            if not row:   # `set` to zero can empty a row
-                continue
-            it = iter(row)
-            first = next(it)
-            parent.setdefault(first, first)
-            r0 = find(first)
-            for c in it:
-                parent.setdefault(c, c)
-                r1 = find(c)
-                if r1 != r0:
-                    parent[r1] = r0
-        groups: dict[int, list] = {}
-        for c in parent:
-            groups.setdefault(find(c), []).append(c)
-        blocks = []
-        rows_of: dict[int, list] = {root: [] for root in groups}
-        for r in sorted(self.data):
-            row = self.data[r]
-            if row:
-                rows_of[find(next(iter(row)))].append(row)
-        for root in sorted(groups, key=lambda g: min(groups[g])):
-            blocks.append((rows_of[root], sorted(groups[root])))
-        return blocks
-
-    def _block_rrefs(self, reverse: bool = False):
-        """Per component block, (red, pivots, order): the block's RREF with
-        its columns taken in ascending order, or in descending order with
-        reverse=True.  order lists the block's columns in that order, and
-        pivots and the keys of red index into it."""
-        for rows, cols in self._component_blocks():
-            order = cols[::-1] if reverse else cols
-            remap = {c: i for i, c in enumerate(order)}
-            work = [{remap[c]: v for c, v in row.items()} for row in rows]
-            red, pivots = _rref_rows(work, len(order))
-            yield red, pivots, order
-
     def rank(self, prime: int | None = None) -> int | None:
         """The rank over Q(xi_n); with a prime p = 1 (mod n), the rank of
         the image over F_p under `mod_p` instead, which is at most the rank
         over Q(xi_n), or None if some entry has no image mod p.  For the
-        modular rank, entries may also be ints, read as residues mod p.
-
-        The modular rank is one incremental echelon pass: each row is
-        reduced against the stored pivot rows, keyed by their least column,
-        and kept as a new pivot row if anything remains."""
-        if prime is None:
-            return sum(len(pivots) for _, pivots, _ in self._block_rrefs())
-        pivot_rows: dict[int, dict[int, int]] = {}
-        for row in self.data.values():
-            work = {}
-            for c, v in row.items():
-                x = v % prime if type(v) is int else mod_p(v, prime)
-                if x is None:
-                    return None
-                if x:
-                    work[c] = x
-            # at full rank the remaining rows are only mapped, so an entry
-            # with no image still gives None
-            while work and len(pivot_rows) < self.cols:
-                lead = min(work)
-                prow = pivot_rows.get(lead)
-                if prow is None:
-                    inv = pow(work[lead], -1, prime)
-                    pivot_rows[lead] = {c: v * inv % prime
-                                        for c, v in work.items()}
-                    break
-                factor = work[lead]
-                for c, v in prow.items():
-                    s = (work.get(c, 0) - factor * v) % prime
-                    if s:
-                        work[c] = s
-                    else:
-                        work.pop(c, None)
-        return len(pivot_rows)
+        modular rank, entries may also be ints, read as residues mod p."""
+        pivots = _echelon(self, prime)
+        return None if pivots is None else len(pivots)
 
     def row_echelon(self) -> tuple[list[dict[int, CycNum]], list[int]]:
-        """The reduced echelon basis of the row space, eliminated block by
-        block: (its rows as sparse dicts, their pivot columns), in
-        ascending pivot order.  Equal to the nonzero rows of `rref()`."""
-        rows = []
-        for red, pivots, order in self._block_rrefs():
-            rows += [(order[p], {order[c]: v for c, v in row.items()})
-                     for row, p in zip(red, pivots)]
-        rows.sort(key=lambda item: item[0])
+        """The reduced echelon basis of the row space: (its rows as sparse
+        dicts, their pivot columns), in ascending pivot order.  Equal to the
+        nonzero rows of `rref()`."""
+        rows = sorted(_reduce(_echelon(self)).items())
         return [row for _, row in rows], [p for p, _ in rows]
 
     def kernel_basis(self) -> list[list[CycNum]]:
@@ -284,60 +196,128 @@ class CycMatrix:
         (each basis vector's first nonzero entry is a leading 1 in a column
         no other basis vector uses).
 
-        Each block is eliminated with its columns in descending order, so a
-        row with pivot p has its other entries in columns below p.  The
-        vector e_f - sum_i red[i][f] e_{p_i} of a free column f then has its
-        leading 1 at f and vanishes on every other free column: sorted by
-        f, these vectors are the reduced echelon basis, which is unique."""
+        The pivot rows are keyed by their greatest column, so after
+        reduction a row with pivot p has its other entries in free columns
+        below p.  The vector e_f - sum_p red[p][f] e_p of a free column f
+        then has its leading 1 at f and vanishes on every other free column:
+        sorted by f, these vectors are the reduced echelon basis, which is
+        unique."""
         zero = CycNum.zero(self.n)
         one = CycNum.one(self.n)
-        vecs: list[tuple[int, dict[int, CycNum]]] = []
-        seen_cols: set[int] = set()
-        for red, pivots, order in self._block_rrefs(reverse=True):
-            seen_cols.update(order)
-            pivot_set = set(pivots)
-            for f in range(len(order)):
-                if f in pivot_set:
-                    continue
-                v = {order[f]: one}
-                for i, p in enumerate(pivots):
-                    coeff = red[i].get(f)
-                    if coeff is not None:
-                        v[order[p]] = -coeff
-                vecs.append((order[f], v))
-        vecs += [(c, {c: one}) for c in range(self.cols) if c not in seen_cols]
-        vecs.sort(key=lambda item: item[0])
-        out = []
-        for _, row in vecs:
-            v = [zero] * self.cols
-            for c, x in row.items():
-                v[c] = x
-            out.append(v)
-        return out
+        red = _reduce(_echelon(self, last=True), last=True)
+        vecs = {f: [zero] * self.cols for f in range(self.cols)
+                if f not in red}
+        for f, vec in vecs.items():
+            vec[f] = one
+        for p, row in red.items():
+            for f, x in row.items():
+                if f != p:
+                    vecs[f][p] = -x
+        return list(vecs.values())
 
     def solve(self, b: list[CycNum]):
         """Solve M x = b.  Returns (particular, kernel_basis) or None if the
         system is inconsistent."""
         if len(b) != self.rows:
             raise ValueError("dimension mismatch")
-        work = []
-        for r in range(self.rows):
-            row = dict(self.data.get(r, {}))
-            if not b[r].is_zero():
-                row[self.cols] = b[r]
-            work.append(row)
-        red, pivots = _rref_rows(work, self.cols + 1)
-        if self.cols in pivots:
+        aug = CycMatrix(self.n, self.rows, self.cols + 1,
+                        {r: dict(row) for r, row in self.data.items()})
+        for r, v in enumerate(b):
+            aug.set(r, self.cols, v)
+        red = _reduce(_echelon(aug))
+        if self.cols in red:   # a row 0 = b_r with b_r nonzero
             return None
         zero = CycNum.zero(self.n)
         x = [zero] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = red[i].get(self.cols, zero)
+        for p, row in red.items():
+            x[p] = row.get(self.cols, zero)
         return x, self.kernel_basis()
 
 
+def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
+    """The one elimination: an incremental echelon pass over the rows of m.
+    Each row is reduced against the stored pivot rows, keyed by their least
+    column (greatest with last=True), until its lead column has no pivot
+    row; what is left, scaled to a leading 1, is stored as the pivot row of
+    that column.  Returns {pivot column: row}, an echelon basis of the row
+    space.
+
+    Over Q(xi_n) the entries are CycNum.  With a prime p, each entry is
+    first mapped to F_p by `mod_p` (an int is read as a residue) and the
+    pass runs on machine integers; returns None if some entry has no
+    image."""
+    pick = max if last else min
+    pivots: dict[int, dict] = {}
+    for row in m.data.values():
+        if prime is None:
+            work = dict(row)
+        else:
+            work = {}
+            for c, v in row.items():
+                x = v % prime if type(v) is int else mod_p(v, prime)
+                if x is None:
+                    return None
+                if x:
+                    work[c] = x
+        # at full rank the remaining rows are only mapped, so an entry
+        # with no image still gives None
+        while work and len(pivots) < m.cols:
+            lead = pick(work)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = _scaled(work, work[lead], prime)
+                break
+            factor = work[lead]
+            if prime is None:
+                _subtract(work, factor, prow)
+                continue
+            for c, v in prow.items():   # inline: the F_p rows are short
+                s = (work.get(c, 0) - factor * v) % prime
+                if s:
+                    work[c] = s
+                else:
+                    work.pop(c, None)
+    return pivots
+
+
+def _reduce(pivots: dict, last: bool = False) -> dict:
+    """Back-substitution on the pivot rows of `_echelon(m, None, last)`:
+    clears each pivot column from every other pivot row, in place, which
+    gives the reduced echelon form.  Rows are taken from the far end, so
+    the pivot rows subtracted from a row are already reduced."""
+    for lead in sorted(pivots, reverse=not last):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row[c], pivots[c])
+    return pivots
+
+
+def _scaled(row: dict, lead, prime: int | None) -> dict:
+    """row divided by its lead entry, over Q(xi_n) or F_p."""
+    if prime is not None:
+        inv = pow(lead, -1, prime)
+        return {c: v * inv % prime for c, v in row.items()}
+    if lead.is_one():
+        return row
+    inv = lead.inv()
+    return {c: v * inv for c, v in row.items()}
+
+
+def _subtract(work: dict, factor: CycNum, prow: dict):
+    """work -= factor * prow in place over Q(xi_n), zero entries dropped."""
+    for c, v in prow.items():
+        s = work.get(c)
+        s = -factor * v if s is None else s - factor * v
+        if s.is_zero():
+            work.pop(c, None)
+        else:
+            work[c] = s
+
+
 def _rref_rows(work: list[dict[int, CycNum]], cols: int):
-    """In-place RREF on sparse rows; deterministic first-nonzero pivoting."""
+    """In-place RREF on sparse rows; deterministic first-nonzero pivoting.
+    The plain reference for `rref()`, against which the tests check
+    `_echelon`."""
     pivots: list[int] = []
     rank = 0
     nrows = len(work)

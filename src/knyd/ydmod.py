@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
-from .hopf import (F, P, KnAlgebra, antipode_key, character, comatrix_element,
-                   counit, delta2_term, delta_terms, multiply, product_table)
+from .hopf import (F, P, KnAlgebra, KnElement, antipode_key, character,
+                   counit, delta2_term, delta_terms, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -269,11 +269,11 @@ def build_simple(A: KnAlgebra, label: Label) -> YDModule:
         mod.label = label
         return mod
     eps, i, m = label.data
-    chi = character(A, m, m - 2 * i)
+    t = m - 2 * i
     if label.kind == "V":
         return YDModule(A, 1, label_weights(label),
                         CycMatrix.from_rows(n, [[A.scalar(eps)]]),
-                        [[(chi, 0)]], label)
+                        [[(character(A, m, t), 0)]], label)
     # W
     action_x = CycMatrix.zero(n, n, n)
     for r in range(n):
@@ -281,10 +281,20 @@ def build_simple(A: KnAlgebra, label: Label) -> YDModule:
         if eps == -1:
             coeff = -coeff
         action_x.set((-r) % n, r, coeff)
+    # chi_{m,t} e_{rk}: p_{ab} f_{ab} = f_{ab} keeps one term of e_{rk} per
+    # s, f_{ab} with (a, b) = (s+r-k, s-r+k), times the character's
+    # xi^{ma+tb}; taken in ascending a, the order of `hopf.multiply`
     coaction = []
     for r in range(n):
-        coaction.append([(multiply(chi, comatrix_element(A, r, k)), k)
-                         for k in range(n)])
+        terms = []
+        for k in range(n):
+            coeffs = {}
+            for a in range(n):
+                s = a - r + k
+                b = (s - r + k) % n
+                coeffs[(F, a, b)] = A.xi(m * a + t * b - 2 * s * (r + k))
+            terms.append((KnElement(A, coeffs), k))
+        coaction.append(terms)
     return YDModule(A, n, label_weights(label), action_x, coaction, label)
 
 

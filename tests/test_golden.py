@@ -1,10 +1,11 @@
 """Golden outputs: the stdout of fixed `kn ... --json` commands, byte for
 byte, as sha256 digests.
 
-The digests were recorded from knyd 0.1.0 at commit 917fa73.  A change that
-alters any of these bytes (a reordered key, another float format, a
-different decomposition) fails here; a deliberate change of the JSON
-schema must record new digests and say so in CHANGES.md.
+The digests were recorded from knyd 0.1.0 at commit 917fa73, and the n = 5
+`nichols` one, the only golden with kernels over Q(xi_5), at 33c7151.  A
+change that alters any of these bytes (a reordered key, another float
+format, a different decomposition) fails here; a deliberate change of the
+JSON schema must record new digests and say so in CHANGES.md.
 """
 
 import hashlib
@@ -23,6 +24,8 @@ GOLDEN = [
      "818561718c486ec47e599504d13eb5e91d0e744289da675b6ec3414bb505f972"),
     ("nichols --n 3 --module W(-1,1,1) --cutoff 4 --relations --json",
      "24fb7b59b6047d4736e1970f8850765ea16ec1de8e5101b488cd336ccbacfa64"),
+    ("nichols --n 5 --module W(-1,1,1) --cutoff 3 --relations --json",
+     "8af1eee78750cd226a9b87fb23545679ba6bc0cab26793966a7af3215af1ced4"),
     ("nichols-sum --n 3 --labels U(0,1,0,2);U(0,1,2,1) --cutoff 4 --json",
      "f6119e97879440a5fbd969d2f1177423d57c761ce7027186772a36bcfe7e8d28"),
     ("yd-verify --n 5 --sample 30 --json",

@@ -81,8 +81,8 @@ def test_kernel_representation_independent():
 
 
 def test_block_decomposition_agrees_with_dense_elimination():
-    # a block-diagonal-with-shuffle matrix exercises the connected-component
-    # path; compare against the plain rref-based rank
+    # a block-diagonal matrix with shuffled rows and columns: the one
+    # elimination pass must agree with the plain rref-based rank
     n = 3
     A = CycMatrix.zero(n, 6, 6)
     one = CycNum.one(n)
@@ -280,6 +280,54 @@ def test_rank_nullity_and_kernel(A):
 @given(st.one_of(sparse_matrices(), block_matrices()))
 def test_row_echelon_is_the_plain_rref(A):
     assert A.row_echelon() == A.rref()
+
+
+def _vectors(n, size):
+    """Vectors of length size over Q(xi_n) with entries c * xi^k, |c| <= 2."""
+    entry = st.builds(lambda k, c: cyc(n, k) * CycNum.rational(n, c),
+                      st.integers(0, n - 1), st.integers(-2, 2))
+    return st.lists(entry, min_size=size, max_size=size)
+
+
+def _plain_rank(A, b=None):
+    """The rank of A, or of [A | b], through the plain `rref()`."""
+    if b is not None:
+        aug = CycMatrix(A.n, A.rows, A.cols + 1,
+                        {r: dict(row) for r, row in A.data.items()})
+        for r, v in enumerate(b):
+            aug.set(r, A.cols, v)
+        A = aug
+    return len(A.rref()[1])
+
+
+@_properties
+@given(st.one_of(sparse_matrices(), block_matrices()), st.data())
+def test_solve_consistent_and_inconsistent(A, data):
+    # b = A x0: solve returns some x with A x = b, and the kernel basis
+    x0 = data.draw(_vectors(A.n, A.cols))
+    b = A.apply(x0)
+    x, homogeneous = A.solve(b)
+    assert len(x) == A.cols and A.apply(x) == b
+    assert homogeneous == A.kernel_basis()
+    # an arbitrary b: None exactly when rank [A | b] > rank A
+    b = data.draw(_vectors(A.n, A.rows))
+    solution = A.solve(b)
+    if _plain_rank(A, b) > _plain_rank(A):
+        assert solution is None
+    else:
+        assert solution is not None and A.apply(solution[0]) == b
+
+
+def test_modular_rank_undefined_after_full_rank():
+    # once the pivot rows span F_p^cols the remaining rows are not reduced,
+    # but an entry with no image mod p in one of them still gives None
+    n = 3
+    p = SMALL_PRIME[n]
+    A = _mat(n, [[1, 0], [0, 1], [Fraction(1, p), 0]])
+    assert A.rank() == 2
+    assert A.rank(p) is None
+    B = _mat(n, [[1, 0], [0, 1], [Fraction(1, 2), 0]])
+    assert B.rank(p) == 2
 
 
 def test_modular_rank_undefined_on_p_in_denominator():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
 from knyd.fusion import closed_form_fuse, tensor_module
-from knyd.hopf import KnAlgebra, character
+from knyd.hopf import KnAlgebra, character, comatrix_element, multiply
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, _hom_system, braided_space,
                         braiding,
@@ -169,6 +169,26 @@ def test_w_weights(A3):
         wt = M.weights
         for r in range(n):
             assert wt[r] == ((i + 2 * r) % n, (i - 2 * r) % n)
+
+
+@pytest.mark.parametrize("n, count", [(3, None), (5, 8), (9, 6)])
+def test_w_coaction_is_the_product_with_the_comatrix(n, count):
+    # build_simple writes chi_{m,m-2i} e_{rk} from its closed form; it must
+    # be the product in K_n, term by term and in the same key order
+    A = KnAlgebra(n)
+    labels = [L for L in list_simples(A) if L.kind == "W"]
+    if count is not None:
+        labels = random.Random(n).sample(labels, count)
+    for L in labels:
+        _, i, m = L.data
+        chi = character(A, m, m - 2 * i)
+        M = build_simple(A, L)
+        for r in range(n):
+            assert [k for _, k in M.coaction[r]] == list(range(n))
+            for h, k in M.coaction[r]:
+                product = multiply(chi, comatrix_element(A, r, k))
+                assert list(h.coeffs.items()) == list(product.coeffs.items()), \
+                    (str(L), r, k)
 
 
 # -- braidings --------------------------------------------------------------------
