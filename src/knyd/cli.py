@@ -14,7 +14,6 @@ Label grammar (indices reduced mod n on parse):
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import random
@@ -27,7 +26,7 @@ from .hopf import KnAlgebra, verify_hopf_axioms
 from .ydmod import (U, V, build_simple, check_yd, dimension_census,
                     direct_sum, list_simples, parse_label, braided_space)
 from .fusion import (closed_form_fuse, decompose, fusion_table, sample_pairs,
-                     tensor_module, uw0_isomorphism)
+                     tensor_module)
 from .nichols import (MemoryBudgetError, _memory_budget_cells, a2_criterion,
                       graded_dims, infinite_precheck,
                       square_zero_monomial_space, sum_criterion)

@@ -76,7 +76,9 @@ def zn_orbit_set(n: int) -> list[tuple[int, int]]:
 def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
     """The tensor product in the YD category: h acts through the
     comultiplication, the coaction is delta(v (x) w) = v_{-1}w_{-1} (x)
-    (v_0 (x) w_0).  Basis is row-major: index of v_a (x) w_b is a*dim(M2) + b.
+    (v_0 (x) w_0), so each cell of its matrix over K_n is the product of a
+    cell of M1's and one of M2's.  Basis is row-major: index of v_a (x) w_b
+    is a*dim(M2) + b.
     Delta(p_{ab}) is the sum of p_{a'b'} (x) p_{a''b''} over (a',b') +
     (a'',b'') = (a,b), so the weight of v_a (x) w_b is the sum of theirs;
     x^, the sum of all f_{ab}, acts through `hopf.delta_terms`."""
@@ -106,14 +108,10 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
     for k1, m2 in right.items():
         action_x = action_x + M1.action_of(k1).kron(m2)
 
-    coaction = []
-    for a in range(d1):
-        for b in range(d2):
-            terms = []
-            for g, a1 in M1.coaction[a]:
-                for h, b1 in M2.coaction[b]:
-                    terms.append((multiply(g, h), a1 * d2 + b1))
-            coaction.append(terms)
+    coaction = [{a1 * d2 + b1: multiply(g, h)
+                 for a1, g in M1.coaction[a].items()
+                 for b1, h in M2.coaction[b].items()}
+                for a in range(d1) for b in range(d2)]
     return YDModule(A, dim, weights, action_x, coaction)
 
 

@@ -37,7 +37,7 @@ import os
 from dataclasses import dataclass
 from itertools import permutations
 
-from .cyclotomic import CycNum, root_exponents, root_order
+from .cyclotomic import CycNum, root_exponents
 from .linalg import CycMatrix
 
 

@@ -22,7 +22,7 @@ coaction.
 YD maps S -> M are the solutions of one sparse linear system
 (`_hom_system`): T pairs only basis vectors of equal weight
 (p-equivariance), commutes with x^ and intertwines the two coaction
-matrices (`YDModule.comatrix`), over Q(xi_n) or, from the images of the
+matrices (`YDModule.coaction`), over Q(xi_n) or, from the images of the
 module tables that each module caches per prime, over F_p.
 `hom_dimension` is its nullity and `is_yd_map` tests a given matrix against
 it.
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
-from .hopf import (F, P, KnAlgebra, KnElement, antipode_key, character,
-                   counit, delta2_term, delta_terms, product_table)
+from .hopf import (F, P, KnAlgebra, KnElement, _collect, antipode_key,
+                   character, counit, delta2_term, delta_terms, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -133,8 +133,9 @@ class YDModule:
     a basis of weight vectors: weights[r] = (a, b) says that p_{ab} fixes
     v_r and every other p kills it.  With action_x, the matrix of x^, the
     weights give the whole action (`action_of`): f_{ab} = p_{ab} x^.
-    coaction[j] is a list of (KnElement, k) pairs with
-    delta(v_j) = sum h (x) v_k.
+    The coaction is stored as its matrix over K_n: coaction[j] is row j, a
+    dict {k: KnElement} with delta(v_j) = sum_k coaction[j][k] (x) v_k, and
+    zero cells are dropped.
 
     The third argument may also be a dict {(a, b): matrix of p_{ab}}.  It is
     read once and must describe a weight basis, else ValueError.
@@ -150,10 +151,10 @@ class YDModule:
         self.dim = dim
         self.weights = tuple(weights)
         self.action_x = action_x
-        self.coaction = coaction
+        self.coaction = [{k: h for k, h in row.items() if not h.is_zero()}
+                         for row in coaction]
         self.label = label
         self._act_cache: dict = {}
-        self._comatrix = None
         self._images: dict = {}
 
     @property
@@ -181,33 +182,15 @@ class YDModule:
             m = self._act_cache[key] = CycMatrix(n, self.dim, self.dim, data)
         return m
 
-    def comatrix(self) -> dict:
-        """The coaction as a matrix over K_n: {(j, k): {basis key: coeff}}
-        with delta(v_j) = sum_k H_jk (x) v_k, zero entries pruned."""
-        if self._comatrix is None:
-            co: dict = {}
-            for j, terms in enumerate(self.coaction):
-                for h, k in terms:
-                    cell = co.setdefault((j, k), {})
-                    for hkey, v in h.coeffs.items():
-                        s = cell.get(hkey)
-                        cell[hkey] = v if s is None else s + v
-            self._comatrix = {}
-            for jk, cell in co.items():
-                cell = {hkey: v for hkey, v in cell.items() if not v.is_zero()}
-                if cell:
-                    self._comatrix[jk] = cell
-        return self._comatrix
-
     def hom_table(self, part: str, prime: int | None = None):
         """One family of matrices that `_hom_system` reads, as four
         parallel columns (tags, rows, cols, coeffs) of its entries: part
-        "x" is x^ (tag "x"), "co" the transposed comatrix, one matrix per
-        K_n basis key (its tag).  The p_{ab} need no table: between weight
-        bases they only fix which cells of T may be nonzero.  With a prime,
-        the image over F_p under `mod_p`, computed once and cached, or None
-        if some entry has no image; it shares the tags, rows and cols of the
-        exact table and adds only the residues."""
+        "x" is x^ (tag "x"), "co" the transposed coaction matrix, one
+        matrix per K_n basis key (its tag).  The p_{ab} need no table:
+        between weight bases they only fix which cells of T may be nonzero.
+        With a prime, the image over F_p under `mod_p`, computed once and
+        cached, or None if some entry has no image; it shares the tags, rows
+        and cols of the exact table and adds only the residues."""
         if prime is not None:
             key = (part, prime)
             if key not in self._images:
@@ -217,8 +200,8 @@ class YDModule:
                                      else (tags, rows, cols, residues))
             return self._images[key]
         if part == "co":
-            entries = [(hkey, l, k, v) for (k, l), h in self.comatrix().items()
-                       for hkey, v in h.items()]
+            entries = [(hkey, l, k, v) for k, row in enumerate(self.coaction)
+                       for l, h in row.items() for hkey, v in h.coeffs.items()]
         else:
             entries = [("x", r, c, v) for r, row in self.action_x.data.items()
                        for c, v in row.items()]
@@ -273,7 +256,7 @@ def build_simple(A: KnAlgebra, label: Label) -> YDModule:
     if label.kind == "V":
         return YDModule(A, 1, label_weights(label),
                         CycMatrix.from_rows(n, [[A.scalar(eps)]]),
-                        [[(character(A, m, t), 0)]], label)
+                        [{0: character(A, m, t)}], label)
     # W
     action_x = CycMatrix.zero(n, n, n)
     for r in range(n):
@@ -286,15 +269,15 @@ def build_simple(A: KnAlgebra, label: Label) -> YDModule:
     # xi^{ma+tb}; taken in ascending a, the order of `hopf.multiply`
     coaction = []
     for r in range(n):
-        terms = []
+        row = {}
         for k in range(n):
             coeffs = {}
             for a in range(n):
                 s = a - r + k
                 b = (s - r + k) % n
                 coeffs[(F, a, b)] = A.xi(m * a + t * b - 2 * s * (r + k))
-            terms.append((KnElement(A, coeffs), k))
-        coaction.append(terms)
+            row[k] = KnElement(A, coeffs)
+        coaction.append(row)
     return YDModule(A, n, label_weights(label), action_x, coaction, label)
 
 
@@ -305,8 +288,8 @@ def build_u_module(A: KnAlgebra, i: int, j: int, m: int, t: int) -> YDModule:
     n = A.n
     i, j, m, t = i % n, j % n, m % n, t % n
     action_x = CycMatrix.from_rows(n, [[0, 1], [1, 0]])
-    coaction = [[(character(A, m, t), 0)],
-                [(character(A, t + 2 * i, m - 2 * j), 1)]]
+    coaction = [{0: character(A, m, t)},
+                {1: character(A, t + 2 * i, m - 2 * j)}]
     return YDModule(A, 2, [(i, j), (j, i)], action_x, coaction)
 
 
@@ -321,8 +304,8 @@ def direct_sum(M1: YDModule, M2: YDModule) -> YDModule:
         action_x.data[r] = dict(row)
     for r, row in M2.action_x.data.items():
         action_x.data[r + d1] = {c + d1: v for c, v in row.items()}
-    coaction = [list(terms) for terms in M1.coaction]
-    coaction += [[(h, k + d1) for h, k in terms] for terms in M2.coaction]
+    coaction = M1.coaction + [{k + d1: h for k, h in row.items()}
+                              for row in M2.coaction]
     return YDModule(A, dim, M1.weights + M2.weights, action_x, coaction)
 
 
@@ -368,23 +351,18 @@ def check_yd(M: YDModule) -> dict:
             failure = ("x_p_commutation", bad)
     report["module"] = failure
 
-    # comodule axioms
+    # comodule axioms on each row of the coaction matrix
     failure = None
-    for j in range(M.dim):
+    one = CycNum.one(n)
+    for j, row in enumerate(M.coaction):
         # counit: (eps (x) id) delta = id
-        acc = [CycNum.zero(n)] * M.dim
-        for h, k in M.coaction[j]:
-            acc[k] = acc[k] + counit(h)
-        for k in range(M.dim):
-            ok = acc[k].is_one() if k == j else acc[k].is_zero()
-            if not ok:
-                failure = ("counit", j)
-                break
-        if failure:
+        if _collect((k, counit(h)) for k, h in row.items()) != {j: one}:
+            failure = ("counit", j)
             break
-        # coassociativity
+        # coassociativity, summed inline: it is most of the work of
+        # check_yd, and summing through `_collect` makes it a few % slower
         left: dict = {}
-        for h, k in M.coaction[j]:
+        for k, h in row.items():
             for hkey, v in h.coeffs.items():
                 for (k1, k2, w) in delta_terms(A, hkey):
                     key = (k1, k2, k)
@@ -392,8 +370,8 @@ def check_yd(M: YDModule) -> dict:
                     s = left.get(key)
                     left[key] = c if s is None else s + c
         right: dict = {}
-        for h, k in M.coaction[j]:
-            for g, l in M.coaction[k]:
+        for k, h in row.items():
+            for l, g in M.coaction[k].items():
                 for hkey, v in h.coeffs.items():
                     for gkey, w in g.coeffs.items():
                         key = (hkey, gkey, l)
@@ -428,7 +406,7 @@ def check_yd(M: YDModule) -> dict:
             # lhs: delta(h . v_j)
             lhs: dict = {}
             for k, coeff in column(hkey, j):
-                for g, l in M.coaction[k]:
+                for l, g in M.coaction[k].items():
                     for gkey, v in g.coeffs.items():
                         key = (gkey, l)
                         c = coeff * v
@@ -436,7 +414,7 @@ def check_yd(M: YDModule) -> dict:
                         lhs[key] = c if s is None else s + c
             # rhs: h1 v_{-1} S(h3) (x) h2 . v_0
             rhs: dict = {}
-            for g, k in M.coaction[j]:
+            for k, g in M.coaction[j].items():
                 for gkey, gamma in g.coeffs.items():
                     h1, h3, result = _sandwich_term(n, hkind, gkey)
                     h2key, coeff = delta2_term(n, hkey, h1, h3)
@@ -471,7 +449,7 @@ def braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
     dv, dw = Mv.dim, Mw.dim
     acc: dict = {}
     for a in range(dv):
-        for g, a1 in Mv.coaction[a]:
+        for a1, g in Mv.coaction[a].items():
             for hkey, coeff in g.coeffs.items():
                 for c_, grow in Mw.action_of(hkey).data.items():
                     for b, v in grow.items():
@@ -564,7 +542,12 @@ def hom_dimension(S: YDModule, M: YDModule,
 
 
 def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:
-    return M1.dim == M2.dim and hom_dimension(M1, M2) >= 1
+    """By semisimplicity, with M1 = sum a_i S_i and M2 = sum b_i S_i, the
+    three Hom dimensions sum a_i b_i, sum a_i^2, sum b_i^2 are equal exactly
+    when sum (a_i - b_i)^2 = 0, i.e. when M1 and M2 are isomorphic."""
+    return (M1.dim == M2.dim
+            and hom_dimension(M1, M2) == hom_dimension(M1, M1)
+            == hom_dimension(M2, M2))
 
 
 def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:

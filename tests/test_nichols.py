@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from knyd.cyclotomic import CycNum, cyc, root_order
 from knyd.hopf import KnAlgebra
 from knyd.linalg import CycMatrix
-from knyd.ydmod import (U, V, W, braided_space, build_simple, direct_sum,
-                        list_simples)
+from knyd.ydmod import (U, V, W, braided_space, braiding, build_simple,
+                        direct_sum, list_simples)
 from knyd.nichols import (BraidedSpace, BraidWord, MemoryBudgetError,
                           a2_criterion, braid_representation,
                           check_braid_equation, diagonal_data, graded_dims,
@@ -414,6 +414,27 @@ def test_sum_criterion_failing_pair(A3):
     assert not result["finite"]
     assert all(r["finite"] for r in result["per_label"])
     assert not result["per_pair"][0]["disconnected"]
+
+
+def test_sum_criterion_disconnected_is_the_trivial_double_braiding_n9():
+    # composite n: a seeded U label, U(3,4,5,6), against the 3239 other U
+    # labels; the pair is disconnected exactly when c_{M2,M1} c_{M1,M2} is
+    # the identity
+    A = KnAlgebra(9)
+    labels = [L for L in list_simples(A) if L.kind == "U"]
+    L1 = random.Random(9).choice(labels)
+    M1 = build_simple(A, L1)
+    identity = CycMatrix.identity(9, 4)
+    disconnected = 0
+    for L2 in labels:
+        if L2 == L1:
+            continue
+        M2 = build_simple(A, L2)
+        trivial = braiding(M2, M1) @ braiding(M1, M2) == identity
+        pair = sum_criterion([L1, L2])["per_pair"][0]
+        assert pair["disconnected"] == trivial, str(L2)
+        disconnected += trivial
+    assert disconnected == 36
 
 
 # -- infiniteness pre-check -----------------------------------------------------------

@@ -157,7 +157,7 @@ def test_corrupted_coaction_detected(A3):
     n = 3
     good = build_simple(A3, V(n, 1, 1, 2))
     bad = YDModule(A3, 1, good.action_p, good.action_x,
-                   [[(character(A3, 2, 2), 0)]])
+                   [{0: character(A3, 2, 2)}])
     report = check_yd(bad)
     assert not report["ok"]
 
@@ -184,8 +184,8 @@ def test_w_coaction_is_the_product_with_the_comatrix(n, count):
         chi = character(A, m, m - 2 * i)
         M = build_simple(A, L)
         for r in range(n):
-            assert [k for _, k in M.coaction[r]] == list(range(n))
-            for h, k in M.coaction[r]:
+            assert list(M.coaction[r]) == list(range(n))
+            for k, h in M.coaction[r].items():
                 product = multiply(chi, comatrix_element(A, r, k))
                 assert list(h.coeffs.items()) == list(product.coeffs.items()), \
                     (str(L), r, k)
@@ -282,6 +282,20 @@ def test_u_parameterizations_isomorphic(A3):
     M2 = build_u_module(A3, 0, 1, 2, 1)
     assert is_isomorphic(M1, M2)
     assert not is_isomorphic(M1, build_u_module(A3, 1, 0, 0, 0))
+
+
+def test_sums_sharing_a_summand_are_not_isomorphic(A3):
+    # Hom dimensions 1 between them but 2 from each to itself: one common
+    # summand does not make two sums isomorphic
+    n = 3
+    common = build_simple(A3, V(n, 1, 0, 0))
+    M1 = direct_sum(common, build_simple(A3, V(n, 1, 0, 1)))
+    M2 = direct_sum(common, build_simple(A3, V(n, 1, 0, 2)))
+    assert hom_dimension(M1, M2) == 1
+    assert hom_dimension(M1, M1) == hom_dimension(M2, M2) == 2
+    assert not is_isomorphic(M1, M2)
+    assert is_isomorphic(M1, direct_sum(build_simple(A3, V(n, 1, 0, 1)),
+                                        common))
 
 
 def test_is_yd_map_identity_and_swap(A3):
