@@ -55,11 +55,11 @@ def _parse(text: str, n: int):
 
 def _output_path(ctx, param, value):
     """Reject an output file that cannot be written before any work starts
-    ("-" is stdout)."""
-    if value is None or value == "-":
+    ("-" is stdout, for --json only)."""
+    if value is None or (value == "-" and param.name == "json_out"):
         return value
     parent = os.path.dirname(os.path.abspath(value))
-    if (os.path.isdir(value) or not os.path.isdir(parent)
+    if (value == "-" or os.path.isdir(value) or not os.path.isdir(parent)
             or not os.access(parent, os.W_OK)
             or (os.path.exists(value) and not os.access(value, os.W_OK))):
         raise click.UsageError("invalid output path: cannot write %s" % value)
@@ -282,6 +282,10 @@ def fuse(n, left, right, verify, json_out):
 def fusion_table_cmd(n, out_path, sample, seed, verify, json_out):
     """Tabulate fusion products for all (or sampled) pairs of simples and
     compare the closed form against the decomposition oracle."""
+    if (out_path is not None and json_out not in (None, "-")
+            and os.path.realpath(out_path) == os.path.realpath(json_out)):
+        raise click.UsageError("invalid output path: --out and --json both "
+                               "name %s" % out_path)
     A = KnAlgebra(n)
     pairs = sample_pairs(A, sample, seed) if sample is not None else None
     rows, mismatches = fusion_table(A, pairs=pairs, verify=verify)

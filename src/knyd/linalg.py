@@ -8,14 +8,15 @@ least column (its greatest, for kernels), followed over Q(xi_n) by the
 back-substitution `_reduce`.  The reduced echelon form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
 reduced echelon form (pivot = first nonzero column).
-`CycMatrix.rank(prime)` runs the same pass on the image of the matrix over
-F_p (`cyclotomic.mod_p`), in machine integers.  `rref()` keeps the plain
-column-by-column elimination as a reference.
+`CycMatrix.rank(prime)` runs the same pass on a matrix over F_p, whose
+entries are residues mod p, in machine integers.  The pass ends once every
+column has a pivot row.  `rref()` keeps the plain column-by-column
+elimination as a reference.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, mod_p
+from .cyclotomic import CycNum
 
 
 class CycMatrix:
@@ -176,13 +177,12 @@ class CycMatrix:
                 for r in range(self.rows)]
         return _rref_rows(work, self.cols)
 
-    def rank(self, prime: int | None = None) -> int | None:
-        """The rank over Q(xi_n); with a prime p = 1 (mod n), the rank of
-        the image over F_p under `mod_p` instead, which is at most the rank
-        over Q(xi_n), or None if some entry has no image mod p.  For the
-        modular rank, entries may also be ints, read as residues mod p."""
-        pivots = _echelon(self, prime)
-        return None if pivots is None else len(pivots)
+    def rank(self, prime: int | None = None) -> int:
+        """The rank over Q(xi_n); with a prime p, the rank over F_p of a
+        matrix whose entries are residues mod p (ints, none of them 0 mod
+        p), such as the image under `cyclotomic.mod_p` of a matrix over
+        Q(xi_n), whose rank it bounds from below."""
+        return len(_echelon(self, prime))
 
     def row_echelon(self) -> tuple[list[dict[int, CycNum]], list[int]]:
         """The reduced echelon basis of the row space: (its rows as sparse
@@ -239,29 +239,19 @@ def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
     Each row is reduced against the stored pivot rows, keyed by their least
     column (greatest with last=True), until its lead column has no pivot
     row; what is left, scaled to a leading 1, is stored as the pivot row of
-    that column.  Returns {pivot column: row}, an echelon basis of the row
-    space.
+    that column.  Once every column has one, the rows left cannot add a
+    pivot and are not read.  Returns {pivot column: row}, an echelon basis
+    of the row space.
 
-    Over Q(xi_n) the entries are CycNum.  With a prime p, each entry is
-    first mapped to F_p by `mod_p` (an int is read as a residue) and the
-    pass runs on machine integers; returns None if some entry has no
-    image."""
+    Over Q(xi_n) the entries are CycNum; with a prime p they are residues
+    mod p and the pass runs on machine integers."""
     pick = max if last else min
     pivots: dict[int, dict] = {}
     for row in m.data.values():
-        if prime is None:
-            work = dict(row)
-        else:
-            work = {}
-            for c, v in row.items():
-                x = v % prime if type(v) is int else mod_p(v, prime)
-                if x is None:
-                    return None
-                if x:
-                    work[c] = x
-        # at full rank the remaining rows are only mapped, so an entry
-        # with no image still gives None
-        while work and len(pivots) < m.cols:
+        if len(pivots) == m.cols:
+            break
+        work = dict(row)
+        while work:
             lead = pick(work)
             prow = pivots.get(lead)
             if prow is None:

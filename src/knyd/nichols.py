@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 from .cyclotomic import CycNum, root_exponents
 from .linalg import CycMatrix
@@ -191,7 +192,7 @@ def braid_representation(B: BraidedSpace, word: BraidWord) -> CycMatrix:
 
 
 def _check_budget(d: int, k: int):
-    if d ** k * min(_factorial(k), d ** k) > _memory_budget_cells():
+    if d ** k * min(factorial(k), d ** k) > _memory_budget_cells():
         raise MemoryBudgetError(
             "QS_%d on a %d-dimensional space exceeds the memory budget "
             "(set KN_MEMORY_MB to raise it)" % (k, d))
@@ -252,13 +253,6 @@ def naive_quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
     out = CycMatrix.zero(B.n, B.dim ** k, B.dim ** k)
     for sigma in permutations(range(1, k + 1)):
         out = out + braid_representation(B, matsumoto_lift(sigma))
-    return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
     return out
 
 

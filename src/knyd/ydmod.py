@@ -528,8 +528,8 @@ def hom_dimension(S: YDModule, M: YDModule,
     """Dimension of the space of YD maps S -> M: the nullity of the system
     of `_hom_system`.  With a prime, the nullity over F_p (see
     `CycMatrix.rank`) of the system built from the modules' cached F_p
-    images: an upper bound on the dimension, or None if the system cannot
-    be reduced mod p."""
+    images: an upper bound on the dimension, or None if a module table has
+    no image mod p (`YDModule.hom_table`)."""
     system = _hom_system(S, M, prime)
     if system is None:
         return None
@@ -537,8 +537,7 @@ def hom_dimension(S: YDModule, M: YDModule,
     if not cells:
         return 0
     mat = CycMatrix(S.algebra.n, len(rows), len(cells), dict(enumerate(rows)))
-    rank = mat.rank(prime)
-    return None if rank is None else len(cells) - rank
+    return len(cells) - mat.rank(prime)
 
 
 def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:

@@ -140,7 +140,11 @@ def test_invalid_sample(runner, args):
     ["hopf-verify", "--n", "3", "--json", "{tmp}"],
     ["fusion-table", "--n", "3", "--sample", "2", "--out", "{missing}/t.csv"],
     ["fusion-table", "--n", "3", "--sample", "2", "--out", "{tmp}"],
-], ids=["json-missing-dir", "json-is-dir", "csv-missing-dir", "csv-is-dir"])
+    ["fusion-table", "--n", "3", "--sample", "2", "--out", "-"],
+    ["fusion-table", "--n", "3", "--sample", "2", "--out", "{tmp}/t.csv",
+     "--json", "{tmp}/./t.csv"],
+], ids=["json-missing-dir", "json-is-dir", "csv-missing-dir", "csv-is-dir",
+        "csv-is-stdout", "csv-is-json"])
 def test_unwritable_output_path(runner, monkeypatch, tmp_path, args):
     # the path is rejected before the computation starts
     built = []

@@ -437,6 +437,37 @@ def test_sum_criterion_disconnected_is_the_trivial_double_braiding_n9():
     assert disconnected == 36
 
 
+def _series_product(a, b, top):
+    """The coefficients of degree 0..top of the product of two series."""
+    a, b = a + [0] * top, b + [0] * top
+    return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(top + 1)]
+
+
+def test_sum_criterion_against_graded_dims_of_the_sums(A3):
+    # every pair of distinct finite U labels at n = 3: the Hilbert series
+    # of a disconnected sum is the product of the summands' through degree
+    # 5, and a connected sum already differs from that product in degree 2
+    labels = sorted(L for L in list_simples(A3)
+                    if L.kind == "U" and str(L) in _FINITE_U_N3)
+    assert len(labels) == 12
+    modules = {L: build_simple(A3, L) for L in labels}
+    series = {L: graded_dims(braided_space(M), 5, want_relations=False).dims
+              for L, M in modules.items()}
+    disconnected = 0
+    for L1, L2 in itertools.combinations(labels, 2):
+        sum_space = braided_space(direct_sum(modules[L1], modules[L2]))
+        if sum_criterion([L1, L2])["per_pair"][0]["disconnected"]:
+            disconnected += 1
+            rep = graded_dims(sum_space, 5, want_relations=False)
+            assert rep.dims == _series_product(series[L1], series[L2], 5), \
+                (str(L1), str(L2))
+        else:
+            rep = graded_dims(sum_space, 2, want_relations=False)
+            assert rep.dims[2] != _series_product(series[L1], series[L2],
+                                                  2)[2], (str(L1), str(L2))
+    assert disconnected == 12
+
+
 # -- infiniteness pre-check -----------------------------------------------------------
 
 
