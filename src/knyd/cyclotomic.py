@@ -333,14 +333,27 @@ def cyc(n: int, k: int) -> CycNum:
 
 
 @lru_cache(maxsize=None)
+def _roots(n: int) -> tuple[CycNum, ...]:
+    """The 2n roots of unity of Q(xi_n), indexed by their exponent e."""
+    powers = _xi_powers(n)
+    return tuple(-powers[e % n] if e % 2 else powers[e % n]
+                 for e in range(2 * n))
+
+
+def root(n: int, e: int) -> CycNum:
+    """The root of unity with exponent e in Z/2n (see `root_exponents`):
+    (-1)^(e mod 2) xi^(e mod n).  xi^k has exponent k(n+1) mod 2n, -1 has
+    exponent n."""
+    return _roots(n)[e % (2 * n)]
+
+
+@lru_cache(maxsize=None)
 def root_exponents(n: int) -> dict[CycNum, int]:
     """The 2n roots of unity of Q(xi_n), each mapped to its exponent e in
-    Z/2n.  Since n is odd, Z/2n = Z/2 x Z/n by CRT and e stands for
-    (-1)^(e mod 2) xi^(e mod n), so a product of roots is the root of the
-    sum of their exponents mod 2n."""
-    powers = _xi_powers(n)
-    return {(-powers[e % n] if e % 2 else powers[e % n]): e
-            for e in range(2 * n)}
+    Z/2n; the inverse of `root`.  Since n is odd, Z/2n = Z/2 x Z/n by CRT
+    and e stands for (-1)^(e mod 2) xi^(e mod n), so a product of roots is
+    the root of the sum of their exponents mod 2n."""
+    return {r: e for e, r in enumerate(_roots(n))}
 
 
 @lru_cache(maxsize=None)

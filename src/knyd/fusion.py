@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cyclotomic import modular_prime
+from .cyclotomic import modular_prime, root
 from .linalg import CycMatrix
 from .hopf import F, KnAlgebra, delta_terms, multiply
 from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
@@ -100,8 +100,8 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
                 m2 = M2.action_of(k2)
                 if not m2.data or not M1.action_of(k1).data:
                     continue
-                if not v.is_one():
-                    m2 = m2.scale(v)
+                if v:
+                    m2 = m2.scale(root(n, v))
                 prev = right.get(k1)
                 right[k1] = m2 if prev is None else prev + m2
     action_x = CycMatrix.zero(n, dim, dim)

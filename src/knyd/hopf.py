@@ -18,9 +18,11 @@ implementation of this rule), and
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycNum, cyc, _field_data
+from .cyclotomic import CycNum, cyc, root, root_exponents, _field_data
 
 P = 0
 F = 1
@@ -288,41 +290,55 @@ def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
     return acc
 
 
-# -- cached coproduct data (used heavily by the YD checker) --------------------
+# -- the coproduct on exponents --------------------------------------------------
 
 
 def delta_terms(A: KnAlgebra, key) -> list:
-    """Delta of a basis element as a list of (key1, key2, CycNum)."""
+    """Delta of a basis element as a list of (key1, key2, e): the
+    coefficient of key1 (x) key2 is the root of unity with exponent e in
+    Z/2n (`cyclotomic.root`)."""
     return _delta_cache(A.n)[key]
 
 
 @lru_cache(maxsize=None)
-def _delta_cache(n: int):
-    A = KnAlgebra(n)
+def _delta_cache(n: int) -> dict:
+    """Delta on every basis key, from the closed form in the module
+    docstring, terms in ascending (i', j'): the coefficient of
+    f_{i'j'} (x) f_{i''j''} is xi^{i'j'' - j'i''}, whose exponent in Z/2n
+    is (i'j'' - j'i'')(n + 1)."""
+    # one key tuple per basis element: the audits compare tuples built from
+    # these keys, and equal items that are the same object compare at once
+    keys = [[[(kind, i, j) for j in range(n)] for i in range(n)]
+            for kind in (P, F)]
     out = {}
-    for key in A.basis_indices():
-        terms = []
-        for (k1, k2), v in comultiply(A.basis(*key)).coeffs.items():
-            terms.append((k1, k2, v))
-        out[key] = terms
+    for kind, i, j in KnAlgebra(n).basis_indices():
+        key = keys[kind]
+        terms = out[key[i][j]] = []
+        for i1 in range(n):
+            i2 = (i - i1) % n
+            for j1 in range(n):
+                j2 = (j - j1) % n
+                e = (i1 * j2 - j1 * i2) * (n + 1) % (2 * n) if kind == F else 0
+                terms.append((key[i1][j1], key[i2][j2], e))
     return out
 
 
 def delta2_term(n: int, h, h1, h3):
     """The one Delta^2 rule: the term h1 (x) h2 (x) h3 of Delta^2(h) for
-    basis keys h1, h3 of h's kind, as (h2 key, coefficient).  Every term of
-    Delta^2(h) has three factors of h's kind, indices adding up to h's:
-    i2 = i - i1 - i3, j2 = j - j1 - j3, with coefficient 1 for p and
-    xi^{i1(j2+j3) - j1(i2+i3) + i2 j3 - j2 i3} for f."""
+    basis keys h1, h3 of h's kind, as (h2 key, exponent in Z/2n of its
+    coefficient).  Every term of Delta^2(h) has three factors of h's kind,
+    indices adding up to h's: i2 = i - i1 - i3, j2 = j - j1 - j3, with
+    coefficient 1 for p and xi^{i1(j2+j3) - j1(i2+i3) + i2 j3 - j2 i3}
+    for f."""
     kind, i, j = h
     _, i1, j1 = h1
     _, i3, j3 = h3
     i2 = (i - i1 - i3) % n
     j2 = (j - j1 - j3) % n
     if kind == P:
-        return (P, i2, j2), cyc(n, 0)
-    return (F, i2, j2), cyc(n, i1 * (j2 + j3) - j1 * (i2 + i3)
-                           + i2 * j3 - j2 * i3)
+        return (P, i2, j2), 0
+    return (F, i2, j2), ((i1 * (j2 + j3) - j1 * (i2 + i3) + i2 * j3 - j2 * i3)
+                         * (n + 1) % (2 * n))
 
 
 # -- axiom verification ---------------------------------------------------------
@@ -344,6 +360,37 @@ def _collect(terms) -> dict:
         s = out.get(key)
         out[key] = c if s is None else s + c
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _root_terms(c: CycNum) -> tuple:
+    """c as a short sum of weighted roots, a tuple of (exponent in Z/2n,
+    rational weight) terms: ((e, 1),) when c is the root of exponent e,
+    else its power-basis expansion, one term per nonzero coefficient."""
+    n = c.n
+    e = root_exponents(n).get(c)
+    if e is not None:
+        return ((e, 1),)
+    return tuple((k * (n + 1) % (2 * n), Fraction(v, c.den))
+                 for k, v in enumerate(c.num) if v)
+
+
+def _sums_equal(n: int, lhs: list, rhs: list) -> bool:
+    """Whether two sparse sums over Q(xi_n) are equal.  Each is a list of
+    (key, term) pairs; a term is an exponent e in Z/2n, standing for the
+    root `cyclotomic.root(n, e)`, or a pair (e, w), for w times that root.
+    Equal multisets of terms per key prove equality; otherwise both sides
+    are summed exactly, zeros pruned, and compared."""
+    if lhs == rhs or dict.__eq__(Counter(lhs), Counter(rhs)):
+        return True
+
+    def value(t):
+        if isinstance(t, int):
+            return root(n, t)
+        r, w = root(n, t[0]), Fraction(t[1])
+        return CycNum(n, tuple(c * w.numerator for c in r.num), w.denominator)
+
+    return (_collect((key, value(t)) for key, t in lhs)
+            == _collect((key, value(t)) for key, t in rhs))
 
 
 def _first_mismatch(lhs: dict, rhs: dict):
@@ -391,14 +438,19 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
             break
     report["unit"] = {"ok": ce is None, "counterexample": ce}
 
-    # coassociativity: (Delta x id) Delta = (id x Delta) Delta
+    # coassociativity: (Delta x id) Delta = (id x Delta) Delta, every
+    # coefficient a root, multiplied by adding exponents mod 2n
+    delta = _delta_cache(n)
+    m = 2 * n
     ce = None
     for kx in basis:
-        dx = delta_terms(A, kx)
-        if (_collect(((k11, k12, k2), v * w) for k1, k2, v in dx
-                     for k11, k12, w in delta_terms(A, k1))
-                != _collect(((k1, k21, k22), v * w) for k1, k2, v in dx
-                            for k21, k22, w in delta_terms(A, k2))):
+        dx = delta[kx]
+        if not _sums_equal(n, [((k11, k12, k2), (v + w) % m)
+                               for k1, k2, v in dx
+                               for k11, k12, w in delta[k1]],
+                           [((k1, k21, k22), (v + w) % m)
+                            for k1, k2, v in dx
+                            for k21, k22, w in delta[k2]]):
             ce = kx
             break
     report["coassociativity"] = {"ok": ce is None, "counterexample": ce}
@@ -407,13 +459,16 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     # one table of its nonzero values on the basis
     e = {k: A.basis(*k) for k in basis}
     eps = _collect((k, counit(x)) for k, x in e.items())
+    eps_terms = {k: _root_terms(c) for k, c in eps.items()}
     ce = None
     for kx in basis:
-        dx = delta_terms(A, kx)
-        x = {kx: A.scalar(1)}
-        if (_collect((k2, v * eps[k1]) for k1, k2, v in dx if k1 in eps) != x
-                or _collect((k1, v * eps[k2]) for k1, k2, v in dx
-                            if k2 in eps) != x):
+        dx = delta[kx]
+        x = [(kx, (0, 1))]
+        if (not _sums_equal(n, [(k2, ((v + f) % m, w)) for k1, k2, v in dx
+                                if k1 in eps for f, w in eps_terms[k1]], x)
+                or not _sums_equal(n, [(k1, ((v + f) % m, w))
+                                       for k1, k2, v in dx if k2 in eps
+                                       for f, w in eps_terms[k2]], x)):
             ce = kx
             break
     report["counit"] = {"ok": ce is None, "counterexample": ce}
@@ -424,15 +479,18 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     # one y, so one pass over Delta(x) gives Delta(x) Delta(y) for every y.
     owner: dict = {}
     for ky in basis:
-        for l2, r2, w in delta_terms(A, ky):
+        for l2, r2, w in delta[ky]:
             owner.setdefault((l2, r2), []).append((ky, w))
-    du = comultiply(one).coeffs
+    du = {k: _root_terms(c) for k, c in comultiply(one).coeffs.items()}
     ce = None
     for kx in basis:
-        dx = delta_terms(A, kx)
-        if _collect(((kl, kr), du[(l1, r1)] * v) for l2, r2, v in dx
-                    for l1, kl in left_of[l2] for r1, kr in left_of[r2]
-                    if (l1, r1) in du) != {(l2, r2): v for l2, r2, v in dx}:
+        dx = delta[kx]
+        if not _sums_equal(n, [((kl, kr), ((v + f) % m, w))
+                               for l2, r2, v in dx
+                               for l1, kl in left_of[l2]
+                               for r1, kr in left_of[r2] if (l1, r1) in du
+                               for f, w in du[(l1, r1)]],
+                           [((l2, r2), (v, 1)) for l2, r2, v in dx]):
             ce = ("unit", kx)
             break
         products: dict = {}
@@ -440,12 +498,13 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
             for l2, kl in table[l1]:
                 for r2, kr in table[r1]:
                     for ky, w in owner.get((l2, r2), ()):
-                        products.setdefault(ky, []).append(((kl, kr), v * w))
+                        products.setdefault(ky, []).append(
+                            ((kl, kr), (v + w) % m))
         xy = dict(table[kx])
         for ky in basis:
-            expected = ({} if ky not in xy else
-                        {(l2, r2): w for l2, r2, w in delta_terms(A, xy[ky])})
-            if _collect(products.get(ky, ())) != expected:
+            expected = ([] if ky not in xy else
+                        [((l2, r2), w) for l2, r2, w in delta[xy[ky]]])
+            if not _sums_equal(n, products.get(ky, []), expected):
                 ce = (kx, ky)
                 break
         if ce:
@@ -468,17 +527,17 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     Se = {k: S(x) for k, x in e.items()}
 
     def convolution(dx, left, right):
-        return _collect((key, v * c) for k1, k2, v in dx
-                        for key, c in multiply(left[k1],
-                                               right[k2]).coeffs.items())
+        return [(key, ((v + f) % m, w)) for k1, k2, v in dx
+                for key, c in multiply(left[k1], right[k2]).coeffs.items()
+                for f, w in _root_terms(c)]
 
     ce = None
     for kx in basis:
-        dx = delta_terms(A, kx)
-        target = ({k: eps[kx] * c for k, c in unit.items()} if kx in eps
-                  else {})
-        if (convolution(dx, Se, e) != target
-                or convolution(dx, e, Se) != target):
+        dx = delta[kx]
+        target = ([(k, t) for k, c in unit.items()
+                   for t in _root_terms(eps[kx] * c)] if kx in eps else [])
+        if (not _sums_equal(n, convolution(dx, Se, e), target)
+                or not _sums_equal(n, convolution(dx, e, Se), target)):
             ce = kx
             break
     report["antipode"] = {"ok": ce is None, "counterexample": ce}

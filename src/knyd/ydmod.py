@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
-from .hopf import (F, P, KnAlgebra, KnElement, _collect, antipode_key,
-                   character, counit, delta2_term, delta_terms, product_table)
+from .hopf import (F, P, KnAlgebra, KnElement, _collect, _root_terms,
+                   _sums_equal, antipode_key, character, counit, delta2_term,
+                   delta_terms, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -312,6 +314,7 @@ def direct_sum(M1: YDModule, M2: YDModule) -> YDModule:
 # -- YD axiom checking ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _sandwich_term(n: int, hkind: int, gkey):
     """For h1 g S(h3) with h1, h3 of kind hkind and g a basis key, the unique
     nonzero combination: returns (h1key, h3key, result_key)."""
@@ -330,9 +333,15 @@ def _sandwich_term(n: int, hkind: int, gkey):
 
 def check_yd(M: YDModule) -> dict:
     """Verify module axioms, comodule axioms, and the YD compatibility
-    delta(h.v) = h1 v_{-1} S(h3) (x) h2.v_0 on every basis pair."""
+    delta(h.v) = h1 v_{-1} S(h3) (x) h2.v_0 on every basis pair.
+
+    Every coefficient of the action and the coaction is read as a short sum
+    of weighted roots (`hopf._root_terms`), one term for a root of unity, so
+    products add exponents mod 2n; each side of an identity is then a
+    sparse sum that `hopf._sums_equal` compares exactly."""
     A = M.algebra
     n = A.n
+    m = 2 * n
     report = {"module": None, "comodule": None, "yd": None}
 
     # module axioms via generator relations (equivalent to rho being an
@@ -351,6 +360,10 @@ def check_yd(M: YDModule) -> dict:
             failure = ("x_p_commutation", bad)
     report["module"] = failure
 
+    # the coaction matrix with each cell a list of (K_n key, terms)
+    co = [{k: [(hkey, _root_terms(v)) for hkey, v in h.coeffs.items()]
+           for k, h in row.items()} for row in M.coaction]
+
     # comodule axioms on each row of the coaction matrix
     failure = None
     one = CycNum.one(n)
@@ -359,73 +372,54 @@ def check_yd(M: YDModule) -> dict:
         if _collect((k, counit(h)) for k, h in row.items()) != {j: one}:
             failure = ("counit", j)
             break
-        # coassociativity, summed inline: it is most of the work of
-        # check_yd, and summing through `_collect` makes it a few % slower
-        left: dict = {}
-        for k, h in row.items():
-            for hkey, v in h.coeffs.items():
-                for (k1, k2, w) in delta_terms(A, hkey):
-                    key = (k1, k2, k)
-                    c = v * w
-                    s = left.get(key)
-                    left[key] = c if s is None else s + c
-        right: dict = {}
-        for k, h in row.items():
-            for l, g in M.coaction[k].items():
-                for hkey, v in h.coeffs.items():
-                    for gkey, w in g.coeffs.items():
-                        key = (hkey, gkey, l)
-                        c = v * w
-                        s = right.get(key)
-                        right[key] = c if s is None else s + c
-        left = {k_: v for k_, v in left.items() if not v.is_zero()}
-        right = {k_: v for k_, v in right.items() if not v.is_zero()}
-        if left != right:
+        # coassociativity: (Delta (x) id) delta = (id (x) delta) delta
+        left = [((k1, k2, k), ((e + f) % m, w))
+                for k, cell in co[j].items() for hkey, ts in cell
+                for k1, k2, f in delta_terms(A, hkey) for e, w in ts]
+        right = [((hkey, gkey, l), ((e + f) % m, w * x))
+                 for k, cell in co[j].items() for l, gcell in co[k].items()
+                 for hkey, ts in cell for gkey, gs in gcell
+                 for e, w in ts for f, x in gs]
+        if not _sums_equal(n, left, right):
             failure = ("coassociativity", j)
             break
     report["comodule"] = failure
 
-    # YD compatibility on every (basis of K_n) x (basis of M)
-    columns: dict = {}
-
-    def column(key, c):
-        """The nonzero entries (row, coeff) of column c of key's action."""
-        cols = columns.get(key)
-        if cols is None:
-            cols = columns[key] = {}
-            for r, row in M.action_of(key).data.items():
-                for c1, v in row.items():
-                    if not v.is_zero():
-                        cols.setdefault(c1, []).append((r, v))
-        return cols.get(c, ())
-
+    # YD compatibility on every (basis of K_n) x (basis of M).  column maps
+    # (key, c) to the nonzero entries (row, terms) of column c of key's
+    # action.
+    basis = list(A.basis_indices())
+    column: dict = {}
+    for key in basis:
+        for r, row in M.action_of(key).data.items():
+            for c, v in row.items():
+                if not v.is_zero():
+                    column.setdefault((key, c), []).append(
+                        (r, _root_terms(v)))
+    # rhs[(h, j)]: h1 v_{-1} S(h3) (x) h2 . v_0 for v = v_j.  A term g of
+    # cell (j, k) of the coaction meets one h1, h3 of each kind (the
+    # sandwich), and h2 . v_k is nonzero only for the keys h2 of column k;
+    # the indices of h1, h2, h3 add up to h's (`hopf.delta2_term`)
+    rhs: dict = {}
+    for (h2, k), entries in column.items():
+        hkind, a, b = h2
+        for j, row in enumerate(co):
+            for gkey, gs in row.get(k, ()):
+                h1, h3, result = _sandwich_term(n, hkind, gkey)
+                h = (hkind, (h1[1] + a + h3[1]) % n, (h1[2] + b + h3[2]) % n)
+                d = delta2_term(n, h, h1, h3)[1]
+                rhs.setdefault((h, j), []).extend(
+                    ((result, r), ((e + d + f) % m, w * x))
+                    for e, w in gs for r, ts in entries for f, x in ts)
     failure = None
-    for hkey in A.basis_indices():
-        hkind = hkey[0]
+    for hkey in basis:
         for j in range(M.dim):
             # lhs: delta(h . v_j)
-            lhs: dict = {}
-            for k, coeff in column(hkey, j):
-                for l, g in M.coaction[k].items():
-                    for gkey, v in g.coeffs.items():
-                        key = (gkey, l)
-                        c = coeff * v
-                        s = lhs.get(key)
-                        lhs[key] = c if s is None else s + c
-            # rhs: h1 v_{-1} S(h3) (x) h2 . v_0
-            rhs: dict = {}
-            for k, g in M.coaction[j].items():
-                for gkey, gamma in g.coeffs.items():
-                    h1, h3, result = _sandwich_term(n, hkind, gkey)
-                    h2key, coeff = delta2_term(n, hkey, h1, h3)
-                    for row, w in column(h2key, k):
-                        key = (result, row)
-                        c = gamma * coeff * w
-                        s = rhs.get(key)
-                        rhs[key] = c if s is None else s + c
-            lhs = {k_: v for k_, v in lhs.items() if not v.is_zero()}
-            rhs = {k_: v for k_, v in rhs.items() if not v.is_zero()}
-            if lhs != rhs:
+            lhs = [((gkey, l), ((e + f) % m, w * x))
+                   for k, ts in column.get((hkey, j), ())
+                   for l, gcell in co[k].items() for gkey, gs in gcell
+                   for e, w in ts for f, x in gs]
+            if not _sums_equal(n, lhs, rhs.get((hkey, j), [])):
                 failure = ("yd", hkey, j)
                 break
         if failure:

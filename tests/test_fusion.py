@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knyd import fusion
-from knyd.cyclotomic import CycNum, modular_prime
+from knyd.cyclotomic import CycNum, modular_prime, root
 from knyd.hopf import P, KnAlgebra, delta_terms
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
@@ -48,7 +48,7 @@ def test_tensor_weights_match_the_comultiplication(n, seed):
                 for k1, k2, v in delta_terms(A, (P, a, b)):
                     m1, m2 = M1.action_of(k1), M2.action_of(k2)
                     if m1.data and m2.data:
-                        act = act + m1.kron(m2.scale(v))
+                        act = act + m1.kron(m2.scale(root(n, v)))
                 diagonal = {r: {r: one} for r, w in enumerate(M.weights)
                             if w == (a, b)}
                 assert act == CycMatrix(n, M.dim, M.dim, diagonal), (a, b)

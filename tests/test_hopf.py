@@ -5,7 +5,7 @@ import random
 import pytest
 
 from knyd import hopf
-from knyd.cyclotomic import CycNum, cyc
+from knyd.cyclotomic import CycNum, cyc, root, root_exponents
 from knyd.hopf import (F, KnAlgebra, KnElement, P, TensorElement,
                        adjoint_action, antipode, character, comatrix_element,
                        comultiply, counit, delta2_term, delta_terms, multiply,
@@ -146,7 +146,8 @@ def _reference_audit(A):
     def delta(x):
         out = TensorElement(A, {})
         for key, v in x.coeffs.items():
-            out = out + TensorElement(A, {(k1, k2): w for k1, k2, w
+            out = out + TensorElement(A, {(k1, k2): root(A.n, w)
+                                          for k1, k2, w
                                           in delta_terms(A, key)}).scale(v)
         return out
 
@@ -187,11 +188,23 @@ def _wrong_product(n, key=(P, 0, 0), slot=0, right=(P, 0, 0),
 
 
 def _wrong_twist(n):
-    """The Delta cache with one twist of Delta(f_12) multiplied by xi."""
+    """The Delta cache with one twist of Delta(f_12) multiplied by xi,
+    whose exponent in Z/2n is n + 1."""
     cache = dict(hopf._delta_cache(n))
     terms = list(cache[(F, 1, 2)])
     k1, k2, v = terms[1]
-    terms[1] = (k1, k2, v * cyc(n, 1))
+    terms[1] = (k1, k2, (v + n + 1) % (2 * n))
+    cache[(F, 1, 2)] = terms
+    return cache
+
+
+def _swapped_factors(n):
+    """The Delta cache with the factors of one term of Delta(f_12)
+    swapped, so that Delta(f_12) holds that tensor key twice."""
+    cache = dict(hopf._delta_cache(n))
+    terms = list(cache[(F, 1, 2)])
+    k1, k2, v = terms[1]
+    terms[1] = (k2, k1, v)
     cache[(F, 1, 2)] = terms
     return cache
 
@@ -207,7 +220,7 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", [None, *FAULTS, "twist"])
+@pytest.mark.parametrize("fault", [None, *FAULTS, "twist", "swap"])
 def test_table_audit_matches_element_loops(A3, monkeypatch, fault):
     if fault in FAULTS:
         monkeypatch.setattr(hopf, "product_table",
@@ -215,6 +228,9 @@ def test_table_audit_matches_element_loops(A3, monkeypatch, fault):
     elif fault == "twist":
         monkeypatch.setattr(hopf, "_delta_cache",
                             lambda n, c=_wrong_twist(3): c)
+    elif fault == "swap":
+        monkeypatch.setattr(hopf, "_delta_cache",
+                            lambda n, c=_swapped_factors(3): c)
     report = verify_hopf_axioms(A3)
     reference = _reference_audit(A3)
     for axiom, ce in reference.items():
@@ -244,9 +260,24 @@ def test_wrong_twist_fails_delta_axioms(A3, monkeypatch):
     assert report["associativity"]["ok"] and report["unit"]["ok"]
 
 
+@pytest.mark.parametrize("n,samples", [(3, None), (5, None), (7, None),
+                                       (9, 20)])
+def test_delta_terms_is_comultiply_on_exponents(n, samples):
+    A = KnAlgebra(n)
+    roots = root_exponents(n)
+    keys = list(A.basis_indices())
+    if samples is not None:
+        keys = random.Random(n).sample(keys, samples)
+    for key in keys:
+        assert delta_terms(A, key) == [
+            (k1, k2, roots[v])
+            for (k1, k2), v in comultiply(A.basis(*key)).coeffs.items()], key
+
+
 @pytest.mark.parametrize("n,samples", [(3, None), (9, 6)])
 def test_delta2_term_is_delta_applied_twice(n, samples):
     A = KnAlgebra(n)
+    roots = root_exponents(n)
     keys = list(A.basis_indices())
     if samples is not None:
         keys = random.Random(n).sample(keys, samples)
@@ -258,7 +289,7 @@ def test_delta2_term_is_delta_applied_twice(n, samples):
                 terms[(k11, k12, k2)] = v * w
         assert len(terms) == n ** 4
         for (h1, h2, h3), c in terms.items():
-            assert delta2_term(n, h, h1, h3) == (h2, c), (h, h1, h3)
+            assert delta2_term(n, h, h1, h3) == (h2, roots[c]), (h, h1, h3)
 
 
 def test_characters_are_group_like(A3):

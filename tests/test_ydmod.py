@@ -1,17 +1,19 @@
 """Simple Yetter-Drinfeld modules: labels, axioms, braidings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
+from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime, root
 from knyd.fusion import closed_form_fuse, tensor_module
-from knyd.hopf import KnAlgebra, character, comatrix_element, multiply
+from knyd.hopf import (KnAlgebra, _collect, character, comatrix_element,
+                       comultiply, counit, delta2_term, multiply)
 from knyd.linalg import CycMatrix
-from knyd.ydmod import (U, V, W, YDModule, _hom_system, braided_space,
-                        braiding,
+from knyd.ydmod import (U, V, W, YDModule, _hom_system, _sandwich_term,
+                        braided_space, braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
                         is_isomorphic, is_yd_map, label_weights, list_simples,
@@ -160,6 +162,201 @@ def test_corrupted_coaction_detected(A3):
                    [{0: character(A3, 2, 2)}])
     report = check_yd(bad)
     assert not report["ok"]
+
+
+# -- check_yd against the element-level reference ----------------------------
+
+
+def _reference_check_yd(M):
+    """check_yd with every coefficient a CycNum: Delta from `comultiply`,
+    the Delta^2 coefficient as the root of `delta2_term`'s exponent, and
+    each side of every identity summed in Q(xi_n) and compared."""
+    A = M.algebra
+    n = A.n
+    report = {"module": None, "comodule": None, "yd": None}
+    deltas: dict = {}
+
+    def delta(hkey):
+        if hkey not in deltas:
+            deltas[hkey] = [(k1, k2, v) for (k1, k2), v
+                            in comultiply(A.basis(*hkey)).coeffs.items()]
+        return deltas[hkey]
+
+    wt = M.weights
+    failure = None
+    if M.action_x @ M.action_x != CycMatrix.identity(n, M.dim):
+        failure = ("x_squared", None)
+    else:
+        bad = next((wt[c] for r, row in M.action_x.data.items()
+                    for c, v in row.items()
+                    if wt[r] != wt[c][::-1] and not v.is_zero()), None)
+        if bad is not None:
+            failure = ("x_p_commutation", bad)
+    report["module"] = failure
+
+    failure = None
+    one = CycNum.one(n)
+    for j, row in enumerate(M.coaction):
+        if _collect((k, counit(h)) for k, h in row.items()) != {j: one}:
+            failure = ("counit", j)
+            break
+        left = _collect(((k1, k2, k), v * w) for k, h in row.items()
+                        for hkey, v in h.coeffs.items()
+                        for k1, k2, w in delta(hkey))
+        right = _collect(((hkey, gkey, l), v * w) for k, h in row.items()
+                         for l, g in M.coaction[k].items()
+                         for hkey, v in h.coeffs.items()
+                         for gkey, w in g.coeffs.items())
+        if left != right:
+            failure = ("coassociativity", j)
+            break
+    report["comodule"] = failure
+
+    def column(key, c):
+        return [(r, row[c]) for r, row in M.action_of(key).data.items()
+                if c in row and not row[c].is_zero()]
+
+    failure = None
+    for hkey in A.basis_indices():
+        for j in range(M.dim):
+            lhs = _collect(((gkey, l), coeff * v)
+                           for k, coeff in column(hkey, j)
+                           for l, g in M.coaction[k].items()
+                           for gkey, v in g.coeffs.items())
+            rhs = []
+            for k, g in M.coaction[j].items():
+                for gkey, gamma in g.coeffs.items():
+                    h1, h3, result = _sandwich_term(n, hkey[0], gkey)
+                    h2key, d = delta2_term(n, hkey, h1, h3)
+                    rhs += [((result, r), gamma * root(n, d) * w)
+                            for r, w in column(h2key, k)]
+            if lhs != _collect(rhs):
+                failure = ("yd", hkey, j)
+                break
+        if failure:
+            break
+    report["yd"] = failure
+    report["ok"] = all(report[k] is None for k in ("module", "comodule", "yd"))
+    return report
+
+
+def _scaled_cell(M, part, cell, factor):
+    """M with one action (x^) or coaction cell multiplied by factor."""
+    x = CycMatrix(M.algebra.n, M.dim, M.dim,
+                  {r: dict(row) for r, row in M.action_x.data.items()})
+    coaction = [dict(row) for row in M.coaction]
+    r, c = cell
+    if part == "action":
+        x.data[r][c] = x.data[r][c] * factor
+    else:
+        coaction[r][c] = coaction[r][c].scale(factor)
+    return YDModule(M.algebra, M.dim, M.weights, x, coaction)
+
+
+def _cells(M, part):
+    if part == "action":
+        return sorted((r, c) for r, row in M.action_x.data.items()
+                      for c in row)
+    return sorted((j, k) for j, row in enumerate(M.coaction) for k in row)
+
+
+def _conjugated_v_sum(n):
+    """V(+1,0,0) + V(-1,0,0) in the basis changed by [[1, 1+xi], [0, 1]]:
+    both vectors have weight (0, 0) and coaction 1 (x) v, which the change
+    of basis keeps, and x^ = diag(1, -1) becomes P x^ P^-1."""
+    A = KnAlgebra(n)
+    M = direct_sum(build_simple(A, V(n, 1, 0, 0)),
+                   build_simple(A, V(n, -1, 0, 0)))
+    t = cyc(n, 0) + cyc(n, 1)
+    P = CycMatrix.from_rows(n, [[1, t], [0, 1]])
+    P_inv = CycMatrix.from_rows(n, [[1, -t], [0, 1]])
+    return YDModule(A, 2, M.weights, P @ M.action_x @ P_inv, M.coaction)
+
+
+def _reference_cases():
+    A3, A5, A9 = KnAlgebra(3), KnAlgebra(5), KnAlgebra(9)
+    cases = [build_simple(A3, L) for L in list_simples(A3)]
+    cases += [build_simple(A5, L)
+              for L in random.Random(5).sample(list_simples(A5), 8)]
+    rng = random.Random(9)
+    labels9 = list_simples(A9)
+    cases += [build_simple(A9, rng.choice([L for L in labels9
+                                           if L.kind == kind]))
+              for kind in "VUW"]
+    # x^ on W(+1,1,2) without its factor xi^{4ir}
+    good = build_simple(A3, W(3, 1, 1, 2))
+    plain_x = CycMatrix.zero(3, 3, 3)
+    for r in range(3):
+        plain_x.set((-r) % 3, r, A3.scalar(1))
+    cases.append(YDModule(A3, 3, good.weights, plain_x, good.coaction))
+    # the action of V(+1,0,0) with the coaction of V(+1,1,0)
+    M = build_simple(A3, V(3, 1, 0, 0))
+    cases.append(YDModule(A3, 1, M.weights, M.action_x,
+                          build_simple(A3, V(3, 1, 1, 0)).coaction))
+    # W(-1,2,3) at n = 5 with one coaction cell negated
+    M = build_simple(A5, W(5, -1, 2, 3))
+    cases.append(_scaled_cell(M, "coaction", (1, 3), A5.scalar(-1)))
+    # U(1,0,1,0) in the basis (p u1, u2): x^ has the entries 1/p and p
+    p = modular_prime(3)
+    Um = build_u_module(A3, 1, 0, 1, 0)
+    cases.append(YDModule(A3, 2, Um.weights, CycMatrix.from_rows(
+        3, [[0, Fraction(1, p)], [p, 0]]), Um.coaction))
+    # W(-1,1,2) at n = 5 in the basis (r+1) w_r: x^ and the coaction take
+    # the rational factors (r+1)/(-r+1) and (j+1)/(k+1)
+    M = build_simple(A5, W(5, -1, 1, 2))
+    x = CycMatrix.zero(5, 5, 5)
+    for r, row in M.action_x.data.items():
+        for c, v in row.items():
+            x.set(r, c, v * A5.scalar(Fraction(c + 1, r + 1)))
+    cases.append(YDModule(A5, 5, M.weights, x, [
+        {k: h.scale(A5.scalar(Fraction(j + 1, k + 1)))
+         for k, h in row.items()} for j, row in enumerate(M.coaction)]))
+    return cases
+
+
+def test_check_yd_matches_the_reference():
+    failing = 0
+    for M in _reference_cases():
+        report = check_yd(M)
+        assert report == _reference_check_yd(M), M
+        failing += not report["ok"]
+    assert failing == 3
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_check_yd_on_entries_that_are_not_roots(n):
+    M = _conjugated_v_sum(n)
+    assert not M.action_x.get(0, 1).is_zero()
+    report = check_yd(M)
+    assert report["ok"] and report == _reference_check_yd(M)
+    bad = _scaled_cell(M, "coaction", (0, 0), cyc(n, 0) + cyc(n, 1))
+    report = check_yd(bad)
+    assert report == _reference_check_yd(bad)
+    assert report["comodule"] == ("counit", 0)
+    assert report["yd"] is not None
+
+
+_SIMPLES = {n: list_simples(KnAlgebra(n)) for n in (3, 5, 7, 9)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_check_yd_matches_the_reference_on_one_scaled_cell(data):
+    n = data.draw(st.sampled_from(sorted(_SIMPLES)))
+    M = build_simple(KnAlgebra(n), data.draw(st.sampled_from(_SIMPLES[n])))
+    part = data.draw(st.sampled_from(["action", "coaction"]))
+    cell = data.draw(st.sampled_from(_cells(M, part)))
+    kind = data.draw(st.sampled_from(["root", "rational", "one_plus_root"]))
+    if kind == "root":
+        factor = root(n, data.draw(st.integers(0, 2 * n - 1)))
+    elif kind == "rational":
+        factor = CycNum.rational(n, Fraction(
+            data.draw(st.integers(-6, 6).filter(bool)),
+            data.draw(st.integers(1, 6))))
+    else:
+        factor = cyc(n, 0) + cyc(n, data.draw(st.integers(0, n - 1)))
+    bad = _scaled_cell(M, part, cell, factor)
+    assert check_yd(bad) == _reference_check_yd(bad)
 
 
 def test_w_weights(A3):
