@@ -27,7 +27,7 @@ from .ydmod import (U, V, build_simple, check_yd, dimension_census,
                     direct_sum, list_simples, parse_label, braided_space)
 from .fusion import (closed_form_fuse, decompose, fusion_table, sample_pairs,
                      tensor_module)
-from .nichols import (MemoryBudgetError, _memory_budget_cells, a2_criterion,
+from .nichols import (MemoryBudgetError, _memory_budget_bytes, a2_criterion,
                       graded_dims, infinite_precheck,
                       square_zero_monomial_space, sum_criterion)
 from . import rackbattery
@@ -126,7 +126,7 @@ def main():
     Yetter-Drinfeld modules, fusion rules, Nichols algebras, and the
     associated rack machinery."""
     try:
-        _memory_budget_cells()
+        _memory_budget_bytes()
     except ValueError as exc:
         raise click.UsageError(str(exc))
 

@@ -240,16 +240,15 @@ def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
     column (greatest with last=True), until its lead column has no pivot
     row; what is left, scaled to a leading 1, is stored as the pivot row of
     that column.  Once every column has one, the rows left cannot add a
-    pivot and are not read.  Returns {pivot column: row}, an echelon basis
-    of the row space.
+    pivot and are not fetched: m.data may build its rows as they are read
+    (`ydmod._hom_system`).  Returns {pivot column: row}, an echelon basis of
+    the row space.
 
     Over Q(xi_n) the entries are CycNum; with a prime p they are residues
     mod p and the pass runs on machine integers."""
     pick = max if last else min
     pivots: dict[int, dict] = {}
     for row in m.data.values():
-        if len(pivots) == m.cols:
-            break
         work = dict(row)
         while work:
             lead = pick(work)
@@ -267,6 +266,8 @@ def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
                     work[c] = s
                 else:
                     work.pop(c, None)
+        if len(pivots) == m.cols:
+            break
     return pivots
 
 

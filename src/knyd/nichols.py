@@ -34,6 +34,8 @@ C_k = M_k (R_{k-1} (x) id)[:, P_k]; and ker(QS_k) = ker(R_k).
 from __future__ import annotations
 
 import os
+import resource
+import sys
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
@@ -43,11 +45,12 @@ from .linalg import CycMatrix
 
 
 class MemoryBudgetError(Exception):
-    """Raised when a symmetrizer would exceed the configured memory bound
+    """Raised when the next step of a symmetrizer or graded-dimension
+    computation would take the process past the configured memory bound
     (env var KN_MEMORY_MB, default 1024)."""
 
 
-def _memory_budget_cells() -> int:
+def _memory_budget_bytes() -> int:
     text = os.environ.get("KN_MEMORY_MB", "1024")
     try:
         mb = int(text)
@@ -56,8 +59,23 @@ def _memory_budget_cells() -> int:
     if mb <= 0:
         raise ValueError("invalid KN_MEMORY_MB: must be a positive integer "
                          "(megabytes), got %r" % text)
-    # a sparse CycNum entry costs on the order of 200 bytes
-    return mb * 1024 * 1024 // 200
+    return mb * 1024 * 1024
+
+
+def _process_bytes() -> int:
+    """The peak resident set size of this process so far, in bytes: what
+    it already holds (getrusage counts KiB, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else 1024 * peak
+
+
+def _check_budget(need: int, what: str):
+    """MemoryBudgetError unless the process, holding need more bytes,
+    stays within KN_MEMORY_MB."""
+    if _process_bytes() + need > _memory_budget_bytes():
+        raise MemoryBudgetError(
+            "%s exceeds the memory budget (set KN_MEMORY_MB to raise it)"
+            % what)
 
 
 # -- braided spaces ---------------------------------------------------------------
@@ -191,13 +209,6 @@ def braid_representation(B: BraidedSpace, word: BraidWord) -> CycMatrix:
 # -- quantum symmetrizers -----------------------------------------------------------
 
 
-def _check_budget(d: int, k: int):
-    if d ** k * min(factorial(k), d ** k) > _memory_budget_cells():
-        raise MemoryBudgetError(
-            "QS_%d on a %d-dimensional space exceeds the memory budget "
-            "(set KN_MEMORY_MB to raise it)" % (k, d))
-
-
 def _shuffle(B: BraidedSpace, k: int, X: CycMatrix) -> CycMatrix:
     """T_k X for the shuffle factor
 
@@ -240,7 +251,9 @@ def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
     QS_k = T_k (QS_{k-1} (x) id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_budget(B.dim, k)
+    # a sparse CycNum entry costs on the order of 200 bytes
+    _check_budget(200 * B.dim ** k * min(factorial(k), B.dim ** k),
+                  "QS_%d on a %d-dimensional space" % (k, B.dim))
     ident = CycMatrix.identity(B.n, B.dim)
     qs = ident
     for deg in range(2, k + 1):
@@ -257,6 +270,26 @@ def naive_quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
 
 
 # -- graded dimensions ---------------------------------------------------------------
+
+
+# What a degree of `graded_dims` holds, measured with tracemalloc at n = 3:
+# over degrees 4-7 of W(-1,1,0) and 4-6 of U(0,1,0,2) + U(0,1,2,1), M_k and
+# R_k took 9-30 bytes per cell of their shapes below and the dense kernel
+# basis about 8 per entry; small degrees, such as those of U(1,0,1,0), add
+# up to about 60 KB whatever their shapes.
+_DEGREE_BYTES = 64 * 1024
+_CELL_BYTES = 40
+_KERNEL_CELL_BYTES = 16
+
+
+def _degree_bytes(d: int, k: int, r_prev: int, relations: bool) -> int:
+    """What degree k of `graded_dims` holds, in bytes: a fixed cost, M_k,
+    with d^k rows and r_{k-1} d columns, and R_k, with at most r_{k-1} d
+    rows of d^k columns; with relations also the kernel basis of QS_k, at
+    most d^k dense vectors of d^k entries."""
+    cells = 2 * d ** (k + 1) * r_prev
+    kernel = d ** (2 * k) if relations else 0
+    return _DEGREE_BYTES + _CELL_BYTES * cells + _KERNEL_CELL_BYTES * kernel
 
 
 @dataclass
@@ -310,7 +343,9 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     ident = CycMatrix.identity(B.n, d)
     C = R = ident
     for deg in range(2, cutoff + 1):
-        _check_budget(d, deg)
+        _check_budget(_degree_bytes(d, deg, dims[-1], want_relations),
+                      "degree %d of the Nichols algebra of a %d-dimensional "
+                      "space" % (deg, d))
         M = _shuffle(B, deg, C.kron(ident))
         G, _ = M.row_echelon()
         rank = len(G)

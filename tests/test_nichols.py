@@ -3,11 +3,13 @@ square-zero loci, and presentations."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knyd import nichols
 from knyd.cyclotomic import CycNum, cyc, root_order
 from knyd.hopf import KnAlgebra
 from knyd.linalg import CycMatrix
@@ -252,6 +254,46 @@ def test_memory_budget(A3, monkeypatch):
     B = _space(A3, "W(-1,0,0)")
     with pytest.raises(MemoryBudgetError):
         quantum_symmetrizer(B, 5)
+
+
+@pytest.mark.parametrize("label, cutoff, relations", [
+    ("W(-1,1,0)", 5, True), ("W(-1,1,0)", 5, False), ("U(1,0,1,0)", 9, False),
+])
+def test_degree_estimate_bounds_what_each_degree_allocates(
+        A3, monkeypatch, label, cutoff, relations):
+    # the memory each degree of graded_dims newly allocates, traced by
+    # tracemalloc, stays within the estimate its budget check is given
+    B = _space(A3, label)
+    marks = []
+
+    def record(need, what):
+        current, peak = tracemalloc.get_traced_memory()
+        marks.append((need, current, peak))
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(nichols, "_check_budget", record)
+    tracemalloc.start()
+    try:
+        graded_dims(B, cutoff, want_relations=relations)
+        marks.append((None,) + tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(marks) > 4
+    for (need, start, _), (_, _, peak) in zip(marks, marks[1:]):
+        assert peak - start <= need
+
+
+def test_degree_eight_of_a_three_dimensional_space_fits_the_budget(
+        monkeypatch):
+    # degree 8 of W(-1,1,0) at n = 3, after r_7 = 228, holds M_8 of
+    # 6561 x 684 and R_8; the full QS_8 that the budget used to be sized by
+    # has 6561^2 entries and was refused under the default 1024 MB
+    monkeypatch.delenv("KN_MEMORY_MB", raising=False)
+    need = nichols._degree_bytes(3, 8, 228, False)
+    assert need < 512 * 2 ** 20
+    nichols._check_budget(need, "degree 8")
+    with pytest.raises(MemoryBudgetError):
+        nichols._check_budget(200 * 3 ** 8 * 3 ** 8, "QS_8")
 
 
 # -- graded dimensions: one-dimensional modules --------------------------------------

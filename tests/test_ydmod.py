@@ -11,6 +11,7 @@ from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime, root
 from knyd.fusion import closed_form_fuse, tensor_module
 from knyd.hopf import (KnAlgebra, _collect, character, comatrix_element,
                        comultiply, counit, delta2_term, multiply)
+from knyd import ydmod
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, _hom_system, _sandwich_term,
                         braided_space, braiding,
@@ -598,18 +599,19 @@ def test_swapped_weights_are_told_apart(A3):
 def _check_modular_system(S, M, p):
     """The F_p system of (S, M) is the image of the exact one under mod_p,
     row for row once zero entries and zero rows are dropped, and it has the
-    exact nullity."""
-    cells, rows = _hom_system(S, M)
-    cells_p, rows_p = _hom_system(S, M, p)
-    assert cells_p == cells
-    image = []
-    for row in rows:
+    exact nullity.  Both row streams are listed in full."""
+    offsets, system = _hom_system(S, M)
+    offsets_p, system_p = _hom_system(S, M, p)
+    assert offsets_p == offsets and system_p.cols == system.cols
+    image = {}
+    for key, row in system.data.items():
         row = {c: mod_p(v, p) for c, v in row.items()}
         row = {c: x for c, x in row.items() if x}
         if row:
-            image.append(row)
+            image[key] = row
+    rows_p = dict(system_p.data.items())
     assert rows_p == image
-    assert all(0 < x < p for row in rows_p for x in row.values())
+    assert all(0 < x < p for row in rows_p.values() for x in row.values())
     assert hom_dimension(S, M, p) == hom_dimension(S, M)
 
 
@@ -637,3 +639,143 @@ def test_modular_hom_system_is_the_image_of_the_exact_one(n, seed):
         summands = [L for L, _ in closed_form_fuse(L1, L2).terms[:2]]
         for S in summands + [_shifted(summands[0])]:
             _check_modular_system(build_simple(A, S), M, p)
+
+
+# -- the Hom system against a dense reference --------------------------------------------
+
+
+def _reference_hom_dimension(S, M):
+    """dim Hom(S, M) as the nullity of one dense system over all
+    dim M x dim S unknowns T[k][j] (unknown k dim S + j), with no weight
+    cells: rho_M(h) T = T rho_S(h) for every basis key h of K_n (the p_{ab}
+    give p-equivariance, the f_{ab} x^-commutation), read from `action_of`,
+    and delta_M T = (id (x) T) delta_S, read from `coaction`; ranked by the
+    plain column-by-column reference elimination `rref`."""
+    A = S.algebra
+    n, ds, dm = A.n, S.dim, M.dim
+    eqs: dict = {}
+
+    def add(eq, c, v):
+        s = eqs.setdefault(eq, {}).get(c)
+        eqs[eq][c] = v if s is None else s + v
+
+    for h in A.basis_indices():
+        for k, row in M.action_of(h).data.items():
+            for l, v in row.items():
+                for j in range(ds):
+                    add(("act", h, k, j), l * ds + j, v)
+        for j1, row in S.action_of(h).data.items():
+            for j, v in row.items():
+                for k in range(dm):
+                    add(("act", h, k, j), k * ds + j1, -v)
+    # delta(T s_j) = sum_l T[l][j] sum_k coaction_M[l][k] (x) m_k against
+    # (id (x) T) delta(s_j) = sum_j1 coaction_S[j][j1] (x) sum_k T[k][j1] m_k
+    for l, row in enumerate(M.coaction):
+        for k, g in row.items():
+            for h, v in g.coeffs.items():
+                for j in range(ds):
+                    add(("co", h, k, j), l * ds + j, v)
+    for j, row in enumerate(S.coaction):
+        for j1, g in row.items():
+            for h, v in g.coeffs.items():
+                for k in range(dm):
+                    add(("co", h, k, j), k * ds + j1, -v)
+    rows = [{c: v for c, v in eq.items() if not v.is_zero()}
+            for eq in eqs.values()]
+    rows = [row for row in rows if row]
+    system = CycMatrix(n, len(rows), dm * ds, dict(enumerate(rows)))
+    return dm * ds - len(system.rref()[1])
+
+
+def _check_against_reference(S, M, p):
+    expected = _reference_hom_dimension(S, M)
+    assert hom_dimension(S, M, p) == expected
+    assert hom_dimension(S, M) == expected
+    return expected
+
+
+def test_hom_dimension_of_a_simple_with_a_repeated_weight(A3):
+    # U(2,2,0,1) has two basis vectors of weight (2, 2); an index that
+    # keyed S's basis by weight alone gave 0 here
+    n = 3
+    S = build_simple(A3, U(n, 2, 2, 0, 1))
+    assert len(set(S.weights)) == 1
+    M = tensor_module(build_simple(A3, W(n, -1, 0, 2)),
+                      build_simple(A3, W(n, 1, 2, 2)))
+    assert _check_against_reference(S, M, modular_prime(n)) == 1
+
+
+def test_hom_dimension_matches_the_dense_reference_n3(A3):
+    # every simple at n = 3, the nine U(i,i,m,t) among them, against a
+    # seeded tensor product that contains it and one drawn at random
+    n = 3
+    p = modular_prime(n)
+    labels = list_simples(A3)
+    pairs = [(L1, L2) for L1 in labels for L2 in labels]
+    rng = random.Random(14)
+    rng.shuffle(pairs)
+    repeated = [L for L in labels if L.kind == "U" and L.data[0] == L.data[1]]
+    assert len(repeated) == 9
+    for L in labels:
+        L1, L2 = next((L1, L2) for L1, L2 in pairs
+                      if L in dict(closed_form_fuse(L1, L2).terms))
+        S = build_simple(A3, L)
+        M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
+        mult = dict(closed_form_fuse(L1, L2).terms)[L]
+        assert _check_against_reference(S, M, p) == mult, (L, L1, L2)
+        L1, L2 = rng.choice(pairs)
+        M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
+        assert (_check_against_reference(S, M, p)
+                == dict(closed_form_fuse(L1, L2).terms).get(L, 0)), (L, L1, L2)
+
+
+def test_hom_dimension_matches_the_dense_reference_n9():
+    # seeded products of small simples at the composite conductor 9, against
+    # two summands and a label with the weights of the first
+    n = 9
+    A = KnAlgebra(n)
+    p = modular_prime(n)
+    rng = random.Random(9)
+    kinds = {}
+    for L in list_simples(A):
+        kinds.setdefault(L.kind, []).append(L)
+    for k1, k2 in [("U", "U"), ("V", "U"), ("U", "V"), ("V", "W")]:
+        L1, L2 = rng.choice(kinds[k1]), rng.choice(kinds[k2])
+        M = tensor_module(build_simple(A, L1), build_simple(A, L2))
+        fused = dict(closed_form_fuse(L1, L2).terms)
+        summands = sorted(fused)[:2]
+        for L in summands + [_shifted(summands[0])]:
+            assert (_check_against_reference(build_simple(A, L), M, p)
+                    == fused.get(L, 0)), (L, L1, L2)
+
+
+def test_hom_rows_stop_at_full_rank(monkeypatch):
+    # a candidate of multiplicity 0 has a system of full rank; once the
+    # elimination reaches it, no further row is built
+    n = 5
+    A = KnAlgebra(n)
+    p = modular_prime(n)
+    L1, L2 = W(n, -1, 3, 0), W(n, -1, 0, 3)
+    M = tensor_module(build_simple(A, L1), build_simple(A, L2))
+    fused = dict(closed_form_fuse(L1, L2).terms)
+    weights = set(M.weights)
+    zero = [L for L in list_simples(A) if L not in fused and L.dim() <= M.dim
+            and set(label_weights(L)) <= weights]
+    built = []
+    rows_of = ydmod._hom_rows
+
+    def recording(*args):
+        for key, row in rows_of(*args):
+            built.append(row)
+            yield key, row
+
+    monkeypatch.setattr(ydmod, "_hom_rows", recording)
+    for L in random.Random(5).sample(zero, 8):
+        S = build_simple(A, L)
+        del built[:]
+        assert hom_dimension(S, M, p) == 0
+        _, system = _hom_system(S, M, p)
+        read = CycMatrix(n, len(built), system.cols, dict(enumerate(built)))
+        head = CycMatrix(n, len(built) - 1, system.cols,
+                         dict(enumerate(built[:-1])))
+        assert read.rank(p) == system.cols > head.rank(p), L
