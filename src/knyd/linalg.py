@@ -9,9 +9,9 @@ back-substitution `_reduce`.  The reduced echelon form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
 reduced echelon form (pivot = first nonzero column).
 `CycMatrix.rank(prime)` runs the same pass on a matrix over F_p, whose
-entries are residues mod p, in machine integers.  The pass ends once every
-column has a pivot row.  `rref()` keeps the plain column-by-column
-elimination as a reference.
+entries are residues mod p, in machine integers.  The pass reads no more
+rows once every column has a pivot row.  `rref()` keeps the plain
+column-by-column elimination as a reference.
 """
 
 from __future__ import annotations
@@ -240,9 +240,8 @@ def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
     column (greatest with last=True), until its lead column has no pivot
     row; what is left, scaled to a leading 1, is stored as the pivot row of
     that column.  Once every column has one, the rows left cannot add a
-    pivot and are not fetched: m.data may build its rows as they are read
-    (`ydmod._hom_system`).  Returns {pivot column: row}, an echelon basis of
-    the row space.
+    pivot and are not read.  Returns {pivot column: row}, an echelon basis
+    of the row space.
 
     Over Q(xi_n) the entries are CycNum; with a prime p they are residues
     mod p and the pass runs on machine integers."""

@@ -20,24 +20,21 @@ on which each p_{ab} acts by 0 or 1.  A module is then given by the weight
 coaction.
 
 YD maps S -> M are the solutions of one sparse linear system
-(`_hom_system`): T pairs only basis vectors of equal weight
-(p-equivariance), commutes with x^ and intertwines the two coaction
-matrices (`YDModule.coaction`), over Q(xi_n) or over F_p.  Each module
-indexes its tables once per prime and per role (`YDModule.hom_index`): as
-the target M by table row and the weight of the column, as the source S by
-table column.  The rows of the system are built from the two indexes only
-as the elimination reads them, so `hom_dimension`, its nullity, builds no
-row once the rank is full; `is_yd_map` tests a given matrix against every
-row.
+(`_hom_system`), over Q(xi_n) or over F_p: T pairs only basis vectors of
+equal weight (p-equivariance), commutes with x^ and intertwines the two
+coaction matrices (`YDModule.coaction`) at the four keys of `_GENERATORS`.
+For comodules S and M that is every condition, since the duals of those
+keys generate K_n^*, the algebra the comodules are modules over.  Each
+module lists the entries of its five matrices once per prime
+(`_hom_entries`); `hom_dimension` is the nullity of the system and
+`is_yd_map` tests a given matrix against its rows.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .cyclotomic import CycNum, mod_p
 from .linalg import CycMatrix
@@ -162,7 +159,7 @@ class YDModule:
                          for row in coaction]
         self.label = label
         self._act_cache: dict = {}
-        self._indexes: dict = {}
+        self._hom_cache: dict = {}
 
     @property
     def action_p(self) -> dict:
@@ -188,37 +185,6 @@ class YDModule:
                 data = {r: {r: one} for r in rows}
             m = self._act_cache[key] = CycMatrix(n, self.dim, self.dim, data)
         return m
-
-    def hom_table(self, part: str, prime: int | None = None):
-        """One family of matrices of the Hom system (`_hom_system`), as four
-        parallel columns (tags, rows, cols, coeffs) of its entries: part
-        "x" is x^ (tag "x"), "co" the transposed coaction matrix, one
-        matrix per K_n basis key (its tag).  The p_{ab} need no table:
-        between weight bases they only fix which cells of T may be nonzero.
-        With a prime, the image over F_p under `mod_p`, or None if some
-        entry has no image; it shares the tags, rows and cols of the exact
-        table and adds only the residues."""
-        if prime is not None:
-            tags, rows, cols, coeffs = self.hom_table(part)
-            residues = tuple(mod_p(v, prime) for v in coeffs)
-            return None if None in residues else (tags, rows, cols, residues)
-        if part == "co":
-            entries = [(hkey, l, k, v) for k, row in enumerate(self.coaction)
-                       for l, h in row.items() for hkey, v in h.coeffs.items()]
-        else:
-            entries = [("x", r, c, v) for r, row in self.action_x.data.items()
-                       for c, v in row.items()]
-        return tuple(zip(*entries)) or ((),) * 4
-
-    def hom_index(self, side: str, prime: int | None = None):
-        """The module's tables indexed for the Hom systems in which it is
-        the target M (side "M") or the source S (side "S"), over Q(xi_n)
-        or, with a prime, over F_p: built once from `hom_table` and cached,
-        or None if a table has no image mod p.  See `_HomIndex`."""
-        key = (side, prime)
-        if key not in self._indexes:
-            self._indexes[key] = _build_hom_index(self, side, prime)
-        return self._indexes[key]
 
     def __repr__(self):
         return "YDModule(%s, dim %d over K_%d)" % (
@@ -476,205 +442,135 @@ def braided_space(M: YDModule):
 # -- hom spaces and isomorphism ---------------------------------------------------------
 
 
-class _HomIndex(NamedTuple):
-    """A module's `hom_table` entries indexed for the Hom systems in which it
-    is the target M or the source S (see `_hom_system`).
-
-    by_weight maps each weight to its basis vectors, in ascending order, and
-    pos[r] is the position of v_r among the vectors of its weight; a simple
-    may hold two vectors of one weight (U(i,i,m,t)).  With the unknowns of
-    Hom(S, M) numbered by s_j and, within s_j, by the vectors of M of its
-    weight, T[k][j] is unknown offsets[j] + pos[k] (`_hom_system`).
-
-    entries is a list with one slot per table row (side "M") or column
-    (side "S") of each tag, slot t dim + r for tag index t: 0 for x^ and
-    1 + (kind n + a) n + b for the K_n basis key (kind, a, b).  The slot of
-    row (t, k) of M is {w: [(pos[l], A[k][l])]}, its entries grouped by the
-    weight w of their column l.  The slot of column (t, j) of S is the flat
-    tuple (j1, -A[j1][j], ...) of its entries, negated; a simple's columns
-    hold one or two entries, so they are filtered by the weight of j1 as
-    they are read.  Zero entries and zero residues are left out, and an
-    empty slot is ()."""
-
-    by_weight: dict
-    pos: list
-    entries: list
+# A left K_n-comodule is a module over the dual algebra K_n^*, h^* acting by
+# v -> h^*(v_{-1}) v_0, and its comodule maps are its K_n^*-module maps.
+# Delta pairs p's with p's and f's with f's, so in K_n^* the dual basis
+# multiplies as p^*_{ab} p^*_{cd} = p^*_{a+c,b+d}, f^*_{ab} f^*_{cd} =
+# xi^{ad-bc} f^*_{a+c,b+d} and p^* f^* = 0: K_n^* is k[Z_n x Z_n] plus a
+# twisted group algebra, each generated by its elements of index (1,0) and
+# (0,1).  So every basis dual is a root of unity times a product of the
+# duals of these four keys, and a map that commutes with the coaction at
+# them commutes with it at every key.
+_GENERATORS = ((P, 1, 0), (P, 0, 1), (F, 1, 0), (F, 0, 1))
 
 
-def _build_hom_index(module: YDModule, side: str, prime: int | None):
-    """The `_HomIndex` of module on side "M" or "S", over Q(xi_n) or F_p;
-    None if a table has no image mod p."""
-    n = module.algebra.n
-    wt = module.weights
-    by_weight: dict = {}
+def _hom_entries(M: YDModule, prime: int | None = None):
+    """The nonzero entries (t, r, c, v) of the five matrices of M's Hom
+    systems (`_hom_system`): tag t = 0 is x^, tag t >= 1 the transposed
+    coaction matrix at _GENERATORS[t - 1], whose entry (l, k) is that key's
+    coefficient in coaction[k][l].  With a prime, their nonzero residues
+    mod p, one `mod_p` per distinct coefficient, or None if one has no
+    image.  Built once per prime and cached on M."""
+    cache = M._hom_cache
+    if prime in cache:
+        return cache[prime]
+    if prime is None:
+        entries = [(0, r, c, v) for r, row in M.action_x.data.items()
+                   for c, v in row.items() if not v.is_zero()]
+        for k, row in enumerate(M.coaction):
+            for l, h in row.items():
+                for t, key in enumerate(_GENERATORS, 1):
+                    v = h.coeffs.get(key)
+                    if v is not None:
+                        entries.append((t, l, k, v))
+    else:
+        residues: dict = {}
+        entries = []
+        for t, r, c, v in _hom_entries(M):
+            if v not in residues:
+                residues[v] = mod_p(v, prime)
+            x = residues[v]
+            if x is None:
+                entries = None
+                break
+            if x:
+                entries.append((t, r, c, x))
+    cache[prime] = entries
+    return entries
+
+
+def _weight_blocks(weights):
+    """{weight: the basis vectors of that weight, in ascending order}, and
+    the place pos[r] of each v_r in its block.  A simple may hold two
+    vectors of one weight (U(i,i,m,t))."""
+    blocks: dict = {}
     pos = []
-    for r, w in enumerate(wt):
-        block = by_weight.setdefault(w, [])
+    for r, w in enumerate(weights):
+        block = blocks.setdefault(w, [])
         pos.append(len(block))
         block.append(r)
-    zero = CycNum.zero(n) if prime is None else 0
-    dim = module.dim
-    entries: dict = {}
-    # one object per distinct coefficient: most are the 2n roots of unity
-    coeffs: dict = {}
-    for part in ("x", "co"):
-        table = module.hom_table(part, prime)
-        if table is None:
-            return None
-        for tag, r, c, v in zip(*table):
-            if v == zero:
-                continue
-            t = 0 if tag == "x" else 1 + (tag[0] * n + tag[1]) * n + tag[2]
-            if side == "S":
-                v = -v if prime is None else prime - v
-            v = coeffs.setdefault(v, v)
-            if side == "M":
-                entries.setdefault(t * dim + r, {}).setdefault(
-                    wt[c], []).append((pos[c], v))
-            else:
-                entries.setdefault(t * dim + c, []).extend((r, v))
-    slots = [()] * ((1 + 2 * n * n) * dim)
-    for key, entry in entries.items():
-        slots[key] = tuple(entry) if side == "S" else entry
-    return _HomIndex(by_weight, pos, slots)
+    return blocks, pos
 
 
-class _RowStream(Mapping):
-    """The rows {row index: row} of a Hom system, built by a generator the
-    first time a pass reads them and kept, so that every pass sees the same
-    rows in the same order and a pass that stops early builds no more."""
-
-    def __init__(self, rows):
-        self._rows = rows
-        self._read: list = []
-
-    def items(self):
-        read = self._read
-        i = 0
-        while True:
-            if i == len(read):
-                item = next(self._rows, None)
-                if item is None:
-                    return
-                read.append(item)
-            yield read[i]
-            i += 1
-
-    def values(self):
-        for _, row in self.items():
-            yield row
-
-    def __iter__(self):
-        for key, _ in self.items():
-            yield key
-
-    def __len__(self):
-        return sum(1 for _ in self.items())
-
-    def __getitem__(self, key):
-        return dict(self.items())[key]
+def _unknowns(S: YDModule, M: YDModule):
+    """The numbering of the unknowns of the Hom systems from S to M, one per
+    pair of basis vectors m_k, s_j of one weight: T[k][j] is unknown
+    offsets[j] + pos[k] (`_weight_blocks` of M); offsets[-1] is their
+    number.  Returns (offsets, pos, blocks of M)."""
+    blocks, pos = _weight_blocks(M.weights)
+    offsets = [0]
+    for w in S.weights:
+        offsets.append(offsets[-1] + len(blocks.get(w, ())))
+    return offsets, pos, blocks
 
 
 def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
     """The linear system whose solutions are the YD maps T: S -> M, where
     T[k][j] is the coefficient of m_k in T(s_j).  Returns (offsets,
-    matrix): T[k][j] is unknown offsets[j] + pos[k] (`_HomIndex`), the
-    matrix has offsets[-1] columns, one per unknown, and each of its rows is
-    a sparse {unknown: coeff} that T must annihilate.  The rows are built
-    only as a pass over `matrix.data` reads them (`_RowStream`).
+    matrix): T[k][j] is unknown offsets[j] + pos[k] (`_unknowns`), the
+    matrix has one column per unknown, and each of its rows is a sparse
+    {unknown: coeff} that T must annihilate.
 
-    Both modules are in weight bases, so p-equivariance is exactly
-    T[k][j] = 0 unless m_k and s_j have the same weight: those (k, j) are
-    the unknowns.  Every other condition is a commutant equation
-    A^M T = T A^S for a pair of matrices of `YDModule.hom_table`: x^, and
-    per K_n basis key h the transposed coaction matrices, since
-    sum_k T[k][j] H^M_{kl} = sum_{j1} H^S_{j j1} T[l][j1].  Row (t, k, j),
-    with index (t dim M + k) dim S + j, is entry (k, j) of A^M T - T A^S for
-    tag index t: the M part sum_l A^M[k][l] T[l][j] from M's index, the S
-    part sum_{j1} T[k][j1] A^S[j1][j] from S's (`YDModule.hom_index`).  The
-    rows with an M part come first, then those with only an S part; zero
-    entries, and zero rows, are dropped.  With a prime the rows are built
-    from the indexes over F_p, as residues; the result is None if a table
-    has no image mod p."""
+    S and M must be comodules, as every module that `build_simple`,
+    `build_u_module`, `direct_sum` and `tensor_module` builds is.  Both are
+    in weight bases, so p-equivariance is exactly T[k][j] = 0 unless m_k
+    and s_j have the same weight: those (k, j) are the unknowns.  T then
+    commutes with every f_{ab} = p_{ab} x^ once it commutes with x^, and
+    with the coaction at every key once it does at the four _GENERATORS.
+    Each of these five conditions is a commutant equation A^M T = T A^S
+    between the matrices of `_hom_entries`.  Row (t, k, j), with index
+    (t dim M + k) dim S + j, is entry (k, j) of A^M T - T A^S for tag t:
+    the M part sum_l A^M[k][l] T[l][j], then the S part sum_{j1} T[k][j1]
+    A^S[j1][j].  The rows with an M part come first; zero entries, and zero
+    rows, are dropped.  With a prime the rows are residues mod p; the
+    result is None if a coefficient has no image mod p."""
     if S.algebra.n != M.algebra.n:
         raise ValueError("algebra mismatch")
-    target, source = M.hom_index("M", prime), S.hom_index("S", prime)
-    if target is None or source is None:
+    m_entries, s_entries = _hom_entries(M, prime), _hom_entries(S, prime)
+    if m_entries is None or s_entries is None:
         return None
-    n = S.algebra.n
-    # one block of unknowns per s_j: the vectors of M of its weight
-    offsets = [0]
-    for w in S.weights:
-        offsets.append(offsets[-1] + len(target.by_weight.get(w, ())))
-    rows = _RowStream(_hom_rows(S, M, target, source, offsets, prime))
-    return offsets, CycMatrix(n, (1 + 2 * n * n) * M.dim * S.dim,
-                              offsets[-1], rows)
-
-
-def _hom_rows(S, M, target, source, offsets, prime):
-    """Generate the nonzero rows (index, row) of `_hom_system`."""
     dm, ds = M.dim, S.dim
-    ws, wm = S.weights, M.weights
+    wm, ws = M.weights, S.weights
+    offsets, pos, blocks = _unknowns(S, M)
+    s_blocks = _weight_blocks(ws)[0]
     zero = CycNum.zero(S.algebra.n) if prime is None else 0
-    pos = target.pos
-    m_rows, s_cols = target.entries, source.entries
-    # rows with an M part: M's entries whose column meets an unknown, i.e.
-    # has the weight of some s_j
-    for key, groups in enumerate(m_rows):
-        if not groups:
-            continue
-        t, k = divmod(key, dm)
-        wk, pk = wm[k], pos[k]
-        for w, m_part in groups.items():
-            for j in source.by_weight.get(w, ()):
-                base = offsets[j]
-                row = {base + l: v for l, v in m_part}
-                s_part = iter(s_cols[t * ds + j])
-                for j1, v in zip(s_part, s_part):
-                    if ws[j1] != wk:
-                        continue
-                    c = offsets[j1] + pk
-                    s = row.get(c)
-                    if s is None:
-                        row[c] = v
-                        continue
-                    s = s + v if prime is None else (s + v) % prime
-                    if s == zero:
-                        del row[c]
-                    else:
-                        row[c] = s
-                if row:
-                    yield key * ds + j, row
-    # rows with only an S part
-    for key, column in enumerate(s_cols):
-        if not column:
-            continue
-        t, j = divmod(key, ds)
-        wj = ws[j]
-        for w in dict.fromkeys(ws[j1] for j1 in column[::2]):
-            for k in target.by_weight.get(w, ()):
-                if wj in m_rows[t * dm + k]:
-                    continue
-                pk = pos[k]
-                s_part = iter(column)
-                yield ((t * dm + k) * ds + j,
-                       {offsets[j1] + pk: v for j1, v in zip(s_part, s_part)
-                        if ws[j1] == w})
+    rows: dict = {}
+    # M part: A^M[k][l] meets T[l][j] for each s_j of the weight of m_l
+    for t, k, l, v in m_entries:
+        for j in s_blocks.get(wm[l], ()):
+            rows.setdefault((t * dm + k) * ds + j, {})[offsets[j] + pos[l]] = v
+    # S part: A^S[j1][j] meets T[k][j1] for each m_k of the weight of s_j1
+    for t, j1, j, v in s_entries:
+        for k in blocks.get(ws[j1], ()):
+            row = rows.setdefault((t * dm + k) * ds + j, {})
+            c = offsets[j1] + pos[k]
+            s = row.pop(c, zero) - v
+            if prime is not None:
+                s %= prime
+            if s != zero:
+                row[c] = s
+    rows = {key: row for key, row in rows.items() if row}
+    return offsets, CycMatrix(S.algebra.n, (1 + len(_GENERATORS)) * dm * ds,
+                              offsets[-1], rows)
 
 
 def hom_dimension(S: YDModule, M: YDModule,
                   prime: int | None = None) -> int | None:
-    """Dimension of the space of YD maps S -> M: the nullity of the system
-    of `_hom_system`, whose rows the elimination of `CycMatrix.rank` builds
-    one at a time and stops reading at full rank.  With a prime, the
-    nullity over F_p of the system built from the modules' F_p indexes: an
-    upper bound on the dimension, or None if a module table has no image
-    mod p (`YDModule.hom_table`)."""
+    """Dimension of the space of YD maps S -> M between comodules: the
+    nullity of `_hom_system`.  With a prime, its nullity over F_p, an upper
+    bound on the dimension, or None if a coefficient has no image mod p."""
     system = _hom_system(S, M, prime)
-    if system is None:
-        return None
-    mat = system[1]
-    return mat.cols - mat.rank(prime)
+    return None if system is None else system[1].cols - system[1].rank(prime)
 
 
 def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:
@@ -687,12 +583,14 @@ def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:
 
 
 def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:
-    """Whether the dm x ds matrix T intertwines actions and coactions: T is
-    zero off the unknowns of `_hom_system` and satisfies each of its rows."""
+    """Whether the dm x ds matrix T intertwines actions and coactions of
+    the comodules S and M: T is zero off the unknowns of `_hom_system`
+    (`_unknowns`) and satisfies each of its rows, the conditions at x^ and
+    at the four _GENERATORS."""
     if T.rows != M.dim or T.cols != S.dim:
         raise ValueError("shape mismatch")
-    offsets, system = _hom_system(S, M)
-    pos = M.hom_index("M").pos
+    offsets, pos, _ = _unknowns(S, M)
+    system = _hom_system(S, M)[1]
     zero = CycNum.zero(S.algebra.n)
     value = [zero] * system.cols
     for k, row in T.data.items():

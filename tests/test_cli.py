@@ -55,6 +55,17 @@ def test_fuse_with_oracle(runner):
     assert payload["dimension"] == 2
 
 
+def test_fuse_composite_n15(runner):
+    # W (x) W at the composite conductor 15, of dimension 225, decomposed
+    # by the Hom-space oracle and checked against the closed form
+    result = runner.invoke(main, ["fuse", "--n", "15", "--left", "W(-1,1,0)",
+                                  "--right", "W(-1,0,3)", "--json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["verified"] is True
+    assert payload["dimension"] == 225
+
+
 def test_fusion_table_csv(runner, tmp_path):
     out = tmp_path / "table.csv"
     result = runner.invoke(main, ["fusion-table", "--n", "3", "--sample", "4",

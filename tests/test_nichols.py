@@ -256,6 +256,22 @@ def test_memory_budget(A3, monkeypatch):
         quantum_symmetrizer(B, 5)
 
 
+def test_memory_budget_refuses_the_first_degree_past_it(A3, monkeypatch):
+    # with the size of the process fixed, a budget one byte short of what
+    # degree 4 of W(-1,1,0) holds: graded_dims runs degrees 2 and 3 and
+    # refuses degree 4
+    B = _space(A3, "W(-1,1,0)")
+    dims = graded_dims(B, 4, want_relations=False).dims
+    need = nichols._degree_bytes(3, 4, dims[3], False)
+    assert nichols._degree_bytes(3, 3, dims[2], False) < need
+    monkeypatch.setenv("KN_MEMORY_MB", "1")
+    monkeypatch.setattr(nichols, "_process_bytes", lambda: 2 ** 20 - need + 1)
+    with pytest.raises(MemoryBudgetError,
+                       match="^degree 4 of the Nichols algebra of a "
+                             "3-dimensional space exceeds"):
+        graded_dims(B, 6, want_relations=False)
+
+
 @pytest.mark.parametrize("label, cutoff, relations", [
     ("W(-1,1,0)", 5, True), ("W(-1,1,0)", 5, False), ("U(1,0,1,0)", 9, False),
 ])

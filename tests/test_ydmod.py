@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime, root
+from knyd.cyclotomic import (CycNum, cyc, mod_p, modular_prime, root,
+                             root_order)
 from knyd.fusion import closed_form_fuse, tensor_module
 from knyd.hopf import (KnAlgebra, _collect, character, comatrix_element,
                        comultiply, counit, delta2_term, multiply)
@@ -593,13 +594,52 @@ def test_swapped_weights_are_told_apart(A3):
     assert is_yd_map(Um, Um, CycMatrix.identity(n, 2))
 
 
+# -- the generators of K_n^* --------------------------------------------------------------
+
+
+def _dual_words(n, generators):
+    """The basis keys h whose dual h^* is a root of unity times a product of
+    the duals of the generators in the convolution algebra K_n^*, where
+    (k1^* k2^*)(h) is the coefficient of k1 (x) k2 in `comultiply`(h)."""
+    A = KnAlgebra(n)
+    table: dict = {}
+    for h in A.basis_indices():
+        for pair, c in comultiply(A.basis(*h)).coeffs.items():
+            table.setdefault(pair, []).append((h, c))
+    # a product of basis duals is a multiple of one basis dual, or zero
+    reached = {g: CycNum.one(n) for g in generators}
+    todo = list(reached)
+    while todo:
+        key = todo.pop()
+        for g in generators:
+            product = table.get((key, g), [])
+            assert len(product) <= 1
+            for h, c in product:
+                if h not in reached:
+                    reached[h] = reached[key] * c
+                    todo.append(h)
+    assert all(root_order(c) for c in reached.values())
+    return set(reached)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_generator_duals_generate_the_dual_algebra(n):
+    # the premise of `ydmod._hom_system`: commuting with the coaction at
+    # the four generators is commuting with it at every key
+    keys = set(KnAlgebra(n).basis_indices())
+    assert _dual_words(n, ydmod._GENERATORS) == keys
+    for dropped in ydmod._GENERATORS:
+        rest = [g for g in ydmod._GENERATORS if g != dropped]
+        assert _dual_words(n, rest) < keys, dropped
+
+
 # -- the Hom system over F_p --------------------------------------------------------------
 
 
 def _check_modular_system(S, M, p):
     """The F_p system of (S, M) is the image of the exact one under mod_p,
     row for row once zero entries and zero rows are dropped, and it has the
-    exact nullity.  Both row streams are listed in full."""
+    exact nullity.  Both systems are compared in full."""
     offsets, system = _hom_system(S, M)
     offsets_p, system_p = _hom_system(S, M, p)
     assert offsets_p == offsets and system_p.cols == system.cols
@@ -747,35 +787,3 @@ def test_hom_dimension_matches_the_dense_reference_n9():
         for L in summands + [_shifted(summands[0])]:
             assert (_check_against_reference(build_simple(A, L), M, p)
                     == fused.get(L, 0)), (L, L1, L2)
-
-
-def test_hom_rows_stop_at_full_rank(monkeypatch):
-    # a candidate of multiplicity 0 has a system of full rank; once the
-    # elimination reaches it, no further row is built
-    n = 5
-    A = KnAlgebra(n)
-    p = modular_prime(n)
-    L1, L2 = W(n, -1, 3, 0), W(n, -1, 0, 3)
-    M = tensor_module(build_simple(A, L1), build_simple(A, L2))
-    fused = dict(closed_form_fuse(L1, L2).terms)
-    weights = set(M.weights)
-    zero = [L for L in list_simples(A) if L not in fused and L.dim() <= M.dim
-            and set(label_weights(L)) <= weights]
-    built = []
-    rows_of = ydmod._hom_rows
-
-    def recording(*args):
-        for key, row in rows_of(*args):
-            built.append(row)
-            yield key, row
-
-    monkeypatch.setattr(ydmod, "_hom_rows", recording)
-    for L in random.Random(5).sample(zero, 8):
-        S = build_simple(A, L)
-        del built[:]
-        assert hom_dimension(S, M, p) == 0
-        _, system = _hom_system(S, M, p)
-        read = CycMatrix(n, len(built), system.cols, dict(enumerate(built)))
-        head = CycMatrix(n, len(built) - 1, system.cols,
-                         dict(enumerate(built[:-1])))
-        assert read.rank(p) == system.cols > head.rank(p), L
