@@ -3,27 +3,26 @@ Yetter-Drinfeld modules, fusion rules, and Nichols algebras."""
 
 from .cyclotomic import CycNum, cyc, cyclotomic_polynomial, root_order
 from .linalg import CycMatrix
-from .hopf import (KnAlgebra, KnElement, TensorElement, adjoint_action,
-                   antipode, character, comatrix_element, comultiply, counit,
-                   multiply, verify_hopf_axioms, xhat)
+from .hopf import (KnAlgebra, KnElement, TensorElement, antipode, character,
+                   comatrix_element, comultiply, counit, multiply,
+                   verify_hopf_axioms)
 from .ydmod import (Label, U, V, W, YDModule, braided_space, braiding,
                     build_simple, build_u_module, check_yd, dimension_census,
-                    direct_sum, hom_dimension, is_isomorphic, is_yd_map,
-                    list_simples, parse_label)
+                    direct_sum, hom_dimension, is_yd_map, list_simples,
+                    parse_label)
 from .fusion import (FusionDecomposition, closed_form_fuse, decompose,
                      fusion_table, tensor_module, uw0_isomorphism,
                      zn_orbit_set)
-from .nichols import (BraidedSpace, BraidWord, GradedReport,
-                      MemoryBudgetError, a2_criterion, braid_representation,
-                      check_braid_equation, diagonal_data, graded_dims,
-                      infinite_precheck, is_square_zero, matsumoto_lift,
-                      naive_quantum_symmetrizer, presentation_check,
-                      quantum_symmetrizer, square_zero_monomial_space,
-                      sum_criterion, tensor_vector)
+from .nichols import (BraidedSpace, GradedReport, MemoryBudgetError,
+                      a2_criterion, check_braid_equation, diagonal_data,
+                      graded_dims, infinite_precheck, is_square_zero,
+                      presentation_check, quantum_symmetrizer,
+                      square_zero_monomial_space, sum_criterion,
+                      tensor_vector)
 from .racks import (BraidedSet, CocycleTable, Rack, check_F_cocycle,
-                    check_rack_cocycle, constant_cocycle, cq_braiding,
-                    d_cocycle, derived_rack, dihedral_rack, flip_solution,
-                    sF_braiding, standard_solution, t_equivalence_cocycle,
-                    trivial_rack, twist_equivalence_check, w_cocycle)
+                    check_rack_cocycle, cq_braiding, d_cocycle, derived_rack,
+                    dihedral_rack, sF_braiding, standard_solution,
+                    t_equivalence_cocycle, twist_equivalence_check,
+                    w_cocycle)
 
 __version__ = "0.1.0"

@@ -209,26 +209,28 @@ class CycNum:
         return CycNum(self.n, tuple(out), self.den * other.den)
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via the extended gcd of the representative
-        polynomial with Phi_n."""
+        """Multiplicative inverse by the Galois norm: for a = num / den and
+        b the product of the conjugates xi -> xi^k of num over the units
+        k != 1 mod n, num * b = N(num) is a nonzero integer, so
+        a^-1 = den * b / N(num)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        deg, phi, _ = _field_data(self.n)
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in phi]
-        # extended Euclid: s*a + t*b = gcd; we only track s
-        r0, r1 = b, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                coeffs = [x / c for x in s1] + [Fraction(0)] * deg
-                return CycNum.from_coeffs(self.n, coeffs[:deg])
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+        n, num = self.n, self.num
+        deg = len(num)
+        powers = _xi_powers(n)
+        b = None
+        for k in range(2, n):
+            if gcd(k, n) != 1:
+                continue
+            conj = [0] * deg
+            for i, c in enumerate(num):
+                if c:
+                    for j, x in enumerate(powers[i * k % n].num):
+                        conj[j] += c * x
+            conj = CycNum(n, tuple(conj), 1, _normalized=True)
+            b = conj if b is None else b * conj
+        norm = (CycNum(n, num, 1, _normalized=True) * b).num[0]
+        return CycNum(n, tuple(self.den * c for c in b.num), norm)
 
     def __truediv__(self, other):
         if not isinstance(other, CycNum):
@@ -279,39 +281,6 @@ class CycNum:
             f = Fraction(c, self.den)
             coeffs.append([f.numerator, f.denominator])
         return {"n": self.n, "coeffs": coeffs}
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / b[-1]
-        q[i - db] = c
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -81,7 +81,8 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
     is a*dim(M2) + b.
     Delta(p_{ab}) is the sum of p_{a'b'} (x) p_{a''b''} over (a',b') +
     (a'',b'') = (a,b), so the weight of v_a (x) w_b is the sum of theirs;
-    x^, the sum of all f_{ab}, acts through `hopf.delta_terms`."""
+    x^, the sum of all f_{ab}, acts through `hopf.delta_terms`, one term
+    per pair of entries of M1's and M2's x^."""
     if M1.algebra.n != M2.algebra.n:
         raise ValueError("algebra mismatch")
     A = M1.algebra
@@ -91,28 +92,29 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
     weights = [((a1 + a2) % n, (b1 + b2) % n)
                for a1, b1 in M1.weights for a2, b2 in M2.weights]
 
-    # sum over the f_{ab} and Delta(f_{ab}) = sum v h1 (x) h2 of
-    # h1 (x) v h2, with the h2 side summed first for each h1
-    right: dict = {}
-    for a in range(n):
-        for b in range(n):
-            for k1, k2, v in delta_terms(A, (F, a, b)):
-                m2 = M2.action_of(k2)
-                if not m2.data or not M1.action_of(k1).data:
-                    continue
-                if v:
-                    m2 = m2.scale(root(n, v))
-                prev = right.get(k1)
-                right[k1] = m2 if prev is None else prev + m2
-    action_x = CycMatrix.zero(n, dim, dim)
-    for k1, m2 in right.items():
-        action_x = action_x + M1.action_of(k1).kron(m2)
+    # f_{ab} acts on v_{r1} (x) w_{r2} through the one term f_{a1b1} (x)
+    # f_{a2b2} of Delta(f_{ab}) whose factors keep the weights (a1, b1) of
+    # row r1 and (a2, b2) of row r2, index a1 n + b1 in `delta_terms`
+    action_x = {}
+    for r1, row1 in M1.action_x.data.items():
+        a1, b1 = M1.weights[r1]
+        for r2, row2 in M2.action_x.data.items():
+            a2, b2 = M2.weights[r2]
+            term = delta_terms(A, (F, (a1 + a2) % n, (b1 + b2) % n))
+            e = term[a1 * n + b1][2]
+            out = action_x[r1 * d2 + r2] = {}
+            for c1, v1 in row1.items():
+                if e:
+                    v1 = v1 * root(n, e)
+                for c2, v2 in row2.items():
+                    out[c1 * d2 + c2] = v1 * v2
 
     coaction = [{a1 * d2 + b1: multiply(g, h)
                  for a1, g in M1.coaction[a].items()
                  for b1, h in M2.coaction[b].items()}
                 for a in range(d1) for b in range(d2)]
-    return YDModule(A, dim, weights, action_x, coaction)
+    return YDModule(A, dim, weights, CycMatrix(n, dim, dim, action_x),
+                    coaction)
 
 
 # -- the Hom-space oracle ----------------------------------------------------------
@@ -229,25 +231,24 @@ def _fuse_w0w0(n):
 
 def closed_form_fuse(L1: Label, L2: Label) -> FusionDecomposition:
     """Symbolic product of two simple labels via the fusion-ring relations;
-    W labels are rewritten as W(eps,i,m) = V(eps,i,m).W(+1,0,0) first."""
+    W labels are rewritten as W(eps,i,m) = V(eps,i,m).W(+1,0,0) first.
+    The ring is commutative, so the factors are put in the order V, U, W."""
     if L1.n != L2.n:
         raise ValueError("conductor mismatch")
     n = L1.n
-    k1, k2 = L1.kind, L2.kind
-    if k1 == "V" and k2 == "V":
+    if "VUW".index(L1.kind) > "VUW".index(L2.kind):
+        L1, L2 = L2, L1
+    kinds = L1.kind + L2.kind
+    if kinds == "VV":
         out = _fuse_vv(n, L1.data, L2.data)
-    elif k1 == "V" and k2 == "U":
+    elif kinds == "VU":
         out = _fuse_vu(n, L1.data, L2.data)
-    elif k1 == "U" and k2 == "V":
-        out = _fuse_vu(n, L2.data, L1.data)
-    elif k1 == "U" and k2 == "U":
+    elif kinds == "UU":
         out = _fuse_uu(n, L1.data, L2.data)
-    elif k1 == "V" and k2 == "W":
+    elif kinds == "VW":
         (e1, i1, m1), (e2, i2, m2) = L1.data, L2.data
         out = [W(n, e1 * e2, i1 + i2, m1 + m2)]
-    elif k1 == "W" and k2 == "V":
-        return closed_form_fuse(L2, L1)
-    elif k1 == "U" and k2 == "W":
+    elif kinds == "UW":
         # U.W = (U.V(eps,i,m)).W0
         (e, i, m) = L2.data
         out = []
@@ -257,9 +258,6 @@ def closed_form_fuse(L1: Label, L2: Label) -> FusionDecomposition:
             else:  # split V part: V.W0 = W
                 (ev, iv, mv) = lab.data
                 out.append(W(n, ev, iv, mv))
-        return FusionDecomposition.from_pairs((lab, 1) for lab in out)
-    elif k1 == "W" and k2 == "U":
-        return closed_form_fuse(L2, L1)
     else:  # W.W = (V.V).(W0.W0)
         (e1, i1, m1), (e2, i2, m2) = L1.data, L2.data
         vlab = V(n, e1 * e2, i1 + i2, m1 + m2)
@@ -269,7 +267,6 @@ def closed_form_fuse(L1: Label, L2: Label) -> FusionDecomposition:
                 out += _fuse_vv(n, vlab.data, lab.data)
             else:
                 out += _fuse_vu(n, vlab.data, lab.data)
-        return FusionDecomposition.from_pairs((lab, 1) for lab in out)
     return FusionDecomposition.from_pairs((lab, 1) for lab in out)
 
 

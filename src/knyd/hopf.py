@@ -260,13 +260,6 @@ def character(A: KnAlgebra, m: int, t: int) -> KnElement:
                          for i in range(A.n) for j in range(A.n)})
 
 
-def xhat(A: KnAlgebra) -> KnElement:
-    """x^ = sum_{ij} f_{ij}."""
-    one = A.scalar(1)
-    return KnElement(A, {(F, i, j): one
-                         for i in range(A.n) for j in range(A.n)})
-
-
 def comatrix_element(A: KnAlgebra, k: int, l: int) -> KnElement:
     """e_{kl} = sum_s xi^{-2s(k+l)} f_{s+k-l, s-k+l}."""
     n = A.n
@@ -277,17 +270,6 @@ def comatrix_element(A: KnAlgebra, k: int, l: int) -> KnElement:
         prev = out.get(key)
         out[key] = c if prev is None else prev + c
     return KnElement(A, out)
-
-
-def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
-    """h -> z = h_(1) z S(h_(2)), computed via comultiply/multiply/antipode."""
-    A = h.algebra
-    acc = KnElement(A, {})
-    for (k1, k2), v in comultiply(h).coeffs.items():
-        left = KnElement(A, {k1: v})
-        right = antipode(KnElement(A, {k2: A.scalar(1)}))
-        acc = acc + multiply(multiply(left, z), right)
-    return acc
 
 
 # -- the coproduct on exponents --------------------------------------------------

@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over Q(xi_n).
 
 Matrices are stored sparsely as a dict of row index -> {col index: CycNum};
-the representation never affects results.  Every rank, echelon basis, kernel
-and solution comes from one elimination, `_echelon`: an incremental pass
-over the rows that keeps one pivot row per pivot column, keyed by the row's
-least column (its greatest, for kernels), followed over Q(xi_n) by the
+the representation never affects results.  Every rank, echelon basis and
+kernel comes from one elimination, `_echelon`: an incremental pass over the
+rows that keeps one pivot row per pivot column, keyed by the row's least
+column (its greatest, for kernels), followed over Q(xi_n) by the
 back-substitution `_reduce`.  The reduced echelon form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
 reduced echelon form (pivot = first nonzero column).
@@ -139,13 +139,6 @@ class CycMatrix:
                 out.data[r] = acc
         return out
 
-    def transpose(self) -> "CycMatrix":
-        out = CycMatrix(self.n, self.cols, self.rows)
-        for r, row in self.data.items():
-            for c, v in row.items():
-                out.data.setdefault(c, {})[r] = v
-        return out
-
     def kron(self, other: "CycMatrix") -> "CycMatrix":
         """Kronecker product, row-major index convention."""
         out = CycMatrix(self.n, self.rows * other.rows, self.cols * other.cols)
@@ -214,24 +207,6 @@ class CycMatrix:
                 if f != p:
                     vecs[f][p] = -x
         return list(vecs.values())
-
-    def solve(self, b: list[CycNum]):
-        """Solve M x = b.  Returns (particular, kernel_basis) or None if the
-        system is inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("dimension mismatch")
-        aug = CycMatrix(self.n, self.rows, self.cols + 1,
-                        {r: dict(row) for r, row in self.data.items()})
-        for r, v in enumerate(b):
-            aug.set(r, self.cols, v)
-        red = _reduce(_echelon(aug))
-        if self.cols in red:   # a row 0 = b_r with b_r nonzero
-            return None
-        zero = CycNum.zero(self.n)
-        x = [zero] * self.cols
-        for p, row in red.items():
-            x[p] = row.get(self.cols, zero)
-        return x, self.kernel_basis()
 
 
 def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):

@@ -12,10 +12,10 @@ length-additive coset factorization
     QS_k = T_k (QS_{k-1} (x) id),
     T_k = id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1},
 
-which agrees with the naive |S_k|-term sum (the naive sum is kept as a test
-oracle).  `_shuffle` applies T_k to a matrix with d^k rows by index
-arithmetic on its rows, with no strand matrix; `quantum_symmetrizer` runs
-the recursion through it on full d^k x d^k matrices.
+which agrees with the naive |S_k|-term sum (the test oracle in
+tests/oracles.py).  `_shuffle` applies T_k to a matrix with d^k rows by
+index arithmetic on its rows, with no strand matrix; `quantum_symmetrizer`
+runs the recursion through it on full d^k x d^k matrices.
 
 The k-th graded component of the Nichols algebra has dimension rank(QS_k),
 and the degree-k relations are ker(QS_k).  `graded_dims` never forms QS_k:
@@ -26,8 +26,9 @@ C_k = QS_k[:, P_k], which has only r_k = rank(QS_k) columns.  Since
     QS_k = T_k (C_{k-1} (x) id) (R_{k-1} (x) id) = M_k (R_{k-1} (x) id)
 
 with R_{k-1} (x) id of full row rank, rank(QS_k) = rank(M_k), a matrix of
-r_{k-1} d columns; R_k is the reduced echelon form of G (R_{k-1} (x) id) for
-G the reduced echelon basis of the row space of M_k;
+r_{k-1} d columns; R_k = G (R_{k-1} (x) id) for G the reduced echelon basis
+of the row space of M_k, already in reduced echelon form since
+R_{k-1} (x) id is, with pivot P_{k-1}[j // d] d + j mod d in row j;
 C_k = M_k (R_{k-1} (x) id)[:, P_k]; and ker(QS_k) = ker(R_k).
 """
 
@@ -37,7 +38,6 @@ import os
 import resource
 import sys
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 from .cyclotomic import CycNum, root_exponents
@@ -144,68 +144,6 @@ def check_braid_equation(B: BraidedSpace) -> bool:
     return c1 @ c2 @ c1 == c2 @ c1 @ c2
 
 
-# -- braid words and the Matsumoto lift --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BraidWord:
-    """A positive word in the braid group B_{n_strands}; letters are
-    generator indices 1 <= i <= n_strands - 1."""
-    n_strands: int
-    letters: tuple
-
-    def __post_init__(self):
-        for i in self.letters:
-            if not 1 <= i <= self.n_strands - 1:
-                raise ValueError("letter %r out of range" % (i,))
-
-
-def matsumoto_lift(sigma) -> BraidWord:
-    """A reduced word for the permutation sigma (one-line notation on
-    1..k or 0..k-1), generated by bubble-sort descent; the word length is
-    the inversion count, so the braid-group element is well-defined by
-    Matsumoto's theorem."""
-    a = list(sigma)
-    k = len(a)
-    if sorted(a) == list(range(k)):
-        a = [v + 1 for v in a]
-    if sorted(a) != list(range(1, k + 1)):
-        raise ValueError("not a permutation: %r" % (sigma,))
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(k - 1):
-            if a[j] > a[j + 1]:
-                a[j], a[j + 1] = a[j + 1], a[j]
-                swaps.append(j + 1)
-                changed = True
-    # sorting multiplies sigma on the right by each s_j in order, so
-    # sigma = s_{j_t} ... s_{j_1}
-    return BraidWord(k, tuple(reversed(swaps)))
-
-
-def _strand_matrix(B: BraidedSpace, i: int, k: int) -> CycMatrix:
-    """c acting on strands i, i+1 of a k-fold tensor power (1-based)."""
-    d = B.dim
-    mat = B.c
-    if i > 1:
-        mat = CycMatrix.identity(B.n, d ** (i - 1)).kron(mat)
-    if i < k - 1:
-        mat = mat.kron(CycMatrix.identity(B.n, d ** (k - 1 - i)))
-    return mat
-
-
-def braid_representation(B: BraidedSpace, word: BraidWord) -> CycMatrix:
-    """rho(word) on the word.n_strands-fold tensor power: the letters are
-    composed left to right as a matrix product."""
-    k = word.n_strands
-    out = CycMatrix.identity(B.n, B.dim ** k)
-    for i in word.letters:
-        out = out @ _strand_matrix(B, i, k)
-    return out
-
-
 # -- quantum symmetrizers -----------------------------------------------------------
 
 
@@ -259,14 +197,6 @@ def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
     for deg in range(2, k + 1):
         qs = _shuffle(B, deg, qs.kron(ident))
     return qs
-
-
-def naive_quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
-    """Test oracle: the literal sum over all k! permutations."""
-    out = CycMatrix.zero(B.n, B.dim ** k, B.dim ** k)
-    for sigma in permutations(range(1, k + 1)):
-        out = out + braid_representation(B, matsumoto_lift(sigma))
-    return out
 
 
 # -- graded dimensions ---------------------------------------------------------------
@@ -328,11 +258,12 @@ def graded_dims(B: BraidedSpace, cutoff: int,
                 want_relations: bool = True) -> GradedReport:
     """dims[d] = rank(QS_d) for d = 0.., and relations[d] the reduced
     echelon basis of ker(QS_d), both read off the rank factorization
-    QS_d = C_d R_d of the module docstring; stops early once a graded
-    component vanishes (Nichols algebras are generated in degree 1, so all
-    later components vanish too) and reports status "finite"; otherwise
-    "infinite" when a diagonal fixed vector of c certifies an infinite
-    dimension, else "undetermined"."""
+    QS_d = C_d R_d of the module docstring, with one echelon pass per
+    degree, on M_d; stops early once a graded component vanishes (Nichols
+    algebras are generated in degree 1, so all later components vanish
+    too) and reports status "finite"; otherwise "infinite" when a diagonal
+    fixed vector of c certifies an infinite dimension, else
+    "undetermined"."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     d = B.dim
@@ -342,17 +273,20 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     # QS_1 = C_1 R_1 with C_1 = R_1 = id
     ident = CycMatrix.identity(B.n, d)
     C = R = ident
+    pivots = list(range(d))
     for deg in range(2, cutoff + 1):
         _check_budget(_degree_bytes(d, deg, dims[-1], want_relations),
                       "degree %d of the Nichols algebra of a %d-dimensional "
                       "space" % (deg, d))
         M = _shuffle(B, deg, C.kron(ident))
-        G, _ = M.row_echelon()
+        G, G_pivots = M.row_echelon()
         rank = len(G)
         R_id = R.kron(ident)
-        red, pivots = (CycMatrix(B.n, rank, R_id.rows, dict(enumerate(G)))
-                       @ R_id).row_echelon()
-        R = CycMatrix(B.n, rank, d ** deg, dict(enumerate(red)))
+        # row j of R_{k-1} (x) id has its leading 1 at pivots[j // d] d +
+        # j mod d and is the only row nonzero there, so G R_id is already
+        # reduced, with G's pivots mapped through that list
+        R = CycMatrix(B.n, rank, R_id.rows, dict(enumerate(G))) @ R_id
+        pivots = [pivots[p // d] * d + p % d for p in G_pivots]
         if want_relations:
             relations[deg] = R.kernel_basis()
         dims.append(rank)
@@ -532,25 +466,6 @@ class SquareZeroSpace:
     kernel: list         # reduced-echelon basis of the solution space
     forced_zero: list    # pairs whose coordinate vanishes on the space
 
-    def contains_profile(self, v: list) -> bool:
-        """Whether the monomial profile of the degree-1 vector v lies in
-        the solution space (equivalent to QS_2(v (x) v) = 0)."""
-        if not v:
-            return False
-        n = v[0].n
-        profile = [v[a] * v[b] for (a, b) in self.pairs]
-        rows = {i: {c: x for c, x in enumerate(vec) if not x.is_zero()}
-                for i, vec in enumerate(self.kernel)}
-        mat = CycMatrix(n, len(self.kernel), len(self.pairs), rows)
-        base_rank = mat.rank()
-        extra = {c: x for c, x in enumerate(profile) if not x.is_zero()}
-        if not extra:
-            return True
-        rows2 = dict(rows)
-        rows2[len(self.kernel)] = extra
-        mat2 = CycMatrix(n, len(self.kernel) + 1, len(self.pairs), rows2)
-        return mat2.rank() == base_rank
-
     def forces_axis(self):
         """If mu_bb is forced to zero for every index b except one index a,
         then lambda_b^2 = 0 forces lambda_b = 0 for all b != a, so every
@@ -563,14 +478,18 @@ class SquareZeroSpace:
         return None
 
 
-def square_zero_monomial_space(B: BraidedSpace, bound: int = 6
-                               ) -> SquareZeroSpace:
+# the largest dimension `square_zero_monomial_space` accepts
+_SQUARE_ZERO_BOUND = 6
+
+
+def square_zero_monomial_space(B: BraidedSpace) -> SquareZeroSpace:
     """Solve QS_2(x (x) x) = 0 as a linear system over the symmetric
     monomials mu_ab; QS_2(x (x) x) = sum mu_ab (QS_2(e_a e_b + e_b e_a))
     for a < b plus the diagonal columns."""
     d = B.dim
-    if d > bound:
-        raise ValueError("dimension %d exceeds the bound %d" % (d, bound))
+    if d > _SQUARE_ZERO_BOUND:
+        raise ValueError("dimension %d exceeds the bound %d"
+                         % (d, _SQUARE_ZERO_BOUND))
     qs2 = quantum_symmetrizer(B, 2)
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
     mat = CycMatrix.zero(B.n, d * d, len(pairs))

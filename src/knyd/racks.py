@@ -33,7 +33,7 @@ mod 2n, with no field multiplication.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, cyc, root_exponents
+from .cyclotomic import cyc, root_exponents
 from .linalg import CycMatrix
 from .nichols import BraidedSpace
 
@@ -106,11 +106,6 @@ def standard_solution(n: int) -> BraidedSet:
     return BraidedSet.from_map(n, lambda l, r: ((-r) % n, (l + 2 * r) % n))
 
 
-def flip_solution(size: int) -> BraidedSet:
-    """s(x,y) = (y,x)."""
-    return BraidedSet.from_map(size, lambda x, y: (y, x))
-
-
 # -- racks ------------------------------------------------------------------------
 
 
@@ -148,10 +143,6 @@ def dihedral_rack(n: int) -> Rack:
     if n < 3:
         raise ValueError("n must be >= 3")
     return Rack([[(2 * x - y) % n for y in range(n)] for x in range(n)])
-
-
-def trivial_rack(size: int) -> Rack:
-    return Rack([[y for y in range(size)] for _ in range(size)])
 
 
 def derived_rack(B: BraidedSet) -> Rack:
@@ -193,37 +184,25 @@ class CocycleTable:
         return isinstance(other, CocycleTable) and self.values == other.values
 
 
-def constant_cocycle(n: int, size: int, value: CycNum) -> CocycleTable:
-    return CocycleTable([[value] * size for _ in range(size)])
+def _root_cocycle(n: int, eps: int, exponent) -> CocycleTable:
+    """The table eps xi^{exponent(l, r)} on Z_n x Z_n."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    rows = [[cyc(n, exponent(l, r)) for r in range(n)] for l in range(n)]
+    if eps == -1:
+        rows = [[-v for v in row] for row in rows]
+    return CocycleTable(rows)
 
 
 def w_cocycle(n: int, eps: int, i: int, m: int) -> CocycleTable:
     """The cocycle of the categorical W(eps,i,m) braiding on the standard
     solution: F[l][r] = eps xi^{2i(m-i-2(l+r))}."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    rows = []
-    for l in range(n):
-        row = []
-        for r in range(n):
-            v = cyc(n, 2 * i * (m - i - 2 * (l + r)))
-            row.append(v if eps == 1 else -v)
-        rows.append(row)
-    return CocycleTable(rows)
+    return _root_cocycle(n, eps, lambda l, r: 2 * i * (m - i - 2 * (l + r)))
 
 
 def d_cocycle(n: int, eps: int, i: int, m: int) -> CocycleTable:
     """The dihedral-rack 2-cocycle q[l][r] = eps xi^{2i(m-i-(l-r))}."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    rows = []
-    for l in range(n):
-        row = []
-        for r in range(n):
-            v = cyc(n, 2 * i * (m - i - (l - r)))
-            row.append(v if eps == 1 else -v)
-        rows.append(row)
-    return CocycleTable(rows)
+    return _root_cocycle(n, eps, lambda l, r: 2 * i * (m - i - (l - r)))
 
 
 def check_F_cocycle(B: BraidedSet, F: CocycleTable) -> bool:

@@ -573,15 +573,6 @@ def hom_dimension(S: YDModule, M: YDModule,
     return None if system is None else system[1].cols - system[1].rank(prime)
 
 
-def is_isomorphic(M1: YDModule, M2: YDModule) -> bool:
-    """By semisimplicity, with M1 = sum a_i S_i and M2 = sum b_i S_i, the
-    three Hom dimensions sum a_i b_i, sum a_i^2, sum b_i^2 are equal exactly
-    when sum (a_i - b_i)^2 = 0, i.e. when M1 and M2 are isomorphic."""
-    return (M1.dim == M2.dim
-            and hom_dimension(M1, M2) == hom_dimension(M1, M1)
-            == hom_dimension(M2, M2))
-
-
 def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:
     """Whether the dm x ds matrix T intertwines actions and coactions of
     the comodules S and M: T is zero off the unknowns of `_hom_system`

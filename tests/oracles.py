@@ -1,0 +1,180 @@
+"""Reference implementations that only the tests use.
+
+Each is a direct, slow route to something the package computes another way,
+kept apart from `knyd` so that it stays independent of the code it checks:
+the braid-group representation and the naive |S_k|-term quantum symmetrizer
+(against the coset-factored recursion of `knyd.nichols`), the adjoint action
+of K_n from its comultiplication, multiplication and antipode, a linear
+solver, the transpose, and a few small racks, solutions and cocycles.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import permutations
+
+from knyd.cyclotomic import CycNum
+from knyd.hopf import F, KnAlgebra, KnElement, antipode, comultiply, multiply
+from knyd.linalg import CycMatrix
+from knyd.nichols import BraidedSpace, SquareZeroSpace
+from knyd.racks import BraidedSet, CocycleTable, Rack
+
+
+# -- braid words and the naive quantum symmetrizer ----------------------------------
+
+
+@dataclass(frozen=True)
+class BraidWord:
+    """A positive word in the braid group B_{n_strands}; letters are
+    generator indices 1 <= i <= n_strands - 1."""
+    n_strands: int
+    letters: tuple
+
+    def __post_init__(self):
+        for i in self.letters:
+            if not 1 <= i <= self.n_strands - 1:
+                raise ValueError("letter %r out of range" % (i,))
+
+
+def matsumoto_lift(sigma) -> BraidWord:
+    """A reduced word for the permutation sigma (one-line notation on
+    1..k or 0..k-1), generated by bubble-sort descent; the word length is
+    the inversion count, so the braid-group element is well-defined by
+    Matsumoto's theorem."""
+    a = list(sigma)
+    k = len(a)
+    if sorted(a) == list(range(k)):
+        a = [v + 1 for v in a]
+    if sorted(a) != list(range(1, k + 1)):
+        raise ValueError("not a permutation: %r" % (sigma,))
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(k - 1):
+            if a[j] > a[j + 1]:
+                a[j], a[j + 1] = a[j + 1], a[j]
+                swaps.append(j + 1)
+                changed = True
+    # sorting multiplies sigma on the right by each s_j in order, so
+    # sigma = s_{j_t} ... s_{j_1}
+    return BraidWord(k, tuple(reversed(swaps)))
+
+
+def strand_matrix(B: BraidedSpace, i: int, k: int) -> CycMatrix:
+    """c acting on strands i, i+1 of a k-fold tensor power (1-based)."""
+    d = B.dim
+    mat = B.c
+    if i > 1:
+        mat = CycMatrix.identity(B.n, d ** (i - 1)).kron(mat)
+    if i < k - 1:
+        mat = mat.kron(CycMatrix.identity(B.n, d ** (k - 1 - i)))
+    return mat
+
+
+def braid_representation(B: BraidedSpace, word: BraidWord) -> CycMatrix:
+    """rho(word) on the word.n_strands-fold tensor power: the letters are
+    composed left to right as a matrix product."""
+    k = word.n_strands
+    out = CycMatrix.identity(B.n, B.dim ** k)
+    for i in word.letters:
+        out = out @ strand_matrix(B, i, k)
+    return out
+
+
+def naive_quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
+    """The literal sum over all k! permutations of their Matsumoto lifts."""
+    out = CycMatrix.zero(B.n, B.dim ** k, B.dim ** k)
+    for sigma in permutations(range(1, k + 1)):
+        out = out + braid_representation(B, matsumoto_lift(sigma))
+    return out
+
+
+def contains_profile(space: SquareZeroSpace, v: list) -> bool:
+    """Whether the monomial profile of the degree-1 vector v lies in the
+    solution space of `square_zero_monomial_space` (equivalent to
+    QS_2(v (x) v) = 0): appending it to the kernel basis keeps the rank."""
+    if not v:
+        return False
+    n = v[0].n
+    profile = [v[a] * v[b] for (a, b) in space.pairs]
+    rows = {i: {c: x for c, x in enumerate(vec) if not x.is_zero()}
+            for i, vec in enumerate(space.kernel)}
+    mat = CycMatrix(n, len(space.kernel), len(space.pairs), rows)
+    base_rank = mat.rank()
+    extra = {c: x for c, x in enumerate(profile) if not x.is_zero()}
+    if not extra:
+        return True
+    rows2 = dict(rows)
+    rows2[len(space.kernel)] = extra
+    mat2 = CycMatrix(n, len(space.kernel) + 1, len(space.pairs), rows2)
+    return mat2.rank() == base_rank
+
+
+# -- K_n -------------------------------------------------------------------------------
+
+
+def xhat(A: KnAlgebra) -> KnElement:
+    """x^ = sum_{ij} f_{ij}."""
+    one = A.scalar(1)
+    return KnElement(A, {(F, i, j): one
+                         for i in range(A.n) for j in range(A.n)})
+
+
+def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
+    """h -> z = h_(1) z S(h_(2)), computed via comultiply/multiply/antipode."""
+    A = h.algebra
+    acc = KnElement(A, {})
+    for (k1, k2), v in comultiply(h).coeffs.items():
+        left = KnElement(A, {k1: v})
+        right = antipode(KnElement(A, {k2: A.scalar(1)}))
+        acc = acc + multiply(multiply(left, z), right)
+    return acc
+
+
+# -- linear algebra --------------------------------------------------------------------
+
+
+def transpose(M: CycMatrix) -> CycMatrix:
+    out = CycMatrix(M.n, M.cols, M.rows)
+    for r, row in M.data.items():
+        for c, v in row.items():
+            out.data.setdefault(c, {})[r] = v
+    return out
+
+
+def solve(M: CycMatrix, b: list):
+    """Solve M x = b through `row_echelon()` of [M | b], so that the tests
+    of this solver also check the package's elimination against `rref()`.
+    Returns (particular, kernel_basis) or None if the system is
+    inconsistent."""
+    if len(b) != M.rows:
+        raise ValueError("dimension mismatch")
+    aug = CycMatrix(M.n, M.rows, M.cols + 1,
+                    {r: dict(row) for r, row in M.data.items()})
+    for r, v in enumerate(b):
+        aug.set(r, M.cols, v)
+    rows, pivots = aug.row_echelon()
+    if M.cols in pivots:   # a row 0 = b_r with b_r nonzero
+        return None
+    zero = CycNum.zero(M.n)
+    x = [zero] * M.cols
+    for row, p in zip(rows, pivots):
+        x[p] = row.get(M.cols, zero)
+    return x, M.kernel_basis()
+
+
+# -- racks and solutions ---------------------------------------------------------------
+
+
+def flip_solution(size: int) -> BraidedSet:
+    """s(x,y) = (y,x)."""
+    return BraidedSet.from_map(size, lambda x, y: (y, x))
+
+
+def trivial_rack(size: int) -> Rack:
+    return Rack([[y for y in range(size)] for _ in range(size)])
+
+
+def constant_cocycle(size: int, value: CycNum) -> CocycleTable:
+    return CocycleTable([[value] * size for _ in range(size)])

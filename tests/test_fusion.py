@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knyd import fusion
-from knyd.cyclotomic import CycNum, modular_prime, root
-from knyd.hopf import P, KnAlgebra, delta_terms
+from knyd.cyclotomic import CycNum, cyc, modular_prime, root
+from knyd.hopf import F, P, KnAlgebra, delta_terms
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
-                        check_yd, hom_dimension, is_yd_map, list_simples)
+                        check_yd, direct_sum, hom_dimension, is_yd_map,
+                        list_simples)
 from knyd.fusion import (FusionDecomposition, closed_form_fuse, decompose,
                          fusion_table, sample_pairs, tensor_module,
                          uw0_isomorphism, zn_orbit_set)
@@ -30,28 +31,56 @@ def _oracle(A, L1, L2):
 # -- tensor products ----------------------------------------------------------------
 
 
+def _comultiplied(A, M1, M2, key):
+    """The basis element key of K_n acting on M1 (x) M2 through
+    Delta(key) = sum h1 (x) h2, as the sum of h1 . kron h2 . over the terms
+    of `delta_terms`."""
+    n = A.n
+    act = CycMatrix.zero(n, M1.dim * M2.dim, M1.dim * M2.dim)
+    for k1, k2, v in delta_terms(A, key):
+        m1, m2 = M1.action_of(k1), M2.action_of(k2)
+        if m1.data and m2.data:
+            act = act + m1.kron(m2.scale(root(n, v)))
+    return act
+
+
 @pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (9, 2)])
 def test_tensor_weights_match_the_comultiplication(n, seed):
-    # p_{ab} acts on M1 (x) M2 through Delta(p_{ab}) = sum h1 (x) h2 as
-    # sum h1 . kron h2 . ; that must be the 0/1 diagonal of the weights
-    # tensor_module assigns
+    # p_{ab} acts on M1 (x) M2 through Delta(p_{ab}); that must be the 0/1
+    # diagonal of the weights tensor_module assigns.  x^, the sum of the
+    # f_{ab}, acts through the Delta(f_{ab}); that must be the x^ that
+    # tensor_module builds in one pass over pairs of x^ entries
     A = KnAlgebra(n)
     one = CycNum.one(n)
     rng = random.Random(seed)
     labels = list_simples(A)
+
+    def check_xhat(M1, M2):
+        xhat = CycMatrix.zero(n, M1.dim * M2.dim, M1.dim * M2.dim)
+        for a in range(n):
+            for b in range(n):
+                xhat = xhat + _comultiplied(A, M1, M2, (F, a, b))
+        assert tensor_module(M1, M2).action_x == xhat
+
     for _ in range(3):
         M1, M2 = (build_simple(A, rng.choice(labels)) for _ in range(2))
         M = tensor_module(M1, M2)
         for a in range(n):
             for b in range(n):
-                act = CycMatrix.zero(n, M.dim, M.dim)
-                for k1, k2, v in delta_terms(A, (P, a, b)):
-                    m1, m2 = M1.action_of(k1), M2.action_of(k2)
-                    if m1.data and m2.data:
-                        act = act + m1.kron(m2.scale(root(n, v)))
                 diagonal = {r: {r: one} for r, w in enumerate(M.weights)
                             if w == (a, b)}
-                assert act == CycMatrix(n, M.dim, M.dim, diagonal), (a, b)
+                assert (_comultiplied(A, M1, M2, (P, a, b))
+                        == CycMatrix(n, M.dim, M.dim, diagonal)), (a, b)
+        check_xhat(M1, M2)
+    # a direct sum, and a space whose x^ does not swap weights, which no
+    # module allows: the one-pass x^ does not lean on the module axioms
+    S = direct_sum(build_simple(A, rng.choice(labels)),
+                   build_simple(A, U(n, 1, 0, 1, 0)))
+    X = CycMatrix.from_rows(n, [[cyc(n, 1), 2], [Fraction(1, 3), -1]])
+    odd = YDModule(A, 2, [(0, 1), (2, 2)], X, [{}, {}])
+    for M1, M2 in [(S, build_simple(A, rng.choice(labels))), (S, odd),
+                   (odd, S), (odd, odd)]:
+        check_xhat(M1, M2)
 
 
 # -- the decomposition container ----------------------------------------------------

@@ -15,15 +15,17 @@ from knyd.hopf import KnAlgebra
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, braided_space, braiding, build_simple,
                         direct_sum, list_simples)
-from knyd.nichols import (BraidedSpace, BraidWord, MemoryBudgetError,
-                          a2_criterion, braid_representation,
+from knyd.nichols import (BraidedSpace, MemoryBudgetError, a2_criterion,
                           check_braid_equation, diagonal_data, graded_dims,
-                          infinite_precheck, is_square_zero, matsumoto_lift,
-                          naive_quantum_symmetrizer, presentation_check,
-                          quantum_symmetrizer, square_zero_monomial_space,
-                          sum_criterion, tensor_vector)
+                          infinite_precheck, is_square_zero,
+                          presentation_check, quantum_symmetrizer,
+                          square_zero_monomial_space, sum_criterion,
+                          tensor_vector)
 from knyd.racks import (cq_braiding, d_cocycle, dihedral_rack, sF_braiding,
                         standard_solution, w_cocycle)
+from oracles import (BraidWord, braid_representation, contains_profile,
+                     matsumoto_lift, naive_quantum_symmetrizer, solve,
+                     transpose)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +236,23 @@ def test_graded_dims_against_full_symmetrizer(n, summands, top):
         for vec in rels:
             assert all(x.is_zero() for x in qs.apply(vec)), k
         _assert_reduced_echelon(rels)
+
+
+@pytest.mark.parametrize("label", ["U(0,1,0,2)", "W(-1,0,0)", "W(-1,1,1)"])
+def test_reduced_echelon_kron_identity_is_reduced(A3, label):
+    # graded_dims reads R_k = G (R_{k-1} (x) id) as reduced, with pivots
+    # mapped from G's: R (x) id must be reduced already, row j with its
+    # leading 1 at P[j // d] d + j mod d
+    B = _space(A3, label)
+    d = B.dim
+    for k in (2, 3):
+        rows, pivots = quantum_symmetrizer(B, k).row_echelon()
+        R_id = CycMatrix(3, len(rows), d ** k, dict(enumerate(rows))).kron(
+            CycMatrix.identity(3, d))
+        red, red_pivots = R_id.row_echelon()
+        assert red_pivots == [pivots[j // d] * d + j % d
+                              for j in range(R_id.rows)]
+        assert red == [R_id.data[j] for j in range(R_id.rows)]
 
 
 def test_qs1_is_identity(A3):
@@ -591,7 +610,7 @@ def test_square_zero_witnesses_in_b1(A3):
     assert CycMatrix.from_rows(n, [a, b, c_]).rank() == 3
     space = square_zero_monomial_space(B)
     for v in (a, b, c_):
-        assert space.contains_profile(v)
+        assert contains_profile(space, v)
     assert space.forces_axis() is None
 
 
@@ -605,14 +624,16 @@ def test_square_zero_forces_axis_in_b_xi(A3, label):
     assert (1, 1) in space.forced_zero and (2, 2) in space.forced_zero
     assert space.forces_axis() == 0
     # no rank-1 profile off the axis is admitted
-    assert not space.contains_profile(_vec(n, [0, 1, 0]))
-    assert not space.contains_profile(_vec(n, [1, 1, 1]))
+    assert not contains_profile(space, _vec(n, [0, 1, 0]))
+    assert not contains_profile(space, _vec(n, [1, 1, 1]))
 
 
-def test_square_zero_dimension_bound(A3):
-    B = _space(A3, "W(-1,0,0)")
-    with pytest.raises(ValueError):
-        square_zero_monomial_space(B, bound=2)
+def test_square_zero_dimension_bound(monkeypatch):
+    # the 7-dimensional W(-1,0,0) at n = 7 is refused before QS_2 is formed
+    B = _space(KnAlgebra(7), "W(-1,0,0)")
+    monkeypatch.setattr(nichols, "quantum_symmetrizer", None)
+    with pytest.raises(ValueError, match="dimension 7 exceeds the bound 6"):
+        square_zero_monomial_space(B)
 
 
 # -- presentations --------------------------------------------------------------------
@@ -696,9 +717,9 @@ def test_x_negation_intertwines_the_two_diagonal_braidings(A3):
     Xinv_cols = []
     for k in range(3):
         e = [CycNum.one(n) if a == k else CycNum.zero(n) for a in range(3)]
-        sol, _ = X.solve(e)
+        sol, _ = solve(X, e)
         Xinv_cols.append(sol)
-    Xinv = CycMatrix.from_rows(n, Xinv_cols).transpose()
+    Xinv = transpose(CycMatrix.from_rows(n, Xinv_cols))
     T = X @ P @ Xinv
     c1 = _space(A3, "W(-1,1,1)").c
     c2 = _space(A3, "W(-1,2,2)").c
