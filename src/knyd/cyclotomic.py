@@ -11,7 +11,10 @@ fast integer operations and still gives a canonical form.
 a primitive n-th root of unity mod p; `modular_prime` fixes one such p per
 n.  The reduction is the ring map at the prime (p, xi - omega), defined on
 every element integral there, so a matrix rank mod p never exceeds the rank
-over Q(xi_n).
+over Q(xi_n).  The phi(n) embeddings xi -> omega^u, u a unit mod n, are all
+the ring maps Z[xi_n] -> F_p (`root_images`); `from_images` goes back, from
+the images of an element under all of them to the element itself, when its
+coefficients are small fractions.
 """
 
 from __future__ import annotations
@@ -219,9 +222,7 @@ class CycNum:
         deg = len(num)
         powers = _xi_powers(n)
         b = None
-        for k in range(2, n):
-            if gcd(k, n) != 1:
-                continue
+        for k in _units(n)[1:]:
             conj = [0] * deg
             for i, c in enumerate(num):
                 if c:
@@ -348,6 +349,95 @@ def _omega_powers(n: int, p: int) -> tuple[int, ...]:
         if all(pow(omega, k, p) != 1 for k in range(1, n)):
             return tuple(pow(omega, k, p) for k in range(deg))
     raise ValueError("no primitive %d-th root of unity mod %d" % (n, p))
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    return tuple(u for u in range(1, n) if gcd(u, n) == 1)
+
+
+@lru_cache(maxsize=None)
+def root_images(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """For each embedding xi -> omega^u of Z[xi_n] into F_p, u a unit mod n
+    in ascending order and omega that of `_omega_powers`, the images of the
+    2n roots of unity, indexed by their exponent (`root`).  The omega^u are
+    the phi(n) roots of Phi_n mod p, so these are all the embeddings; the
+    first, u = 1, is that of `mod_p`."""
+    omega = _omega_powers(n, p)[1]
+    return tuple(tuple((-1) ** e * pow(omega, u * e, p) % p
+                       for e in range(2 * n)) for u in _units(n))
+
+
+@lru_cache(maxsize=None)
+def _images_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The inverse mod p of the Vandermonde matrix V[i][t] = omega^(u_i t)
+    that takes power-basis coefficients to the images under the embeddings
+    of `root_images`: row t gives coefficient t from the images."""
+    deg = len(_omega_powers(n, p))
+    omega = _omega_powers(n, p)[1]
+    rows = [[pow(omega, u * t, p) for t in range(deg)]
+            + [int(i == j) for j in range(deg)]
+            for i, u in enumerate(_units(n))]
+    for col in range(deg):   # Gauss-Jordan on [V | id]; V is invertible
+        piv = next(r for r in range(col, deg) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for r in range(deg):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    return tuple(tuple(row[deg:]) for row in rows)
+
+
+def _rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:
+    """The fraction r/s = a mod p with |r|, s <= sqrt((p - 1) / 2), s > 0,
+    in lowest terms, by the extended Euclidean algorithm on (p, a) (Wang,
+    Guy and Davenport 1982); at most one exists.  None when there is
+    none."""
+    bound = isqrt((p - 1) // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def from_images(n: int, p: int, images) -> CycNum | None:
+    """The element of Q(xi_n) with the given images in F_p under the
+    embeddings of `root_images`, in their order: its power-basis
+    coefficients mod p are read off by `_images_inverse` and each is lifted
+    by rational reconstruction.  None when one cannot be lifted.  An element
+    whose coefficients are fractions r/s with |r|, s <= sqrt((p - 1) / 2)
+    is always found; any other result is only congruent mod p to the
+    element sought, and must be certified by its caller."""
+    coeffs = []
+    for row in _images_inverse(n, p):
+        frac = _rational_reconstruction(
+            sum(w * x for w, x in zip(row, images)), p)
+        if frac is None:
+            return None
+        coeffs.append(Fraction(*frac))
+    return CycNum.from_coeffs(n, coeffs)
+
+
+@lru_cache(maxsize=None)
+def root_growth(n: int) -> int:
+    """kappa(n) = max_t (1 + sum_{deg <= m < n} |coefficient t of xi^m|):
+    multiplying an element of Z[xi_n] by a root of unity +-xi^m makes its
+    power-basis coefficients at most kappa(n) times as large as its
+    largest.  For a = sum_s a_s xi^s, xi^m a = sum_s a_s xi^(m + s), the
+    deg exponents m + s are distinct mod n, and xi^j is a basis vector for
+    j < deg.  kappa is 2 for n = 3, 5, 7 and 9, and 6 for n = 15."""
+    powers = _xi_powers(n)
+    deg = len(powers[0].num)
+    return max(1 + sum(abs(powers[m].num[t]) for m in range(deg, n))
+               for t in range(deg))
 
 
 def mod_p(a: CycNum, p: int) -> int | None:

@@ -1,16 +1,23 @@
-"""Exact sparse linear algebra over Q(xi_n).
+"""Exact sparse linear algebra over Q(xi_n), and over F_p.
 
-Matrices are stored sparsely as a dict of row index -> {col index: CycNum};
-the representation never affects results.  Every rank, echelon basis and
-kernel comes from one elimination, `_echelon`: an incremental pass over the
-rows that keeps one pivot row per pivot column, keyed by the row's least
-column (its greatest, for kernels), followed over Q(xi_n) by the
-back-substitution `_reduce`.  The reduced echelon form is unique, so the
+Matrices are stored sparsely as a dict of row index -> {col index: entry};
+the representation never affects results.  A matrix over Q(xi_n) holds
+CycNum entries.  A residue matrix, `CycMatrix(n, rows, cols, data, prime)`,
+holds entries in F_p as ints in 1 .. p - 1, such as the image of a matrix
+over Q(xi_n) under an embedding xi -> omega^u of `cyclotomic.root_images`;
+no entry is 0 mod p.  `+`, `@`, `kron`, `row_echelon`, `kernel_basis` and
+`rank` read the field from the matrix and work over either one, on machine
+integers over F_p; the operands of `+`, `@` and `kron` share their field.
+The other methods take matrices over Q(xi_n).
+
+Every rank, echelon basis and kernel comes from one elimination, `_echelon`:
+an incremental pass over the rows that keeps one pivot row per pivot column,
+keyed by the row's least column (its greatest, for kernels and for the rank
+factorization of `nichols.graded_dims`), followed by the back-substitution
+`_reduce`; `_reduced` runs both.  The reduced echelon form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
-reduced echelon form (pivot = first nonzero column).
-`CycMatrix.rank(prime)` runs the same pass on a matrix over F_p, whose
-entries are residues mod p, in machine integers.  The pass reads no more
-rows once every column has a pivot row.  `rref()` keeps the plain
+reduced echelon form (pivot = first nonzero column).  The pass reads no
+more rows once every column has a pivot row.  `rref()` keeps the plain
 column-by-column elimination as a reference.
 """
 
@@ -20,13 +27,15 @@ from .cyclotomic import CycNum
 
 
 class CycMatrix:
-    __slots__ = ("n", "rows", "cols", "data")
+    __slots__ = ("n", "rows", "cols", "data", "prime")
 
-    def __init__(self, n: int, rows: int, cols: int, data=None):
+    def __init__(self, n: int, rows: int, cols: int, data=None,
+                 prime: int | None = None):
         self.n = n
         self.rows = rows
         self.cols = cols
-        self.data: dict[int, dict[int, CycNum]] = data if data is not None else {}
+        self.data: dict[int, dict] = data if data is not None else {}
+        self.prime = prime
 
     # -- construction --------------------------------------------------------
 
@@ -45,9 +54,26 @@ class CycMatrix:
         return m
 
     @staticmethod
-    def identity(n: int, size: int) -> "CycMatrix":
-        one = CycNum.one(n)
-        return CycMatrix(n, size, size, {i: {i: one} for i in range(size)})
+    def identity(n: int, size: int, prime: int | None = None) -> "CycMatrix":
+        one = CycNum.one(n) if prime is None else 1
+        return CycMatrix(n, size, size, {i: {i: one} for i in range(size)},
+                         prime)
+
+    @staticmethod
+    def from_sums(n: int, rows: int, cols: int, sums: dict,
+                  prime: int | None = None) -> "CycMatrix":
+        """The matrix whose entries are the sparse rows `sums`, with each
+        entry reduced mod p over F_p, and zero entries and empty rows
+        dropped."""
+        data = {}
+        for r, row in sums.items():
+            if prime is None:
+                row = {c: v for c, v in row.items() if not v.is_zero()}
+            else:
+                row = {c: x for c, v in row.items() if (x := v % prime)}
+            if row:
+                data[r] = row
+        return CycMatrix(n, rows, cols, data, prime)
 
     @staticmethod
     def zero(n: int, rows: int, cols: int) -> "CycMatrix":
@@ -55,7 +81,8 @@ class CycMatrix:
 
     def copy(self) -> "CycMatrix":
         return CycMatrix(self.n, self.rows, self.cols,
-                         {r: dict(row) for r, row in self.data.items()})
+                         {r: dict(row) for r, row in self.data.items()},
+                         self.prime)
 
     # -- access ---------------------------------------------------------------
 
@@ -74,7 +101,8 @@ class CycMatrix:
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if (self.n, self.rows, self.cols) != (other.n, other.rows, other.cols):
+        if (self.n, self.rows, self.cols, self.prime) != (
+                other.n, other.rows, other.cols, other.prime):
             return False
         keys = set(self.data) | set(other.data)
         for r in keys:
@@ -87,31 +115,35 @@ class CycMatrix:
 
     def __repr__(self):
         nnz = sum(len(row) for row in self.data.values())
-        return "CycMatrix(%dx%d over Q(xi_%d), %d nonzero)" % (
-            self.rows, self.cols, self.n, nnz)
+        field = ("Q(xi_%d)" % self.n if self.prime is None
+                 else "F_%d" % self.prime)
+        return "CycMatrix(%dx%d over %s, %d nonzero)" % (
+            self.rows, self.cols, field, nnz)
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
         self._check_shape(other)
-        out = self.copy()
+        sums = {r: dict(row) for r, row in self.data.items()}
         for r, row in other.data.items():
-            orow = out.data.setdefault(r, {})
+            srow = sums.setdefault(r, {})
             for c, v in row.items():
-                s = orow.get(c)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    orow.pop(c, None)
-                else:
-                    orow[c] = s
-        return out
+                s = srow.get(c)
+                srow[c] = v if s is None else s + v
+        return CycMatrix.from_sums(self.n, self.rows, self.cols, sums,
+                                   self.prime)
 
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
         return self + other.scale(CycNum.rational(self.n, -1))
 
     def _check_shape(self, other):
-        if (self.rows, self.cols, self.n) != (other.rows, other.cols, other.n):
-            raise ValueError("shape or conductor mismatch")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        self._check_field(other)
+
+    def _check_field(self, other):
+        if (self.n, self.prime) != (other.n, other.prime):
+            raise ValueError("conductor or prime mismatch")
 
     def scale(self, a: CycNum) -> "CycMatrix":
         if a.is_zero():
@@ -121,11 +153,12 @@ class CycMatrix:
                           for r, row in self.data.items()})
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        if self.cols != other.rows or self.n != other.n:
-            raise ValueError("shape or conductor mismatch")
-        out = CycMatrix(self.n, self.rows, other.cols)
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        self._check_field(other)
+        sums = {}
         for r, row in self.data.items():
-            acc: dict[int, CycNum] = {}
+            acc = sums[r] = {}
             for k, v in row.items():
                 brow = other.data.get(k)
                 if not brow:
@@ -134,20 +167,22 @@ class CycMatrix:
                     p = v * w
                     s = acc.get(c)
                     acc[c] = p if s is None else s + p
-            acc = {c: v for c, v in acc.items() if not v.is_zero()}
-            if acc:
-                out.data[r] = acc
-        return out
+        return CycMatrix.from_sums(self.n, self.rows, other.cols, sums,
+                                   self.prime)
 
     def kron(self, other: "CycMatrix") -> "CycMatrix":
-        """Kronecker product, row-major index convention."""
-        out = CycMatrix(self.n, self.rows * other.rows, self.cols * other.cols)
+        """Kronecker product, row-major index convention.  A product of
+        two nonzero entries is nonzero over either field."""
+        self._check_field(other)
+        p = self.prime
+        out = CycMatrix(self.n, self.rows * other.rows, self.cols * other.cols,
+                        prime=p)
         for r1, row1 in self.data.items():
             for r2, row2 in other.data.items():
-                orow = {}
-                for c1, v1 in row1.items():
-                    for c2, v2 in row2.items():
-                        orow[c1 * other.cols + c2] = v1 * v2
+                orow = {c1 * other.cols + c2: v1 * v2
+                        for c1, v1 in row1.items() for c2, v2 in row2.items()}
+                if p is not None:
+                    orow = {c: v % p for c, v in orow.items()}
                 out.data[r1 * other.rows + r2] = orow
         return out
 
@@ -170,21 +205,20 @@ class CycMatrix:
                 for r in range(self.rows)]
         return _rref_rows(work, self.cols)
 
-    def rank(self, prime: int | None = None) -> int:
-        """The rank over Q(xi_n); with a prime p, the rank over F_p of a
-        matrix whose entries are residues mod p (ints, none of them 0 mod
-        p), such as the image under `cyclotomic.mod_p` of a matrix over
-        Q(xi_n), whose rank it bounds from below."""
-        return len(_echelon(self, prime))
+    def rank(self) -> int:
+        """The rank over the matrix's field.  That of a residue matrix, the
+        image of a matrix over Q(xi_n) under `cyclotomic.mod_p`, bounds the
+        rank over Q(xi_n) from below."""
+        return len(_echelon(self))
 
-    def row_echelon(self) -> tuple[list[dict[int, CycNum]], list[int]]:
+    def row_echelon(self) -> tuple[list[dict], list[int]]:
         """The reduced echelon basis of the row space: (its rows as sparse
         dicts, their pivot columns), in ascending pivot order.  Equal to the
         nonzero rows of `rref()`."""
-        rows = sorted(_reduce(_echelon(self)).items())
+        rows = sorted(_reduced(self).items())
         return [row for _, row in rows], [p for p, _ in rows]
 
-    def kernel_basis(self) -> list[list[CycNum]]:
+    def kernel_basis(self) -> list[list]:
         """Basis of the right kernel, as rows of a reduced-echelon matrix
         (each basis vector's first nonzero entry is a leading 1 in a column
         no other basis vector uses).
@@ -194,10 +228,13 @@ class CycMatrix:
         below p.  The vector e_f - sum_p red[p][f] e_p of a free column f
         then has its leading 1 at f and vanishes on every other free column:
         sorted by f, these vectors are the reduced echelon basis, which is
-        unique."""
-        zero = CycNum.zero(self.n)
-        one = CycNum.one(self.n)
-        red = _reduce(_echelon(self, last=True), last=True)
+        unique, over either field."""
+        prime = self.prime
+        if prime is None:
+            zero, one = CycNum.zero(self.n), CycNum.one(self.n)
+        else:
+            zero, one = 0, 1
+        red = _reduced(self, last=True)
         vecs = {f: [zero] * self.cols for f in range(self.cols)
                 if f not in red}
         for f, vec in vecs.items():
@@ -205,11 +242,11 @@ class CycMatrix:
         for p, row in red.items():
             for f, x in row.items():
                 if f != p:
-                    vecs[f][p] = -x
+                    vecs[f][p] = -x if prime is None else prime - x
         return list(vecs.values())
 
 
-def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
+def _echelon(m: CycMatrix, last: bool = False):
     """The one elimination: an incremental echelon pass over the rows of m.
     Each row is reduced against the stored pivot rows, keyed by their least
     column (greatest with last=True), until its lead column has no pivot
@@ -218,9 +255,9 @@ def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
     pivot and are not read.  Returns {pivot column: row}, an echelon basis
     of the row space.
 
-    Over Q(xi_n) the entries are CycNum; with a prime p they are residues
-    mod p and the pass runs on machine integers."""
-    pick = max if last else min
+    Over Q(xi_n) the entries are CycNum; over F_p they are residues mod p
+    and the pass runs on machine integers."""
+    prime, pick = m.prime, max if last else min
     pivots: dict[int, dict] = {}
     for row in m.data.values():
         work = dict(row)
@@ -230,30 +267,29 @@ def _echelon(m: CycMatrix, prime: int | None = None, last: bool = False):
             if prow is None:
                 pivots[lead] = _scaled(work, work[lead], prime)
                 break
-            factor = work[lead]
-            if prime is None:
-                _subtract(work, factor, prow)
-                continue
-            for c, v in prow.items():   # inline: the F_p rows are short
-                s = (work.get(c, 0) - factor * v) % prime
-                if s:
-                    work[c] = s
-                else:
-                    work.pop(c, None)
+            _subtract(work, work[lead], prow, prime)
         if len(pivots) == m.cols:
             break
     return pivots
 
 
-def _reduce(pivots: dict, last: bool = False) -> dict:
-    """Back-substitution on the pivot rows of `_echelon(m, None, last)`:
-    clears each pivot column from every other pivot row, in place, which
-    gives the reduced echelon form.  Rows are taken from the far end, so
-    the pivot rows subtracted from a row are already reduced."""
+def _reduced(m: CycMatrix, last: bool = False) -> dict:
+    """The reduced echelon basis of the row space of m, {pivot column:
+    row}, keyed by each row's least column (its greatest with last=True):
+    the row is 1 there and every other row is 0."""
+    return _reduce(_echelon(m, last), m.prime, last)
+
+
+def _reduce(pivots: dict, prime: int | None, last: bool) -> dict:
+    """Back-substitution on the pivot rows of `_echelon(m, last)`, over the
+    field of m (prime p for F_p, None for Q(xi_n)): clears each pivot
+    column from every other pivot row, in place, which gives the reduced
+    echelon form.  Rows are taken from the far end, so the pivot rows
+    subtracted from a row are already reduced."""
     for lead in sorted(pivots, reverse=not last):
         row = pivots[lead]
         for c in [c for c in row if c != lead and c in pivots]:
-            _subtract(row, row[c], pivots[c])
+            _subtract(row, row[c], pivots[c], prime)
     return pivots
 
 
@@ -268,8 +304,17 @@ def _scaled(row: dict, lead, prime: int | None) -> dict:
     return {c: v * inv for c, v in row.items()}
 
 
-def _subtract(work: dict, factor: CycNum, prow: dict):
-    """work -= factor * prow in place over Q(xi_n), zero entries dropped."""
+def _subtract(work: dict, factor, prow: dict, prime: int | None):
+    """work -= factor * prow in place over Q(xi_n) or F_p, zero entries
+    dropped."""
+    if prime is not None:
+        for c, v in prow.items():
+            s = (work.get(c, 0) - factor * v) % prime
+            if s:
+                work[c] = s
+            else:
+                work.pop(c, None)
+        return
     for c, v in prow.items():
         s = work.get(c)
         s = -factor * v if s is None else s - factor * v

@@ -1,4 +1,4 @@
-"""Nichols-algebra engine over Q(xi_n).
+"""Nichols-algebra engine over Q(xi_n), with graded dimensions over F_p.
 
 A BraidedSpace is a finite-dimensional vector space with an invertible
 solution c of the braid equation, stored as a d^2 x d^2 matrix in the
@@ -14,22 +14,54 @@ length-additive coset factorization
 
 which agrees with the naive |S_k|-term sum (the test oracle in
 tests/oracles.py).  `_shuffle` applies T_k to a matrix with d^k rows by
-index arithmetic on its rows, with no strand matrix; `quantum_symmetrizer`
-runs the recursion through it on full d^k x d^k matrices.
+index arithmetic on its rows, with no strand matrix: when c has one root of
+unity in each column, every term c_j ... c_{k-1} of T_k sends e_r to a root
+times one basis vector (`_shuffle_terms`).  `quantum_symmetrizer` runs the
+recursion through it on full d^k x d^k matrices.
 
 The k-th graded component of the Nichols algebra has dimension rank(QS_k),
 and the degree-k relations are ker(QS_k).  `graded_dims` never forms QS_k:
 it carries the rank factorization QS_k = C_k R_k, with R_k the reduced
-echelon basis of the row space of QS_k, P_k its pivot columns and
+echelon basis of the row space of QS_k keyed by each row's last column (its
+pivot, where it is 1 and every other row 0), P_k its pivot columns and
 C_k = QS_k[:, P_k], which has only r_k = rank(QS_k) columns.  Since
 
     QS_k = T_k (C_{k-1} (x) id) (R_{k-1} (x) id) = M_k (R_{k-1} (x) id)
 
 with R_{k-1} (x) id of full row rank, rank(QS_k) = rank(M_k), a matrix of
 r_{k-1} d columns; R_k = G (R_{k-1} (x) id) for G the reduced echelon basis
-of the row space of M_k, already in reduced echelon form since
-R_{k-1} (x) id is, with pivot P_{k-1}[j // d] d + j mod d in row j;
-C_k = M_k (R_{k-1} (x) id)[:, P_k]; and ker(QS_k) = ker(R_k).
+of the row space of M_k, keyed the same way and already in reduced form
+since R_{k-1} (x) id is, with pivot P_{k-1}[j // d] d + j mod d in row j;
+C_k = M_k (R_{k-1} (x) id)[:, P_k]; and ker(QS_k) = ker(R_k), whose reduced
+echelon basis `kernel_basis` reads off R_k with no further elimination: for
+each column f that is no pivot, e_f minus column f of R_k.
+
+The same loop runs over F_p, p = `modular_prime(n)`, when c is a
+permutation matrix with root-of-unity entries: once for each of the phi(n)
+embeddings xi -> omega^u of Q(xi_n) into F_p (`cyclotomic.root_images`), on
+residue matrices, all in lockstep, one degree at a time.  For each degree
+R_k is lifted to Q(xi_n) from its phi(n) images and its kernel certified
+(`_kernel_lift`):
+
+  * the embeddings must agree on r_k and P_k, so that their R_k line up;
+  * each entry is lifted by `cyclotomic.from_images`: the Vandermonde
+    inverse gives its power-basis coefficients mod p, and rational
+    reconstruction a fraction for each;
+  * QS_k is a sum of k! products of the c_j, each a permutation matrix with
+    root entries.  Take a kernel vector v of the lifted R_k, with common
+    denominator D.  Each power-basis coefficient of QS_k D v is then at most
+    kappa(n) k! ||D v|| in size (`cyclotomic.root_growth`; ||.|| the
+    largest coefficient).  It is also a multiple of p, since QS_k D v
+    vanishes under every embedding, and the embeddings together determine
+    the power-basis coefficients mod p.  So if kappa(n) k! ||D v|| < p,
+    then QS_k v = 0 exactly;
+  * rank mod p never exceeds the rank over Q(xi_n), so the d^k - r_k kernel
+    vectors, independent and in ker QS_k, span all of it: rank(QS_k) = r_k,
+    and the lifted R_k has the kernel of the loop over Q(xi_n), whose
+    reduced echelon basis is unique.
+
+If any step fails, or a degree over F_p would exceed the memory budget,
+the whole loop runs again over Q(xi_n); either way the report is the same.
 """
 
 from __future__ import annotations
@@ -38,10 +70,11 @@ import os
 import resource
 import sys
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 
-from .cyclotomic import CycNum, root_exponents
-from .linalg import CycMatrix
+from .cyclotomic import (CycNum, from_images, modular_prime, root,
+                         root_exponents, root_growth, root_images)
+from .linalg import CycMatrix, _reduced
 
 
 class MemoryBudgetError(Exception):
@@ -147,15 +180,38 @@ def check_braid_equation(B: BraidedSpace) -> bool:
 # -- quantum symmetrizers -----------------------------------------------------------
 
 
-def _shuffle(B: BraidedSpace, k: int, X: CycMatrix) -> CycMatrix:
+def _shuffle(B: BraidedSpace, k: int, X: CycMatrix, terms=None,
+             roots=None) -> CycMatrix:
     """T_k X for the shuffle factor
 
         T_k = id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1}
 
-    and a matrix X with d^k rows.  c_j, acting on strands j and j+1, is
-    applied by index arithmetic on the rows: row (a, x, b), with x the index
-    of the two strands, gets sum_y c[x][y] * row (a, y, b)."""
+    and a matrix X with d^k rows.  When c has one root-of-unity entry in
+    each column, T_k X is formed from the terms of `_shuffle_terms`
+    (computed when not given) over the field of X, with roots[e] the image
+    there of the root of exponent e (by default the roots themselves, over
+    Q(xi_n)).  Any other c is applied over Q(xi_n) one c_j at a time by
+    index arithmetic on the rows: row (a, x, b), with x the index of the
+    two strands, gets sum_y c[x][y] * row (a, y, b)."""
     d = B.dim
+    if terms is None:
+        terms = _shuffle_terms(B, k)
+    if terms is not None:
+        if roots is None:
+            roots = [root(B.n, e) for e in range(2 * B.n)]
+        sums = {r: dict(row) for r, row in X.data.items()}
+        for targets, exponents in terms:
+            for r, row in X.data.items():
+                v = roots[exponents[r]]
+                acc = sums.get(targets[r])
+                if acc is None:
+                    sums[targets[r]] = {col: v * w for col, w in row.items()}
+                    continue
+                for col, w in row.items():
+                    p = v * w
+                    s = acc.get(col)
+                    acc[col] = p if s is None else s + p
+        return CycMatrix.from_sums(X.n, X.rows, X.cols, sums, X.prime)
     c_cols: dict[int, list] = {}
     for x, row in B.c.data.items():
         for y, v in row.items():
@@ -175,13 +231,32 @@ def _shuffle(B: BraidedSpace, k: int, X: CycMatrix) -> CycMatrix:
                     p = cv * v
                     s = orow.get(col)
                     orow[col] = p if s is None else s + p
-        term = {}
-        for r, row in new.items():
-            row = {col: v for col, v in row.items() if not v.is_zero()}
-            if row:
-                term[r] = row
+        term = CycMatrix.from_sums(X.n, X.rows, X.cols, new).data
         out = out + CycMatrix(X.n, X.rows, X.cols, term)
     return out
+
+
+def _shuffle_terms(B: BraidedSpace, k: int):
+    """For c with one root-of-unity entry in each column, the terms
+    c_j c_{j+1} ... c_{k-1} e_r = root(e) e_t of T_k e_r, j = k-1 .. 1, each
+    as the lists (t, e) over r: each is the last one moved by c_j, which
+    takes the strands j, j+1 from index y to the row x of c's entry in
+    column y, adding its exponent mod 2n.  None for any other c."""
+    cols = _monomial_columns(B.c)
+    if cols is None:
+        return None
+    d, size = B.dim, B.dim ** k
+    targets, exponents = range(size), [0] * size
+    terms = []
+    for j in range(k - 1, 0, -1):
+        inner = d ** (k - 1 - j)   # the strands after j + 1
+        step = [(a + x * inner + b, f) for a in range(0, size, d * d * inner)
+                for x, f in cols for b in range(inner)]
+        exponents = [(e + step[t][1]) % (2 * B.n)
+                     for t, e in zip(targets, exponents)]
+        targets = [step[t][0] for t in targets]
+        terms.append((targets, exponents))
+    return terms
 
 
 def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
@@ -202,24 +277,43 @@ def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
 # -- graded dimensions ---------------------------------------------------------------
 
 
-# What a degree of `graded_dims` holds, measured with tracemalloc at n = 3:
-# over degrees 4-7 of W(-1,1,0) and 4-6 of U(0,1,0,2) + U(0,1,2,1), M_k and
-# R_k took 9-30 bytes per cell of their shapes below and the dense kernel
-# basis about 8 per entry; small degrees, such as those of U(1,0,1,0), add
-# up to about 60 KB whatever their shapes.
+# What a degree of `graded_dims` holds, measured with tracemalloc.  Over
+# Q(xi_n), at n = 3: over degrees 4-7 of W(-1,1,0) and 4-6 of
+# U(0,1,0,2) + U(0,1,2,1), M_k and R_k took 9-30 bytes per cell of their
+# shapes below and the dense kernel basis about 8 per entry; whole degrees
+# of W(-1,1,0) to 6 and U(1,0,1,0) to 9 took at most 0.45 of the estimate.
+# Over F_p, in the last degree of W(-1,1,0) at n = 3 to degree 6 and at
+# n = 9 to 3, U(1,0,1,0) at n = 3 to 9 and at n = 15 to 6,
+# U(0,1,0,2) + U(0,1,2,1) to 5 and W(-1,0,0) at n = 5 to 4 and at n = 7
+# to 3: each lockstep field took
+# 1-8 bytes per cell (up to 28 in the small ones, inside the fixed cost),
+# the lifted R_k at most 8 per cell of M_k's shape and the kernel basis at
+# most 9 per entry; whole degrees took at most 0.63 of the estimate.  The
+# shuffle terms take at most 64 bytes per entry, and small degrees add up
+# to about 60 KB whatever their shapes.
 _DEGREE_BYTES = 64 * 1024
+_TERM_BYTES = 64
 _CELL_BYTES = 40
-_KERNEL_CELL_BYTES = 16
+_RESIDUE_CELL_BYTES = 16
+_KERNEL_CELL_BYTES = 12
 
 
-def _degree_bytes(d: int, k: int, r_prev: int, relations: bool) -> int:
-    """What degree k of `graded_dims` holds, in bytes: a fixed cost, M_k,
-    with d^k rows and r_{k-1} d columns, and R_k, with at most r_{k-1} d
-    rows of d^k columns; with relations also the kernel basis of QS_k, at
-    most d^k dense vectors of d^k entries."""
-    cells = 2 * d ** (k + 1) * r_prev
+def _degree_bytes(d: int, k: int, r_prev: int, relations: bool,
+                  fields: int = 0) -> int:
+    """What degree k of `graded_dims` holds, in bytes: a fixed cost, the
+    k - 1 shuffle terms of d^k entries, M_k, with d^k rows and r_{k-1} d
+    columns, and R_k, with at most r_{k-1} d rows of d^k columns, over
+    Q(xi_n), or over each of `fields` F_p in lockstep and R_k lifted to
+    Q(xi_n); with relations also the kernel basis of QS_k, at most d^k
+    dense vectors of d^k entries."""
+    shape = d ** (k + 1) * r_prev   # M_k's, and the most R_k can hold
+    if fields:
+        cell_bytes = 2 * _RESIDUE_CELL_BYTES * fields + _CELL_BYTES
+    else:
+        cell_bytes = 2 * _CELL_BYTES
     kernel = d ** (2 * k) if relations else 0
-    return _DEGREE_BYTES + _CELL_BYTES * cells + _KERNEL_CELL_BYTES * kernel
+    return (_DEGREE_BYTES + _TERM_BYTES * (k - 1) * d ** k
+            + cell_bytes * shape + _KERNEL_CELL_BYTES * kernel)
 
 
 @dataclass
@@ -263,46 +357,29 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     algebras are generated in degree 1, so all later components vanish
     too) and reports status "finite"; otherwise "infinite" when a diagonal
     fixed vector of c certifies an infinite dimension, else
-    "undetermined"."""
+    "undetermined".
+
+    When c is a permutation matrix with root-of-unity entries, the degree
+    loop runs over F_p, in lockstep for every embedding of Q(xi_n) into
+    F_p, and each degree's R_k is lifted to Q(xi_n) with its kernel
+    certified: the embeddings agree on the rank and the pivots, and each
+    kernel vector v, with denominator D, has kappa(n) k! ||D v|| < p, so
+    QS_k v, a multiple of p no larger than that, is 0 (module docstring).
+    Since a rank mod p is at most the rank over Q(xi_n), these vectors span
+    the whole kernel, and dims[k] is the rank mod p.  If any degree fails,
+    or would exceed the memory budget over F_p, the loop runs again over
+    Q(xi_n); both routes give the same report."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
+    found = None
+    fields = _embeddings(B)
+    if fields is not None:
+        found = _degrees(B, fields, cutoff, want_relations, _kernel_lift(B))
+    if found is None:
+        found = _degrees(B, [(None, None)], cutoff, want_relations)
+    dims, relations = found
     d = B.dim
-    dims = [1, d]
-    relations: dict[int, list] = {}
-    finite = False
-    # QS_1 = C_1 R_1 with C_1 = R_1 = id
-    ident = CycMatrix.identity(B.n, d)
-    C = R = ident
-    pivots = list(range(d))
-    for deg in range(2, cutoff + 1):
-        _check_budget(_degree_bytes(d, deg, dims[-1], want_relations),
-                      "degree %d of the Nichols algebra of a %d-dimensional "
-                      "space" % (deg, d))
-        M = _shuffle(B, deg, C.kron(ident))
-        G, G_pivots = M.row_echelon()
-        rank = len(G)
-        R_id = R.kron(ident)
-        # row j of R_{k-1} (x) id has its leading 1 at pivots[j // d] d +
-        # j mod d and is the only row nonzero there, so G R_id is already
-        # reduced, with G's pivots mapped through that list
-        R = CycMatrix(B.n, rank, R_id.rows, dict(enumerate(G))) @ R_id
-        pivots = [pivots[p // d] * d + p % d for p in G_pivots]
-        if want_relations:
-            relations[deg] = R.kernel_basis()
-        dims.append(rank)
-        if rank == 0:
-            finite = True
-            break
-        if deg < cutoff:
-            position = {p: i for i, p in enumerate(pivots)}
-            columns = {}
-            for r, row in R_id.data.items():
-                kept = {position[c]: v for c, v in row.items()
-                        if c in position}
-                if kept:
-                    columns[r] = kept
-            C = M @ CycMatrix(B.n, R_id.rows, rank, columns)
-    if finite:
+    if dims[-1] == 0:
         top = max(i for i, v in enumerate(dims) if v)
         return GradedReport(dims=dims, relations=relations, status="finite",
                             cutoff=cutoff, total=sum(dims), top_degree=top)
@@ -315,6 +392,141 @@ def graded_dims(B: BraidedSpace, cutoff: int,
                             cutoff=cutoff, witness=witness, note=note)
     return GradedReport(dims=dims, relations=relations, status="undetermined",
                         cutoff=cutoff)
+
+
+class _Factorization:
+    """The rank factorization QS_k = C_k R_k of the module docstring, with
+    the pivots P_k of R_k, advanced one degree at a time: over Q(xi_n), or
+    over F_p for prime p, with roots the images of the 2n roots of unity
+    under one embedding (`cyclotomic.root_images`)."""
+
+    def __init__(self, B: BraidedSpace, prime=None, roots=None):
+        self.B, self.roots = B, roots
+        self.ident = CycMatrix.identity(B.n, B.dim, prime)
+        self.C = self.R = self.ident   # QS_1 = C_1 R_1 with C_1 = R_1 = id
+        self.pivots = list(range(B.dim))
+        self.rank = B.dim
+
+    def advance(self, deg: int, last: bool, terms):
+        """From degree deg - 1 to deg, with the `_shuffle_terms` of deg;
+        with last, C_deg is not formed."""
+        B, ident, d, prime = self.B, self.ident, self.B.dim, self.ident.prime
+        M = _shuffle(B, deg, self.C.kron(ident), terms, self.roots)
+        red = _reduced(M, last=True)
+        G_pivots = sorted(red)
+        self.rank = rank = len(G_pivots)
+        R_id = self.R.kron(ident)
+        # row j of R_{k-1} (x) id has its last nonzero entry, a 1, at
+        # pivots[j // d] d + j mod d and is the only row nonzero there, so
+        # G R_id is already reduced, with G's pivots mapped through that list
+        self.R = CycMatrix(B.n, rank, R_id.rows,
+                           {i: red[p] for i, p in enumerate(G_pivots)},
+                           prime) @ R_id
+        self.pivots = [self.pivots[p // d] * d + p % d for p in G_pivots]
+        if rank and not last:
+            position = {p: i for i, p in enumerate(self.pivots)}
+            columns = {}
+            for r, row in R_id.data.items():
+                kept = {position[c]: v for c, v in row.items()
+                        if c in position}
+                if kept:
+                    columns[r] = kept
+            self.C = M @ CycMatrix(B.n, R_id.rows, rank, columns, prime)
+
+
+def _degrees(B: BraidedSpace, fields: list, cutoff: int,
+             want_relations: bool, lift=None):
+    """The degree loop of `graded_dims`: one `_Factorization` per field
+    (prime, roots), advanced in lockstep; the relations are ker R_k.  Over
+    Q(xi_n), fields is [(None, None)]; over F_p, they are the embeddings of
+    `_embeddings`, and lift(deg, factorizations) gives R_k over Q(xi_n), or
+    None when it cannot certify its kernel.  That ends the loop with None,
+    and so does a degree past the memory budget over F_p, whose estimate
+    exceeds the one over Q(xi_n); over Q(xi_n) that raises
+    MemoryBudgetError.  Returns (dims, relations) otherwise."""
+    d = B.dim
+    states = [_Factorization(B, prime, roots) for prime, roots in fields]
+    dims, relations = [1, d], {}
+    lockstep = len(states) if lift is not None else 0
+    for deg in range(2, cutoff + 1):
+        need = _degree_bytes(d, deg, dims[-1], want_relations, lockstep)
+        try:
+            _check_budget(need, "degree %d of the Nichols algebra of a "
+                                "%d-dimensional space" % (deg, d))
+        except MemoryBudgetError:
+            if lift is None:
+                raise
+            return None
+        terms = _shuffle_terms(B, deg)
+        for state in states:
+            state.advance(deg, deg == cutoff, terms)
+        R = states[0].R if lift is None else lift(deg, states)
+        if R is None:
+            return None
+        if want_relations:
+            relations[deg] = R.kernel_basis()
+        dims.append(states[0].rank)
+        if dims[-1] == 0:
+            break
+    return dims, relations
+
+
+def _embeddings(B: BraidedSpace):
+    """The fields (p, roots) of B's embeddings into F_p, p =
+    `modular_prime(n)`, roots the images of the 2n roots of unity under
+    each (`root_images`); None unless c is a permutation matrix with
+    root-of-unity entries, the braidings whose kernels `_kernel_lift` can
+    certify."""
+    cols = _monomial_columns(B.c)
+    if cols is None or len({r for r, _ in cols}) < len(cols):
+        return None
+    p = modular_prime(B.n)
+    return [(p, roots) for roots in root_images(B.n, p)]
+
+
+def _kernel_lift(B: BraidedSpace):
+    """lift(deg, factorizations) for `_degrees` over the fields of
+    `_embeddings`: R_deg over Q(xi_n), lifted from its images over F_p
+    entry by entry (`cyclotomic.from_images`, once per tuple of images),
+    with every vector of the kernel basis it gives certified as in the
+    module docstring; None when that fails."""
+    n, p = B.n, modular_prime(B.n)
+    lifted: dict = {}
+    missing = object()
+
+    def lift(deg, states):
+        first = states[0]
+        growth_k = root_growth(n) * factorial(deg)
+        if growth_k >= p or any(s.rank != first.rank or
+                                s.pivots != first.pivots for s in states):
+            return None
+        rows, columns = {}, {}
+        for i in range(first.rank):
+            images = [s.R.data[i] for s in states]
+            row = rows[i] = {}
+            for c in sorted(set().union(*images)):
+                key = tuple(image.get(c, 0) for image in images)
+                x = lifted.get(key, missing)
+                if x is missing:
+                    x = lifted[key] = from_images(n, p, key)
+                if x is None:
+                    return None
+                row[c] = x
+                columns.setdefault(c, []).append(x)
+        # the kernel vector of a column f that no row has its pivot in is
+        # e_f minus column f of R; D v has integer coefficients for D the
+        # common denominator
+        for pivot in first.pivots:
+            del columns[pivot]
+        for xs in columns.values():
+            den = lcm(*(x.den for x in xs))
+            height = max(den, max(max(map(abs, x.num)) * (den // x.den)
+                                  for x in xs))
+            if height * growth_k >= p:
+                return None
+        return CycMatrix(n, first.rank, B.dim ** deg, rows)
+
+    return lift
 
 
 # -- infinite-dimension pre-check ------------------------------------------------------

@@ -160,6 +160,7 @@ class YDModule:
         self.label = label
         self._act_cache: dict = {}
         self._hom_cache: dict = {}
+        self._blocks = None
 
     @property
     def action_p(self) -> dict:
@@ -489,17 +490,20 @@ def _hom_entries(M: YDModule, prime: int | None = None):
     return entries
 
 
-def _weight_blocks(weights):
-    """{weight: the basis vectors of that weight, in ascending order}, and
-    the place pos[r] of each v_r in its block.  A simple may hold two
-    vectors of one weight (U(i,i,m,t))."""
-    blocks: dict = {}
-    pos = []
-    for r, w in enumerate(weights):
-        block = blocks.setdefault(w, [])
-        pos.append(len(block))
-        block.append(r)
-    return blocks, pos
+def _weight_blocks(M: YDModule):
+    """{weight: the basis vectors of M of that weight, in ascending order},
+    and the place pos[r] of each v_r in its block; built once and cached on
+    M, like `_hom_entries`.  A simple may hold two vectors of one weight
+    (U(i,i,m,t))."""
+    if M._blocks is None:
+        blocks: dict = {}
+        pos = []
+        for r, w in enumerate(M.weights):
+            block = blocks.setdefault(w, [])
+            pos.append(len(block))
+            block.append(r)
+        M._blocks = blocks, pos
+    return M._blocks
 
 
 def _unknowns(S: YDModule, M: YDModule):
@@ -507,7 +511,7 @@ def _unknowns(S: YDModule, M: YDModule):
     pair of basis vectors m_k, s_j of one weight: T[k][j] is unknown
     offsets[j] + pos[k] (`_weight_blocks` of M); offsets[-1] is their
     number.  Returns (offsets, pos, blocks of M)."""
-    blocks, pos = _weight_blocks(M.weights)
+    blocks, pos = _weight_blocks(M)
     offsets = [0]
     for w in S.weights:
         offsets.append(offsets[-1] + len(blocks.get(w, ())))
@@ -532,8 +536,8 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
     (t dim M + k) dim S + j, is entry (k, j) of A^M T - T A^S for tag t:
     the M part sum_l A^M[k][l] T[l][j], then the S part sum_{j1} T[k][j1]
     A^S[j1][j].  The rows with an M part come first; zero entries, and zero
-    rows, are dropped.  With a prime the rows are residues mod p; the
-    result is None if a coefficient has no image mod p."""
+    rows, are dropped.  With a prime the matrix is a residue matrix over
+    F_p; the result is None if a coefficient has no image mod p."""
     if S.algebra.n != M.algebra.n:
         raise ValueError("algebra mismatch")
     m_entries, s_entries = _hom_entries(M, prime), _hom_entries(S, prime)
@@ -542,7 +546,7 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
     dm, ds = M.dim, S.dim
     wm, ws = M.weights, S.weights
     offsets, pos, blocks = _unknowns(S, M)
-    s_blocks = _weight_blocks(ws)[0]
+    s_blocks = _weight_blocks(S)[0]
     zero = CycNum.zero(S.algebra.n) if prime is None else 0
     rows: dict = {}
     # M part: A^M[k][l] meets T[l][j] for each s_j of the weight of m_l
@@ -561,7 +565,7 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
                 row[c] = s
     rows = {key: row for key, row in rows.items() if row}
     return offsets, CycMatrix(S.algebra.n, (1 + len(_GENERATORS)) * dm * ds,
-                              offsets[-1], rows)
+                              offsets[-1], rows, prime)
 
 
 def hom_dimension(S: YDModule, M: YDModule,
@@ -570,7 +574,7 @@ def hom_dimension(S: YDModule, M: YDModule,
     nullity of `_hom_system`.  With a prime, its nullity over F_p, an upper
     bound on the dimension, or None if a coefficient has no image mod p."""
     system = _hom_system(S, M, prime)
-    return None if system is None else system[1].cols - system[1].rank(prime)
+    return None if system is None else system[1].cols - system[1].rank()
 
 
 def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:

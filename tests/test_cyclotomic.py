@@ -1,14 +1,18 @@
 """Exact arithmetic in Q(xi_n)."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knyd.cyclotomic import (CycNum, cyc, cyclotomic_polynomial, mod_p,
-                             modular_prime, root_exponents, root_order)
+from knyd import cyclotomic
+from knyd.cyclotomic import (CycNum, cyc, cyclotomic_polynomial, from_images,
+                             mod_p, modular_prime, root, root_exponents,
+                             root_growth, root_images, root_order)
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -217,3 +221,93 @@ def test_mod_p_on_p_integral_elements():
     ru = mod_p(u, p)
     assert ru and mod_p(u.inv(), p) * ru % p == 1
     assert mod_p(u * cyc(n, 1), p) == ru * omega % p
+
+
+# -- the embeddings into F_p and back ----------------------------------------------
+
+
+def _units(n):
+    return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+def _conjugate(a, u):
+    """a with xi replaced by xi^u."""
+    total = CycNum.zero(a.n)
+    for t, c in enumerate(a.num):
+        total = total + (CycNum.rational(a.n, Fraction(c, a.den))
+                         * cyc(a.n, u * t))
+    return total
+
+
+def _images(a, p):
+    return tuple(mod_p(_conjugate(a, u), p) for u in _units(a.n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15])
+def test_root_images_are_the_embeddings(n):
+    # one tuple per unit u, the images of the 2n roots under xi -> omega^u,
+    # all distinct embeddings; the first is mod_p's
+    for p in (modular_prime(n), SMALL_PRIME[n]):
+        images = root_images(n, p)
+        assert len(images) == len(_units(n)) == len(set(images))
+        for u, row in zip(_units(n), images):
+            assert list(row) == [mod_p(_conjugate(root(n, e), u), p)
+                                 for e in range(2 * n)]
+        assert list(images[0]) == [mod_p(root(n, e), p) for e in range(2 * n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL_PRIME)).flatmap(
+    lambda n: st.tuples(st.just(n), _elements(n))))
+def test_from_images_inverts_the_embeddings(case):
+    # coefficients up to 5 over denominators up to 6 are far inside the
+    # reconstruction bound sqrt(p / 2) of modular_prime
+    n, a = case
+    p = modular_prime(n)
+    assert from_images(n, p, _images(a, p)) == a
+
+
+def test_from_images_past_the_bound():
+    # a coefficient beyond sqrt(p / 2) is not recovered: either no fraction
+    # fits, or one congruent to it mod p comes back, which only a
+    # certificate can tell from the true one
+    n, p = 5, modular_prime(5)
+    bound = math.isqrt((p - 1) // 2)
+    for big in (bound + 1, 3 * bound, Fraction(bound + 1, 2)):
+        a = CycNum.rational(n, big) + cyc(n, 1)
+        got = from_images(n, p, _images(a, p))
+        assert got != a
+        assert got is None or _images(got, p) == _images(a, p)
+
+
+def test_rational_reconstruction():
+    p = modular_prime(3)
+    bound = math.isqrt((p - 1) // 2)
+    for r, s in ((0, 1), (1, 1), (-1, 1), (2, 3), (-5, 7), (bound, 1),
+                 (-bound, bound - 1)):
+        if math.gcd(r, s) == 1:
+            assert cyclotomic._rational_reconstruction(
+                r * pow(s, -1, p) % p, p) == (r, s)
+    assert cyclotomic._rational_reconstruction(5, 7) is None
+
+
+@pytest.mark.parametrize("n, kappa", [(3, 2), (5, 2), (7, 2), (9, 2),
+                                      (15, 6)])
+def test_root_growth_bounds_products_with_roots(n, kappa):
+    # |coefficients of +-xi^m a| <= kappa(n) max |coefficients of a|, and
+    # kappa(n) is reached: on every a with coefficients in {-1, 0, 1} for
+    # n <= 9, on 300 seeded ones for n = 15
+    assert root_growth(n) == kappa
+    deg = len(cyclotomic_polynomial(n)) - 1
+    if n <= 9:
+        vectors = itertools.product((-1, 0, 1), repeat=deg)
+    else:
+        rng = random.Random(15)
+        vectors = ([rng.choice((-1, 0, 1)) for _ in range(deg)]
+                   for _ in range(300))
+    top = 0
+    for coeffs in vectors:
+        a = CycNum.from_coeffs(n, coeffs)
+        for m in range(n):
+            top = max(top, max(map(abs, (a * cyc(n, m)).num)))
+    assert top == kappa

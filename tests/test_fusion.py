@@ -326,9 +326,9 @@ def test_decompose_falls_back_when_balance_fails(A3, monkeypatch):
     # bounds past dim M; the exact pass must then give the answer
     rank = CycMatrix.rank
 
-    def short_rank(self, prime=None):
-        r = rank(self, prime)
-        return r if prime is None or r == 0 else r - 1
+    def short_rank(self):
+        r = rank(self)
+        return r if self.prime is None or r == 0 else r - 1
 
     monkeypatch.setattr(CycMatrix, "rank", short_rank)
     primes = _record_primes(monkeypatch)

@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over Q(xi_n)."""
+"""Exact sparse linear algebra over Q(xi_n), and over F_p."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
-from knyd.linalg import CycMatrix
+from knyd.linalg import CycMatrix, _reduced
 from oracles import solve, transpose
 
 
@@ -127,7 +127,7 @@ def test_row_emptied_by_set():
     A.set(0, 0, CycNum.zero(n))
     assert A.rank() == 1
     assert len(A.kernel_basis()) == 1
-    assert _residues(A, modular_prime(n)).rank(modular_prime(n)) == 1
+    assert _residues(A, modular_prime(n)).rank() == 1
 
 
 def test_shape_mismatch_rejected():
@@ -177,12 +177,14 @@ _properties = settings(max_examples=60, deadline=None)
 
 
 def _residues(A, p):
-    """The image of A over F_p under `mod_p`, zero residues dropped; the
-    entries of `sparse_matrices` have powers of 2 as denominators, so each
-    has an image."""
+    """The image of A over F_p under `mod_p`, zero residues dropped, as a
+    residue matrix; the entries of `sparse_matrices` have powers of 2 as
+    denominators, so each has an image."""
     return CycMatrix(A.n, A.rows, A.cols,
-                     {r: {c: x for c, v in row.items() if (x := mod_p(v, p))}
-                      for r, row in A.data.items()})
+                     {r: row for r, v_row in A.data.items()
+                      if (row := {c: x for c, v in v_row.items()
+                                  if (x := mod_p(v, p))})},
+                     p)
 
 
 @_properties
@@ -190,7 +192,7 @@ def _residues(A, p):
 def test_modular_rank_is_a_lower_bound(A):
     exact = A.rank()
     for p in (modular_prime(A.n), SMALL_PRIME[A.n]):
-        assert _residues(A, p).rank(p) <= exact
+        assert _residues(A, p).rank() <= exact
 
 
 def _dense_rank_mod(rows, cols, p):
@@ -221,7 +223,38 @@ def test_modular_rank_reads_residues(A):
     residues = _residues(A, p)
     dense = [[residues.data.get(r, {}).get(c, 0) for c in range(A.cols)]
              for r in range(A.rows)]
-    assert residues.rank(p) == _dense_rank_mod(dense, A.cols, p)
+    assert residues.rank() == _dense_rank_mod(dense, A.cols, p)
+
+
+def _image(v, p):
+    return 0 if isinstance(v, CycNum) and v.is_zero() else mod_p(v, p)
+
+
+@_properties
+@given(sparse_matrices())
+def test_residue_matrices_follow_the_exact_ones(A):
+    # a residue matrix (one that holds its prime) is the image of an exact
+    # one under +, @, kron, and, when the pivots hold mod p, under the
+    # reduced echelon basis, keyed by first or last columns, and
+    # kernel_basis too
+    p = modular_prime(A.n)
+    R, At = _residues(A, p), transpose(A)
+    assert R.kron(R) == _residues(A.kron(A), p)
+    assert R @ _residues(At, p) == _residues(A @ At, p)
+    assert R + R == _residues(A + A, p)
+    for last in (False, True):
+        exact, residue = _reduced(A, last), _reduced(R, last)
+        if sorted(residue) == sorted(exact):
+            assert residue == {
+                pivot: {c: x for c, v in row.items() if (x := mod_p(v, p))}
+                for pivot, row in exact.items()}
+            if last:   # the pivots kernel_basis keys its rows by
+                assert R.kernel_basis() == [[_image(v, p) for v in vec]
+                                            for vec in A.kernel_basis()]
+    with pytest.raises(ValueError):
+        R @ At
+    with pytest.raises(ValueError):
+        R.kron(_residues(A, SMALL_PRIME[A.n]))
 
 
 @_properties
@@ -289,6 +322,21 @@ def test_row_echelon_is_the_plain_rref(A):
     assert A.row_echelon() == A.rref()
 
 
+@_properties
+@given(st.one_of(sparse_matrices(), block_matrices()))
+def test_reduced_by_last_column_is_the_rref_of_the_mirror(A):
+    # keyed by each row's last column, the reduced echelon basis is the
+    # plain rref of A with its columns in reverse order, read back
+    flip = A.cols - 1
+    mirror = CycMatrix(A.n, A.rows, A.cols,
+                       {r: {flip - c: v for c, v in row.items()}
+                        for r, row in A.data.items()})
+    rows, pivots = mirror.rref()
+    assert _reduced(A, last=True) == {
+        flip - p: {flip - c: v for c, v in row.items()}
+        for row, p in zip(rows, pivots)}
+
+
 def _vectors(n, size):
     """Vectors of length size over Q(xi_n) with entries c * xi^k, |c| <= 2."""
     entry = st.builds(lambda k, c: cyc(n, k) * CycNum.rational(n, c),
@@ -338,5 +386,5 @@ def test_modular_rank_stops_at_full_rank():
     # once the pivot rows span F_p^cols the rows left are not read
     n = 3
     p = SMALL_PRIME[n]
-    A = CycMatrix(n, 3, 2, {0: {0: 1}, 1: {1: 1}, 2: {0: _Unread(3)}})
-    assert A.rank(p) == 2
+    A = CycMatrix(n, 3, 2, {0: {0: 1}, 1: {1: 1}, 2: {0: _Unread(3)}}, p)
+    assert A.rank() == 2

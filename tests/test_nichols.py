@@ -4,6 +4,7 @@ square-zero loci, and presentations."""
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from knyd import nichols
 from knyd.cyclotomic import CycNum, cyc, root_order
 from knyd.hopf import KnAlgebra
-from knyd.linalg import CycMatrix
+from knyd.linalg import CycMatrix, _reduced
 from knyd.ydmod import (U, V, W, braided_space, braiding, build_simple,
                         direct_sum, list_simples)
 from knyd.nichols import (BraidedSpace, MemoryBudgetError, a2_criterion,
@@ -197,6 +198,35 @@ def test_recursive_qs_equals_naive(A3, label, k):
     assert quantum_symmetrizer(B, k) == naive_quantum_symmetrizer(B, k)
 
 
+def _scaled_flip(n, d, scale):
+    flip = CycMatrix.zero(n, d * d, d * d)
+    for a in range(d):
+        for b in range(d):
+            flip.set(b * d + a, a * d + b, scale)
+    return BraidedSpace(d, flip)
+
+
+def _half_diagonal(n):
+    """The diagonal braiding x_a (x) x_b -> q_ab x_b (x) x_a of a plane
+    with q_00 = 1/2, q_01 = q_10 = xi and q_11 = -1."""
+    half = CycMatrix.zero(n, 4, 4)
+    for (a, b), q in {(0, 0): CycNum.rational(n, Fraction(1, 2)),
+                      (0, 1): cyc(n, 1), (1, 0): cyc(n, 1),
+                      (1, 1): -CycNum.one(n)}.items():
+        half.set(b * 2 + a, a * 2 + b, q)
+    return BraidedSpace(2, half)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_recursive_qs_equals_naive_off_the_root_entries(k):
+    # braidings with an entry that is no root of unity: _shuffle applies
+    # them one c_j at a time, not through _shuffle_terms
+    n = 3
+    for B in (_scaled_flip(n, 3, CycNum.rational(n, 2)), _half_diagonal(n)):
+        assert nichols._shuffle_terms(B, k) is None
+        assert quantum_symmetrizer(B, k) == naive_quantum_symmetrizer(B, k)
+
+
 def _assert_reduced_echelon(vectors):
     """Each vector has a leading 1, in ascending columns, and every other
     vector vanishes in that column."""
@@ -242,17 +272,18 @@ def test_graded_dims_against_full_symmetrizer(n, summands, top):
 def test_reduced_echelon_kron_identity_is_reduced(A3, label):
     # graded_dims reads R_k = G (R_{k-1} (x) id) as reduced, with pivots
     # mapped from G's: R (x) id must be reduced already, row j with its
-    # leading 1 at P[j // d] d + j mod d
+    # pivot 1 at P[j // d] d + j mod d, keyed by the rows' first or (as
+    # graded_dims keys them) last columns
     B = _space(A3, label)
     d = B.dim
-    for k in (2, 3):
-        rows, pivots = quantum_symmetrizer(B, k).row_echelon()
-        R_id = CycMatrix(3, len(rows), d ** k, dict(enumerate(rows))).kron(
+    for k, last in itertools.product((2, 3), (False, True)):
+        pivots = sorted(red := _reduced(quantum_symmetrizer(B, k), last))
+        R_id = CycMatrix(3, len(red), d ** k,
+                         {i: red[p] for i, p in enumerate(pivots)}).kron(
             CycMatrix.identity(3, d))
-        red, red_pivots = R_id.row_echelon()
-        assert red_pivots == [pivots[j // d] * d + j % d
-                              for j in range(R_id.rows)]
-        assert red == [R_id.data[j] for j in range(R_id.rows)]
+        assert _reduced(R_id, last) == {
+            pivots[j // d] * d + j % d: R_id.data[j]
+            for j in range(R_id.rows)}
 
 
 def test_qs1_is_identity(A3):
@@ -291,14 +322,25 @@ def test_memory_budget_refuses_the_first_degree_past_it(A3, monkeypatch):
         graded_dims(B, 6, want_relations=False)
 
 
-@pytest.mark.parametrize("label, cutoff, relations", [
-    ("W(-1,1,0)", 5, True), ("W(-1,1,0)", 5, False), ("U(1,0,1,0)", 9, False),
-])
-def test_degree_estimate_bounds_what_each_degree_allocates(
-        A3, monkeypatch, label, cutoff, relations):
-    # the memory each degree of graded_dims newly allocates, traced by
-    # tracemalloc, stays within the estimate its budget check is given
-    B = _space(A3, label)
+def test_a_budget_between_the_two_estimates_takes_the_exact_route(
+        A3, monkeypatch):
+    # degree 4 of W(-1,1,0) at n = 3 fits the budget over Q(xi_n), to the
+    # byte, but not over its phi(3) = 2 embeddings into F_p in lockstep:
+    # the F_p route gives way and the exact route computes it
+    B = _space(A3, "W(-1,1,0)")
+    exact = _exact_report(monkeypatch, B, 4, False)
+    need = nichols._degree_bytes(3, 4, exact.dims[3], False)
+    assert need < nichols._degree_bytes(3, 4, exact.dims[3], False, 2)
+    monkeypatch.setenv("KN_MEMORY_MB", "1")
+    monkeypatch.setattr(nichols, "_process_bytes", lambda: 2 ** 20 - need)
+    routes = _routes(monkeypatch)
+    assert graded_dims(B, 4, want_relations=False) == exact
+    assert routes == ["refused", "exact"]
+
+
+def _assert_estimate_bounds(monkeypatch, B, cutoff, relations):
+    """The memory each degree of graded_dims newly allocates, traced by
+    tracemalloc, stays within the estimate its budget check is given."""
     marks = []
 
     def record(need, what):
@@ -318,6 +360,26 @@ def test_degree_estimate_bounds_what_each_degree_allocates(
         assert peak - start <= need
 
 
+_ESTIMATE_CASES = [("W(-1,1,0)", 5, True), ("W(-1,1,0)", 5, False),
+                   ("U(1,0,1,0)", 9, False)]
+
+
+@pytest.mark.parametrize("label, cutoff, relations", _ESTIMATE_CASES)
+def test_degree_estimate_bounds_what_each_degree_allocates(
+        A3, monkeypatch, label, cutoff, relations):
+    # these braidings are certified: the degrees run over F_p in lockstep
+    _assert_estimate_bounds(monkeypatch, _space(A3, label), cutoff, relations)
+
+
+@pytest.mark.parametrize("label, cutoff, relations", _ESTIMATE_CASES)
+def test_exact_degree_estimate_bounds_what_each_degree_allocates(
+        A3, monkeypatch, label, cutoff, relations):
+    # the same braidings with no F_p embedding offered: the degrees run
+    # over Q(xi_n), as for any braiding outside the certificate
+    monkeypatch.setattr(nichols, "_embeddings", lambda B: None)
+    _assert_estimate_bounds(monkeypatch, _space(A3, label), cutoff, relations)
+
+
 def test_degree_eight_of_a_three_dimensional_space_fits_the_budget(
         monkeypatch):
     # degree 8 of W(-1,1,0) at n = 3, after r_7 = 228, holds M_8 of
@@ -329,6 +391,15 @@ def test_degree_eight_of_a_three_dimensional_space_fits_the_budget(
     nichols._check_budget(need, "degree 8")
     with pytest.raises(MemoryBudgetError):
         nichols._check_budget(200 * 3 ** 8 * 3 ** 8, "QS_8")
+
+
+def test_degree_eight_fits_the_budget_over_f_p_too(monkeypatch):
+    # the estimate graded_dims checks first, for W(-1,1,0) at n = 3: M_8
+    # and R_8 over each of phi(3) = 2 fields, and R_8 lifted
+    monkeypatch.delenv("KN_MEMORY_MB", raising=False)
+    need = nichols._degree_bytes(3, 8, 228, False, 2)
+    assert nichols._degree_bytes(3, 8, 228, False) < need < 512 * 2 ** 20
+    nichols._check_budget(need, "degree 8")
 
 
 # -- graded dimensions: one-dimensional modules --------------------------------------
@@ -758,3 +829,147 @@ def test_graded_report_json_is_stable(A3):
     r2 = graded_dims(B, 5, want_relations=True).to_json()
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["dims"] == [1, 3, 4, 3, 1, 0]
+
+
+# -- graded dimensions over F_p, certified ---------------------------------------------
+
+
+def _routes(monkeypatch):
+    """Record, for each graded_dims call, how its degree loop ended:
+    "certified" over F_p, "refused" (the lift declined a degree, or one
+    was past the memory budget over F_p), or "exact" over Q(xi_n)."""
+    routes = []
+    degrees = nichols._degrees
+
+    def recording(B, fields, cutoff, want_relations, lift=None):
+        found = degrees(B, fields, cutoff, want_relations, lift)
+        routes.append("exact" if lift is None else
+                      "certified" if found is not None else "refused")
+        return found
+
+    monkeypatch.setattr(nichols, "_degrees", recording)
+    return routes
+
+
+def _exact_report(monkeypatch, B, cutoff, want_relations=True):
+    """graded_dims over Q(xi_n) alone: no F_p embedding is offered."""
+    with monkeypatch.context() as m:
+        m.setattr(nichols, "_embeddings", lambda B: None)
+        return graded_dims(B, cutoff, want_relations=want_relations)
+
+
+def _assert_certified_equals_exact(monkeypatch, B, cutoff):
+    routes = _routes(monkeypatch)
+    for want in (True, False):
+        del routes[:]
+        report = graded_dims(B, cutoff, want_relations=want)
+        assert routes == ["certified"], (B.name, routes)
+        exact = _exact_report(monkeypatch, B, cutoff, want)
+        assert routes == ["certified", "exact"]
+        assert report == exact, B.name
+        assert (report.dims, report.relations, report.status, report.total) \
+            == (exact.dims, exact.relations, exact.status, exact.total)
+
+
+def test_certified_route_on_every_simple_n3(A3, monkeypatch):
+    # all 72 simples to degree 4 over both routes, W(-1,1,0) to degree 6:
+    # equal reports, and every braiding of a simple is a permutation matrix
+    # with root entries, so none falls back
+    for L in list_simples(A3):
+        B = braided_space(build_simple(A3, L))
+        B.name = str(L)
+        _assert_certified_equals_exact(monkeypatch, B, 4)
+    _assert_certified_equals_exact(monkeypatch, _space(A3, "W(-1,1,0)"), 6)
+
+
+def test_certified_route_on_the_rack_braidings_n3(monkeypatch):
+    n = 3
+    B, R = standard_solution(n), dihedral_rack(n)
+    for eps in (1, -1):
+        for i in range(n):
+            for m in range(n):
+                for S in (sF_braiding(B, w_cocycle(n, eps, i, m)),
+                          cq_braiding(R, d_cocycle(n, eps, i, m))):
+                    S.name = "%s %s" % (S.name, (eps, i, m))
+                    _assert_certified_equals_exact(monkeypatch, S, 4)
+
+
+@pytest.mark.parametrize("label, cutoff", [("U(1,0,1,0)", 6),
+                                           ("W(-1,0,0)", 2)])
+def test_certified_route_at_composite_n15(monkeypatch, label, cutoff):
+    # phi(15) = 8 embeddings, and root_growth(15) = 6
+    _assert_certified_equals_exact(monkeypatch, _space(KnAlgebra(15), label),
+                                   cutoff)
+
+
+def test_braidings_outside_the_certificate_take_the_exact_route(monkeypatch):
+    # 2 flip has no root entries, and a diagonal braiding with a 1/2 entry
+    # neither; graded_dims offers no F_p route for them
+    n = 3
+    routes = _routes(monkeypatch)
+    for S, cutoff in ((_scaled_flip(n, 3, CycNum.rational(n, 2)), 4),
+                      (_half_diagonal(n), 6)):
+        del routes[:]
+        report = graded_dims(S, cutoff)
+        assert routes == ["exact"]
+        assert report == _exact_report(monkeypatch, S, cutoff)
+    # the flip scaled by -1 has root entries: it is certified, and gives
+    # the exterior algebra
+    del routes[:]
+    report = graded_dims(_scaled_flip(n, 3, -CycNum.one(n)), 4)
+    assert routes == ["certified"] and report.dims == [1, 3, 3, 1, 0]
+
+
+def test_a_small_prime_fails_the_bound_and_falls_back(A3, monkeypatch):
+    # over F_7 the degree-2 kernel of W(-1,0,0) still passes, with height
+    # 1 and root_growth(3) 2! = 4 < 7, but 2 * 3! = 12 >= 7 in degree 3:
+    # no kernel there can be certified, and the exact route gives the
+    # report
+    B = _space(A3, "W(-1,0,0)")
+    exact = _exact_report(monkeypatch, B, 6)
+    routes = _routes(monkeypatch)
+    lifted = []
+    kernel_lift = nichols._kernel_lift
+
+    def recording(B):
+        lift = kernel_lift(B)
+
+        def recorded(deg, states):
+            R = lift(deg, states)
+            lifted.append((deg, R is not None))
+            return R
+
+        return recorded
+
+    monkeypatch.setattr(nichols, "modular_prime", lambda n: 7)
+    monkeypatch.setattr(nichols, "_kernel_lift", recording)
+    assert graded_dims(B, 6) == exact
+    assert lifted == [(2, True), (3, False)]
+    assert routes == ["refused", "exact"]
+
+
+def test_a_coefficient_off_by_p_is_refused(A3, monkeypatch):
+    # a lifted coefficient shifted by p is still right mod p, so every
+    # image agrees; only the height bound sees it, and the exact route
+    # then gives the report, with no coefficient that large in it
+    from knyd import cyclotomic
+    B = _space(A3, "W(-1,1,0)")
+    exact = _exact_report(monkeypatch, B, 5)
+    p = cyclotomic.modular_prime(3)
+    shifted = []
+    reconstruct = cyclotomic._rational_reconstruction
+
+    def off_by_p(a, prime):
+        frac = reconstruct(a, prime)
+        if frac is not None and frac[0] and not shifted:
+            shifted.append(frac)
+            return frac[0] + prime * frac[1], frac[1]
+        return frac
+
+    monkeypatch.setattr(cyclotomic, "_rational_reconstruction", off_by_p)
+    routes = _routes(monkeypatch)
+    report = graded_dims(B, 5)
+    assert shifted and routes == ["refused", "exact"]
+    assert report == exact
+    assert all(abs(c) < p for vecs in report.relations.values()
+               for vec in vecs for x in vec for c in x.num)
