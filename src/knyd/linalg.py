@@ -12,9 +12,9 @@ The other methods take matrices over Q(xi_n).
 
 Every rank, echelon basis and kernel comes from one elimination, `_echelon`:
 an incremental pass over the rows that keeps one pivot row per pivot column,
-keyed by the row's least column (its greatest, for kernels and for the rank
-factorization of `nichols.graded_dims`), followed by the back-substitution
-`_reduce`; `_reduced` runs both.  The reduced echelon form is unique, so the
+keyed by the row's least column (its greatest, for kernels and for the row
+spaces that `nichols.graded_dims` carries from degree to degree), followed
+by the back-substitution `_reduce`; `_reduced` runs both.  The reduced echelon form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
 reduced echelon form (pivot = first nonzero column).  The pass reads no
 more rows once every column has a pivot row.  `rref()` keeps the plain

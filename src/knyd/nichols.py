@@ -7,34 +7,37 @@ is fixed once and used by every kernel basis and JSON report).
 
 The k-th quantum symmetrizer QS_k = sum over the symmetric group of the
 braid-group representation applied to the Matsumoto lift satisfies the
-length-additive coset factorization
+length-additive right coset factorization (Andruskiewitsch-Schneider,
+Pointed Hopf algebras, 2002)
 
-    QS_k = T_k (QS_{k-1} (x) id),
-    T_k = id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1},
+    QS_k = (QS_{k-1} (x) id) T*_k,
+    T*_k = id + c_{k-1} + c_{k-1}c_{k-2} + ... + c_{k-1}c_{k-2} ... c_1,
 
 which agrees with the naive |S_k|-term sum (the test oracle in
-tests/oracles.py).  `_shuffle` applies T_k to a matrix with d^k rows by
-index arithmetic on its rows, with no strand matrix: when c has one root of
-unity in each column, every term c_j ... c_{k-1} of T_k sends e_r to a root
-times one basis vector (`_shuffle_terms`).  `quantum_symmetrizer` runs the
-recursion through it on full d^k x d^k matrices.
+tests/oracles.py).  `_coset_factor` multiplies by T*_k on the right with
+no strand matrix: when c is a permutation matrix with root-of-unity
+entries, every term sends e_r^T to a root times one e_t^T, found by
+following row r through the strand moves; any other c is applied by sparse
+right multiplication.  `quantum_symmetrizer` runs the recursion on full
+d^k x d^k matrices.
 
 The k-th graded component of the Nichols algebra has dimension rank(QS_k),
 and the degree-k relations are ker(QS_k).  `graded_dims` never forms QS_k:
-it carries the rank factorization QS_k = C_k R_k, with R_k the reduced
-echelon basis of the row space of QS_k keyed by each row's last column (its
-pivot, where it is 1 and every other row 0), P_k its pivot columns and
-C_k = QS_k[:, P_k], which has only r_k = rank(QS_k) columns.  Since
+it carries only R_k, the reduced echelon basis of the row space of QS_k
+keyed by each row's last column (its pivot, where it is 1 and every other
+row 0), with P_k its pivot columns and r_k = rank(QS_k).  Writing
+QS_{k-1} = C_{k-1} R_{k-1}, with C_{k-1} = QS_{k-1}[:, P_{k-1}] of full
+column rank,
 
-    QS_k = T_k (C_{k-1} (x) id) (R_{k-1} (x) id) = M_k (R_{k-1} (x) id)
+    QS_k = (C_{k-1} (x) id) N_k,    N_k = (R_{k-1} (x) id) T*_k,
 
-with R_{k-1} (x) id of full row rank, rank(QS_k) = rank(M_k), a matrix of
-r_{k-1} d columns; R_k = G (R_{k-1} (x) id) for G the reduced echelon basis
-of the row space of M_k, keyed the same way and already in reduced form
-since R_{k-1} (x) id is, with pivot P_{k-1}[j // d] d + j mod d in row j;
-C_k = M_k (R_{k-1} (x) id)[:, P_k]; and ker(QS_k) = ker(R_k), whose reduced
-echelon basis `kernel_basis` reads off R_k with no further elimination: for
-each column f that is no pivot, e_f minus column f of R_k.
+and C_{k-1} (x) id has full column rank, so QS_k and N_k have the same row
+space: R_k is the reduced echelon basis of the rows of N_k, a matrix of
+only r_{k-1} d rows, and rank(QS_k) = rank(N_k).  N_k is formed as
+R_{k-1}.kron(id) @ T, with T holding only the rows of T*_k that the columns
+of R_{k-1} (x) id reach.  ker(QS_k) = ker(R_k), whose reduced echelon basis
+`kernel_basis` reads off R_k with no further elimination: for each column f
+that is no pivot, e_f minus column f of R_k.
 
 The same loop runs over F_p, p = `modular_prime(n)`, when c is a
 permutation matrix with root-of-unity entries: once for each of the phi(n)
@@ -180,88 +183,94 @@ def check_braid_equation(B: BraidedSpace) -> bool:
 # -- quantum symmetrizers -----------------------------------------------------------
 
 
-def _shuffle(B: BraidedSpace, k: int, X: CycMatrix, terms=None,
-             roots=None) -> CycMatrix:
-    """T_k X for the shuffle factor
+def _permutation_rows(c: CycMatrix):
+    """For c a permutation matrix with root-of-unity entries: for each row
+    x, the pair (y - x, e) for its one entry, in column y, the root of
+    exponent e in Z/2n (see `root_exponents`).  None for any other c."""
+    cols = _monomial_columns(c)
+    if cols is None:
+        return None
+    rows = [None] * c.rows
+    for y, (x, e) in enumerate(cols):
+        if rows[x] is not None:
+            return None
+        rows[x] = (y - x, e)
+    return rows
 
-        T_k = id + c_{k-1} + c_{k-2}c_{k-1} + ... + c_1 c_2 ... c_{k-1}
 
-    and a matrix X with d^k rows.  When c has one root-of-unity entry in
-    each column, T_k X is formed from the terms of `_shuffle_terms`
-    (computed when not given) over the field of X, with roots[e] the image
-    there of the root of exponent e (by default the roots themselves, over
-    Q(xi_n)).  Any other c is applied over Q(xi_n) one c_j at a time by
-    index arithmetic on the rows: row (a, x, b), with x the index of the
-    two strands, gets sum_y c[x][y] * row (a, y, b)."""
-    d = B.dim
-    if terms is None:
-        terms = _shuffle_terms(B, k)
-    if terms is not None:
+def _coset_factor(B: BraidedSpace, k: int):
+    """The map X -> X T*_k, for the coset factor
+
+        T*_k = id + c_{k-1} + c_{k-1}c_{k-2} + ... + c_{k-1}c_{k-2} ... c_1
+
+    on the k-fold tensor power and matrices X with d^k columns, over the
+    field of X, with roots[e] the image there of the root of exponent e
+    (by default the roots themselves, over Q(xi_n)).
+
+    When c is a permutation matrix with root entries, each term sends e_r^T
+    to a root times one e_t^T: row r is followed through the strand moves
+    c_{k-1}, ..., c_1, each of which takes the index x of the two strands
+    it acts on to the column of c's entry in row x, adding that entry's
+    exponent mod 2n.  The moves of every row are found once per degree, as
+    lists over the rows, and shared by every field.  X T*_k is then X @ T,
+    with T holding only the rows of T*_k that the columns of X reach.  Any
+    other c is applied to X over Q(xi_n) by sparse right multiplication,
+    one c_j at a time."""
+    d, N, size = B.dim, 2 * B.n, B.dim ** k
+    perm = _permutation_rows(B.c)
+    if perm is None:
+        return lambda X, roots=None: _right_products(B, k, X)
+    # moves[i] = (targets, exponents) with, for every row r,
+    # e_r^T c_{k-1} ... c_{k-1-i} = root(exponents[r]) e_{targets[r]}^T
+    moves, inner = [], 1
+    targets, exponents = range(size), [0] * size
+    for _ in range(k - 1):   # c_{k-1}, ..., c_1: inner = d^(k-1-j)
+        step = [perm[t // inner % (d * d)] for t in targets]
+        exponents = [(e + f) % N for e, (_, f) in zip(exponents, step)]
+        targets = [t + shift * inner for t, (shift, _) in zip(targets, step)]
+        moves.append((targets, exponents))
+        inner *= d
+
+    def times(X, roots=None):
         if roots is None:
-            roots = [root(B.n, e) for e in range(2 * B.n)]
-        sums = {r: dict(row) for r, row in X.data.items()}
-        for targets, exponents in terms:
-            for r, row in X.data.items():
-                v = roots[exponents[r]]
-                acc = sums.get(targets[r])
-                if acc is None:
-                    sums[targets[r]] = {col: v * w for col, w in row.items()}
-                    continue
-                for col, w in row.items():
-                    p = v * w
-                    s = acc.get(col)
-                    acc[col] = p if s is None else s + p
-        return CycMatrix.from_sums(X.n, X.rows, X.cols, sums, X.prime)
-    c_cols: dict[int, list] = {}
-    for x, row in B.c.data.items():
-        for y, v in row.items():
-            c_cols.setdefault(y, []).append((x, v))
-    out = X
-    term = X.data
-    for j in range(k - 1, 0, -1):
-        inner = d ** (k - 1 - j)   # the strands after j + 1
-        outer = d * d * inner
-        new: dict[int, dict] = {}
+            roots = [root(B.n, e) for e in range(N)]
+        sums = {c: {c: roots[0]} for row in X.data.values() for c in row}
+        for targets, exponents in moves:
+            for r, row in sums.items():
+                t, v = targets[r], roots[exponents[r]]
+                s = row.get(t)
+                row[t] = v if s is None else s + v
+        return X @ CycMatrix.from_sums(B.n, size, size, sums, X.prime)
+
+    return times
+
+
+def _right_products(B: BraidedSpace, k: int, X: CycMatrix) -> CycMatrix:
+    """X T*_k over Q(xi_n), for any c: each term is the one before it
+    times c_j, and row r of Y c_j gets, for each entry v of Y in column
+    (a, x, b), x the index of the strands j, j + 1, the entries v c[x][y]
+    in the columns (a, y, b)."""
+    d = B.dim
+    out, term, inner = X, X.data, 1
+    for _ in range(k - 1):   # c_{k-1}, ..., c_1: inner = d^(k-1-j)
+        new = {}
         for r, row in term.items():
-            a, rest = divmod(r, outer)
-            y, b = divmod(rest, inner)
-            for x, cv in c_cols.get(y, ()):
-                orow = new.setdefault(a * outer + x * inner + b, {})
-                for col, v in row.items():
-                    p = cv * v
-                    s = orow.get(col)
-                    orow[col] = p if s is None else s + p
+            acc = new[r] = {}
+            for col, v in row.items():
+                x = col // inner % (d * d)
+                for y, cv in B.c.data.get(x, {}).items():
+                    t, p = col + (y - x) * inner, v * cv
+                    s = acc.get(t)
+                    acc[t] = p if s is None else s + p
         term = CycMatrix.from_sums(X.n, X.rows, X.cols, new).data
         out = out + CycMatrix(X.n, X.rows, X.cols, term)
+        inner *= d
     return out
 
 
-def _shuffle_terms(B: BraidedSpace, k: int):
-    """For c with one root-of-unity entry in each column, the terms
-    c_j c_{j+1} ... c_{k-1} e_r = root(e) e_t of T_k e_r, j = k-1 .. 1, each
-    as the lists (t, e) over r: each is the last one moved by c_j, which
-    takes the strands j, j+1 from index y to the row x of c's entry in
-    column y, adding its exponent mod 2n.  None for any other c."""
-    cols = _monomial_columns(B.c)
-    if cols is None:
-        return None
-    d, size = B.dim, B.dim ** k
-    targets, exponents = range(size), [0] * size
-    terms = []
-    for j in range(k - 1, 0, -1):
-        inner = d ** (k - 1 - j)   # the strands after j + 1
-        step = [(a + x * inner + b, f) for a in range(0, size, d * d * inner)
-                for x, f in cols for b in range(inner)]
-        exponents = [(e + step[t][1]) % (2 * B.n)
-                     for t, e in zip(targets, exponents)]
-        targets = [step[t][0] for t in targets]
-        terms.append((targets, exponents))
-    return terms
-
-
 def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
-    """QS_k as a d^k x d^k matrix, by the recursive coset factorization
-    QS_k = T_k (QS_{k-1} (x) id)."""
+    """QS_k as a d^k x d^k matrix, by the right coset factorization
+    QS_k = (QS_{k-1} (x) id) T*_k of the module docstring."""
     if k < 1:
         raise ValueError("k must be >= 1")
     # a sparse CycNum entry costs on the order of 200 bytes
@@ -270,29 +279,27 @@ def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
     ident = CycMatrix.identity(B.n, B.dim)
     qs = ident
     for deg in range(2, k + 1):
-        qs = _shuffle(B, deg, qs.kron(ident))
+        qs = _coset_factor(B, deg)(qs.kron(ident))
     return qs
 
 
 # -- graded dimensions ---------------------------------------------------------------
 
 
-# What a degree of `graded_dims` holds, measured with tracemalloc.  Over
-# Q(xi_n), at n = 3: over degrees 4-7 of W(-1,1,0) and 4-6 of
-# U(0,1,0,2) + U(0,1,2,1), M_k and R_k took 9-30 bytes per cell of their
-# shapes below and the dense kernel basis about 8 per entry; whole degrees
-# of W(-1,1,0) to 6 and U(1,0,1,0) to 9 took at most 0.45 of the estimate.
-# Over F_p, in the last degree of W(-1,1,0) at n = 3 to degree 6 and at
-# n = 9 to 3, U(1,0,1,0) at n = 3 to 9 and at n = 15 to 6,
-# U(0,1,0,2) + U(0,1,2,1) to 5 and W(-1,0,0) at n = 5 to 4 and at n = 7
-# to 3: each lockstep field took
-# 1-8 bytes per cell (up to 28 in the small ones, inside the fixed cost),
-# the lifted R_k at most 8 per cell of M_k's shape and the kernel basis at
-# most 9 per entry; whole degrees took at most 0.63 of the estimate.  The
-# shuffle terms take at most 64 bytes per entry, and small degrees add up
-# to about 60 KB whatever their shapes.
+# What a degree of `graded_dims` holds, measured with tracemalloc on the
+# permutation braidings of W(-1,1,0) at n = 3 to degree 7 and at n = 9 to 3, U(1,0,1,0) at n = 3 to
+# 9 and at n = 15 to 6, U(0,1,0,2) + U(0,1,2,1) to 5 and W(-1,0,0) at n = 5
+# to 5 and at n = 7 to 4, in the last degree.  Per cell of N_k's shape
+# below: over F_p, each field kept R_k in at most 7 bytes, the one field
+# advancing took at most 19 (N_k, its echelon and R_k), and the lifted R_k
+# at most 8; over Q(xi_n) the advancing field took at most 32 (up to 79 in
+# the small ones, inside the fixed cost).  The strand moves and one
+# field's rows of T*_k took at most 300 bytes per entry of T*_k (k = 2 at
+# n = 15; 145-235 for k >= 3), and the dense kernel basis at most 9 per
+# entry.  Whole degrees took at most 0.4 of the estimate without relations
+# and 0.5 with them, on either route.
 _DEGREE_BYTES = 64 * 1024
-_TERM_BYTES = 64
+_TERM_BYTES = 320
 _CELL_BYTES = 40
 _RESIDUE_CELL_BYTES = 16
 _KERNEL_CELL_BYTES = 12
@@ -301,18 +308,18 @@ _KERNEL_CELL_BYTES = 12
 def _degree_bytes(d: int, k: int, r_prev: int, relations: bool,
                   fields: int = 0) -> int:
     """What degree k of `graded_dims` holds, in bytes: a fixed cost, the
-    k - 1 shuffle terms of d^k entries, M_k, with d^k rows and r_{k-1} d
-    columns, and R_k, with at most r_{k-1} d rows of d^k columns, over
-    Q(xi_n), or over each of `fields` F_p in lockstep and R_k lifted to
-    Q(xi_n); with relations also the kernel basis of QS_k, at most d^k
-    dense vectors of d^k entries."""
-    shape = d ** (k + 1) * r_prev   # M_k's, and the most R_k can hold
+    k d^k entries of T*_k, and N_k, with r_{k-1} d rows of d^k columns,
+    and R_k, with at most as many cells, over Q(xi_n); or over each of
+    `fields` F_p in lockstep, R_k in every field, N_k in one at a time and
+    R_k lifted to Q(xi_n); with relations also the kernel basis of QS_k, at
+    most d^k dense vectors of d^k entries."""
+    shape = d ** (k + 1) * r_prev   # N_k's, and the most R_k can hold
     if fields:
-        cell_bytes = 2 * _RESIDUE_CELL_BYTES * fields + _CELL_BYTES
+        cell_bytes = _RESIDUE_CELL_BYTES * (fields + 1) + _CELL_BYTES
     else:
         cell_bytes = 2 * _CELL_BYTES
     kernel = d ** (2 * k) if relations else 0
-    return (_DEGREE_BYTES + _TERM_BYTES * (k - 1) * d ** k
+    return (_DEGREE_BYTES + _TERM_BYTES * k * d ** k
             + cell_bytes * shape + _KERNEL_CELL_BYTES * kernel)
 
 
@@ -351,13 +358,15 @@ class GradedReport:
 def graded_dims(B: BraidedSpace, cutoff: int,
                 want_relations: bool = True) -> GradedReport:
     """dims[d] = rank(QS_d) for d = 0.., and relations[d] the reduced
-    echelon basis of ker(QS_d), both read off the rank factorization
-    QS_d = C_d R_d of the module docstring, with one echelon pass per
-    degree, on M_d; stops early once a graded component vanishes (Nichols
-    algebras are generated in degree 1, so all later components vanish
-    too) and reports status "finite"; otherwise "infinite" when a diagonal
-    fixed vector of c certifies an infinite dimension, else
-    "undetermined".
+    echelon basis of ker(QS_d), both read off R_d, the reduced echelon
+    basis of the row space of QS_d.  By the right coset factorization
+    QS_d = (QS_{d-1} (x) id) T*_d, QS_d has the row space of
+    N_d = (R_{d-1} (x) id) T*_d, which has only rank(QS_{d-1}) dim rows, so
+    each degree is one echelon pass, on N_d (module docstring).  Stops
+    early once a graded component vanishes (Nichols algebras are generated
+    in degree 1, so all later components vanish too) and reports status
+    "finite"; otherwise "infinite" when a diagonal fixed vector of c
+    certifies an infinite dimension, else "undetermined".
 
     When c is a permutation matrix with root-of-unity entries, the degree
     loop runs over F_p, in lockstep for every embedding of Q(xi_n) into
@@ -394,58 +403,45 @@ def graded_dims(B: BraidedSpace, cutoff: int,
                         cutoff=cutoff)
 
 
-class _Factorization:
-    """The rank factorization QS_k = C_k R_k of the module docstring, with
-    the pivots P_k of R_k, advanced one degree at a time: over Q(xi_n), or
-    over F_p for prime p, with roots the images of the 2n roots of unity
-    under one embedding (`cyclotomic.root_images`)."""
+class _RowSpace:
+    """R_k, the reduced echelon basis of the row space of QS_k keyed by
+    each row's last column, with its pivots P_k and rank r_k, advanced one
+    degree at a time (module docstring): over Q(xi_n), or over F_p for
+    prime p, with roots the images of the 2n roots of unity under one
+    embedding (`cyclotomic.root_images`)."""
 
     def __init__(self, B: BraidedSpace, prime=None, roots=None):
-        self.B, self.roots = B, roots
-        self.ident = CycMatrix.identity(B.n, B.dim, prime)
-        self.C = self.R = self.ident   # QS_1 = C_1 R_1 with C_1 = R_1 = id
+        self.roots = roots
+        self.ident = self.R = CycMatrix.identity(B.n, B.dim, prime)  # QS_1
         self.pivots = list(range(B.dim))
         self.rank = B.dim
 
-    def advance(self, deg: int, last: bool, terms):
-        """From degree deg - 1 to deg, with the `_shuffle_terms` of deg;
-        with last, C_deg is not formed."""
-        B, ident, d, prime = self.B, self.ident, self.B.dim, self.ident.prime
-        M = _shuffle(B, deg, self.C.kron(ident), terms, self.roots)
-        red = _reduced(M, last=True)
-        G_pivots = sorted(red)
-        self.rank = rank = len(G_pivots)
-        R_id = self.R.kron(ident)
-        # row j of R_{k-1} (x) id has its last nonzero entry, a 1, at
-        # pivots[j // d] d + j mod d and is the only row nonzero there, so
-        # G R_id is already reduced, with G's pivots mapped through that list
-        self.R = CycMatrix(B.n, rank, R_id.rows,
-                           {i: red[p] for i, p in enumerate(G_pivots)},
-                           prime) @ R_id
-        self.pivots = [self.pivots[p // d] * d + p % d for p in G_pivots]
-        if rank and not last:
-            position = {p: i for i, p in enumerate(self.pivots)}
-            columns = {}
-            for r, row in R_id.data.items():
-                kept = {position[c]: v for c, v in row.items()
-                        if c in position}
-                if kept:
-                    columns[r] = kept
-            self.C = M @ CycMatrix(B.n, R_id.rows, rank, columns, prime)
+    def advance(self, times):
+        """One degree on, from k - 1 to k, with times the `_coset_factor`
+        of k: R_k is the reduced echelon basis of the rows of
+        N_k = (R_{k-1} (x) id) T*_k."""
+        R_id = self.R.kron(self.ident)
+        red = _reduced(times(R_id, self.roots), last=True)
+        self.pivots = sorted(red)
+        self.rank = len(self.pivots)
+        self.R = CycMatrix(R_id.n, self.rank, R_id.cols,
+                           {i: red[p] for i, p in enumerate(self.pivots)},
+                           R_id.prime)
 
 
 def _degrees(B: BraidedSpace, fields: list, cutoff: int,
              want_relations: bool, lift=None):
-    """The degree loop of `graded_dims`: one `_Factorization` per field
-    (prime, roots), advanced in lockstep; the relations are ker R_k.  Over
-    Q(xi_n), fields is [(None, None)]; over F_p, they are the embeddings of
-    `_embeddings`, and lift(deg, factorizations) gives R_k over Q(xi_n), or
-    None when it cannot certify its kernel.  That ends the loop with None,
-    and so does a degree past the memory budget over F_p, whose estimate
-    exceeds the one over Q(xi_n); over Q(xi_n) that raises
-    MemoryBudgetError.  Returns (dims, relations) otherwise."""
+    """The degree loop of `graded_dims`: one `_RowSpace` per field
+    (prime, roots), advanced in lockstep, sharing one `_coset_factor` per
+    degree; the relations are ker R_k.  Over Q(xi_n), fields is
+    [(None, None)]; over F_p, they are the embeddings of `_embeddings`, and
+    lift(deg, row spaces) gives R_k over Q(xi_n), or None when it cannot
+    certify its kernel.  That ends the loop with None, and so does a degree
+    past the memory budget over F_p, whose estimate exceeds the one over
+    Q(xi_n); over Q(xi_n) that raises MemoryBudgetError.  Returns
+    (dims, relations) otherwise."""
     d = B.dim
-    states = [_Factorization(B, prime, roots) for prime, roots in fields]
+    states = [_RowSpace(B, prime, roots) for prime, roots in fields]
     dims, relations = [1, d], {}
     lockstep = len(states) if lift is not None else 0
     for deg in range(2, cutoff + 1):
@@ -457,9 +453,9 @@ def _degrees(B: BraidedSpace, fields: list, cutoff: int,
             if lift is None:
                 raise
             return None
-        terms = _shuffle_terms(B, deg)
+        times = _coset_factor(B, deg)
         for state in states:
-            state.advance(deg, deg == cutoff, terms)
+            state.advance(times)
         R = states[0].R if lift is None else lift(deg, states)
         if R is None:
             return None
@@ -477,15 +473,14 @@ def _embeddings(B: BraidedSpace):
     each (`root_images`); None unless c is a permutation matrix with
     root-of-unity entries, the braidings whose kernels `_kernel_lift` can
     certify."""
-    cols = _monomial_columns(B.c)
-    if cols is None or len({r for r, _ in cols}) < len(cols):
+    if _permutation_rows(B.c) is None:
         return None
     p = modular_prime(B.n)
     return [(p, roots) for roots in root_images(B.n, p)]
 
 
 def _kernel_lift(B: BraidedSpace):
-    """lift(deg, factorizations) for `_degrees` over the fields of
+    """lift(deg, row spaces) for `_degrees` over the fields of
     `_embeddings`: R_deg over Q(xi_n), lifted from its images over F_p
     entry by entry (`cyclotomic.from_images`, once per tuple of images),
     with every vector of the kernel basis it gives certified as in the

@@ -43,7 +43,8 @@ from .nichols import BraidedSpace
 
 class BraidedSet:
     """A finite set {0..size-1} with a bijective s(x,y) = (g_x(y), f_y(x)),
-    stored as the two function tables g[x][y] and f[y][x]."""
+    stored as the two function tables g[x][y] and f[y][x].  The tables are
+    not changed after construction, so `is_solution` is decided once."""
 
     def __init__(self, g, f):
         size = len(g)
@@ -58,6 +59,7 @@ class BraidedSet:
                 seen.add(self.s(x, y))
         if len(seen) != size * size:
             raise ValueError("s is not a bijection")
+        self._solution = None
 
     @staticmethod
     def from_map(size: int, s) -> "BraidedSet":
@@ -74,7 +76,13 @@ class BraidedSet:
         return (self.g[x][y], self.f[y][x])
 
     def is_solution(self) -> bool:
-        """Set-theoretic braid equation on all triples."""
+        """Set-theoretic braid equation on all triples, checked on the
+        first call; later calls return that verdict."""
+        if self._solution is None:
+            self._solution = self._braid_equation()
+        return self._solution
+
+    def _braid_equation(self) -> bool:
         s = self.s
         for x in range(self.size):
             for y in range(self.size):

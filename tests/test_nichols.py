@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knyd import nichols
-from knyd.cyclotomic import CycNum, cyc, root_order
+from knyd.cyclotomic import (CycNum, cyc, mod_p, modular_prime, root_images,
+                             root_order)
 from knyd.hopf import KnAlgebra
 from knyd.linalg import CycMatrix, _reduced
 from knyd.ydmod import (U, V, W, braided_space, braiding, build_simple,
@@ -219,12 +220,100 @@ def _half_diagonal(n):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_recursive_qs_equals_naive_off_the_root_entries(k):
-    # braidings with an entry that is no root of unity: _shuffle applies
-    # them one c_j at a time, not through _shuffle_terms
+    # braidings with an entry that is no root of unity: _coset_factor
+    # applies them one c_j at a time, not by following rows through the
+    # strand moves of a permutation matrix
     n = 3
     for B in (_scaled_flip(n, 3, CycNum.rational(n, 2)), _half_diagonal(n)):
-        assert nichols._shuffle_terms(B, k) is None
+        assert nichols._permutation_rows(B.c) is None
         assert quantum_symmetrizer(B, k) == naive_quantum_symmetrizer(B, k)
+
+
+def _rack_space(n=3):
+    return cq_braiding(dihedral_rack(n), d_cocycle(n, -1, 1, 0))
+
+
+def _jordan_plane(n):
+    """The braiding of the Jordan plane, c(x_a (x) x_1) = x_1 (x) x_a and
+    c(x_a (x) x_2) = (x_2 + x_1) (x) x_a: two of its columns have two
+    entries, and c is not its own transpose."""
+    c = CycMatrix.zero(n, 4, 4)
+    for row, col in ((0, 0), (2, 1), (0, 1), (1, 2), (3, 3), (1, 3)):
+        c.set(row, col, CycNum.one(n))
+    return BraidedSpace(2, c)
+
+
+# spaces on both routes of _coset_factor: permutation matrices with root
+# entries (a simple, a sum of two simples, a rack braiding) and braidings
+# with other entries (2 flip, a 1/2 on the diagonal, the Jordan plane)
+_BOTH_KINDS = {
+    "W(-1,0,0)": lambda: _space(KnAlgebra(3), "W(-1,0,0)"),
+    "U(0,1,0,2)+U(0,1,2,1)": lambda: braided_space(direct_sum(
+        build_simple(KnAlgebra(3), U(3, 0, 1, 0, 2)),
+        build_simple(KnAlgebra(3), U(3, 0, 1, 2, 1)))),
+    "rack": _rack_space,
+    "2 flip": lambda: _scaled_flip(3, 3, CycNum.rational(3, 2)),
+    "half diagonal": lambda: _half_diagonal(3),
+    "Jordan plane": lambda: _jordan_plane(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOTH_KINDS))
+def test_right_coset_factorization_equals_the_naive_symmetrizer(name):
+    # QS_k = (QS_{k-1} (x) id) T*_k, with the naive QS_{k-1} on the left
+    B = _BOTH_KINDS[name]()
+    ident = CycMatrix.identity(B.n, B.dim)
+    monomial = name not in ("2 flip", "half diagonal", "Jordan plane")
+    assert (nichols._permutation_rows(B.c) is not None) == monomial
+    for k in (2, 3, 4):
+        times = nichols._coset_factor(B, k)
+        assert times(naive_quantum_symmetrizer(B, k - 1).kron(ident)) == \
+            naive_quantum_symmetrizer(B, k), (name, k)
+
+
+@pytest.mark.parametrize("name", ["W(-1,0,0)", "rack"])
+def test_coset_factor_over_f_p_is_the_image(name):
+    # X T*_k over F_p, under each embedding, for X reaching only some
+    # columns: the image of X T*_k over Q(xi_n)
+    B = _BOTH_KINDS[name]()
+    p = modular_prime(B.n)
+    for k in (2, 3, 4):
+        size = B.dim ** k
+        X = naive_quantum_symmetrizer(B, k)
+        X.data = {r: {c: v for c, v in row.items() if c % 3}
+                  for r, row in X.data.items() if r % 2}
+        times = nichols._coset_factor(B, k)
+        exact = times(X)
+        for u, roots in enumerate(root_images(B.n, p)):
+            def image(M):
+                return CycMatrix.from_sums(
+                    B.n, M.rows, M.cols,
+                    {r: {c: _embed(v, roots, p) for c, v in row.items()}
+                     for r, row in M.data.items()}, p)
+            assert times(image(X), roots) == image(exact), (k, u)
+
+
+def _embed(v, roots, p):
+    """The image of v in F_p under the embedding whose root images are
+    roots: xi goes to roots[n + 1], since the root of exponent n + 1,
+    which is even and 1 mod n, is xi."""
+    n = v.n
+    xi = roots[n + 1]
+    num = sum(c * pow(xi, i, p) for i, c in enumerate(v.num))
+    return num * pow(v.den, -1, p) % p
+
+
+@pytest.mark.parametrize("name", sorted(_BOTH_KINDS))
+def test_graded_dims_against_the_naive_symmetrizer(name):
+    # to degree 4, the ranks and the reduced kernel bases of the naive
+    # k!-term QS_k, over both routes of graded_dims
+    B = _BOTH_KINDS[name]()
+    report = graded_dims(B, 4, want_relations=True)
+    assert len(report.dims) == 5
+    for k in (2, 3, 4):
+        qs = naive_quantum_symmetrizer(B, k)
+        assert report.dims[k] == qs.rank(), (name, k)
+        assert report.relations[k] == qs.kernel_basis(), (name, k)
 
 
 def _assert_reduced_echelon(vectors):
@@ -270,10 +359,10 @@ def test_graded_dims_against_full_symmetrizer(n, summands, top):
 
 @pytest.mark.parametrize("label", ["U(0,1,0,2)", "W(-1,0,0)", "W(-1,1,1)"])
 def test_reduced_echelon_kron_identity_is_reduced(A3, label):
-    # graded_dims reads R_k = G (R_{k-1} (x) id) as reduced, with pivots
-    # mapped from G's: R (x) id must be reduced already, row j with its
-    # pivot 1 at P[j // d] d + j mod d, keyed by the rows' first or (as
-    # graded_dims keys them) last columns
+    # R_{k-1} (x) id, the left factor of N_k in graded_dims, is reduced
+    # already, so of full row rank: row j has its pivot 1 at
+    # P[j // d] d + j mod d, keyed by the rows' first or (as graded_dims
+    # keys them) last columns
     B = _space(A3, label)
     d = B.dim
     for k, last in itertools.product((2, 3), (False, True)):

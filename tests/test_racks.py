@@ -42,6 +42,20 @@ def test_non_solution_detected():
     assert not B.is_solution()
 
 
+def test_sF_braiding_rejects_a_non_solution_after_a_solution():
+    # the braid-equation verdict is kept per braided set: a valid call on
+    # the standard solution must not let a non-solution of the same size
+    # through, on its first call or a later one
+    n = 3
+    F = w_cocycle(n, -1, 0, 0)
+    assert sF_braiding(standard_solution(n), F).dim == n
+    bad = BraidedSet.from_map(n, lambda x, y: ((y + x) % n, x))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a set-theoretic solution"):
+            sF_braiding(bad, F)
+    assert sF_braiding(standard_solution(n), F).dim == n
+
+
 def test_degenerate_map_rejected():
     with pytest.raises(ValueError):
         BraidedSet.from_map(3, lambda x, y: (0, x))
