@@ -4,9 +4,10 @@ Two independent routes are provided and cross-validated:
 
   * decompose(): an oracle that builds the actual tensor-product module,
     on which K_n acts through its one comultiplication `hopf.delta_terms`,
-    and computes the multiplicity of every simple via Hom spaces (valid by
-    semisimplicity of the category), first mod p and certified by the
-    dimension count, else exactly;
+    and computes, via Hom spaces, the multiplicity of every simple that
+    its weights and comodule characters admit (valid by semisimplicity of
+    the category), first mod p and certified by the dimension count, else
+    exactly;
   * closed_form_fuse(): the symbolic fusion-ring relations, with every
     product reduced to products of modules of dimension at most two and the
     n-dimensional generator W(+1,0,0) via W(eps,i,m) = V(eps,i,m).W(+1,0,0).
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .cyclotomic import modular_prime, root
+from .cyclotomic import mod_p, modular_prime, root, root_images
 from .linalg import CycMatrix
-from .hopf import F, KnAlgebra, delta_terms, multiply
+from .hopf import F, P, KnAlgebra, delta_terms, multiply
 from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
                     hom_dimension, label_weights, list_simples)
 
@@ -132,9 +134,97 @@ def _simple(A: KnAlgebra, lab: Label) -> YDModule:
     return mod
 
 
+@lru_cache(maxsize=None)
+def _label_needs(lab: Label) -> tuple:
+    """The weights (w, count) of the simple `lab`, and its profile counts
+    (key, count) (`decompose`): (w, (m, t)) for a vector of weight w whose
+    coaction is chi_{m,t}, as `build_simple` builds it, and (w, None) for
+    each vector of a W."""
+    n, weights = lab.n, label_weights(lab)
+    if lab.kind == "V":
+        _, i, m = lab.data
+        chars = [(m, (m - 2 * i) % n)]
+    elif lab.kind == "U":
+        i, j, m, t = lab.data
+        chars = [(m, t), ((t + 2 * i) % n, (m - 2 * j) % n)]
+    else:
+        chars = [None] * n
+    return (tuple(Counter(weights).items()),
+            tuple(Counter(zip(weights, chars)).items()))
+
+
+def _profile(M: YDModule):
+    """M's profile counts mod p = `modular_prime` (`decompose`) as a
+    function of the key, or None if a coefficient has no image mod p."""
+    n, prime = M.algebra.n, modular_prime(M.algebra.n)
+    residues: dict = {}
+    traces: dict = {}   # {w: {(i, j): T_w(i, j) mod p}}
+    for k, w in enumerate(M.weights):
+        cell = M.coaction[k].get(k)
+        for (kind, i, j), v in cell.coeffs.items() if cell else ():
+            if kind == P:
+                if v not in residues:
+                    residues[v] = mod_p(v, prime)
+                if residues[v] is None:
+                    return None
+                tw = traces.setdefault(w, {})
+                tw[i, j] = tw.get((i, j), 0) + residues[v]
+    roots, inv = root_images(n, prime)[0], pow(n * n, -1, prime)
+    size = Counter(M.weights)
+
+    def count(key) -> int:
+        w, chi = key
+        tw = traces.get(w, {})
+        if chi is None:
+            return (size[w] - tw.get((0, 0), 0)) % prime
+        # chi_{m,t}(i, j)^-1 = xi^{-(mi+tj)}, of exponent -(mi+tj)(n+1)
+        return sum(x * roots[-(chi[0] * i + chi[1] * j) * (n + 1) % (2 * n)]
+                   for (i, j), x in tw.items()) * inv % prime
+
+    return count
+
+
+def _candidates(M: YDModule, simples: list[Label]) -> list[Label]:
+    """The simples that pass the filters of `decompose`, or the weight
+    filter alone when M's profile is not certified."""
+    have = Counter(M.weights)
+    weighed = [lab for lab in simples if all(
+        have.get(w, 0) >= c for w, c in _label_needs(lab)[0])]
+    count = _profile(M)
+    if count is None:
+        return weighed
+    counts: dict = {}
+    kept = []
+    for lab in weighed:
+        for key, c in _label_needs(lab)[1]:
+            if key not in counts:
+                counts[key] = count(key)
+                if counts[key] > M.dim:
+                    return weighed
+            if counts[key] < c:
+                break
+        else:
+            kept.append(lab)
+    return kept
+
+
 def decompose(M: YDModule, simples: list[Label] | None = None
               ) -> FusionDecomposition:
     """Decompose M into simples; the multiplicity of S is dim Hom(S, M).
+
+    Three exact filters drop the simples S that cannot occur in M.  A
+    nonzero map from S is injective and keeps weights, so S fits in each
+    weight space of M, and so in its dimension.  Third, the profile: the
+    coaction makes M a module over K_n^*, where the p^*_{ij} span the group
+    algebra of Z_n x Z_n, with unit p^*_{00}.  Let T_w(i, j) be the trace
+    of p_w o p^*_{ij}.  Key (w, chi) counts the vectors of weight w on which
+    the p^* act by chi, n^-2 sum_{ij} chi(i, j)^-1 T_w(i, j); key (w, None)
+    those outside that part, |block w| - T_w(0, 0).  Every YD map commutes
+    with p_w and p^*_{ij}, so M's count is the sum of m_S times S's over
+    M = + S^{m_S}, and is at least S's wherever m_S > 0 (a simple's counts
+    are the non-negative ones of `_label_needs`).  It lies in [0, dim M]
+    and dim M < p, so its residue mod p is the count itself; a coefficient
+    with no image mod p, or a residue past dim M, drops this filter.
 
     The multiplicities are first computed over F_p (`modular_prime`).  Each
     is an upper bound on the true one, and by semisimplicity the true ones
@@ -144,17 +234,7 @@ def decompose(M: YDModule, simples: list[Label] | None = None
     A = M.algebra
     if simples is None:
         simples = list_simples(A)
-    weight_count = Counter(M.weights)
-    # both filters are exact: a nonzero map from a simple is injective and
-    # keeps weights
-    candidates = []
-    for lab in simples:
-        if lab.dim() > M.dim:
-            continue
-        need = Counter(label_weights(lab))
-        if any(weight_count.get(w, 0) < c for w, c in need.items()):
-            continue
-        candidates.append(lab)
+    candidates = _candidates(M, simples)
     found = _multiplicities(M, candidates, modular_prime(A.n))
     if found is None or found.dim() != M.dim:
         found = _multiplicities(M, candidates, None)

@@ -297,25 +297,33 @@ def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
 # field's rows of T*_k took at most 300 bytes per entry of T*_k (k = 2 at
 # n = 15; 145-235 for k >= 3), and the dense kernel basis at most 9 per
 # entry.  Whole degrees took at most 0.4 of the estimate without relations
-# and 0.5 with them, on either route.
+# and 0.5 with them, on either route.  Any other braiding runs over
+# Q(xi_n) on dense rows whose entries grow with k: on the Jordan plane to
+# degree 13, 2 _CELL_BYTES per cell fell short from degree 8 on (1.42 of
+# the estimate in degree 13), and with _DENSE_CELL_BYTES whole degrees
+# took at most 0.61 of it.
 _DEGREE_BYTES = 64 * 1024
 _TERM_BYTES = 320
 _CELL_BYTES = 40
+_DENSE_CELL_BYTES = 400
 _RESIDUE_CELL_BYTES = 16
 _KERNEL_CELL_BYTES = 12
 
 
 def _degree_bytes(d: int, k: int, r_prev: int, relations: bool,
-                  fields: int = 0) -> int:
+                  fields: int = 0, dense: bool = False) -> int:
     """What degree k of `graded_dims` holds, in bytes: a fixed cost, the
     k d^k entries of T*_k, and N_k, with r_{k-1} d rows of d^k columns,
-    and R_k, with at most as many cells, over Q(xi_n); or over each of
-    `fields` F_p in lockstep, R_k in every field, N_k in one at a time and
-    R_k lifted to Q(xi_n); with relations also the kernel basis of QS_k, at
-    most d^k dense vectors of d^k entries."""
+    and R_k, with at most as many cells, over Q(xi_n), at _DENSE_CELL_BYTES
+    for a braiding that is not a permutation matrix with root entries; or
+    over each of `fields` F_p in lockstep, R_k in every field, N_k in one at
+    a time and R_k lifted to Q(xi_n); with relations also the kernel basis
+    of QS_k, at most d^k dense vectors of d^k entries."""
     shape = d ** (k + 1) * r_prev   # N_k's, and the most R_k can hold
     if fields:
         cell_bytes = _RESIDUE_CELL_BYTES * (fields + 1) + _CELL_BYTES
+    elif dense:
+        cell_bytes = _DENSE_CELL_BYTES
     else:
         cell_bytes = 2 * _CELL_BYTES
     kernel = d ** (2 * k) if relations else 0
@@ -444,8 +452,10 @@ def _degrees(B: BraidedSpace, fields: list, cutoff: int,
     states = [_RowSpace(B, prime, roots) for prime, roots in fields]
     dims, relations = [1, d], {}
     lockstep = len(states) if lift is not None else 0
+    dense = _permutation_rows(B.c) is None
     for deg in range(2, cutoff + 1):
-        need = _degree_bytes(d, deg, dims[-1], want_relations, lockstep)
+        need = _degree_bytes(d, deg, dims[-1], want_relations, lockstep,
+                             dense)
         try:
             _check_budget(need, "degree %d of the Nichols algebra of a "
                                 "%d-dimensional space" % (deg, d))

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from knyd import cli
+from knyd import cli, nichols
 from knyd.cli import main
 
 
@@ -202,6 +202,19 @@ def test_memory_budget_error(runner, monkeypatch, args):
     assert "memory budget exceeded" in result.output
     assert "Traceback" not in result.output
     assert audits == []
+
+
+def test_memory_budget_error_from_a_degree_estimate(runner, monkeypatch):
+    # with the process itself counted as empty, degrees 2-4 of W(-1,1,0)
+    # fit in 1 MB and the estimate of degree 5 does not
+    monkeypatch.setenv("KN_MEMORY_MB", "1")
+    monkeypatch.setattr(nichols, "_process_bytes", lambda: 0)
+    result = runner.invoke(main, ["nichols", "--n", "3", "--module",
+                                  "W(-1,1,0)", "--cutoff", "9"])
+    assert result.exit_code == 1
+    assert ("memory budget exceeded: degree 5 of the Nichols algebra of a "
+            "3-dimensional space exceeds") in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -1,6 +1,7 @@
 """Fusion rules: closed forms against the semisimple-decomposition oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from knyd.hopf import F, P, KnAlgebra, delta_terms
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
                         check_yd, direct_sum, hom_dimension, is_yd_map,
-                        list_simples)
+                        label_weights, list_simples)
 from knyd.fusion import (FusionDecomposition, closed_form_fuse, decompose,
                          fusion_table, sample_pairs, tensor_module,
                          uw0_isomorphism, zn_orbit_set)
@@ -370,3 +371,153 @@ def test_decompose_composite_n9_every_kind_pair(monkeypatch):
             M = tensor_module(build_simple(A, L1), build_simple(A, L2))
             assert decompose(M, labels) == closed_form_fuse(L1, L2), (L1, L2)
     assert primes and None not in primes
+
+
+# -- the profile filter ------------------------------------------------------------------
+
+
+def _weight_filtered(M, labels):
+    """The labels that fit in M's dimension and weight spaces, the two
+    filters of `decompose` before the profile, recomputed here."""
+    have = Counter(M.weights)
+    return [lab for lab in labels if lab.dim() <= M.dim and all(
+        have[w] >= c for w, c in Counter(label_weights(lab)).items())]
+
+
+def _assert_keeps_summands(M, labels, expected):
+    kept = fusion._candidates(M, labels)
+    assert set(kept) <= set(_weight_filtered(M, labels))
+    for lab, _ in expected.terms:
+        assert lab in kept, lab
+    return len(kept)
+
+
+def test_profile_filter_keeps_every_summand_n3(A3):
+    # every ordered pair: no label of nonzero closed-form multiplicity is
+    # dropped, and the filter drops most of what the weights let through
+    labels = list_simples(A3)
+    kept = weighted = 0
+    for L1, L2 in ((L1, L2) for L1 in labels for L2 in labels):
+        M = tensor_module(fusion._simple(A3, L1), fusion._simple(A3, L2))
+        kept += _assert_keeps_summands(M, labels, closed_form_fuse(L1, L2))
+        weighted += len(_weight_filtered(M, labels))
+    assert 4 * kept < weighted
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 15])
+def test_profile_filter_keeps_every_summand_seeded(n):
+    # one seeded pair per ordered kind pair, composite n included
+    A = KnAlgebra(n)
+    labels = list_simples(A)
+    rng = random.Random(n)
+    for k1 in "VUW":
+        for k2 in "VUW":
+            L1 = rng.choice([L for L in labels if L.kind == k1])
+            L2 = rng.choice([L for L in labels if L.kind == k2])
+            M = tensor_module(fusion._simple(A, L1), fusion._simple(A, L2))
+            _assert_keeps_summands(M, labels, closed_form_fuse(L1, L2))
+
+
+def _rescaled_u_module(A3):
+    """U(1,0,1,0) in the basis (p u1, u2), whose x^ has the entry 1/p with
+    no image in F_p."""
+    p = modular_prime(3)
+    Um = build_u_module(A3, 1, 0, 1, 0)
+    x = CycMatrix.from_rows(3, [[0, Fraction(1, p)], [p, 0]])
+    return YDModule(A3, 2, Um.action_p, x, Um.coaction)
+
+
+def test_profile_filter_keeps_the_summands_of_a_sum_and_a_rescaled_u(A3):
+    labels = list_simples(A3)
+    parts = [V(3, 1, 0, 2), U(3, 0, 1, 2, 1), U(3, 1, 1, 0, 0),
+             W(3, -1, 1, 0), U(3, 0, 1, 2, 1)]
+    M = build_simple(A3, parts[0])
+    for lab in parts[1:]:
+        M = direct_sum(M, build_simple(A3, lab))
+    expected = FusionDecomposition.from_pairs((lab, 1) for lab in parts)
+    _assert_keeps_summands(M, labels, expected)
+    assert decompose(M) == expected
+    _assert_keeps_summands(_rescaled_u_module(A3), labels,
+                           FusionDecomposition.from_pairs(
+                               [(U(3, 1, 0, 1, 0), 1)]))
+
+
+def _profile_of(M):
+    """Every nonzero count of `fusion._profile` on M, over all weights."""
+    n = M.algebra.n
+    count = fusion._profile(M)
+    keys = [((a, b), chi) for a in range(n) for b in range(n)
+            for chi in [None] + [(m, t) for m in range(n) for t in range(n)]]
+    return {key: count(key) for key in keys if count(key)}
+
+
+@pytest.mark.parametrize("n", [3, 5, 15])
+def test_label_needs_are_the_profile_of_each_simple(n):
+    # the counts a label promises are those its module has, U(i,i,m,t)
+    # with two vectors of one weight included
+    A = KnAlgebra(n)
+    labels = list_simples(A)
+    if n == 15:
+        rng = random.Random(15)
+        labels = [rng.choice([L for L in labels if L.kind == kind])
+                  for kind in "VUUW" for _ in range(3)]
+        labels.append(U(15, 4, 4, 1, 0))
+    assert any(L.kind == "U" and L.data[0] == L.data[1] for L in labels)
+    for lab in labels:
+        needs = dict(fusion._label_needs(lab)[1])
+        assert _profile_of(build_simple(A, lab)) == needs, lab
+
+
+def _record_candidates(monkeypatch):
+    """Record the simple of every modular Hom dimension `decompose` asks
+    for."""
+    asked = []
+    hom = fusion.hom_dimension
+
+    def recording(S, M, prime=None):
+        if prime is not None:
+            asked.append(S.label)
+        return hom(S, M, prime)
+
+    monkeypatch.setattr(fusion, "hom_dimension", recording)
+    return asked
+
+
+def test_profile_falls_back_when_a_diagonal_coefficient_does_not_reduce(
+        A3, monkeypatch):
+    labels = list_simples(A3)
+    L1, L2 = U(3, 0, 1, 0, 2), U(3, 1, 2, 0, 1)
+    M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
+    assert len(fusion._candidates(M, labels)) < len(_weight_filtered(M, labels))
+    bad = next(v for key, v in M.coaction[0][0].coeffs.items() if key[0] == P)
+    reduce = fusion.mod_p
+    monkeypatch.setattr(fusion, "mod_p",
+                        lambda a, p: None if a == bad else reduce(a, p))
+    asked = _record_candidates(monkeypatch)
+    assert decompose(M, labels) == closed_form_fuse(L1, L2)
+    assert asked == _weight_filtered(M, labels)
+
+
+def test_profile_falls_back_when_a_count_exceeds_the_dimension(
+        A3, monkeypatch):
+    labels = list_simples(A3)
+    L1, L2 = U(3, 0, 1, 0, 2), U(3, 1, 2, 0, 1)
+    M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
+    profile = fusion._profile
+    forced = []
+
+    def one_count_too_large(M):
+        count = profile(M)
+
+        def first_past_dim(key):
+            if not forced:
+                forced.append(key)
+                return M.dim + 1
+            return count(key)
+
+        return first_past_dim
+
+    monkeypatch.setattr(fusion, "_profile", one_count_too_large)
+    asked = _record_candidates(monkeypatch)
+    assert decompose(M, labels) == closed_form_fuse(L1, L2)
+    assert forced and asked == _weight_filtered(M, labels)

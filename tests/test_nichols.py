@@ -469,6 +469,14 @@ def test_exact_degree_estimate_bounds_what_each_degree_allocates(
     _assert_estimate_bounds(monkeypatch, _space(A3, label), cutoff, relations)
 
 
+@pytest.mark.parametrize("relations", [False, True])
+def test_dense_degree_estimate_bounds_what_each_degree_allocates(
+        monkeypatch, relations):
+    # the Jordan plane is not a permutation braiding: its degrees run over
+    # Q(xi_n) on dense rows whose entries grow with the degree
+    _assert_estimate_bounds(monkeypatch, _jordan_plane(3), 9, relations)
+
+
 def test_degree_eight_of_a_three_dimensional_space_fits_the_budget(
         monkeypatch):
     # degree 8 of W(-1,1,0) at n = 3, after r_7 = 228, holds M_8 of
