@@ -27,8 +27,8 @@ from .ydmod import (U, V, build_simple, check_yd, dimension_census,
                     direct_sum, list_simples, parse_label, braided_space)
 from .fusion import (closed_form_fuse, decompose, fusion_table, sample_pairs,
                      tensor_module)
-from .nichols import (MemoryBudgetError, _memory_budget_bytes, a2_criterion,
-                      graded_dims, infinite_precheck,
+from .nichols import (MemoryBudgetError, _check_budget, _memory_budget_bytes,
+                      a2_criterion, graded_dims, infinite_precheck,
                       square_zero_monomial_space, sum_criterion)
 from . import rackbattery
 from . import __version__
@@ -172,6 +172,9 @@ def hopf_verify(n, json_out):
 def simples(n, json_out):
     """List the simple Yetter-Drinfeld module labels, dimensions, and the
     sum-of-squares census (expected 4 n^4)."""
+    count = 4 * n * n + n * n * (n * n - 1) // 2   # 2n^2 V, 2n^2 W, the U
+    # 720 bytes a label: at most 708 under tracemalloc, n = 5 to 21, --json
+    _check_budget(720 * count, "listing the %d simples of K_%d" % (count, n))
     A = KnAlgebra(n)
     labels = list_simples(A)
     census = dimension_census(A)

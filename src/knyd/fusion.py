@@ -4,9 +4,9 @@ Two independent routes are provided and cross-validated:
 
   * decompose(): an oracle that builds the actual tensor-product module,
     on which K_n acts through its one comultiplication `hopf.delta_terms`,
-    and computes, via Hom spaces, the multiplicity of every simple that
-    its weights and comodule characters admit (valid by semisimplicity of
-    the category), first mod p and certified by the dimension count, else
+    and reads every multiplicity off its character over the Drinfeld
+    double D(K_n) mod p, certified; else from Hom spaces (valid by
+    semisimplicity of the category), mod p if the dimensions balance, else
     exactly;
   * closed_form_fuse(): the symbolic fusion-ring relations, with every
     product reduced to products of modules of dimension at most two and the
@@ -21,8 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from .cyclotomic import mod_p, modular_prime, root, root_images
+from .cyclotomic import CycNum, mod_p, modular_prime, root, root_images
 from .linalg import CycMatrix
 from .hopf import F, P, KnAlgebra, delta_terms, multiply
 from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
@@ -119,125 +120,168 @@ def tensor_module(M1: YDModule, M2: YDModule) -> YDModule:
                     coaction)
 
 
-# -- the Hom-space oracle ----------------------------------------------------------
-
-
-_SIMPLE_CACHE: dict = {}
-
-
-def _simple(A: KnAlgebra, lab: Label) -> YDModule:
-    key = (A.n, lab)
-    mod = _SIMPLE_CACHE.get(key)
-    if mod is None:
-        mod = build_simple(A, lab)
-        _SIMPLE_CACHE[key] = mod
-    return mod
+# -- the decomposition oracle: characters, then Hom spaces -------------------------
 
 
 @lru_cache(maxsize=None)
-def _label_needs(lab: Label) -> tuple:
-    """The weights (w, count) of the simple `lab`, and its profile counts
-    (key, count) (`decompose`): (w, (m, t)) for a vector of weight w whose
-    coaction is chi_{m,t}, as `build_simple` builds it, and (w, None) for
-    each vector of a W."""
-    n, weights = lab.n, label_weights(lab)
-    if lab.kind == "V":
-        _, i, m = lab.data
-        chars = [(m, (m - 2 * i) % n)]
-    elif lab.kind == "U":
-        i, j, m, t = lab.data
-        chars = [(m, t), ((t + 2 * i) % n, (m - 2 * j) % n)]
-    else:
-        chars = [None] * n
-    return (tuple(Counter(weights).items()),
-            tuple(Counter(zip(weights, chars)).items()))
+def _simple(A: KnAlgebra, lab: Label) -> YDModule:
+    return build_simple(A, lab)
 
 
-def _profile(M: YDModule):
-    """M's profile counts mod p = `modular_prime` (`decompose`) as a
-    function of the key, or None if a coefficient has no image mod p."""
-    n, prime = M.algebra.n, modular_prime(M.algebra.n)
+def _traces(M: YDModule, prime: int):
+    """M's traces T0 and T1 mod prime (`decompose`), as {weight: {basis
+    key: residue}}, or None if a coefficient read has no image."""
     residues: dict = {}
-    traces: dict = {}   # {w: {(i, j): T_w(i, j) mod p}}
-    for k, w in enumerate(M.weights):
-        cell = M.coaction[k].get(k)
-        for (kind, i, j), v in cell.coeffs.items() if cell else ():
-            if kind == P:
+    traces: tuple = ({}, {})
+    one = CycNum.one(M.algebra.n)
+    for j, (w, row) in enumerate(zip(M.weights, M.coaction)):
+        cells = [(0, one, row.get(j))] + [
+            (1, x, row.get(k)) for k, x in M.action_x.data.get(j, {}).items()]
+        for e, x, cell in cells:
+            if cell is None:
+                continue
+            for v in (x, *cell.coeffs.values()):
                 if v not in residues:
                     residues[v] = mod_p(v, prime)
-                if residues[v] is None:
+                    if residues[v] is None:
+                        return None
+            acc = traces[e].setdefault(w, {})
+            for key, v in cell.coeffs.items():
+                acc[key] = acc.get(key, 0) + residues[x] * residues[v]
+    return traces
+
+
+def _lift(x: int, prime: int) -> int:
+    """The integer of least absolute value congruent to x mod prime."""
+    return (x + prime // 2) % prime - prime // 2
+
+
+def _transform(part: dict, xi: list, prime: int) -> list:
+    """The lifted n^-2 sum_{ij} xi^-(ai+bj) part[i, j] mod prime, as rows
+    over a of entries over b, summed over j first; xi[k] is xi^k mod p."""
+    n = len(xi)
+    inner: dict = {}
+    for (i, j), t in part.items():
+        row = inner.setdefault(i, [0] * n)
+        for b in range(n):
+            row[b] += t * xi[-b * j % n]
+    scale = pow(n * n, -1, prime)
+    return [[_lift(sum(xi[-a * i % n] * row[b] for i, row in inner.items())
+                   * scale, prime) for b in range(n)] for a in range(n)]
+
+
+def _read_characters(M: YDModule):
+    """M's decomposition read off its traces mod p (`decompose`), or None
+    when the certificate fails."""
+    n, dim = M.algebra.n, M.dim
+    prime = modular_prime(n)
+    if 2 * dim >= prime or (traces := _traces(M, prime)) is None:
+        return None
+    xi = [root_images(n, prime)[0][k * (n + 1) % (2 * n)] for k in range(n)]
+    inv_n, half, zeros = pow(n, -1, prime), (n + 1) // 2, [[0] * n] * n
+    pairs: list = []
+    reads: dict = {}   # {U or W(+1, i, m): {key: N or (A, B)}}
+    for w in set(traces[0]) | set(traces[1]):
+        a0, b0 = w
+        i, r = (a0 + b0) * half % n, (a0 - b0) * half * half % n
+        parts = [{}, {}, {}, {}]   # T0 and T1 at the p keys, then the f keys
+        for e, trace in enumerate(traces):
+            for (kind, a, b), t in trace.get(w, {}).items():
+                parts[e + 2 * kind][a, b] = t % prime
+        if any(t for (a, b), t in parts[2].items() if a != b) or any(
+                t for (a, b), t in parts[3].items() if (a - b - 4 * r) % n):
+            return None
+        grids = [_transform(part, xi, prime) if part else zeros
+                 for part in parts[:2]]
+        for a, b in product(range(n), repeat=2) if any(parts[:2]) else ():
+            N, X = grids[0][a][b], grids[1][a][b]
+            if not 0 <= N <= dim:
+                return None
+            if a0 == b0 and b == (a - 2 * i) % n:
+                if abs(X) > N or (N - X) % 2:
                     return None
-                tw = traces.setdefault(w, {})
-                tw[i, j] = tw.get((i, j), 0) + residues[v]
-    roots, inv = root_images(n, prime)[0], pow(n * n, -1, prime)
-    size = Counter(M.weights)
-
-    def count(key) -> int:
-        w, chi = key
-        tw = traces.get(w, {})
-        if chi is None:
-            return (size[w] - tw.get((0, 0), 0)) % prime
-        # chi_{m,t}(i, j)^-1 = xi^{-(mi+tj)}, of exponent -(mi+tj)(n+1)
-        return sum(x * roots[-(chi[0] * i + chi[1] * j) * (n + 1) % (2 * n)]
-                   for (i, j), x in tw.items()) * inv % prime
-
-    return count
-
-
-def _candidates(M: YDModule, simples: list[Label]) -> list[Label]:
-    """The simples that pass the filters of `decompose`, or the weight
-    filter alone when M's profile is not certified."""
-    have = Counter(M.weights)
-    weighed = [lab for lab in simples if all(
-        have.get(w, 0) >= c for w, c in _label_needs(lab)[0])]
-    count = _profile(M)
-    if count is None:
-        return weighed
-    counts: dict = {}
-    kept = []
-    for lab in weighed:
-        for key, c in _label_needs(lab)[1]:
-            if key not in counts:
-                counts[key] = count(key)
-                if counts[key] > M.dim:
-                    return weighed
-            if counts[key] < c:
-                break
+                pairs += [(V(n, 1, i, a), (N + X) // 2),
+                          (V(n, -1, i, a), (N - X) // 2)]
+            elif X:
+                return None
+            elif N:
+                reads.setdefault(U(n, a0, b0, a, b), {})[w, a, b] = N
+        for mu in range(n) if any(parts[2:]) else ():
+            m = (mu + 2 * i + 4 * r) * half % n
+            A = _lift(sum(xi[-mu * a % n] * t
+                          for (a, _), t in parts[2].items()) * inv_n, prime)
+            B = _lift(sum(xi[-(mu + 4 * r) * a % n] * t
+                          for (a, _), t in parts[3].items())
+                      * xi[4 * r * (m - i) % n] * inv_n, prime)
+            if not 0 <= A <= dim or abs(B) > A or (A - B) % 2:
+                return None
+            if A:
+                reads.setdefault(W(n, 1, i, m), {})[r] = (A, B)
+    for lab, read in reads.items():   # one value at each of dim S keys
+        values = set(read.values())
+        if len(read) != lab.dim() or len(values) > 1:
+            return None
+        (v,) = values
+        if lab.kind == "U":
+            pairs.append((lab, v))
         else:
-            kept.append(lab)
-    return kept
+            pairs += [(lab, (v[0] + v[1]) // 2),
+                      (W(n, -1, *lab.data[1:]), (v[0] - v[1]) // 2)]
+    found = FusionDecomposition.from_pairs(pairs)
+    return found if found.dim() == dim else None
+
+
+_CROSS_CHECKED: set = set()
 
 
 def decompose(M: YDModule, simples: list[Label] | None = None
               ) -> FusionDecomposition:
-    """Decompose M into simples; the multiplicity of S is dim Hom(S, M).
+    """Decompose M into simples by its character over the Drinfeld double,
+    certified mod p, with the Hom spaces as fallback.
 
-    Three exact filters drop the simples S that cannot occur in M.  A
-    nonzero map from S is injective and keeps weights, so S fits in each
-    weight space of M, and so in its dimension.  Third, the profile: the
-    coaction makes M a module over K_n^*, where the p^*_{ij} span the group
-    algebra of Z_n x Z_n, with unit p^*_{00}.  Let T_w(i, j) be the trace
-    of p_w o p^*_{ij}.  Key (w, chi) counts the vectors of weight w on which
-    the p^* act by chi, n^-2 sum_{ij} chi(i, j)^-1 T_w(i, j); key (w, None)
-    those outside that part, |block w| - T_w(0, 0).  Every YD map commutes
-    with p_w and p^*_{ij}, so M's count is the sum of m_S times S's over
-    M = + S^{m_S}, and is at least S's wherever m_S > 0 (a simple's counts
-    are the non-negative ones of `_label_needs`).  It lies in [0, dim M]
-    and dim M < p, so its residue mod p is the count itself; a coefficient
-    with no image mod p, or a residue past dim M, drops this filter.
+    YD(K_n) is the category of D(K_n)-modules, which is semisimple (Majid
+    1991; Kassel, Quantum Groups, ch. IX and XIII): M = + S^{m_S}, and the
+    trace on M of any element of D(K_n) is sum m_S times its trace on S.
+    With K^* v_j = sum_k coeff_K(coaction[j][k]) v_k for a basis key K (the
+    K_n^*-action the coaction defines) and p_w the projection on weight w,
+    `_traces` reads, mod p = `modular_prime(n)`,
 
-    The multiplicities are first computed over F_p (`modular_prime`).  Each
-    is an upper bound on the true one, and by semisimplicity the true ones
-    satisfy sum mult * dim = dim M, so bounds that add up to dim M are all
-    exact.  Otherwise they are recomputed over Q(xi).  Fails loudly if the
-    exact multiplicities do not account for dim M either."""
-    A = M.algebra
-    if simples is None:
-        simples = list_simples(A)
-    candidates = _candidates(M, simples)
-    found = _multiplicities(M, candidates, modular_prime(A.n))
-    if found is None or found.dim() != M.dim:
-        found = _multiplicities(M, candidates, None)
+        T0_w(K) = tr(p_w K^*)    = sum_{j of weight w} coeff_K(coaction[j][j])
+        T1_w(K) = tr(p_w x^ K^*) = sum_{j of weight w, k} x^[j][k]
+                                                     coeff_K(coaction[j][k])
+
+    and `_read_characters` reads off, by `build_simple`'s structure:
+      * p keys: N(w, a, b) = n^-2 sum_{ij} xi^-(ai+bj) T0_w(p_ij) counts
+        the vectors of weight w whose p^*-character is chi_{a,b}; X is the
+        same transform of T1_w.  At w = (i, i) and b = a - 2i, V(+-1, i, a)
+        has N = 1 and X = +-1: m_V(+-1,i,a) = (N +- X)/2.  Any other
+        (w, a, b) is a key ((i, j), m, t) or ((j, i), t + 2i, m - 2j) of
+        U(i, j, m, t), which has X = 0 there: m_U = N.
+      * f keys, carried by the W alone, one vector of W(eps, i, m) at each
+        w = (i + 2r, i - 2r): A(mu) = n^-1 sum_a xi^-(mu a) T0_w(f_aa) and
+        B(mu) = n^-1 sum_a xi^-((mu + 4r)a) T1_w(f_{a,a-4r}) xi^{4r(m-i)}
+        are 1 and eps on it, m = (mu + 2i + 4r)/2: m_W(+-1,i,m) = (A +- B)/2.
+    The read is accepted only if every coefficient read has an image mod
+    p; N and A lift into [0, dim M], X and B with |X| <= N, |B| <= A and
+    the parity of N and A; every trace off these keys is 0 (T0 at f_ab,
+    a != b; T1 at f_ab, b != a - 4r; X off w = (i, i), b = a - 2i); a U
+    at both its keys and a W at all n weights read one multiplicity; and
+    sum m_S dim S = dim M < p/2.  On a YD module each lift is then the
+    true value.  Otherwise `_hom_route` decides, over `simples` (default
+    all).  The first module read at each n in a process is decomposed by
+    `_hom_route` too, over the labels read.  Raises ArithmeticError if the
+    two differ, or if the multiplicities do not account for dim M."""
+    n = M.algebra.n
+    found = _read_characters(M)
+    if found is None:
+        found = _hom_route(M, list_simples(M.algebra) if simples is None
+                           else simples)
+    elif n not in _CROSS_CHECKED:
+        hom = _hom_route(M, [lab for lab, _ in found.terms])
+        if hom != found:
+            raise ArithmeticError("the characters of M give %s, its Hom "
+                                  "spaces %s" % (found, hom))
+        _CROSS_CHECKED.add(n)
     if found.dim() != M.dim:
         raise ArithmeticError(
             "decomposition does not balance: %d of %d dimensions unaccounted"
@@ -245,18 +289,21 @@ def decompose(M: YDModule, simples: list[Label] | None = None
     return found
 
 
-def _multiplicities(M: YDModule, candidates: list[Label], prime):
-    """The candidates with their multiplicities dim Hom(S, M), over F_prime
-    or, for prime None, over Q(xi); None if some Hom system cannot be
-    reduced mod prime.  Every candidate is evaluated: a sum of upper bounds
-    proves nothing until it is complete."""
-    pairs = []
-    for lab in candidates:
-        mult = hom_dimension(_simple(M.algebra, lab), M, prime)
-        if mult is None:
-            return None
-        pairs.append((lab, mult))
-    return FusionDecomposition.from_pairs(pairs)
+def _hom_route(M: YDModule, simples: list[Label]) -> FusionDecomposition:
+    """M's decomposition by Hom spaces (`decompose`): m_S = dim Hom(S, M)
+    for each simple S that fits in M's weight spaces, over F_p, where each
+    is an upper bound and all are exact once every one is known and they
+    add up to dim M, else over Q(xi)."""
+    have = Counter(M.weights)
+    candidates = [lab for lab in simples if all(
+        have[w] >= c for w, c in Counter(label_weights(lab)).items())]
+    for prime in (modular_prime(M.algebra.n), None):
+        mults = [hom_dimension(_simple(M.algebra, lab), M, prime)
+                 for lab in candidates]
+        if None not in mults:
+            found = FusionDecomposition.from_pairs(zip(candidates, mults))
+            if prime is None or found.dim() == M.dim:
+                return found
 
 
 # -- closed-form fusion rules --------------------------------------------------------

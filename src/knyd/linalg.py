@@ -17,8 +17,8 @@ spaces that `nichols.graded_dims` carries from degree to degree), followed
 by the back-substitution `_reduce`; `_reduced` runs both.  The reduced echelon form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
 reduced echelon form (pivot = first nonzero column).  The pass reads no
-more rows once every column has a pivot row.  `rref()` keeps the plain
-column-by-column elimination as a reference.
+more rows once every column has a pivot row.  The tests keep the plain
+column-by-column elimination as a reference (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -199,12 +199,6 @@ class CycMatrix:
 
     # -- elimination -------------------------------------------------------------
 
-    def rref(self) -> tuple[list[dict[int, CycNum]], list[int]]:
-        """Reduced row echelon form; returns (rows as sparse dicts, pivot cols)."""
-        work = [dict(self.data[r]) if r in self.data else {}
-                for r in range(self.rows)]
-        return _rref_rows(work, self.cols)
-
     def rank(self) -> int:
         """The rank over the matrix's field.  That of a residue matrix, the
         image of a matrix over Q(xi_n) under `cyclotomic.mod_p`, bounds the
@@ -213,8 +207,7 @@ class CycMatrix:
 
     def row_echelon(self) -> tuple[list[dict], list[int]]:
         """The reduced echelon basis of the row space: (its rows as sparse
-        dicts, their pivot columns), in ascending pivot order.  Equal to the
-        nonzero rows of `rref()`."""
+        dicts, their pivot columns), in ascending pivot order."""
         rows = sorted(_reduced(self).items())
         return [row for _, row in rows], [p for p, _ in rows]
 
@@ -322,46 +315,3 @@ def _subtract(work: dict, factor, prow: dict, prime: int | None):
             work.pop(c, None)
         else:
             work[c] = s
-
-
-def _rref_rows(work: list[dict[int, CycNum]], cols: int):
-    """In-place RREF on sparse rows; deterministic first-nonzero pivoting.
-    The plain reference for `rref()`, against which the tests check
-    `_echelon`."""
-    pivots: list[int] = []
-    rank = 0
-    nrows = len(work)
-    for c in range(cols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if c in work[r]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        prow = work[rank]
-        pval = prow[c]
-        if not pval.is_one():
-            inv = pval.inv()
-            prow = {k: v * inv for k, v in prow.items()}
-            work[rank] = prow
-        for r in range(nrows):
-            if r == rank:
-                continue
-            row = work[r]
-            factor = row.get(c)
-            if factor is None:
-                continue
-            for k, v in prow.items():
-                s = row.get(k)
-                s = -factor * v if s is None else s - factor * v
-                if s.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-        pivots.append(c)
-        rank += 1
-        if rank == nrows:
-            break
-    return work[:rank], pivots

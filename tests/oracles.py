@@ -4,7 +4,8 @@ Each is a direct, slow route to something the package computes another way,
 kept apart from `knyd` so that it stays independent of the code it checks:
 the braid-group representation and the naive |S_k|-term quantum symmetrizer
 (against the coset-factored recursion of `knyd.nichols`), the adjoint action
-of K_n from its comultiplication, multiplication and antipode, a linear
+of K_n from its comultiplication, multiplication and antipode, the plain
+column-by-column elimination (against `knyd.linalg._echelon`), a linear
 solver, the transpose, and a few small racks, solutions and cocycles.
 """
 
@@ -143,9 +144,40 @@ def transpose(M: CycMatrix) -> CycMatrix:
     return out
 
 
+def rref(M: CycMatrix) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of M over Q(xi_n) by plain column-by-column
+    elimination, pivoting on the first nonzero row; returns (its nonzero
+    rows as sparse dicts, their pivot columns)."""
+    work = [dict(M.data.get(r, {})) for r in range(M.rows)]
+    pivots: list[int] = []
+    rank = 0
+    for c in range(M.cols):
+        pivot_row = next((r for r in range(rank, M.rows) if c in work[r]),
+                         None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = work[rank][c].inv()
+        prow = work[rank] = {k: v * inv for k, v in work[rank].items()}
+        for r in range(M.rows):
+            factor = work[r].get(c) if r != rank else None
+            if factor is None:
+                continue
+            row = work[r]
+            for k, v in prow.items():
+                s = row.get(k, CycNum.zero(M.n)) - factor * v
+                if s.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = s
+        pivots.append(c)
+        rank += 1
+    return work[:rank], pivots
+
+
 def solve(M: CycMatrix, b: list):
     """Solve M x = b through `row_echelon()` of [M | b], so that the tests
-    of this solver also check the package's elimination against `rref()`.
+    of this solver also check the package's elimination against `rref`.
     Returns (particular, kernel_basis) or None if the system is
     inconsistent."""
     if len(b) != M.rows:

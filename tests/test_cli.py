@@ -1,6 +1,11 @@
 """The `kn` command-line interface."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -215,6 +220,31 @@ def test_memory_budget_error_from_a_degree_estimate(runner, monkeypatch):
     assert ("memory budget exceeded: degree 5 of the Nichols algebra of a "
             "3-dimensional space exceeds") in result.output
     assert "Traceback" not in result.output
+
+
+def test_simples_label_count_in_closed_form():
+    # the count `kn simples` checks against the budget before listing
+    for n in (3, 5, 7, 9):
+        labels = cli.list_simples(cli.KnAlgebra(n))
+        assert len(labels) == 4 * n * n + n * n * (n * n - 1) // 2
+
+
+def test_memory_budget_error_before_listing_simples():
+    # at n = 101 the 52 065 904 labels would need about 37 GB; the child
+    # runs under a 2 GB address-space limit, so that a broken guard fails
+    # with a MemoryError instead of exhausting the machine
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("KN_MEMORY_MB", None)
+    proc = subprocess.run([sys.executable, "-m", "knyd.cli", "simples",
+                           "--n", "101"], capture_output=True, text=True,
+                          env=env, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Error: memory budget exceeded: listing "
+                                  "the 52065904 simples of K_101 exceeds")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

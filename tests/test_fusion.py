@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from knyd import fusion
 from knyd.cyclotomic import CycNum, cyc, modular_prime, root
-from knyd.hopf import F, P, KnAlgebra, delta_terms
+from knyd.hopf import F, P, KnAlgebra, KnElement, character, delta_terms
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
                         check_yd, direct_sum, hom_dimension, is_yd_map,
@@ -299,11 +299,17 @@ def test_closed_form_preserves_dimension_and_commutes(pair):
     assert fused == closed_form_fuse(L2, L1)
 
 
-# -- the modular certificate and its exact fallback ------------------------------------
+# -- the Hom route: the modular certificate and its exact fallback ---------------------
+
+
+def _hom_oracle(A, L1, L2):
+    return fusion._hom_route(tensor_module(build_simple(A, L1),
+                                           build_simple(A, L2)),
+                             list_simples(A))
 
 
 def _record_primes(monkeypatch):
-    """Record the prime of every Hom dimension `decompose` asks for."""
+    """Record the prime of every Hom dimension the Hom route asks for."""
     primes = []
     hom = fusion.hom_dimension
 
@@ -318,7 +324,7 @@ def _record_primes(monkeypatch):
 def test_decompose_needs_no_fallback(A3, monkeypatch):
     primes = _record_primes(monkeypatch)
     for L1, L2 in sample_pairs(A3, 12, 5):
-        assert _oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+        assert _hom_oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
     assert primes and None not in primes
 
 
@@ -335,7 +341,7 @@ def test_decompose_falls_back_when_balance_fails(A3, monkeypatch):
     primes = _record_primes(monkeypatch)
     for L1, L2 in sample_pairs(A3, 12, 6):
         del primes[:]
-        assert _oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+        assert _hom_oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
         assert primes[0] is not None and None in primes, (L1, L2)
 
 
@@ -352,8 +358,8 @@ def test_decompose_falls_back_when_an_entry_does_not_reduce(A3, monkeypatch):
     assert hom_dimension(S, scaled, p) is None
     assert hom_dimension(S, scaled) == 1
     primes = _record_primes(monkeypatch)
-    assert decompose(scaled) == FusionDecomposition.from_pairs(
-        [(U(n, 1, 0, 1, 0), 1)])
+    assert fusion._hom_route(scaled, list_simples(A3)) == (
+        FusionDecomposition.from_pairs([(U(n, 1, 0, 1, 0), 1)]))
     assert primes[0] == p and None in primes
 
 
@@ -369,39 +375,41 @@ def test_decompose_composite_n9_every_kind_pair(monkeypatch):
             L1 = rng.choice([L for L in labels if L.kind == k1])
             L2 = rng.choice([L for L in labels if L.kind == k2])
             M = tensor_module(build_simple(A, L1), build_simple(A, L2))
-            assert decompose(M, labels) == closed_form_fuse(L1, L2), (L1, L2)
+            assert fusion._hom_route(M, labels) == closed_form_fuse(L1, L2), (
+                L1, L2)
     assert primes and None not in primes
 
 
-# -- the profile filter ------------------------------------------------------------------
+# -- the character route -----------------------------------------------------------------
+#
+# M's profile is its character over D(K_n): the traces T0 and T1 of
+# `decompose`, read mod p.  The read must give every multiplicity on its own
+# (no fallback) and agree with the closed form and with the Hom route.
 
 
 def _weight_filtered(M, labels):
-    """The labels that fit in M's dimension and weight spaces, the two
-    filters of `decompose` before the profile, recomputed here."""
+    """The labels that fit in M's dimension and weight spaces, the filter
+    of the Hom route, recomputed here."""
     have = Counter(M.weights)
     return [lab for lab in labels if lab.dim() <= M.dim and all(
         have[w] >= c for w, c in Counter(label_weights(lab)).items())]
 
 
-def _assert_keeps_summands(M, labels, expected):
-    kept = fusion._candidates(M, labels)
-    assert set(kept) <= set(_weight_filtered(M, labels))
-    for lab, _ in expected.terms:
-        assert lab in kept, lab
-    return len(kept)
+def _assert_reads(M, expected):
+    """The character read of M is `expected`, without a fallback, and the
+    Hom route over the labels read gives it too."""
+    got = fusion._read_characters(M)
+    assert got == expected
+    assert fusion._hom_route(M, [lab for lab, _ in got.terms]) == expected
 
 
 def test_profile_filter_keeps_every_summand_n3(A3):
-    # every ordered pair: no label of nonzero closed-form multiplicity is
-    # dropped, and the filter drops most of what the weights let through
+    # every ordered pair: the read is the closed form, and the Hom route
+    # over the labels read agrees
     labels = list_simples(A3)
-    kept = weighted = 0
     for L1, L2 in ((L1, L2) for L1 in labels for L2 in labels):
         M = tensor_module(fusion._simple(A3, L1), fusion._simple(A3, L2))
-        kept += _assert_keeps_summands(M, labels, closed_form_fuse(L1, L2))
-        weighted += len(_weight_filtered(M, labels))
-    assert 4 * kept < weighted
+        _assert_reads(M, closed_form_fuse(L1, L2))
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 15])
@@ -415,7 +423,7 @@ def test_profile_filter_keeps_every_summand_seeded(n):
             L1 = rng.choice([L for L in labels if L.kind == k1])
             L2 = rng.choice([L for L in labels if L.kind == k2])
             M = tensor_module(fusion._simple(A, L1), fusion._simple(A, L2))
-            _assert_keeps_summands(M, labels, closed_form_fuse(L1, L2))
+            _assert_reads(M, closed_form_fuse(L1, L2))
 
 
 def _rescaled_u_module(A3):
@@ -428,33 +436,23 @@ def _rescaled_u_module(A3):
 
 
 def test_profile_filter_keeps_the_summands_of_a_sum_and_a_rescaled_u(A3):
-    labels = list_simples(A3)
     parts = [V(3, 1, 0, 2), U(3, 0, 1, 2, 1), U(3, 1, 1, 0, 0),
              W(3, -1, 1, 0), U(3, 0, 1, 2, 1)]
     M = build_simple(A3, parts[0])
     for lab in parts[1:]:
         M = direct_sum(M, build_simple(A3, lab))
     expected = FusionDecomposition.from_pairs((lab, 1) for lab in parts)
-    _assert_keeps_summands(M, labels, expected)
+    _assert_reads(M, expected)
     assert decompose(M) == expected
-    _assert_keeps_summands(_rescaled_u_module(A3), labels,
-                           FusionDecomposition.from_pairs(
-                               [(U(3, 1, 0, 1, 0), 1)]))
-
-
-def _profile_of(M):
-    """Every nonzero count of `fusion._profile` on M, over all weights."""
-    n = M.algebra.n
-    count = fusion._profile(M)
-    keys = [((a, b), chi) for a in range(n) for b in range(n)
-            for chi in [None] + [(m, t) for m in range(n) for t in range(n)]]
-    return {key: count(key) for key in keys if count(key)}
+    # x^ meets no coaction cell of the rescaled U off the diagonal, so its
+    # entries 1/p and p are never read
+    _assert_reads(_rescaled_u_module(A3), FusionDecomposition.from_pairs(
+        [(U(3, 1, 0, 1, 0), 1)]))
 
 
 @pytest.mark.parametrize("n", [3, 5, 15])
-def test_label_needs_are_the_profile_of_each_simple(n):
-    # the counts a label promises are those its module has, U(i,i,m,t)
-    # with two vectors of one weight included
+def test_each_simple_reads_as_itself(n):
+    # U(i,i,m,t), with two vectors of one weight, included
     A = KnAlgebra(n)
     labels = list_simples(A)
     if n == 15:
@@ -464,8 +462,19 @@ def test_label_needs_are_the_profile_of_each_simple(n):
         labels.append(U(15, 4, 4, 1, 0))
     assert any(L.kind == "U" and L.data[0] == L.data[1] for L in labels)
     for lab in labels:
-        needs = dict(fusion._label_needs(lab)[1])
-        assert _profile_of(build_simple(A, lab)) == needs, lab
+        assert fusion._read_characters(build_simple(A, lab)) == (
+            FusionDecomposition.from_pairs([(lab, 1)])), lab
+
+
+def test_decompose_reads_without_a_hom_system(monkeypatch):
+    # once the cross-check has run at n, decompose builds no Hom system
+    monkeypatch.setattr(fusion, "_CROSS_CHECKED", {3, 5})
+    primes = _record_primes(monkeypatch)
+    for n, count in ((3, 30), (5, 10)):
+        A = KnAlgebra(n)
+        for L1, L2 in sample_pairs(A, count, 8):
+            assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+    assert primes == []
 
 
 def _record_candidates(monkeypatch):
@@ -488,11 +497,12 @@ def test_profile_falls_back_when_a_diagonal_coefficient_does_not_reduce(
     labels = list_simples(A3)
     L1, L2 = U(3, 0, 1, 0, 2), U(3, 1, 2, 0, 1)
     M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
-    assert len(fusion._candidates(M, labels)) < len(_weight_filtered(M, labels))
+    assert fusion._read_characters(M) == closed_form_fuse(L1, L2)
     bad = next(v for key, v in M.coaction[0][0].coeffs.items() if key[0] == P)
     reduce = fusion.mod_p
     monkeypatch.setattr(fusion, "mod_p",
                         lambda a, p: None if a == bad else reduce(a, p))
+    assert fusion._read_characters(M) is None
     asked = _record_candidates(monkeypatch)
     assert decompose(M, labels) == closed_form_fuse(L1, L2)
     assert asked == _weight_filtered(M, labels)
@@ -503,21 +513,92 @@ def test_profile_falls_back_when_a_count_exceeds_the_dimension(
     labels = list_simples(A3)
     L1, L2 = U(3, 0, 1, 0, 2), U(3, 1, 2, 0, 1)
     M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
-    profile = fusion._profile
+    transform = fusion._transform
     forced = []
 
-    def one_count_too_large(M):
-        count = profile(M)
+    def one_count_too_large(part, xi, prime):
+        grid = transform(part, xi, prime)
+        if not forced:
+            forced.append(grid[0][0])
+            grid[0][0] = M.dim + 1
+        return grid
 
-        def first_past_dim(key):
-            if not forced:
-                forced.append(key)
-                return M.dim + 1
-            return count(key)
-
-        return first_past_dim
-
-    monkeypatch.setattr(fusion, "_profile", one_count_too_large)
+    monkeypatch.setattr(fusion, "_transform", one_count_too_large)
     asked = _record_candidates(monkeypatch)
     assert decompose(M, labels) == closed_form_fuse(L1, L2)
     assert forced and asked == _weight_filtered(M, labels)
+
+
+def test_cross_check_raises_on_a_wrong_read(A3, monkeypatch):
+    # the first module read at each n is decomposed again by Hom spaces
+    L1, L2 = U(3, 0, 1, 0, 2), U(3, 1, 2, 0, 1)
+    M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
+    right = closed_form_fuse(L1, L2)
+    (lab, mult), *rest = right.terms
+    wrong = FusionDecomposition.from_pairs([(lab, mult + 1)] + rest)
+    monkeypatch.setattr(fusion, "_CROSS_CHECKED", set())
+    monkeypatch.setattr(fusion, "_read_characters", lambda M: wrong)
+    with pytest.raises(ArithmeticError, match="Hom spaces"):
+        decompose(M)
+    monkeypatch.setattr(fusion, "_read_characters", lambda M: right)
+    assert decompose(M) == right and fusion._CROSS_CHECKED == {3}
+
+
+# -- the certificate on spaces that are not YD modules -------------------------------------
+
+
+def _space(A, weights, xhat, cells):
+    """A space with the given weights, x^ rows {j: {k: entry}} and
+    coaction cells {(j, k): KnElement}; no axiom is checked."""
+    n, dim = A.n, len(weights)
+    coaction = [{} for _ in range(dim)]
+    for (j, k), h in cells.items():
+        coaction[j][k] = h
+    data = {j: {k: CycNum.rational(n, v) for k, v in row.items()}
+            for j, row in xhat.items()}
+    return YDModule(A, dim, weights, CycMatrix(n, dim, dim, data), coaction)
+
+
+def test_certificate_needs_even_parity(A3):
+    # N = 1, X = 0 at V(+-1,0,0), and a vector counted twice at V(+1,1,0):
+    # the dimensions balance, but (N +- X)/2 is no integer
+    chi, chi2 = character(A3, 0, 0), character(A3, 0, 1)
+    space = _space(A3, [(0, 0), (1, 1)], {1: {1: 1}},
+                   {(0, 0): chi, (1, 1): chi2.scale(A3.scalar(2))})
+    assert fusion._read_characters(space) is None
+
+
+def test_certificate_needs_counts_in_range(A3):
+    # both keys of U(0,1,0,2) read -1: consistent, but no multiplicity
+    u = build_u_module(A3, 0, 1, 0, 2)
+    minus = A3.scalar(-1)
+    space = _space(A3, list(u.weights), {0: {1: 1}, 1: {0: 1}},
+                   {(j, j): u.coaction[j][j].scale(minus) for j in (0, 1)})
+    assert fusion._read_characters(space) is None
+
+
+@pytest.mark.parametrize("lab, xhat", [(U(3, 0, 1, 0, 2), {}),
+                                       (W(3, -1, 1, 0), {0: {0: -1}})],
+                         ids=["U", "W"])
+def test_certificate_needs_consistent_reads(A3, lab, xhat):
+    # one vector of a simple, padded with empty vectors to its dimension:
+    # the dimensions balance, but its other keys read 0
+    S = build_simple(A3, lab)
+    space = _space(A3, list(S.weights), xhat, {(0, 0): S.coaction[0][0]})
+    assert fusion._read_characters(space) is None
+
+
+def test_certificate_needs_zero_off_key_traces(A3):
+    # W(-1,1,0) with part of the f_aa coefficient of one diagonal cell
+    # moved to f_{a,a+1}: every A(mu) and B(mu) is unchanged
+    S = build_simple(A3, W(3, -1, 1, 0))
+    cell = dict(S.coaction[1][1].coeffs)
+    (key, v) = next((key, v) for key, v in cell.items() if key[1] == key[2])
+    cell[key] = v - A3.scalar(1)
+    cell[F, key[1], (key[1] + 1) % 3] = A3.scalar(1)
+    coaction = [dict(row) for row in S.coaction]
+    coaction[1][1] = KnElement(A3, cell)
+    space = YDModule(A3, 3, S.weights, S.action_x, coaction)
+    assert fusion._read_characters(S) == FusionDecomposition.from_pairs(
+        [(W(3, -1, 1, 0), 1)])
+    assert fusion._read_characters(space) is None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
 from knyd.linalg import CycMatrix, _reduced
-from oracles import solve, transpose
+from oracles import rref, solve, transpose
 
 
 def _mat(n, rows):
@@ -90,7 +90,7 @@ def test_block_decomposition_agrees_with_dense_elimination():
     entries = [(0, 0), (0, 2), (1, 4), (2, 2), (3, 1), (3, 3), (4, 5)]
     for r, c in entries:
         A.set(r, c, one)
-    rows, pivots = A.rref()
+    rows, pivots = rref(A)
     assert A.rank() == len(pivots)
     ker = A.kernel_basis()
     assert len(ker) == A.cols - A.rank()
@@ -302,7 +302,7 @@ def test_rank_nullity_and_kernel(A):
     # columns, each column led by one vector and zero in all the others
     ker = A.kernel_basis()
     assert A.rank() + len(ker) == A.cols
-    assert len(A.rref()[1]) == A.rank()   # the plain elimination agrees
+    assert len(rref(A)[1]) == A.rank()   # the plain elimination agrees
     leads = []
     for vec in ker:
         assert len(vec) == A.cols
@@ -319,7 +319,7 @@ def test_rank_nullity_and_kernel(A):
 @_properties
 @given(st.one_of(sparse_matrices(), block_matrices()))
 def test_row_echelon_is_the_plain_rref(A):
-    assert A.row_echelon() == A.rref()
+    assert A.row_echelon() == rref(A)
 
 
 @_properties
@@ -331,7 +331,7 @@ def test_reduced_by_last_column_is_the_rref_of_the_mirror(A):
     mirror = CycMatrix(A.n, A.rows, A.cols,
                        {r: {flip - c: v for c, v in row.items()}
                         for r, row in A.data.items()})
-    rows, pivots = mirror.rref()
+    rows, pivots = rref(mirror)
     assert _reduced(A, last=True) == {
         flip - p: {flip - c: v for c, v in row.items()}
         for row, p in zip(rows, pivots)}
@@ -345,14 +345,14 @@ def _vectors(n, size):
 
 
 def _plain_rank(A, b=None):
-    """The rank of A, or of [A | b], through the plain `rref()`."""
+    """The rank of A, or of [A | b], through the plain `rref`."""
     if b is not None:
         aug = CycMatrix(A.n, A.rows, A.cols + 1,
                         {r: dict(row) for r, row in A.data.items()})
         for r, v in enumerate(b):
             aug.set(r, A.cols, v)
         A = aug
-    return len(A.rref()[1])
+    return len(rref(A)[1])
 
 
 @_properties
