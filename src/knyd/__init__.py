@@ -4,19 +4,15 @@ Yetter-Drinfeld modules, fusion rules, and Nichols algebras."""
 from .cyclotomic import CycNum, cyc, cyclotomic_polynomial, root_order
 from .linalg import CycMatrix
 from .hopf import (KnAlgebra, KnElement, TensorElement, antipode, character,
-                   comatrix_element, comultiply, counit, multiply,
-                   verify_hopf_axioms)
+                   comultiply, counit, multiply, verify_hopf_axioms)
 from .ydmod import (Label, U, V, W, YDModule, braided_space, braiding,
                     build_simple, build_u_module, check_yd, dimension_census,
-                    direct_sum, hom_dimension, is_yd_map, list_simples,
-                    parse_label)
+                    direct_sum, hom_dimension, list_simples, parse_label)
 from .fusion import (FusionDecomposition, closed_form_fuse, decompose,
-                     fusion_table, tensor_module, uw0_isomorphism,
-                     zn_orbit_set)
+                     fusion_table, tensor_module, zn_orbit_set)
 from .nichols import (BraidedSpace, GradedReport, MemoryBudgetError,
-                      a2_criterion, check_braid_equation, diagonal_data,
-                      graded_dims, infinite_precheck, is_square_zero,
-                      presentation_check, quantum_symmetrizer,
+                      a2_criterion, check_braid_equation, graded_dims,
+                      infinite_precheck, is_square_zero, presentation_check,
                       square_zero_monomial_space, sum_criterion,
                       tensor_vector)
 from .racks import (BraidedSet, CocycleTable, Rack, check_F_cocycle,

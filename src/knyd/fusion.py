@@ -26,8 +26,8 @@ from itertools import product
 from .cyclotomic import CycNum, mod_p, modular_prime, root, root_images
 from .linalg import CycMatrix
 from .hopf import F, P, KnAlgebra, delta_terms, multiply
-from .ydmod import (Label, U, V, W, YDModule, build_simple, build_u_module,
-                    hom_dimension, label_weights, list_simples)
+from .ydmod import (Label, U, V, W, YDModule, build_simple, hom_dimension,
+                    label_weights, list_simples)
 
 
 # -- decompositions ---------------------------------------------------------------
@@ -428,33 +428,3 @@ def sample_pairs(A: KnAlgebra, count: int, seed: int = 0):
     labels = list_simples(A)
     rng = random.Random(seed)
     return [(rng.choice(labels), rng.choice(labels)) for _ in range(count)]
-
-
-# -- the explicit U (x) W0 isomorphism ----------------------------------------------------
-
-
-def uw0_isomorphism(A: KnAlgebra, i: int, j: int, m: int, t: int):
-    """The explicit intertwiner phi: U' (x) W0 -> U(i,j,m,t) (x) W0, where
-    U' = U_{i',i',m',m'-2i'} with i' = (i+j)/2, m' = (m+t+2i)/2 is the
-    reducible module splitting as V(+1,i',m') + V(-1,i',m').  With
-    D = (i-j)/4 and M = m-t-i-j:
-
-        phi(u'_1 (x) w_r) = xi^{-rM}          u_1 (x) w_{r-D}
-        phi(u'_2 (x) w_r) = xi^{rM - 2D(i+j)} u_2 (x) w_{r+D}
-
-    Returns (source, target, phi) as YD modules and a matrix."""
-    n = A.n
-    half = (n + 1) // 2
-    quarter = (half * half) % n
-    ip = ((i + j) * half) % n
-    mp = ((m + t + 2 * i) * half) % n
-    D = ((i - j) * quarter) % n
-    M = (m - t - i - j) % n
-    w0 = _simple(A, W(n, 1, 0, 0))
-    source = tensor_module(build_u_module(A, ip, ip, mp, mp - 2 * ip), w0)
-    target = tensor_module(build_u_module(A, i, j, m, t), w0)
-    phi = CycMatrix.zero(n, 2 * n, 2 * n)
-    for r in range(n):
-        phi.set(0 * n + (r - D) % n, 0 * n + r, A.xi(-r * M))
-        phi.set(1 * n + (r + D) % n, 1 * n + r, A.xi(r * M - 2 * D * (i + j)))
-    return source, target, phi

@@ -71,8 +71,10 @@ class KnAlgebra:
         return "KnAlgebra(n=%d)" % self.n
 
 
-class KnElement:
-    """Sparse element of K_n: map (kind, i, j) -> CycNum, zeros pruned."""
+class _SparseElement:
+    """Sparse element over Q(xi_n): map key -> CycNum, zeros pruned.  The
+    linear arithmetic of K_n (`KnElement`) and K_n (x) K_n
+    (`TensorElement`), which differ in their keys and their products."""
 
     __slots__ = ("algebra", "coeffs")
 
@@ -80,39 +82,47 @@ class KnElement:
         self.algebra = algebra
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
 
-    def _check(self, other: "KnElement"):
+    def _check(self, other):
         if self.algebra.n != other.algebra.n:
             raise ValueError("algebra mismatch")
 
-    def __add__(self, other: "KnElement") -> "KnElement":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = out.get(k)
             out[k] = v if s is None else s + v
-        return KnElement(self.algebra, out)
+        return type(self)(self.algebra, out)
 
-    def __sub__(self, other: "KnElement") -> "KnElement":
+    def __sub__(self, other):
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = out.get(k)
             out[k] = -v if s is None else s - v
-        return KnElement(self.algebra, out)
+        return type(self)(self.algebra, out)
 
-    def __neg__(self) -> "KnElement":
-        return KnElement(self.algebra, {k: -v for k, v in self.coeffs.items()})
+    def __neg__(self):
+        return type(self)(self.algebra,
+                          {k: -v for k, v in self.coeffs.items()})
 
-    def scale(self, a: CycNum) -> "KnElement":
-        return KnElement(self.algebra, {k: v * a for k, v in self.coeffs.items()})
+    def scale(self, a: CycNum):
+        return type(self)(self.algebra,
+                          {k: v * a for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other):
-        if not isinstance(other, KnElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.algebra.n == other.algebra.n and self.coeffs == other.coeffs
+
+
+class KnElement(_SparseElement):
+    """Sparse element of K_n: map (kind, i, j) -> CycNum, zeros pruned."""
+
+    __slots__ = ()
 
     def __hash__(self):
         return hash((self.algebra.n, frozenset(self.coeffs.items())))
@@ -160,42 +170,14 @@ def multiply(x: KnElement, y: KnElement) -> KnElement:
     return KnElement(x.algebra, out)
 
 
-class TensorElement:
+class TensorElement(_SparseElement):
     """Sparse element of K_n (x) K_n: map (key1, key2) -> CycNum."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: KnAlgebra, coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return TensorElement(self.algebra, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            out[k] = -v if s is None else s - v
-        return TensorElement(self.algebra, out)
-
-    def scale(self, a: CycNum) -> "TensorElement":
-        return TensorElement(self.algebra, {k: v * a for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.algebra.n == other.algebra.n and self.coeffs == other.coeffs
+    __slots__ = ()
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise algebra product on K_n (x) K_n."""
+        self._check(other)
         table = product_table(self.algebra.n)
         ocoeffs = other.coeffs
         out: dict = {}
@@ -258,18 +240,6 @@ def character(A: KnAlgebra, m: int, t: int) -> KnElement:
     """chi_{m,t} = sum_{ij} xi^{mi+tj} p_{ij} (the character a^i b^j -> xi^{mi+tj})."""
     return KnElement(A, {(P, i, j): A.xi(m * i + t * j)
                          for i in range(A.n) for j in range(A.n)})
-
-
-def comatrix_element(A: KnAlgebra, k: int, l: int) -> KnElement:
-    """e_{kl} = sum_s xi^{-2s(k+l)} f_{s+k-l, s-k+l}."""
-    n = A.n
-    out: dict = {}
-    for s in range(n):
-        key = (F, (s + k - l) % n, (s - k + l) % n)
-        c = A.xi(-2 * s * (k + l))
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return KnElement(A, out)
 
 
 # -- the coproduct on exponents --------------------------------------------------

@@ -5,16 +5,17 @@ the representation never affects results.  A matrix over Q(xi_n) holds
 CycNum entries.  A residue matrix, `CycMatrix(n, rows, cols, data, prime)`,
 holds entries in F_p as ints in 1 .. p - 1, such as the image of a matrix
 over Q(xi_n) under an embedding xi -> omega^u of `cyclotomic.root_images`;
-no entry is 0 mod p.  `+`, `@`, `kron`, `row_echelon`, `kernel_basis` and
-`rank` read the field from the matrix and work over either one, on machine
-integers over F_p; the operands of `+`, `@` and `kron` share their field.
+no entry is 0 mod p.  `+`, `@`, `kron`, `kernel_basis` and `rank` read
+the field from the matrix and work over either one, on machine integers
+over F_p; the operands of `+`, `@` and `kron` share their field.
 The other methods take matrices over Q(xi_n).
 
 Every rank, echelon basis and kernel comes from one elimination, `_echelon`:
 an incremental pass over the rows that keeps one pivot row per pivot column,
 keyed by the row's least column (its greatest, for kernels and for the row
 spaces that `nichols.graded_dims` carries from degree to degree), followed
-by the back-substitution `_reduce`; `_reduced` runs both.  The reduced echelon form is unique, so the
+by the back-substitution `_reduce`; `_reduced` runs both and gives the
+reduced echelon basis of the row space.  That form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
 reduced echelon form (pivot = first nonzero column).  The pass reads no
 more rows once every column has a pivot row.  The tests keep the plain
@@ -78,11 +79,6 @@ class CycMatrix:
     @staticmethod
     def zero(n: int, rows: int, cols: int) -> "CycMatrix":
         return CycMatrix(n, rows, cols)
-
-    def copy(self) -> "CycMatrix":
-        return CycMatrix(self.n, self.rows, self.cols,
-                         {r: dict(row) for r, row in self.data.items()},
-                         self.prime)
 
     # -- access ---------------------------------------------------------------
 
@@ -204,12 +200,6 @@ class CycMatrix:
         image of a matrix over Q(xi_n) under `cyclotomic.mod_p`, bounds the
         rank over Q(xi_n) from below."""
         return len(_echelon(self))
-
-    def row_echelon(self) -> tuple[list[dict], list[int]]:
-        """The reduced echelon basis of the row space: (its rows as sparse
-        dicts, their pivot columns), in ascending pivot order."""
-        rows = sorted(_reduced(self).items())
-        return [row for _, row in rows], [p for p, _ in rows]
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel, as rows of a reduced-echelon matrix

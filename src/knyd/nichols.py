@@ -18,8 +18,8 @@ tests/oracles.py).  `_coset_factor` multiplies by T*_k on the right with
 no strand matrix: when c is a permutation matrix with root-of-unity
 entries, every term sends e_r^T to a root times one e_t^T, found by
 following row r through the strand moves; any other c is applied by sparse
-right multiplication.  `quantum_symmetrizer` runs the recursion on full
-d^k x d^k matrices.
+right multiplication.  In degree 2, T*_2 = id + c, so QS_2 = id + c
+(`_qs2`), which is all the square-zero and presentation checks need.
 
 The k-th graded component of the Nichols algebra has dimension rank(QS_k),
 and the degree-k relations are ker(QS_k).  `graded_dims` never forms QS_k:
@@ -81,9 +81,9 @@ from .linalg import CycMatrix, _reduced
 
 
 class MemoryBudgetError(Exception):
-    """Raised when the next step of a symmetrizer or graded-dimension
-    computation would take the process past the configured memory bound
-    (env var KN_MEMORY_MB, default 1024)."""
+    """Raised when the next degree of a graded-dimension computation, or a
+    `kn` command sized before it starts, would take the process past the
+    configured memory bound (env var KN_MEMORY_MB, default 1024)."""
 
 
 def _memory_budget_bytes() -> int:
@@ -268,19 +268,9 @@ def _right_products(B: BraidedSpace, k: int, X: CycMatrix) -> CycMatrix:
     return out
 
 
-def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
-    """QS_k as a d^k x d^k matrix, by the right coset factorization
-    QS_k = (QS_{k-1} (x) id) T*_k of the module docstring."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # a sparse CycNum entry costs on the order of 200 bytes
-    _check_budget(200 * B.dim ** k * min(factorial(k), B.dim ** k),
-                  "QS_%d on a %d-dimensional space" % (k, B.dim))
-    ident = CycMatrix.identity(B.n, B.dim)
-    qs = ident
-    for deg in range(2, k + 1):
-        qs = _coset_factor(B, deg)(qs.kron(ident))
-    return qs
+def _qs2(B: BraidedSpace) -> CycMatrix:
+    """QS_2 = id + c, the d^2 x d^2 symmetrizer of degree 2."""
+    return B.c + CycMatrix.identity(B.n, B.dim * B.dim)
 
 
 # -- graded dimensions ---------------------------------------------------------------
@@ -555,44 +545,7 @@ def infinite_precheck(B: BraidedSpace):
     return None
 
 
-# -- diagonal braidings and Dynkin data -------------------------------------------------
-
-
-@dataclass
-class DynkinData:
-    q_matrix: list                # d x d CycNum entries
-    vertex_labels: list           # q_ii
-    edge_labels: dict             # (a,b), a<b -> q_ab * q_ba
-    quantum_linear_space: bool    # every edge label is 1
-    cartan_a2: bool               # 2 vertices, q11 = q22 = q != 1, edge q^{-1}
-
-
-def diagonal_data(B: BraidedSpace):
-    """The q-matrix when c(e_a (x) e_b) = q_ab e_b (x) e_a for all basis
-    pairs; None when the braiding is not diagonal in the given basis."""
-    d = B.dim
-    q = [[None] * d for _ in range(d)]
-    # collect column supports
-    cols: dict[int, list] = {}
-    for r, row in B.c.data.items():
-        for c_, v in row.items():
-            cols.setdefault(c_, []).append((r, v))
-    for a in range(d):
-        for b in range(d):
-            support = cols.get(a * d + b, [])
-            if len(support) != 1 or support[0][0] != b * d + a:
-                return None
-            q[a][b] = support[0][1]
-    vertex = [q[a][a] for a in range(d)]
-    edges = {(a, b): q[a][b] * q[b][a]
-             for a in range(d) for b in range(d) if a < b}
-    one = CycNum.one(B.n)
-    qls = all(v == one for v in edges.values())
-    cartan = False
-    if d == 2 and q[0][0] == q[1][1] and not q[0][0].is_one():
-        cartan = edges[(0, 1)] * q[0][0] == one
-    return DynkinData(q_matrix=q, vertex_labels=vertex, edge_labels=edges,
-                      quantum_linear_space=qls, cartan_a2=cartan)
+# -- diagonal braidings ----------------------------------------------------------------
 
 
 def a2_criterion(label) -> dict:
@@ -670,7 +623,7 @@ def is_square_zero(B: BraidedSpace, v: list) -> bool:
     d = B.dim
     if len(v) != d:
         raise ValueError("vector length mismatch")
-    qs2 = quantum_symmetrizer(B, 2)
+    qs2 = _qs2(B)
     vv = [v[a] * v[b] for a in range(d) for b in range(d)]
     return all(x.is_zero() for x in qs2.apply(vv))
 
@@ -707,20 +660,13 @@ def square_zero_monomial_space(B: BraidedSpace) -> SquareZeroSpace:
     if d > _SQUARE_ZERO_BOUND:
         raise ValueError("dimension %d exceeds the bound %d"
                          % (d, _SQUARE_ZERO_BOUND))
-    qs2 = quantum_symmetrizer(B, 2)
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    mat = CycMatrix.zero(B.n, d * d, len(pairs))
+    one = CycNum.one(B.n)
+    sym = CycMatrix(B.n, d * d, len(pairs))   # column ab: e_a e_b + e_b e_a
     for idx, (a, b) in enumerate(pairs):
-        cols = [a * d + b] if a == b else [a * d + b, b * d + a]
-        for r, row in qs2.data.items():
-            acc = None
-            for c_ in cols:
-                v = row.get(c_)
-                if v is not None:
-                    acc = v if acc is None else acc + v
-            if acc is not None and not acc.is_zero():
-                mat.set(r, idx, acc)
-    kernel = mat.kernel_basis()
+        for r in {a * d + b, b * d + a}:
+            sym.data.setdefault(r, {})[idx] = one
+    kernel = (_qs2(B) @ sym).kernel_basis()
     forced = []
     for idx, pair in enumerate(pairs):
         if all(vec[idx].is_zero() for vec in kernel):
@@ -747,24 +693,20 @@ def tensor_vector(B: BraidedSpace, degree: int, terms) -> list:
 
 
 def presentation_check(B: BraidedSpace, relations) -> dict:
-    """relations: list of (degree, coefficient vector).  Verifies that each
-    lies in ker QS_degree, and that the degree-2 relations span ker QS_2
-    exactly."""
-    by_degree: dict[int, list] = {}
-    for deg, vec in relations:
-        by_degree.setdefault(deg, []).append(vec)
-    in_kernel = True
-    for deg, vecs in by_degree.items():
-        qs = quantum_symmetrizer(B, deg)
-        for vec in vecs:
-            if not all(x.is_zero() for x in qs.apply(vec)):
-                in_kernel = False
-    kernel2 = quantum_symmetrizer(B, 2).kernel_basis()
-    deg2 = by_degree.get(2, [])
+    """relations: list of (degree, coefficient vector), every degree 2.
+    Verifies that each lies in ker QS_2 and that together they span it."""
+    for deg, _ in relations:
+        if deg != 2:
+            raise ValueError("relation of degree %d: only degree-2 relations "
+                             "are checked" % deg)
+    qs2 = _qs2(B)
+    vecs = [vec for _, vec in relations]
+    in_kernel = all(all(x.is_zero() for x in qs2.apply(vec)) for vec in vecs)
+    kernel2 = qs2.kernel_basis()
     rows = {i: {c: x for c, x in enumerate(vec) if not x.is_zero()}
-            for i, vec in enumerate(deg2)}
-    given_rank = CycMatrix(B.n, len(deg2), B.dim ** 2, rows).rank() \
-        if deg2 else 0
+            for i, vec in enumerate(vecs)}
+    given_rank = CycMatrix(B.n, len(vecs), B.dim ** 2, rows).rank() \
+        if vecs else 0
     spans = in_kernel and given_rank == len(kernel2)
     return {"all_in_kernel": in_kernel, "kernel2_dim": len(kernel2),
             "degree2_rank": given_rank, "degree2_spans": spans}

@@ -7,7 +7,8 @@ W(eps,i,m) (dim n):
     U: f.u1 = f(i,j) u1, f.u2 = f(j,i) u2, x^ swaps u1 <-> u2,
        delta(u1) = chi_{m,t} (x) u1, delta(u2) = chi_{t+2i,m-2j} (x) u2
     W: f.w_r = f(i+2r,i-2r) w_r, x^.w_r = eps xi^{4ir} w_{-r},
-       delta(w_r) = sum_k chi_{m,m-2i} e_{rk} (x) w_k
+       delta(w_r) = sum_k chi_{m,m-2i} e_{rk} (x) w_k,
+       e_{rk} = sum_s xi^{-2s(r+k)} f_{s+r-k,s-r+k}
 
 U labels are canonicalized to the lexicographically smaller of (i,j,m,t)
 and (j,i,t+2i,m-2j); a U label with i=j and t=m-2i is reducible (it splits
@@ -26,8 +27,7 @@ coaction matrices (`YDModule.coaction`) at the four keys of `_GENERATORS`.
 For comodules S and M that is every condition, since the duals of those
 keys generate K_n^*, the algebra the comodules are modules over.  Each
 module lists the entries of its five matrices once per prime
-(`_hom_entries`); `hom_dimension` is the nullity of the system and
-`is_yd_map` tests a given matrix against its rows.
+(`_hom_entries`); `hom_dimension` is the nullity of the system.
 """
 
 from __future__ import annotations
@@ -575,25 +575,3 @@ def hom_dimension(S: YDModule, M: YDModule,
     bound on the dimension, or None if a coefficient has no image mod p."""
     system = _hom_system(S, M, prime)
     return None if system is None else system[1].cols - system[1].rank()
-
-
-def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:
-    """Whether the dm x ds matrix T intertwines actions and coactions of
-    the comodules S and M: T is zero off the unknowns of `_hom_system`
-    (`_unknowns`) and satisfies each of its rows, the conditions at x^ and
-    at the four _GENERATORS."""
-    if T.rows != M.dim or T.cols != S.dim:
-        raise ValueError("shape mismatch")
-    offsets, pos, _ = _unknowns(S, M)
-    system = _hom_system(S, M)[1]
-    zero = CycNum.zero(S.algebra.n)
-    value = [zero] * system.cols
-    for k, row in T.data.items():
-        for j, v in row.items():
-            if v.is_zero():
-                continue
-            if M.weights[k] != S.weights[j]:
-                return False
-            value[offsets[j] + pos[k]] = v
-    return all(sum((v * value[c] for c, v in row.items()), zero).is_zero()
-               for row in system.data.values())

@@ -2,11 +2,16 @@
 
 Each is a direct, slow route to something the package computes another way,
 kept apart from `knyd` so that it stays independent of the code it checks:
-the braid-group representation and the naive |S_k|-term quantum symmetrizer
-(against the coset-factored recursion of `knyd.nichols`), the adjoint action
-of K_n from its comultiplication, multiplication and antipode, the plain
-column-by-column elimination (against `knyd.linalg._echelon`), a linear
-solver, the transpose, and a few small racks, solutions and cocycles.
+the braid-group representation and the naive |S_k|-term quantum symmetrizer,
+against the full coset-factored QS_k built from `knyd.nichols._coset_factor`
+(the recursion `graded_dims` runs on row spaces); the comatrix elements of
+K_n (against the W coaction of `knyd.ydmod.build_simple`) and its adjoint
+action from its comultiplication, multiplication and antipode; a test of
+one matrix against the Hom system of `knyd.ydmod` and the explicit
+U (x) W0 isomorphism it checks; the q-matrix of a diagonal braiding; the
+plain column-by-column elimination (against `knyd.linalg._echelon`), a
+linear solver, the transpose and a matrix copy; and a few small racks,
+solutions and cocycles.
 """
 
 from __future__ import annotations
@@ -14,11 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from knyd import nichols
 from knyd.cyclotomic import CycNum
+from knyd.fusion import _simple, tensor_module
 from knyd.hopf import F, KnAlgebra, KnElement, antipode, comultiply, multiply
-from knyd.linalg import CycMatrix
+from knyd.linalg import CycMatrix, _reduced
 from knyd.nichols import BraidedSpace, SquareZeroSpace
 from knyd.racks import BraidedSet, CocycleTable, Rack
+from knyd.ydmod import W, YDModule, _hom_system, _unknowns, build_u_module
 
 
 # -- braid words and the naive quantum symmetrizer ----------------------------------
@@ -91,6 +99,52 @@ def naive_quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
     return out
 
 
+def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
+    """QS_k as a d^k x d^k matrix, by the right coset factorization
+    QS_k = (QS_{k-1} (x) id) T*_k, each T*_k applied by `_coset_factor`."""
+    ident = qs = CycMatrix.identity(B.n, B.dim)
+    for deg in range(2, k + 1):
+        qs = nichols._coset_factor(B, deg)(qs.kron(ident))
+    return qs
+
+
+@dataclass
+class DynkinData:
+    q_matrix: list                # d x d CycNum entries
+    vertex_labels: list           # q_ii
+    edge_labels: dict             # (a,b), a<b -> q_ab * q_ba
+    quantum_linear_space: bool    # every edge label is 1
+    cartan_a2: bool               # 2 vertices, q11 = q22 = q != 1, edge q^{-1}
+
+
+def diagonal_data(B: BraidedSpace):
+    """The q-matrix when c(e_a (x) e_b) = q_ab e_b (x) e_a for all basis
+    pairs; None when the braiding is not diagonal in the given basis."""
+    d = B.dim
+    q = [[None] * d for _ in range(d)]
+    # collect column supports
+    cols: dict[int, list] = {}
+    for r, row in B.c.data.items():
+        for c_, v in row.items():
+            cols.setdefault(c_, []).append((r, v))
+    for a in range(d):
+        for b in range(d):
+            support = cols.get(a * d + b, [])
+            if len(support) != 1 or support[0][0] != b * d + a:
+                return None
+            q[a][b] = support[0][1]
+    vertex = [q[a][a] for a in range(d)]
+    edges = {(a, b): q[a][b] * q[b][a]
+             for a in range(d) for b in range(d) if a < b}
+    one = CycNum.one(B.n)
+    qls = all(v == one for v in edges.values())
+    cartan = False
+    if d == 2 and q[0][0] == q[1][1] and not q[0][0].is_one():
+        cartan = edges[(0, 1)] * q[0][0] == one
+    return DynkinData(q_matrix=q, vertex_labels=vertex, edge_labels=edges,
+                      quantum_linear_space=qls, cartan_a2=cartan)
+
+
 def contains_profile(space: SquareZeroSpace, v: list) -> bool:
     """Whether the monomial profile of the degree-1 vector v lies in the
     solution space of `square_zero_monomial_space` (equivalent to
@@ -122,6 +176,18 @@ def xhat(A: KnAlgebra) -> KnElement:
                          for i in range(A.n) for j in range(A.n)})
 
 
+def comatrix_element(A: KnAlgebra, k: int, l: int) -> KnElement:
+    """e_{kl} = sum_s xi^{-2s(k+l)} f_{s+k-l, s-k+l}."""
+    n = A.n
+    out: dict = {}
+    for s in range(n):
+        key = (F, (s + k - l) % n, (s - k + l) % n)
+        c = A.xi(-2 * s * (k + l))
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    return KnElement(A, out)
+
+
 def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
     """h -> z = h_(1) z S(h_(2)), computed via comultiply/multiply/antipode."""
     A = h.algebra
@@ -133,6 +199,58 @@ def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
     return acc
 
 
+# -- YD maps ---------------------------------------------------------------------------
+
+
+def is_yd_map(S: YDModule, M: YDModule, T: CycMatrix) -> bool:
+    """Whether the dm x ds matrix T intertwines actions and coactions of
+    the comodules S and M: T is zero off the unknowns of `_hom_system`
+    (`_unknowns`) and satisfies each of its rows, the conditions at x^ and
+    at the four generators of `knyd.ydmod._GENERATORS`."""
+    if T.rows != M.dim or T.cols != S.dim:
+        raise ValueError("shape mismatch")
+    offsets, pos, _ = _unknowns(S, M)
+    system = _hom_system(S, M)[1]
+    zero = CycNum.zero(S.algebra.n)
+    value = [zero] * system.cols
+    for k, row in T.data.items():
+        for j, v in row.items():
+            if v.is_zero():
+                continue
+            if M.weights[k] != S.weights[j]:
+                return False
+            value[offsets[j] + pos[k]] = v
+    return all(sum((v * value[c] for c, v in row.items()), zero).is_zero()
+               for row in system.data.values())
+
+
+def uw0_isomorphism(A: KnAlgebra, i: int, j: int, m: int, t: int):
+    """The explicit intertwiner phi: U' (x) W0 -> U(i,j,m,t) (x) W0, where
+    U' = U_{i',i',m',m'-2i'} with i' = (i+j)/2, m' = (m+t+2i)/2 is the
+    reducible module splitting as V(+1,i',m') + V(-1,i',m').  With
+    D = (i-j)/4 and M = m-t-i-j:
+
+        phi(u'_1 (x) w_r) = xi^{-rM}          u_1 (x) w_{r-D}
+        phi(u'_2 (x) w_r) = xi^{rM - 2D(i+j)} u_2 (x) w_{r+D}
+
+    Returns (source, target, phi) as YD modules and a matrix."""
+    n = A.n
+    half = (n + 1) // 2
+    quarter = (half * half) % n
+    ip = ((i + j) * half) % n
+    mp = ((m + t + 2 * i) * half) % n
+    D = ((i - j) * quarter) % n
+    M = (m - t - i - j) % n
+    w0 = _simple(A, W(n, 1, 0, 0))
+    source = tensor_module(build_u_module(A, ip, ip, mp, mp - 2 * ip), w0)
+    target = tensor_module(build_u_module(A, i, j, m, t), w0)
+    phi = CycMatrix.zero(n, 2 * n, 2 * n)
+    for r in range(n):
+        phi.set(0 * n + (r - D) % n, 0 * n + r, A.xi(-r * M))
+        phi.set(1 * n + (r + D) % n, 1 * n + r, A.xi(r * M - 2 * D * (i + j)))
+    return source, target, phi
+
+
 # -- linear algebra --------------------------------------------------------------------
 
 
@@ -142,6 +260,11 @@ def transpose(M: CycMatrix) -> CycMatrix:
         for c, v in row.items():
             out.data.setdefault(c, {})[r] = v
     return out
+
+
+def copy_matrix(M: CycMatrix) -> CycMatrix:
+    return CycMatrix(M.n, M.rows, M.cols,
+                     {r: dict(row) for r, row in M.data.items()}, M.prime)
 
 
 def rref(M: CycMatrix) -> tuple[list[dict], list[int]]:
@@ -176,8 +299,9 @@ def rref(M: CycMatrix) -> tuple[list[dict], list[int]]:
 
 
 def solve(M: CycMatrix, b: list):
-    """Solve M x = b through `row_echelon()` of [M | b], so that the tests
-    of this solver also check the package's elimination against `rref`.
+    """Solve M x = b through the reduced echelon basis `_reduced` gives of
+    [M | b], so that the tests of this solver also check the package's
+    elimination against `rref`.
     Returns (particular, kernel_basis) or None if the system is
     inconsistent."""
     if len(b) != M.rows:
@@ -186,12 +310,12 @@ def solve(M: CycMatrix, b: list):
                     {r: dict(row) for r, row in M.data.items()})
     for r, v in enumerate(b):
         aug.set(r, M.cols, v)
-    rows, pivots = aug.row_echelon()
-    if M.cols in pivots:   # a row 0 = b_r with b_r nonzero
+    red = _reduced(aug)
+    if M.cols in red:   # a row 0 = b_r with b_r nonzero
         return None
     zero = CycNum.zero(M.n)
     x = [zero] * M.cols
-    for row, p in zip(rows, pivots):
+    for p, row in red.items():
         x[p] = row.get(M.cols, zero)
     return x, M.kernel_basis()
 

@@ -13,8 +13,8 @@ import sys
 import time
 
 from knyd.cyclotomic import CycNum, cyc, root_order
-from knyd.hopf import (KnAlgebra, KnElement, comatrix_element, comultiply,
-                       counit, verify_hopf_axioms)
+from knyd.hopf import (KnAlgebra, KnElement, comultiply, counit,
+                       verify_hopf_axioms)
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, braided_space, build_simple, check_yd,
                         dimension_census, list_simples, parse_label)
@@ -25,6 +25,7 @@ from knyd.nichols import (a2_criterion, graded_dims, infinite_precheck,
 from knyd.racks import (CocycleTable, check_F_cocycle, check_rack_cocycle,
                         d_cocycle, derived_rack, dihedral_rack, sF_braiding,
                         standard_solution, twist_equivalence_check, w_cocycle)
+from oracles import comatrix_element
 
 
 def _report(num, description):

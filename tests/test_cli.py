@@ -229,21 +229,36 @@ def test_simples_label_count_in_closed_form():
         assert len(labels) == 4 * n * n + n * n * (n * n - 1) // 2
 
 
-def test_memory_budget_error_before_listing_simples():
-    # at n = 101 the 52 065 904 labels would need about 37 GB; the child
-    # runs under a 2 GB address-space limit, so that a broken guard fails
-    # with a MemoryError instead of exhausting the machine
+def _run_under_2gb(*args):
+    """`python -m knyd.cli args` in a child under a 2 GB address-space
+    limit, so that a broken guard fails with a MemoryError instead of
+    exhausting the machine; with the default memory budget."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     env.pop("KN_MEMORY_MB", None)
-    proc = subprocess.run([sys.executable, "-m", "knyd.cli", "simples",
-                           "--n", "101"], capture_output=True, text=True,
-                          env=env, preexec_fn=limit, timeout=120)
+    return subprocess.run([sys.executable, "-m", "knyd.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit, timeout=120)
+
+
+def test_memory_budget_error_before_listing_simples():
+    # at n = 101 the 52 065 904 labels would need about 37 GB
+    proc = _run_under_2gb("simples", "--n", "101")
     assert proc.returncode == 1
     assert proc.stderr.startswith("Error: memory budget exceeded: listing "
                                   "the 52065904 simples of K_101 exceeds")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_memory_budget_error_before_the_hopf_audit():
+    # at n = 101 the 2n^4 coproduct terms would need about 130 GB
+    proc = _run_under_2gb("hopf-verify", "--n", "101")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Error: memory budget exceeded: the Hopf "
+                                  "audit of K_101, 208120802 coproduct "
+                                  "terms, exceeds")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

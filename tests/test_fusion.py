@@ -13,11 +13,12 @@ from knyd.cyclotomic import CycNum, cyc, modular_prime, root
 from knyd.hopf import F, P, KnAlgebra, KnElement, character, delta_terms
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
-                        check_yd, direct_sum, hom_dimension, is_yd_map,
-                        label_weights, list_simples)
+                        check_yd, direct_sum, hom_dimension, label_weights,
+                        list_simples)
 from knyd.fusion import (FusionDecomposition, closed_form_fuse, decompose,
                          fusion_table, sample_pairs, tensor_module,
-                         uw0_isomorphism, zn_orbit_set)
+                         zn_orbit_set)
+from oracles import is_yd_map, uw0_isomorphism
 
 
 @pytest.fixture(scope="module")

@@ -7,10 +7,11 @@ import pytest
 from knyd import hopf
 from knyd.cyclotomic import CycNum, cyc, root, root_exponents
 from knyd.hopf import (F, KnAlgebra, KnElement, P, TensorElement, antipode,
-                       character, comatrix_element, comultiply, counit,
-                       delta2_term, delta_terms, multiply, product_table,
+                       character, comultiply, counit, delta2_term,
+                       delta_terms, multiply, product_table,
                        verify_hopf_axioms)
-from oracles import adjoint_action, solve, transpose, xhat
+from oracles import (adjoint_action, comatrix_element, solve, transpose,
+                     xhat)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,21 @@ def test_tensor_product_is_factorwise_multiply(A3):
             assert product == TensorElement(A3, expected), (kx, ky)
             nonzero += not product.is_zero()
     assert nonzero > 0
+
+
+def test_sparse_elements_check_their_algebra(A3):
+    # K_n and K_n (x) K_n share one sparse arithmetic, which refuses
+    # operands over another n, and so does the product of each
+    A5 = KnAlgebra(5)
+    for x, y in ((A3.unit(), A5.unit()),
+                 (comultiply(A3.unit()), comultiply(A5.unit()))):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(ValueError, match="algebra mismatch"):
+                op()
+    d = comultiply(A3.basis(F, 1, 2))
+    assert d + d - d == d and (d - d).is_zero()
+    assert -d == d.scale(A3.scalar(-1))
+    assert type(d + d) is TensorElement and d != A3.basis(F, 1, 2)
 
 
 def test_comultiplication_coefficients(A3):

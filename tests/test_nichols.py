@@ -18,15 +18,15 @@ from knyd.linalg import CycMatrix, _reduced
 from knyd.ydmod import (U, V, W, braided_space, braiding, build_simple,
                         direct_sum, list_simples)
 from knyd.nichols import (BraidedSpace, MemoryBudgetError, a2_criterion,
-                          check_braid_equation, diagonal_data, graded_dims,
+                          check_braid_equation, graded_dims,
                           infinite_precheck, is_square_zero,
-                          presentation_check, quantum_symmetrizer,
-                          square_zero_monomial_space, sum_criterion,
-                          tensor_vector)
+                          presentation_check, square_zero_monomial_space,
+                          sum_criterion, tensor_vector)
 from knyd.racks import (cq_braiding, d_cocycle, dihedral_rack, sF_braiding,
                         standard_solution, w_cocycle)
 from oracles import (BraidWord, braid_representation, contains_profile,
-                     matsumoto_lift, naive_quantum_symmetrizer, solve,
+                     copy_matrix, diagonal_data, matsumoto_lift,
+                     naive_quantum_symmetrizer, quantum_symmetrizer, solve,
                      transpose)
 
 
@@ -164,7 +164,7 @@ def test_rack_braidings_braid_equation_against_matrix_products():
     for S in spaces:
         assert _check_and_route(S) == (True, True)
         # one entry times xi: still monomial
-        bad = S.c.copy()
+        bad = copy_matrix(S.c)
         r, row = next(iter(bad.data.items()))
         col = next(iter(row))
         bad.set(r, col, row[col] * cyc(n, 1))
@@ -172,9 +172,9 @@ def test_rack_braidings_braid_equation_against_matrix_products():
         assert monomial and verdict == _braid_equation_oracle(bad, S.dim)
         # a column with two entries, or a non-root entry, takes the
         # fallback, which must still be right
-        two = S.c.copy()
+        two = copy_matrix(S.c)
         two.set((r + 1) % S.dim ** 2, col, cyc(n, 1))
-        scaled = S.c.copy()
+        scaled = copy_matrix(S.c)
         scaled.set(r, col, row[col] * CycNum.rational(n, 2))
         for c in (two, scaled):
             verdict, monomial = _check_and_route(BraidedSpace(S.dim, c))
@@ -269,6 +269,13 @@ def test_right_coset_factorization_equals_the_naive_symmetrizer(name):
         times = nichols._coset_factor(B, k)
         assert times(naive_quantum_symmetrizer(B, k - 1).kron(ident)) == \
             naive_quantum_symmetrizer(B, k), (name, k)
+
+
+@pytest.mark.parametrize("name", sorted(_BOTH_KINDS))
+def test_qs2_is_id_plus_c(name):
+    # the square-zero and presentation checks read QS_2 as id + c
+    B = _BOTH_KINDS[name]()
+    assert nichols._qs2(B) == naive_quantum_symmetrizer(B, 2)
 
 
 @pytest.mark.parametrize("name", ["W(-1,0,0)", "rack"])
@@ -386,13 +393,6 @@ def test_rank_nullity_per_degree(A3):
     for deg in range(2, 5):
         rels = report.relations.get(deg, [])
         assert report.dims[deg] + len(rels) == 3 ** deg
-
-
-def test_memory_budget(A3, monkeypatch):
-    monkeypatch.setenv("KN_MEMORY_MB", "1")
-    B = _space(A3, "W(-1,0,0)")
-    with pytest.raises(MemoryBudgetError):
-        quantum_symmetrizer(B, 5)
 
 
 def test_memory_budget_refuses_the_first_degree_past_it(A3, monkeypatch):
@@ -799,7 +799,7 @@ def test_square_zero_forces_axis_in_b_xi(A3, label):
 def test_square_zero_dimension_bound(monkeypatch):
     # the 7-dimensional W(-1,0,0) at n = 7 is refused before QS_2 is formed
     B = _space(KnAlgebra(7), "W(-1,0,0)")
-    monkeypatch.setattr(nichols, "quantum_symmetrizer", None)
+    monkeypatch.setattr(nichols, "_qs2", None)
     with pytest.raises(ValueError, match="dimension 7 exceeds the bound 6"):
         square_zero_monomial_space(B)
 
@@ -870,6 +870,16 @@ def test_fomin_kirillov_relations_map_in(A3):
         rels.append((2, tensor_vector(B, 2, terms)))
     result = presentation_check(B, rels)
     assert result["all_in_kernel"]
+
+
+def test_presentation_check_rejects_a_degree_3_relation(A3):
+    # only ker QS_2 is checked: a relation of another degree is refused,
+    # even next to degree-2 relations that hold
+    B = _space(A3, "W(-1,0,0)")
+    rels = [(2, tensor_vector(B, 2, terms)) for terms in _w_relations(3, 0)]
+    cubic = tensor_vector(B, 3, [(CycNum.one(3), (0, 0, 0))])
+    with pytest.raises(ValueError, match="relation of degree 3"):
+        presentation_check(B, rels + [(3, cubic)])
 
 
 def test_x_negation_intertwines_the_two_diagonal_braidings(A3):

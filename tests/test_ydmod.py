@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from knyd.cyclotomic import (CycNum, cyc, mod_p, modular_prime, root,
                              root_order)
 from knyd.fusion import closed_form_fuse, decompose, tensor_module
-from knyd.hopf import (KnAlgebra, _collect, character, comatrix_element,
-                       comultiply, counit, delta2_term, multiply)
+from knyd.hopf import (KnAlgebra, _collect, character, comultiply, counit,
+                       delta2_term, multiply)
 from knyd import ydmod
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, _hom_system, _sandwich_term,
                         braided_space, braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
-                        is_yd_map, label_weights, list_simples, parse_label)
-from oracles import rref
+                        label_weights, list_simples, parse_label)
+from oracles import comatrix_element, is_yd_map, rref
 
 
 @pytest.fixture(scope="module")
