@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Every verification battery in the package is reachable through one
-subcommand of `kn`.  All output is deterministic: JSON is emitted with
-sorted keys and no timestamps, CSV uses RFC-4180 quoting, and sampled
-sweeps are driven by an explicit seed.  Wall-clock timings appear only in
-the human-readable text output, never in JSON or CSV.
+subcommand of `kn`.  One path, `_report`, prints every command's report:
+the same facts as text lines or, with --json, as one JSON object, and an
+exit status of 1 exactly when a check fails.  The text of each command is
+pinned by tests/test_golden.py.  All output is deterministic: JSON is
+emitted with sorted keys and no timestamps, CSV uses RFC-4180 quoting, and
+sampled sweeps are driven by an explicit seed.  Wall-clock timings appear
+only in the human-readable text output, never in JSON or CSV.
 
 Label grammar (indices reduced mod n on parse):
 
@@ -18,6 +21,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 
 import click
 
@@ -73,31 +77,41 @@ def _open_output(path, **kwargs):
         raise click.UsageError("invalid output path: %s" % exc)
 
 
-def _emit_json(payload, dest):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if dest in (None, "-"):
-        click.echo(text, nl=False)
+def _report(payload, lines, json_out, ok=True):
+    """Print one command's report: `payload` as sorted-key JSON to stdout
+    ("-") or to the path `json_out`, or, when `json_out` is None, the text
+    `lines` (an iterable, read only then).  Exit 1 unless `ok`."""
+    if json_out is None:
+        for line in lines:
+            click.echo(line)
     else:
-        with _open_output(dest) as fh:
-            fh.write(text)
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if json_out == "-":
+            click.echo(text, nl=False)
+        else:
+            with _open_output(json_out) as fh:
+                fh.write(text)
+    if not ok:
+        sys.exit(1)
+
+
+def _verdict(ok):
+    return "pass" if ok else "FAIL"
+
+
+def _overall(ok):
+    return "overall: " + _verdict(ok)
 
 
 def _report_checks(title, payload, checks, json_out):
-    """Emit a battery of named (name, ok) checks: `payload` plus "ok" and
+    """Report a battery of named (name, ok) checks: `payload` plus "ok" and
     "checks" as JSON, or [ok]/[FAIL] lines under `title`; exit 1 if any
     check failed."""
     ok = all(v for _, v in checks)
-    if json_out is not None:
-        _emit_json(dict(payload, ok=ok,
-                        checks={name: bool(v) for name, v in checks}),
-                   json_out)
-    else:
-        click.echo(title)
-        for name, v in checks:
-            click.echo("  [%s] %s" % ("ok" if v else "FAIL", name))
-        click.echo("overall: %s" % ("pass" if ok else "FAIL"))
-    if not ok:
-        sys.exit(1)
+    _report(dict(payload, ok=ok, checks={name: bool(v) for name, v in checks}),
+            [title] + ["  [%s] %s" % ("ok" if v else "FAIL", name)
+                       for name, v in checks] + [_overall(ok)],
+            json_out, ok)
 
 
 _json_option = click.option(
@@ -150,28 +164,20 @@ def _hopf_audit(A):
 @_json_option
 def hopf_verify(n, json_out):
     """Exhaustive Hopf-axiom audit of K_n."""
-    A = KnAlgebra(n)
-    report = _hopf_audit(A)
+    report = _hopf_audit(KnAlgebra(n))
     ok = report["ok"]
-    axioms = {name: entry for name, entry in report.items()
-              if isinstance(entry, dict)}
-    if json_out is not None:
-        _emit_json({"n": n, "ok": ok,
-                    "axioms": {name: {"ok": entry["ok"],
-                                      "counterexample": repr(entry["counterexample"])
-                                      if entry["counterexample"] is not None else None}
-                               for name, entry in axioms.items()}}, json_out)
-    else:
-        click.echo("Hopf axiom audit for K_%d (dim %d)" % (n, 2 * n * n))
-        for name in sorted(axioms):
-            entry = axioms[name]
-            line = "  %-22s %s" % (name, "pass" if entry["ok"] else "FAIL")
-            if entry["counterexample"] is not None:
-                line += "  counterexample: %r" % (entry["counterexample"],)
-            click.echo(line)
-        click.echo("overall: %s" % ("pass" if ok else "FAIL"))
-    if not ok:
-        sys.exit(1)
+    axioms = {name: {"ok": entry["ok"],
+                     "counterexample": None if entry["counterexample"] is None
+                     else repr(entry["counterexample"])}
+              for name, entry in report.items() if isinstance(entry, dict)}
+    lines = ["Hopf axiom audit for K_%d (dim %d)" % (n, 2 * n * n)]
+    for name, entry in sorted(axioms.items()):
+        line = "  %-22s %s" % (name, _verdict(entry["ok"]))
+        if entry["counterexample"] is not None:
+            line += "  counterexample: " + entry["counterexample"]
+        lines.append(line)
+    _report({"n": n, "ok": ok, "axioms": axioms}, lines + [_overall(ok)],
+            json_out, ok)
 
 
 # -- simples ----------------------------------------------------------------------
@@ -190,22 +196,15 @@ def simples(n, json_out):
     labels = list_simples(A)
     census = dimension_census(A)
     expected = 4 * n ** 4
-    if json_out is not None:
-        _emit_json({"n": n,
-                    "labels": [[str(L), L.dim()] for L in labels],
-                    "count": len(labels),
-                    "census": census,
-                    "expected": expected,
-                    "ok": census == expected}, json_out)
-    else:
-        for L in labels:
-            click.echo("%-16s dim %d" % (str(L), L.dim()))
-        click.echo("%d simple modules; sum of squared dimensions = %d "
+    ok = census == expected
+    _report({"n": n, "labels": [[str(L), L.dim()] for L in labels],
+             "count": len(labels), "census": census, "expected": expected,
+             "ok": ok},
+            chain(("%-16s dim %d" % (L, L.dim()) for L in labels),
+                  ["%d simple modules; sum of squared dimensions = %d "
                    "(expected 4n^4 = %d): %s"
-                   % (len(labels), census, expected,
-                      "pass" if census == expected else "FAIL"))
-    if census != expected:
-        sys.exit(1)
+                   % (len(labels), census, expected, _verdict(ok))]),
+            json_out, ok)
 
 
 # -- yd-verify --------------------------------------------------------------------
@@ -224,25 +223,17 @@ def yd_verify(n, sample, seed, json_out):
     labels = list_simples(A)
     if sample is not None:
         labels = random.Random(seed).sample(labels, min(sample, len(labels)))
-    failures = []
-    for L in labels:
-        report = check_yd(build_simple(A, L))
-        if not report["ok"]:
-            bad = {k: repr(v) for k, v in report.items()
-                   if k != "ok" and v is not None}
-            failures.append({"label": str(L), "failures": bad})
+    reports = [(L, check_yd(build_simple(A, L))) for L in labels]
+    failures = [{"label": str(L),
+                 "failures": {k: repr(v) for k, v in report.items()
+                              if k != "ok" and v is not None}}
+                for L, report in reports if not report["ok"]]
     ok = not failures
-    if json_out is not None:
-        _emit_json({"n": n, "checked": len(labels), "ok": ok,
-                    "failures": failures}, json_out)
-    else:
-        click.echo("YD axiom sweep, n=%d: %d labels checked, %d failures"
-                   % (n, len(labels), len(failures)))
-        for f in failures:
-            click.echo("  FAIL %s: %s" % (f["label"], f["failures"]))
-        click.echo("overall: %s" % ("pass" if ok else "FAIL"))
-    if not ok:
-        sys.exit(1)
+    _report({"n": n, "checked": len(labels), "ok": ok, "failures": failures},
+            ["YD axiom sweep, n=%d: %d labels checked, %d failures"
+             % (n, len(labels), len(failures))]
+            + ["  FAIL %s: %s" % (f["label"], f["failures"]) for f in failures]
+            + [_overall(ok)], json_out, ok)
 
 
 # -- fuse -------------------------------------------------------------------------
@@ -262,23 +253,17 @@ def fuse(n, left, right, verify, json_out):
     L1 = _parse(left, n)
     L2 = _parse(right, n)
     closed = closed_form_fuse(L1, L2)
-    agreed = None
+    agreed = (decompose(tensor_module(build_simple(A, L1),
+                                      build_simple(A, L2))) == closed
+              if verify else None)
+    lines = ["%s (x) %s = %s" % (L1, L2, closed),
+             "dimension %d = %d * %d" % (closed.dim(), L1.dim(), L2.dim())]
     if verify:
-        M = tensor_module(build_simple(A, L1), build_simple(A, L2))
-        agreed = decompose(M) == closed
-    if json_out is not None:
-        _emit_json({"n": n, "left": str(L1), "right": str(L2),
-                    "decomposition": closed.to_json(),
-                    "dimension": closed.dim(),
-                    "verified": agreed}, json_out)
-    else:
-        click.echo("%s (x) %s = %s" % (L1, L2, closed))
-        click.echo("dimension %d = %d * %d" % (closed.dim(), L1.dim(), L2.dim()))
-        if verify:
-            click.echo("oracle decomposition agrees: %s"
-                       % ("yes" if agreed else "NO"))
-    if verify and not agreed:
-        sys.exit(1)
+        lines.append("oracle decomposition agrees: %s"
+                     % ("yes" if agreed else "NO"))
+    _report({"n": n, "left": str(L1), "right": str(L2),
+             "decomposition": closed.to_json(), "dimension": closed.dim(),
+             "verified": agreed}, lines, json_out, not verify or agreed)
 
 
 # -- fusion-table -----------------------------------------------------------------
@@ -309,22 +294,16 @@ def fusion_table_cmd(n, out_path, sample, seed, verify, json_out):
         with _open_output(out_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)
-            for row in rows:
-                writer.writerow([row[f] for f in fields])
-    if json_out is not None:
-        _emit_json({"n": n, "pairs": len(rows), "mismatches": mismatches,
-                    "ok": mismatches == 0,
-                    "rows": None if out_path else rows}, json_out)
-    else:
-        if out_path is None:
-            for row in rows:
-                click.echo("%s (x) %s = %s" % (row["left"], row["right"],
-                                               row["closed_form"]))
-        click.echo("%d pairs, %d mismatches: %s"
-                   % (len(rows), mismatches,
-                      "pass" if mismatches == 0 else "FAIL"))
-    if mismatches:
-        sys.exit(1)
+            writer.writerows([row[f] for f in fields] for row in rows)
+    ok = mismatches == 0
+    _report({"n": n, "pairs": len(rows), "mismatches": mismatches, "ok": ok,
+             "rows": None if out_path else rows},
+            chain(() if out_path else
+                  ("%s (x) %s = %s" % (row["left"], row["right"],
+                                       row["closed_form"]) for row in rows),
+                  ["%d pairs, %d mismatches: %s"
+                   % (len(rows), mismatches, _verdict(ok))]),
+            json_out, ok)
 
 
 # -- nichols ----------------------------------------------------------------------
@@ -350,26 +329,21 @@ def nichols_cmd(n, module_text, cutoff, want_relations, json_out):
     A = KnAlgebra(n)
     B, label = _braided_space_for(A, module_text)
     report = graded_dims(B, cutoff, want_relations=want_relations)
-    payload = report.to_json()
+    payload = dict(report.to_json(), n=n, module=str(label))
     if not want_relations:
         payload["relations"] = None
-    payload["n"] = n
-    payload["module"] = str(label)
-    if json_out is not None:
-        _emit_json(payload, json_out)
-    else:
-        click.echo("Nichols algebra of %s, n=%d (cutoff %d)"
-                   % (label, n, cutoff))
-        click.echo("dims: %s" % ",".join(str(d) for d in report.dims))
-        click.echo("status: %s" % report.status)
-        if report.status == "finite":
-            click.echo("total: %d   top degree: %d"
-                       % (report.total, report.top_degree))
-        if report.witness is not None:
-            click.echo("fixed-vector witness: [%s]"
-                       % ", ".join(str(v) for v in report.witness))
-        if report.note:
-            click.echo("note: %s" % report.note)
+    lines = ["Nichols algebra of %s, n=%d (cutoff %d)" % (label, n, cutoff),
+             "dims: %s" % ",".join(map(str, report.dims)),
+             "status: %s" % report.status]
+    if report.status == "finite":
+        lines.append("total: %d   top degree: %d"
+                     % (report.total, report.top_degree))
+    if report.witness is not None:
+        lines.append("fixed-vector witness: [%s]"
+                     % ", ".join(map(str, report.witness)))
+    if report.note:
+        lines.append("note: %s" % report.note)
+    _report(payload, lines, json_out)
 
 
 @main.command("nichols-sum")
@@ -398,26 +372,22 @@ def nichols_sum(n, labels_text, cutoff, json_out):
         for L in labels[1:]:
             M = direct_sum(M, build_simple(A, L))
         report = graded_dims(braided_space(M), cutoff, want_relations=False)
-        payload["graded"] = {"dims": list(report.dims),
-                             "status": report.status,
-                             "total": report.total}
-    if json_out is not None:
-        _emit_json(payload, json_out)
-    else:
-        click.echo("direct sum of %s, n=%d" % (" + ".join(map(str, labels)), n))
-        for entry in result["per_label"]:
-            click.echo("  %-16s finite=%s kind=%s predicted_total=%s"
-                       % (entry["label"], entry["finite"], entry["kind"],
-                          entry["predicted_total"]))
-        for entry in result["per_pair"]:
-            click.echo("  pair %s disconnected=%s"
-                       % (" , ".join(entry["pair"]), entry["disconnected"]))
-        click.echo("finite: %s   predicted total: %s"
-                   % (result["finite"], result["predicted_total"]))
-        if "graded" in payload:
-            click.echo("graded dims to cutoff: %s (status %s)"
-                       % (",".join(map(str, payload["graded"]["dims"])),
-                          payload["graded"]["status"]))
+        payload["graded"] = {"dims": list(report.dims), "total": report.total,
+                             "status": report.status}
+    lines = ["direct sum of %s, n=%d" % (" + ".join(map(str, labels)), n)]
+    lines += ["  %-16s finite=%s kind=%s predicted_total=%s"
+              % (entry["label"], entry["finite"], entry["kind"],
+                 entry["predicted_total"]) for entry in result["per_label"]]
+    lines += ["  pair %s disconnected=%s"
+              % (" , ".join(entry["pair"]), entry["disconnected"])
+              for entry in result["per_pair"]]
+    lines.append("finite: %s   predicted total: %s"
+                 % (result["finite"], result["predicted_total"]))
+    if "graded" in payload:
+        lines.append("graded dims to cutoff: %s (status %s)"
+                     % (",".join(map(str, payload["graded"]["dims"])),
+                        payload["graded"]["status"]))
+    _report(payload, lines, json_out)
 
 
 @main.command("square-zero")
@@ -434,23 +404,18 @@ def square_zero(n, module_text, json_out):
     except ValueError as exc:
         raise click.ClickException("dimension bound exceeded: %s" % exc)
     axis = space.forces_axis()
-    if json_out is not None:
-        _emit_json({"n": n, "module": str(label),
-                    "pairs": [list(p) for p in space.pairs],
-                    "solution_dim": len(space.kernel),
-                    "forced_zero": [list(p) for p in space.forced_zero],
-                    "forces_axis": axis}, json_out)
-    else:
-        click.echo("square-zero locus of %s, n=%d" % (label, n))
-        click.echo("monomials mu_ab forced to zero: %s"
-                   % (", ".join("mu_%d%d" % p for p in space.forced_zero)
-                      or "none"))
-        click.echo("solution space dimension: %d" % len(space.kernel))
-        if axis is not None:
-            click.echo("all square-zero vectors lie on the axis of "
-                       "basis vector %d (all other coordinates vanish)" % axis)
-        else:
-            click.echo("no single axis is forced")
+    _report({"n": n, "module": str(label),
+             "pairs": [list(p) for p in space.pairs],
+             "solution_dim": len(space.kernel),
+             "forced_zero": [list(p) for p in space.forced_zero],
+             "forces_axis": axis},
+            ["square-zero locus of %s, n=%d" % (label, n),
+             "monomials mu_ab forced to zero: %s"
+             % (", ".join("mu_%d%d" % p for p in space.forced_zero) or "none"),
+             "solution space dimension: %d" % len(space.kernel),
+             "no single axis is forced" if axis is None else
+             "all square-zero vectors lie on the axis of basis vector %d "
+             "(all other coordinates vanish)" % axis], json_out)
 
 
 # -- rack -------------------------------------------------------------------------
@@ -492,16 +457,13 @@ def _nichols_checks(A):
                        infinite_precheck(Bw) is not None))
     else:
         # one-dimensional Nichols algebras are exact at any n
-        ok1 = True
-        for i in range(n):
-            for m in range(n):
-                if (2 * i * (m - i)) % n == 0:
-                    continue
-                Bv = braided_space(build_simple(A, V(n, 1, i, m)))
-                rep = graded_dims(Bv, n + 1, want_relations=False)
-                expected = root_order(cyc(n, i * (m - i)))
-                ok1 = ok1 and rep.status == "finite" and rep.total == expected
-        checks.append(("nichols-one-dimensional", ok1))
+        reps = [(graded_dims(braided_space(build_simple(A, V(n, 1, i, m))),
+                             n + 1, want_relations=False),
+                 root_order(cyc(n, i * (m - i))))
+                for i in range(n) for m in range(n) if 2 * i * (m - i) % n]
+        checks.append(("nichols-one-dimensional",
+                       all(rep.status == "finite" and rep.total == expected
+                           for rep, expected in reps)))
     return checks
 
 
@@ -519,10 +481,7 @@ def paper_verify(n, seed, json_out):
     # reported before the long Hopf, YD and fusion sweeps; they are listed
     # after them
     nichols_checks = _nichols_checks(A)
-    checks = []
-
-    report = _hopf_audit(A)
-    checks.append(("hopf-axioms", report["ok"]))
+    checks = [("hopf-axioms", _hopf_audit(A)["ok"])]
 
     labels = list_simples(A)
     yd_labels = labels if n == 3 else \
@@ -542,8 +501,8 @@ def paper_verify(n, seed, json_out):
 
     checks += nichols_checks
 
-    rack_results = rackbattery.run_battery(n)
-    checks.append(("rack-battery", all(v for _, v in rack_results)))
+    checks.append(("rack-battery",
+                   all(v for _, v in rackbattery.run_battery(n))))
 
     _report_checks("verification battery, n=%d" % n, {"n": n, "seed": seed},
                    checks, json_out)

@@ -326,12 +326,33 @@ def root_exponents(n: int) -> dict[CycNum, int]:
     return {r: e for e, r in enumerate(_roots(n))}
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# p below the bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test of an odd p, 41 < p < _MR_BOUND."""
+    if not 41 < p < _MR_BOUND:
+        raise ValueError("no deterministic primality test for %d" % p)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # p is composite if some base a has a^d != 1 and a^(d 2^j) != -1, j < s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 2 ** j, p) != p - 1 for j in range(s)):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def modular_prime(n: int) -> int:
     """The least prime p > 2^30 with p = 1 (mod n), so that F_p holds a
     primitive n-th root of unity."""
     p = (2 ** 30 // (2 * n) + 1) * 2 * n + 1   # odd and 1 mod n
-    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+    while not _is_prime(p):
         p += 2 * n
     return p
 
@@ -471,13 +492,6 @@ def _mod_p_lifted(a: CycNum, p: int) -> int | None:
 
 def root_order(a: CycNum) -> int | None:
     """Smallest k >= 1 with a^k = 1, or None if a is not a root of unity
-    of order <= 2n (the only orders occurring in Q(xi_n) for odd n)."""
-    if a.is_zero():
-        return None
-    one = CycNum.one(a.n)
-    p = a
-    for k in range(1, 2 * a.n + 1):
-        if p == one:
-            return k
-        p = p * a
-    return None
+    (the 2n of `root_exponents` are all of them in Q(xi_n) for odd n)."""
+    e = root_exponents(a.n).get(a)
+    return None if e is None else 2 * a.n // gcd(e, 2 * a.n)

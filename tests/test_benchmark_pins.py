@@ -7,16 +7,29 @@ from pathlib import Path
 
 _ROOT = Path(__file__).parents[1]
 
-# sets up one round of every workload, then wraps the traced entry points;
-# either step fails on a name or signature that the benchmark pins and the
-# package no longer has
+# sets up one round of every workload, wraps the traced entry points, then
+# runs and checks the first answer of each shape (its name without labels
+# and digits): any step fails on a name or signature that the benchmark
+# pins and the package no longer has
 _SCRIPT = """
 import random
+import re
 import tracer
 import workloads
-for name in sorted(workloads.WORKLOADS):
-    assert workloads.build(name, random.Random(0)), name
-tracer.install(tracer.Tracer(), [workloads])
+rounds = [workloads.build(name, random.Random(0))
+          for name in sorted(workloads.WORKLOADS)]
+assert all(rounds)
+trace = tracer.Tracer()
+tracer.install(trace, [workloads])
+shapes = set()
+for answer in (answer for answers in rounds for answer in answers):
+    shape = re.sub(r"[UVW]\\([^)]*\\)|\\d", "", answer.name)
+    if shape not in shapes:
+        shapes.add(shape)
+        message = answer.check(answer.run())
+        assert message is None, (answer.name, message)
+metrics = trace.metrics()
+assert metrics["cli.hopf_verify.calls"] and metrics["cli.rack_cmd.calls"]
 """
 
 

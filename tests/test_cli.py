@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from knyd import cli, nichols
+from knyd import cli, fusion, hopf, nichols, rackbattery
 from knyd.cli import main
 
 
@@ -119,6 +119,67 @@ def test_rack_battery(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["ok"] and all(payload["checks"].values())
+
+
+# -- failed checks ---------------------------------------------------------------
+
+
+def _drop_first_term(real, M, *rest):
+    return fusion.FusionDecomposition(real(M, *rest).terms[1:])
+
+
+def _fail_first_check(real, n):
+    (name, _), *rest = real(n)
+    return [(name, False)] + rest
+
+
+# (command, the function it calls, how that function's first call fails,
+#  a line of the text report, the JSON key that turns false)
+FAIL_ONCE = [
+    (["hopf-verify", "--n", "3"], (cli, "verify_hopf_axioms"),
+     lambda real, A: real(A, antipode_fn=lambda x: -hopf.antipode(x)),
+     "  antipode               FAIL  counterexample: ", "ok"),
+    (["yd-verify", "--n", "3", "--sample", "4"], (cli, "check_yd"),
+     lambda real, M: dict(real(M), ok=False, yd="corrupted"),
+     "  FAIL ", "ok"),
+    (["fuse", "--n", "3", "--left", "W(-1,0,0)", "--right", "W(-1,0,0)"],
+     (cli, "decompose"), _drop_first_term,
+     "oracle decomposition agrees: NO", "verified"),
+    (["fusion-table", "--n", "3", "--sample", "4"], (fusion, "decompose"),
+     _drop_first_term, "4 pairs, 1 mismatches: FAIL", "ok"),
+    (["rack", "--n", "3"], (rackbattery, "run_battery"), _fail_first_check,
+     "  [FAIL] standard solution satisfies the braid equation", "ok"),
+    (["paper-verify", "--n", "5"], (rackbattery, "run_battery"),
+     _fail_first_check, "  [FAIL] rack-battery", "ok"),
+]
+
+
+@pytest.mark.parametrize("args, target, fail, line, key", FAIL_ONCE,
+                         ids=[case[0][0] for case in FAIL_ONCE])
+def test_failed_check_exits_1(runner, monkeypatch, args, target, fail, line,
+                              key):
+    owner, name = target
+    real = getattr(owner, name)
+
+    def fail_once():
+        calls = []
+
+        def patched(*a, **kw):
+            calls.append(a)
+            return fail(real, *a, **kw) if len(calls) == 1 else real(*a, **kw)
+        monkeypatch.setattr(owner, name, patched)
+        return calls
+
+    calls = fail_once()
+    result = runner.invoke(main, args)
+    assert calls and result.exit_code == 1, result.output
+    assert any(text.startswith(line) for text in result.output.splitlines())
+    assert "Traceback" not in result.output
+
+    calls = fail_once()
+    result = runner.invoke(main, args + ["--json"])
+    assert calls and result.exit_code == 1, result.output
+    assert json.loads(result.output)[key] is False
 
 
 # -- error handling --------------------------------------------------------------

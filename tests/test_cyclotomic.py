@@ -145,6 +145,37 @@ def test_modular_root_is_a_root_of_phi(n):
     assert modular_prime(n) > 2 ** 30
 
 
+def _trial_division_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 21, 99, 101])
+def test_modular_prime_is_the_least(n):
+    # no prime of the progression 1 mod 2n above 2^30 comes before it
+    p = modular_prime(n)
+    start = (2 ** 30 // (2 * n) + 1) * 2 * n + 1
+    assert _trial_division_prime(p)
+    assert not any(map(_trial_division_prime, range(start, p, 2 * n)))
+
+
+def test_is_prime_miller_rabin():
+    # the odd numbers of a window where modular_prime searches
+    for p in range(2 ** 30 + 1, 2 ** 30 + 2001, 2):
+        assert cyclotomic._is_prime(p) == _trial_division_prime(p), p
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, a Carmichael
+    # number whose squares reach 1 without passing -1, and a prime past the
+    # search window
+    for factors in ([151, 751, 28351], [149491, 747451, 34233211],
+                    [399165290221, 798330580441], [211, 421, 631]):
+        assert not cyclotomic._is_prime(math.prod(factors))
+        assert all(map(_trial_division_prime, factors))
+    assert cyclotomic._is_prime(2 ** 61 - 1)
+    # the least strong pseudoprime to all 13 bases is where the test ends
+    for p in (41, 3317044064679887385961981):
+        with pytest.raises(ValueError):
+            cyclotomic._is_prime(p)
+
+
 @st.composite
 def _elements(draw, n):
     deg = len(cyclotomic_polynomial(n)) - 1
