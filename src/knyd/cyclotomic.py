@@ -5,7 +5,9 @@ the n-th cyclotomic polynomial Phi_n, so every element has a unique normal
 form and equality is coefficient-wise.  Internally a CycNum keeps an integer
 numerator vector together with a single positive integer denominator; the
 whole vector is reduced by the gcd of all entries, which keeps arithmetic in
-fast integer operations and still gives a canonical form.
+fast integer operations and still gives a canonical form.  The 2n roots of
+unity +-xi^k are cached objects (`root`), and a product of two of them is
+the root of the sum of their exponents (`root_exponents`).
 
 `mod_p` reduces an element to F_p for a prime p = 1 (mod n), sending xi to
 a primitive n-th root of unity mod p; `modular_prime` fixes one such p per
@@ -99,7 +101,7 @@ class CycNum:
     """An element of Q(xi_n): integer coefficient vector over one positive
     denominator, reduced so that gcd(coeffs, den) = 1."""
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_hash")
 
     def __init__(self, n: int, num: tuple[int, ...], den: int, _normalized=False):
         if not _normalized:
@@ -119,6 +121,7 @@ class CycNum:
         self.n = n
         self.num = num
         self.den = den
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -190,26 +193,19 @@ class CycNum:
         return CycNum(self.n, tuple(-c for c in self.num), self.den, _normalized=True)
 
     def __mul__(self, other):
+        """The product.  Two roots of unity (`root_exponents`) multiply by
+        adding their exponents mod 2n, and the product is the cached root;
+        any other pair by the convolution of `_mul_coeffs`."""
         if not isinstance(other, CycNum):
             return NotImplemented
         self._check(other)
-        deg, _, powers = _field_data(self.n)
-        a, b = self.num, other.num
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:deg])
-        for k in range(deg, 2 * deg - 1):
-            ck = conv[k]
-            if ck:
-                row = powers[k]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += ck * row[i]
-        return CycNum(self.n, tuple(out), self.den * other.den)
+        exponents = root_exponents(self.n)
+        e = exponents.get(self)
+        if e is not None:
+            f = exponents.get(other)
+            if f is not None:
+                return _roots(self.n)[(e + f) % (2 * self.n)]
+        return _mul_coeffs(self, other)
 
     def inv(self) -> "CycNum":
         """Multiplicative inverse by the Galois norm: for a = num / den and
@@ -258,7 +254,11 @@ class CycNum:
         return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, self.num, self.den))
+        # the value is immutable, so its hash is computed once, when asked
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.num, self.den))
+        return h
 
     def __repr__(self):
         terms = []
@@ -284,6 +284,27 @@ class CycNum:
         return {"n": self.n, "coeffs": coeffs}
 
 
+def _mul_coeffs(a: CycNum, b: CycNum) -> CycNum:
+    """a * b by the convolution of the coefficient vectors, reduced mod
+    Phi_n through the power-basis expansions of `_field_data`."""
+    deg, _, powers = _field_data(a.n)
+    conv = [0] * (2 * deg - 1)
+    for i, ai in enumerate(a.num):
+        if ai:
+            for j, bj in enumerate(b.num):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = list(conv[:deg])
+    for k in range(deg, 2 * deg - 1):
+        ck = conv[k]
+        if ck:
+            row = powers[k]
+            for i in range(deg):
+                if row[i]:
+                    out[i] += ck * row[i]
+    return CycNum(a.n, tuple(out), a.den * b.den)
+
+
 @lru_cache(maxsize=None)
 def _xi_powers(n: int) -> tuple[CycNum, ...]:
     """xi^0 .. xi^{n-1} in normal form."""
@@ -292,8 +313,8 @@ def _xi_powers(n: int) -> tuple[CycNum, ...]:
     xi1[1] = 1
     xi = CycNum(n, tuple(xi1), 1, _normalized=True)
     out = [CycNum.one(n)]
-    for _ in range(n - 1):
-        out.append(out[-1] * xi)
+    for _ in range(n - 1):   # not `*`, whose root test needs these powers
+        out.append(_mul_coeffs(out[-1], xi))
     return tuple(out)
 
 
@@ -322,7 +343,8 @@ def root_exponents(n: int) -> dict[CycNum, int]:
     """The 2n roots of unity of Q(xi_n), each mapped to its exponent e in
     Z/2n; the inverse of `root`.  Since n is odd, Z/2n = Z/2 x Z/n by CRT
     and e stands for (-1)^(e mod 2) xi^(e mod n), so a product of roots is
-    the root of the sum of their exponents mod 2n."""
+    the root of the sum of their exponents mod 2n: `CycNum.__mul__` looks
+    both factors up here and returns that root without a convolution."""
     return {r: e for e, r in enumerate(_roots(n))}
 
 

@@ -2,16 +2,17 @@
 
 Each is a direct, slow route to something the package computes another way,
 kept apart from `knyd` so that it stays independent of the code it checks:
-the braid-group representation and the naive |S_k|-term quantum symmetrizer,
-against the full coset-factored QS_k built from `knyd.nichols._coset_factor`
-(the recursion `graded_dims` runs on row spaces); the comatrix elements of
-K_n (against the W coaction of `knyd.ydmod.build_simple`) and its adjoint
-action from its comultiplication, multiplication and antipode; a test of
-one matrix against the Hom system of `knyd.ydmod` and the explicit
-U (x) W0 isomorphism it checks; the q-matrix of a diagonal braiding; the
-plain column-by-column elimination (against `knyd.linalg._echelon`), a
-linear solver, the transpose and a matrix copy; and a few small racks,
-solutions and cocycles.
+the product in Q(xi_n) by long division by Phi_n (against `CycNum.__mul__`
+and its exponent sums of roots); the braid-group representation and the
+naive |S_k|-term quantum symmetrizer, against the full coset-factored QS_k
+built from `knyd.nichols._coset_factor` (the recursion `graded_dims` runs on
+row spaces); the comatrix elements of K_n (against the W coaction of
+`knyd.ydmod.build_simple`) and its adjoint action from its comultiplication,
+multiplication and antipode; a test of one matrix against the Hom system of
+`knyd.ydmod` and the explicit U (x) W0 isomorphism it checks; the q-matrix
+of a diagonal braiding; the plain column-by-column elimination (against
+`knyd.linalg._echelon`), a linear solver, the transpose and a matrix copy;
+and a few small racks, solutions and cocycles.
 """
 
 from __future__ import annotations
@@ -20,13 +21,32 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from knyd import nichols
-from knyd.cyclotomic import CycNum
+from knyd.cyclotomic import CycNum, cyclotomic_polynomial
 from knyd.fusion import _simple, tensor_module
 from knyd.hopf import F, KnAlgebra, KnElement, antipode, comultiply, multiply
 from knyd.linalg import CycMatrix, _reduced
 from knyd.nichols import BraidedSpace, SquareZeroSpace
 from knyd.racks import BraidedSet, CocycleTable, Rack
 from knyd.ydmod import W, YDModule, _hom_system, _unknowns, build_u_module
+
+
+# -- Q(xi_n) ---------------------------------------------------------------------------
+
+
+def cyc_product(a: CycNum, b: CycNum) -> CycNum:
+    """a * b by convolving the integer coefficient lists and taking the
+    remainder of long division by Phi_n, without `CycNum.__mul__`."""
+    phi = cyclotomic_polynomial(a.n)
+    deg = len(phi) - 1
+    conv = [0] * (2 * deg - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            conv[i + j] += x * y
+    for k in range(len(conv) - 1, deg - 1, -1):   # Phi_n is monic
+        c = conv[k]
+        for t, coeff in enumerate(phi):
+            conv[k - deg + t] -= c * coeff
+    return CycNum(a.n, tuple(conv[:deg]), a.den * b.den)
 
 
 # -- braid words and the naive quantum symmetrizer ----------------------------------

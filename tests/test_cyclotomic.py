@@ -1,7 +1,9 @@
 """Exact arithmetic in Q(xi_n)."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from knyd import cyclotomic
 from knyd.cyclotomic import (CycNum, cyc, cyclotomic_polynomial, from_images,
                              mod_p, modular_prime, root, root_exponents,
                              root_growth, root_images, root_order)
+from oracles import cyc_product
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -112,6 +115,81 @@ def test_root_exponents_is_a_group_isomorphism(n):
     assert roots[CycNum.one(n)] == 0
     assert roots[-CycNum.one(n)] == n
     assert CycNum.zero(n) not in roots
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_products_of_roots_are_the_cached_roots(n):
+    # every pair of the 2n roots: the product is the root of the exponent
+    # sum, the very object `root` returns, and the reference product
+    for e in range(2 * n):
+        for f in range(2 * n):
+            a, b = root(n, e), root(n, f)
+            product = a * b
+            assert product is root(n, e + f)
+            assert product == cyc_product(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_products_with_a_non_root_match_the_reference(n):
+    xi, one = cyc(n, 1), CycNum.one(n)
+    # 1 + xi = -xi^2 is a root at n = 3 only; 1 + 2 xi is none at any n
+    others = [one + xi + xi, CycNum.rational(n, Fraction(1, 3)),
+              CycNum.zero(n), CycNum.rational(n, -2) * cyc(n, 2)]
+    assert not any(x in root_exponents(n) for x in others)
+    for x in [one + xi] + others:
+        for y in [one + xi] + others + [root(n, e) for e in range(2 * n)]:
+            assert x * y == cyc_product(x, y)
+            assert y * x == cyc_product(y, x)
+    # two non-roots whose product is a root: the convolution gives 1
+    for a in (one + xi, one + xi + xi):
+        if a in root_exponents(n):
+            continue
+        assert a.inv() not in root_exponents(n)
+        assert a * a.inv() == root(n, 0)
+        assert root_exponents(n)[a * a.inv()] == 0
+
+
+def test_equal_values_hash_equal_whatever_their_route():
+    n = 5
+    xi = cyc(n, 1)
+    half = CycNum.rational(n, Fraction(1, 2))
+    minus_sum = -(CycNum.one(n) + xi + cyc(n, 2) + cyc(n, 3))
+    pairs = [
+        (half, CycNum.from_coeffs(n, [Fraction(1, 2), 0, 0, 0])),
+        (xi + xi, CycNum.from_coeffs(n, [0, 2, 0, 0])),
+        (xi + half - half, xi),
+        (-(-minus_sum), minus_sum),
+        (minus_sum, cyc(n, n - 1)),   # xi^4 = -(1 + xi + xi^2 + xi^3)
+    ]
+    for x, y in pairs:
+        table = {x: "x"}   # hashes x, and caches its hash, first
+        assert x == y and hash(x) == hash(y)
+        assert table[y] == "x"
+        assert {y: "y"}[x] == "y"
+    assert root_exponents(n)[minus_sum] == root_exponents(n)[cyc(n, 4)]
+
+
+def test_a_root_built_from_coefficients_is_recognised():
+    n = 15
+    for e in range(2 * n):
+        built = CycNum.from_coeffs(n, [Fraction(c) for c in root(n, e).num])
+        assert built is not root(n, e)
+        assert root_exponents(n)[built] == e
+        assert built * built is root(n, 2 * e)
+
+
+@pytest.mark.parametrize("hashed", [False, True])
+def test_copies_keep_equality_and_hash(hashed):
+    n = 5
+    values = [cyc(n, 3), CycNum.one(n) + cyc(n, 1),
+              CycNum.rational(n, Fraction(-7, 3)), CycNum.zero(n)]
+    for x in values:
+        if hashed:
+            hash(x)
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert {x: 1}[y] == 1
 
 
 def test_json_round_trip():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from knyd import fusion
 from knyd.cyclotomic import CycNum, cyc, modular_prime, root
-from knyd.hopf import F, P, KnAlgebra, KnElement, character, delta_terms
+from knyd.hopf import (F, P, KnAlgebra, KnElement, character, delta_terms,
+                       product_table)
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
                         check_yd, direct_sum, hom_dimension, label_weights,
@@ -18,7 +19,7 @@ from knyd.ydmod import (U, V, W, YDModule, build_simple, build_u_module,
 from knyd.fusion import (FusionDecomposition, closed_form_fuse, decompose,
                          fusion_table, sample_pairs, tensor_module,
                          zn_orbit_set)
-from oracles import is_yd_map, uw0_isomorphism
+from oracles import cyc_product, is_yd_map, uw0_isomorphism
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,69 @@ def test_tensor_weights_match_the_comultiplication(n, seed):
     for M1, M2 in [(S, build_simple(A, rng.choice(labels))), (S, odd),
                    (odd, S), (odd, odd)]:
         check_xhat(M1, M2)
+
+
+def _cell_product(g, h):
+    """g h in K_n from `product_table`, each coefficient the reference
+    product of `cyc_product`, zeros dropped."""
+    table = product_table(g.algebra.n)
+    out = {}
+    for k1, v in g.coeffs.items():
+        for k2, key in table[k1]:
+            if k2 in h.coeffs:
+                c = cyc_product(v, h.coeffs[k2])
+                out[key] = out[key] + c if key in out else c
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _check_coaction(M1, M2):
+    # cell (a d2 + b, a1 d2 + b1) of the coaction is the product of cell
+    # (a, a1) of M1's and cell (b, b1) of M2's
+    M = tensor_module(M1, M2)
+    d2 = M2.dim
+    for a, row1 in enumerate(M1.coaction):
+        for b, row2 in enumerate(M2.coaction):
+            expected = {}
+            for a1, g in row1.items():
+                for b1, h in row2.items():
+                    cell = _cell_product(g, h)
+                    if cell:
+                        expected[a1 * d2 + b1] = cell
+            assert {k: h.coeffs for k, h in M.coaction[a * d2 + b].items()
+                    } == expected, (a, b)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (15, 2)])
+def test_tensor_coaction_cells_are_products(n, seed):
+    # three seeded pairs, and one with an n-dimensional W, whose cells
+    # have n terms each
+    A = KnAlgebra(n)
+    rng = random.Random(seed)
+    labels = list_simples(A)
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(3)]
+    pairs.append((U(n, 1, 0, 1, 0) if n == 15 else W(n, 1, 0, 2),
+                  W(n, -1, 1, 0)))
+    for L1, L2 in pairs:
+        _check_coaction(build_simple(A, L1), build_simple(A, L2))
+
+
+def test_tensor_coaction_with_non_root_coefficients():
+    # cells with 1 + xi and 1/3 beside roots, so that one `multiply` runs
+    # both the exponent sums and the convolution
+    n = 5
+    A = KnAlgebra(n)
+    xi = cyc(n, 1)
+    third = CycNum.rational(n, Fraction(1, 3))
+    cells = [
+        {0: KnElement(A, {(P, 0, 1): CycNum.one(n) + xi, (F, 1, 1): xi}),
+         1: KnElement(A, {(F, 2, 0): third, (P, 1, 0): root(n, 7)})},
+        {1: KnElement(A, {(F, 0, 0): root(n, 3), (F, 1, 2): xi + third,
+                          (P, 2, 1): cyc(n, 4)})},
+    ]
+    odd = YDModule(A, 2, [(0, 1), (2, 2)], CycMatrix.zero(n, 2, 2), cells)
+    W3 = build_simple(A, W(n, -1, 1, 0))
+    for M1, M2 in [(odd, odd), (odd, W3), (W3, odd)]:
+        _check_coaction(M1, M2)
 
 
 # -- the decomposition container ----------------------------------------------------

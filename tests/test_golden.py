@@ -6,7 +6,9 @@ and the n = 5 `nichols` one, the only golden with kernels over Q(xi_5), at
 33c7151.  The rest, which pin the text output of every command, its
 branches (`--no-verify`, a fixed-vector witness, a symmetric line, no
 forced axis) and `paper-verify` at n = 5, were recorded at 56d13be, before
-every command's output went through one report path.  A change that alters
+every command's output went through one report path.  The exhaustive n = 3
+table, all 5 184 decompositions, was recorded at d2233f7, before products of
+roots of unity became exponent sums.  A change that alters
 any of these bytes (a reordered key, another float format, a reworded line,
 a different decomposition) fails here; a deliberate change of the output
 must record new digests and say so in CHANGES.md.
@@ -66,6 +68,8 @@ GOLDEN = [
      "e54c2ead348f5fa1f4f3f591cf01759f8f3ead9450070230581b5b50337f54c4"),
     ("paper-verify --n 5 --json",
      "5790bd88a3d16a805d9e587fd98ab70a492a5038c428e6392f29c8fa073e1fd8"),
+    ("fusion-table --n 3 --json",
+     "9e64c74034e0e70ad63a4864d33570be24d4cb42b3062d770500555fbcde8a00"),
 ]
 
 
