@@ -274,7 +274,7 @@ def fuse(n, left, right, verify, json_out):
 @click.option("--out", "out_path", default=None, callback=_output_path,
               help="Write the table as CSV to this path.")
 @click.option("--sample", type=int, default=None, callback=_positive_sample,
-              help="Use this many seeded random pairs instead of all pairs.")
+              help="Use this many distinct seeded random pairs, not all.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--verify/--no-verify", default=True, show_default=True)
 @_json_option

@@ -5,9 +5,8 @@ Two independent routes are provided and cross-validated:
   * decompose(): an oracle that builds the actual tensor-product module,
     on which K_n acts through its one comultiplication `hopf.delta_terms`,
     and reads every multiplicity off its character over the Drinfeld
-    double D(K_n) mod p, certified; else from Hom spaces (valid by
-    semisimplicity of the category), mod p if the dimensions balance, else
-    exactly;
+    double D(K_n) mod p, certified; else from its Hom spaces over Q(xi_n)
+    (valid by semisimplicity of the category);
   * closed_form_fuse(): the symbolic fusion-ring relations, with every
     product reduced to products of modules of dimension at most two and the
     n-dimensional generator W(+1,0,0) via W(eps,i,m) = V(eps,i,m).W(+1,0,0).
@@ -237,7 +236,7 @@ _CROSS_CHECKED: set = set()
 def decompose(M: YDModule, simples: list[Label] | None = None
               ) -> FusionDecomposition:
     """Decompose M into simples by its character over the Drinfeld double,
-    certified mod p, with the Hom spaces as fallback.
+    certified mod p, with the exact Hom spaces as fallback.
 
     YD(K_n) is the category of D(K_n)-modules, which is semisimple (Majid
     1991; Kassel, Quantum Groups, ch. IX and XIII): M = + S^{m_S}, and the
@@ -267,10 +266,11 @@ def decompose(M: YDModule, simples: list[Label] | None = None
     a != b; T1 at f_ab, b != a - 4r; X off w = (i, i), b = a - 2i); a U
     at both its keys and a W at all n weights read one multiplicity; and
     sum m_S dim S = dim M < p/2.  On a YD module each lift is then the
-    true value.  Otherwise `_hom_route` decides, over `simples` (default
-    all).  The first module read at each n in a process is decomposed by
-    `_hom_route` too, over the labels read.  Raises ArithmeticError if the
-    two differ, or if the multiplicities do not account for dim M."""
+    true value.  Otherwise `_hom_route` decides exactly over Q(xi_n), over
+    `simples` (default all).  The first module read at each n in a process
+    is decomposed by `_hom_route` too, over the labels read.  Raises
+    ArithmeticError if the two differ, or if the multiplicities do not
+    account for dim M."""
     n = M.algebra.n
     found = _read_characters(M)
     if found is None:
@@ -291,19 +291,11 @@ def decompose(M: YDModule, simples: list[Label] | None = None
 
 def _hom_route(M: YDModule, simples: list[Label]) -> FusionDecomposition:
     """M's decomposition by Hom spaces (`decompose`): m_S = dim Hom(S, M)
-    for each simple S that fits in M's weight spaces, over F_p, where each
-    is an upper bound and all are exact once every one is known and they
-    add up to dim M, else over Q(xi)."""
+    over Q(xi_n), exact, for each simple S that fits in M's weight spaces."""
     have = Counter(M.weights)
-    candidates = [lab for lab in simples if all(
-        have[w] >= c for w, c in Counter(label_weights(lab)).items())]
-    for prime in (modular_prime(M.algebra.n), None):
-        mults = [hom_dimension(_simple(M.algebra, lab), M, prime)
-                 for lab in candidates]
-        if None not in mults:
-            found = FusionDecomposition.from_pairs(zip(candidates, mults))
-            if prime is None or found.dim() == M.dim:
-                return found
+    return FusionDecomposition.from_pairs(
+        (lab, hom_dimension(_simple(M.algebra, lab), M)) for lab in simples
+        if all(have[w] >= c for w, c in Counter(label_weights(lab)).items()))
 
 
 # -- closed-form fusion rules --------------------------------------------------------
@@ -423,8 +415,13 @@ def fusion_table(A: KnAlgebra, pairs=None, verify: bool = True):
 
 
 def sample_pairs(A: KnAlgebra, count: int, seed: int = 0):
-    """Deterministic sample of ordered label pairs."""
+    """Deterministic sample of min(count, L^2) distinct ordered pairs of the
+    L labels; a pair drawn twice is drawn again."""
     import random
     labels = list_simples(A)
     rng = random.Random(seed)
-    return [(rng.choice(labels), rng.choice(labels)) for _ in range(count)]
+    count = min(count, len(labels) ** 2)
+    pairs: dict = {}
+    while len(pairs) < count:
+        pairs[rng.choice(labels), rng.choice(labels)] = None
+    return list(pairs)

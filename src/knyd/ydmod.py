@@ -20,14 +20,14 @@ on which each p_{ab} acts by 0 or 1.  A module is then given by the weight
 (a,b) of each basis vector (f.v = f(a,b) v above), the matrix of x^ and the
 coaction.
 
-YD maps S -> M are the solutions of one sparse linear system
-(`_hom_system`), over Q(xi_n) or over F_p: T pairs only basis vectors of
-equal weight (p-equivariance), commutes with x^ and intertwines the two
-coaction matrices (`YDModule.coaction`) at the four keys of `_GENERATORS`.
-For comodules S and M that is every condition, since the duals of those
-keys generate K_n^*, the algebra the comodules are modules over.  Each
-module lists the entries of its five matrices once per prime
-(`_hom_entries`); `hom_dimension` is the nullity of the system.
+YD maps S -> M are the solutions of one sparse linear system over Q(xi_n)
+(`_hom_system`): T pairs only basis vectors of equal weight
+(p-equivariance), commutes with x^ and intertwines the two coaction
+matrices (`YDModule.coaction`) at the four keys of `_GENERATORS`.  For
+comodules S and M that is every condition, since the duals of those keys
+generate K_n^*, the algebra the comodules are modules over.  Each module
+lists the entries of its five matrices once (`_hom_entries`);
+`hom_dimension` is the nullity of the system.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycNum, mod_p
+from .cyclotomic import CycNum
 from .linalg import CycMatrix
 from .hopf import (F, P, KnAlgebra, KnElement, _collect, _root_terms,
                    _sums_equal, antipode_key, character, counit, delta2_term,
@@ -159,7 +159,7 @@ class YDModule:
                          for row in coaction]
         self.label = label
         self._act_cache: dict = {}
-        self._hom_cache: dict = {}
+        self._hom_cache = None
         self._blocks = None
 
     @property
@@ -455,17 +455,12 @@ def braided_space(M: YDModule):
 _GENERATORS = ((P, 1, 0), (P, 0, 1), (F, 1, 0), (F, 0, 1))
 
 
-def _hom_entries(M: YDModule, prime: int | None = None):
+def _hom_entries(M: YDModule):
     """The nonzero entries (t, r, c, v) of the five matrices of M's Hom
     systems (`_hom_system`): tag t = 0 is x^, tag t >= 1 the transposed
     coaction matrix at _GENERATORS[t - 1], whose entry (l, k) is that key's
-    coefficient in coaction[k][l].  With a prime, their nonzero residues
-    mod p, one `mod_p` per distinct coefficient, or None if one has no
-    image.  Built once per prime and cached on M."""
-    cache = M._hom_cache
-    if prime in cache:
-        return cache[prime]
-    if prime is None:
+    coefficient in coaction[k][l].  Built once and cached on M."""
+    if M._hom_cache is None:
         entries = [(0, r, c, v) for r, row in M.action_x.data.items()
                    for c, v in row.items() if not v.is_zero()]
         for k, row in enumerate(M.coaction):
@@ -474,20 +469,8 @@ def _hom_entries(M: YDModule, prime: int | None = None):
                     v = h.coeffs.get(key)
                     if v is not None:
                         entries.append((t, l, k, v))
-    else:
-        residues: dict = {}
-        entries = []
-        for t, r, c, v in _hom_entries(M):
-            if v not in residues:
-                residues[v] = mod_p(v, prime)
-            x = residues[v]
-            if x is None:
-                entries = None
-                break
-            if x:
-                entries.append((t, r, c, x))
-    cache[prime] = entries
-    return entries
+        M._hom_cache = entries
+    return M._hom_cache
 
 
 def _weight_blocks(M: YDModule):
@@ -518,7 +501,7 @@ def _unknowns(S: YDModule, M: YDModule):
     return offsets, pos, blocks
 
 
-def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
+def _hom_system(S: YDModule, M: YDModule):
     """The linear system whose solutions are the YD maps T: S -> M, where
     T[k][j] is the coefficient of m_k in T(s_j).  Returns (offsets,
     matrix): T[k][j] is unknown offsets[j] + pos[k] (`_unknowns`), the
@@ -536,18 +519,15 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
     (t dim M + k) dim S + j, is entry (k, j) of A^M T - T A^S for tag t:
     the M part sum_l A^M[k][l] T[l][j], then the S part sum_{j1} T[k][j1]
     A^S[j1][j].  The rows with an M part come first; zero entries, and zero
-    rows, are dropped.  With a prime the matrix is a residue matrix over
-    F_p; the result is None if a coefficient has no image mod p."""
+    rows, are dropped."""
     if S.algebra.n != M.algebra.n:
         raise ValueError("algebra mismatch")
-    m_entries, s_entries = _hom_entries(M, prime), _hom_entries(S, prime)
-    if m_entries is None or s_entries is None:
-        return None
+    m_entries, s_entries = _hom_entries(M), _hom_entries(S)
     dm, ds = M.dim, S.dim
     wm, ws = M.weights, S.weights
     offsets, pos, blocks = _unknowns(S, M)
     s_blocks = _weight_blocks(S)[0]
-    zero = CycNum.zero(S.algebra.n) if prime is None else 0
+    zero = CycNum.zero(S.algebra.n)
     rows: dict = {}
     # M part: A^M[k][l] meets T[l][j] for each s_j of the weight of m_l
     for t, k, l, v in m_entries:
@@ -559,19 +539,15 @@ def _hom_system(S: YDModule, M: YDModule, prime: int | None = None):
             row = rows.setdefault((t * dm + k) * ds + j, {})
             c = offsets[j1] + pos[k]
             s = row.pop(c, zero) - v
-            if prime is not None:
-                s %= prime
-            if s != zero:
+            if not s.is_zero():
                 row[c] = s
     rows = {key: row for key, row in rows.items() if row}
     return offsets, CycMatrix(S.algebra.n, (1 + len(_GENERATORS)) * dm * ds,
-                              offsets[-1], rows, prime)
+                              offsets[-1], rows)
 
 
-def hom_dimension(S: YDModule, M: YDModule,
-                  prime: int | None = None) -> int | None:
+def hom_dimension(S: YDModule, M: YDModule) -> int:
     """Dimension of the space of YD maps S -> M between comodules: the
-    nullity of `_hom_system`.  With a prime, its nullity over F_p, an upper
-    bound on the dimension, or None if a coefficient has no image mod p."""
-    system = _hom_system(S, M, prime)
-    return None if system is None else system[1].cols - system[1].rank()
+    nullity of `_hom_system`."""
+    system = _hom_system(S, M)[1]
+    return system.cols - system.rank()

@@ -30,6 +30,7 @@ for answer in (answer for answers in rounds for answer in answers):
         assert message is None, (answer.name, message)
 metrics = trace.metrics()
 assert metrics["cli.hopf_verify.calls"] and metrics["cli.rack_cmd.calls"]
+assert metrics["ydmod.hom_dimension.calls"] and metrics["linalg.rank.calls"]
 """
 
 

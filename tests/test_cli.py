@@ -71,6 +71,29 @@ def test_fuse_composite_n15(runner):
     assert payload["dimension"] == 225
 
 
+# every command but the Hopf audits of hopf-verify and paper-verify, at the
+# composite conductor 15
+SMOKE_N15 = [
+    ["simples"],
+    ["yd-verify", "--sample", "3"],
+    ["fuse", "--left", "U(1,2,0,3)", "--right", "W(-1,0,3)"],
+    ["fusion-table", "--sample", "3"],
+    ["nichols", "--module", "U(1,0,1,0)"],
+    ["nichols-sum", "--labels", "U(1,0,1,0)"],
+    ["square-zero", "--module", "U(1,0,1,0)"],
+    ["rack"],
+]
+
+
+@pytest.mark.parametrize("args", SMOKE_N15, ids=[a[0] for a in SMOKE_N15])
+def test_every_command_at_n15(runner, args):
+    result = runner.invoke(main, args + ["--n", "15", "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["n"] == 15
+    assert payload.get("ok", True) and payload.get("verified", True)
+
+
 def test_fusion_table_csv(runner, tmp_path):
     out = tmp_path / "table.csv"
     result = runner.invoke(main, ["fusion-table", "--n", "3", "--sample", "4",

@@ -315,6 +315,38 @@ def test_fusion_n5_sample():
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("n, count, seed", [(3, 200, 0), (5, 200, 1)])
+def test_sample_pairs_draws_again_on_a_repeat(n, count, seed):
+    # plain draws of these seeds repeat 4 pairs and 1 pair
+    A = KnAlgebra(n)
+    labels = list_simples(A)
+    rng = random.Random(seed)
+    plain = [(rng.choice(labels), rng.choice(labels)) for _ in range(count)]
+    assert len(set(plain)) < count
+    pairs = sample_pairs(A, count, seed)
+    assert len(pairs) == len(set(pairs)) == count
+    # up to the first repeat the two draws are one
+    first = next(i for i, pair in enumerate(plain) if pair in plain[:i])
+    assert pairs[:first] == plain[:first]
+
+
+@pytest.mark.parametrize("n, count, seed", [(3, 60, 2), (3, 20, 1),
+                                            (5, 20, 1), (5, 200, 0)])
+def test_sample_pairs_without_a_repeat_is_the_plain_draw(n, count, seed):
+    # the samples behind the golden digests
+    A = KnAlgebra(n)
+    labels = list_simples(A)
+    rng = random.Random(seed)
+    plain = [(rng.choice(labels), rng.choice(labels)) for _ in range(count)]
+    assert sample_pairs(A, count, seed) == plain
+
+
+def test_sample_pairs_caps_the_count_at_every_pair(A3):
+    labels = list_simples(A3)
+    pairs = sample_pairs(A3, len(labels) ** 2 + 1, 3)
+    assert sorted(pairs) == sorted((L1, L2) for L1 in labels for L2 in labels)
+
+
 # -- the explicit U (x) W0 intertwiner ----------------------------------------------
 
 
@@ -364,77 +396,57 @@ def test_closed_form_preserves_dimension_and_commutes(pair):
     assert fused == closed_form_fuse(L2, L1)
 
 
-# -- the Hom route: the modular certificate and its exact fallback ---------------------
+# -- the Hom route: one exact pass over Q(xi_n) ---------------------------------------
 
 
-def _hom_oracle(A, L1, L2):
-    return fusion._hom_route(tensor_module(build_simple(A, L1),
-                                           build_simple(A, L2)),
-                             list_simples(A))
-
-
-def _record_primes(monkeypatch):
-    """Record the prime of every Hom dimension the Hom route asks for."""
-    primes = []
+def _record_hom_calls(monkeypatch):
+    """Record the simple S of every Hom dimension `fusion` asks for."""
+    asked = []
     hom = fusion.hom_dimension
 
-    def recording(S, M, prime=None):
-        primes.append(prime)
-        return hom(S, M, prime)
+    def recording(S, M):
+        asked.append(S.label)
+        return hom(S, M)
 
     monkeypatch.setattr(fusion, "hom_dimension", recording)
-    return primes
+    return asked
 
 
 def test_decompose_needs_no_fallback(A3, monkeypatch):
-    primes = _record_primes(monkeypatch)
+    # the Hom route alone gives the closed form, with one Hom system per
+    # label that fits in M's weight spaces
+    labels = list_simples(A3)
+    asked = _record_hom_calls(monkeypatch)
     for L1, L2 in sample_pairs(A3, 12, 5):
-        assert _hom_oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
-    assert primes and None not in primes
-
-
-def test_decompose_falls_back_when_balance_fails(A3, monkeypatch):
-    # a modular rank one short, as at an unlucky prime, inflates the Hom
-    # bounds past dim M; the exact pass must then give the answer
-    rank = CycMatrix.rank
-
-    def short_rank(self):
-        r = rank(self)
-        return r if self.prime is None or r == 0 else r - 1
-
-    monkeypatch.setattr(CycMatrix, "rank", short_rank)
-    primes = _record_primes(monkeypatch)
-    for L1, L2 in sample_pairs(A3, 12, 6):
-        del primes[:]
-        assert _hom_oracle(A3, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
-        assert primes[0] is not None and None in primes, (L1, L2)
+        del asked[:]
+        M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
+        assert fusion._hom_route(M, labels) == closed_form_fuse(L1, L2), (
+            L1, L2)
+        assert asked == _weight_filtered(M, labels), (L1, L2)
 
 
 def test_decompose_falls_back_when_an_entry_does_not_reduce(A3, monkeypatch):
     # U(1,0,1,0) in the basis (p u1, u2): x^ has the entry 1/p, which has
-    # no image in F_p, so only the exact pass can decompose it
+    # no image in F_p; the Hom route decomposes it exactly, in one pass
     n = 3
-    p = modular_prime(n)
-    Um = build_u_module(A3, 1, 0, 1, 0)
-    x = CycMatrix.from_rows(n, [[0, Fraction(1, p)], [p, 0]])
-    scaled = YDModule(A3, 2, Um.action_p, x, Um.coaction)
+    scaled = _rescaled_u_module(A3)
     assert check_yd(scaled)["ok"]
     S = build_simple(A3, U(n, 1, 0, 1, 0))
-    assert hom_dimension(S, scaled, p) is None
     assert hom_dimension(S, scaled) == 1
-    primes = _record_primes(monkeypatch)
-    assert fusion._hom_route(scaled, list_simples(A3)) == (
+    labels = list_simples(A3)
+    asked = _record_hom_calls(monkeypatch)
+    assert fusion._hom_route(scaled, labels) == (
         FusionDecomposition.from_pairs([(U(n, 1, 0, 1, 0), 1)]))
-    assert primes[0] == p and None in primes
+    assert asked == _weight_filtered(scaled, labels)
 
 
 def test_decompose_composite_n9_every_kind_pair(monkeypatch):
     # one seeded pair per ordered kind pair at the composite conductor 9,
-    # through the certified modular pass alone
+    # through the Hom route alone
     A = KnAlgebra(9)
     labels = list_simples(A)
     rng = random.Random(9)
-    primes = _record_primes(monkeypatch)
+    asked = _record_hom_calls(monkeypatch)
     for k1 in "VUW":
         for k2 in "VUW":
             L1 = rng.choice([L for L in labels if L.kind == k1])
@@ -442,7 +454,7 @@ def test_decompose_composite_n9_every_kind_pair(monkeypatch):
             M = tensor_module(build_simple(A, L1), build_simple(A, L2))
             assert fusion._hom_route(M, labels) == closed_form_fuse(L1, L2), (
                 L1, L2)
-    assert primes and None not in primes
+    assert asked
 
 
 # -- the character route -----------------------------------------------------------------
@@ -534,27 +546,12 @@ def test_each_simple_reads_as_itself(n):
 def test_decompose_reads_without_a_hom_system(monkeypatch):
     # once the cross-check has run at n, decompose builds no Hom system
     monkeypatch.setattr(fusion, "_CROSS_CHECKED", {3, 5})
-    primes = _record_primes(monkeypatch)
+    asked = _record_hom_calls(monkeypatch)
     for n, count in ((3, 30), (5, 10)):
         A = KnAlgebra(n)
         for L1, L2 in sample_pairs(A, count, 8):
             assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
-    assert primes == []
-
-
-def _record_candidates(monkeypatch):
-    """Record the simple of every modular Hom dimension `decompose` asks
-    for."""
-    asked = []
-    hom = fusion.hom_dimension
-
-    def recording(S, M, prime=None):
-        if prime is not None:
-            asked.append(S.label)
-        return hom(S, M, prime)
-
-    monkeypatch.setattr(fusion, "hom_dimension", recording)
-    return asked
+    assert asked == []
 
 
 def test_profile_falls_back_when_a_diagonal_coefficient_does_not_reduce(
@@ -568,7 +565,7 @@ def test_profile_falls_back_when_a_diagonal_coefficient_does_not_reduce(
     monkeypatch.setattr(fusion, "mod_p",
                         lambda a, p: None if a == bad else reduce(a, p))
     assert fusion._read_characters(M) is None
-    asked = _record_candidates(monkeypatch)
+    asked = _record_hom_calls(monkeypatch)
     assert decompose(M, labels) == closed_form_fuse(L1, L2)
     assert asked == _weight_filtered(M, labels)
 
@@ -589,7 +586,7 @@ def test_profile_falls_back_when_a_count_exceeds_the_dimension(
         return grid
 
     monkeypatch.setattr(fusion, "_transform", one_count_too_large)
-    asked = _record_candidates(monkeypatch)
+    asked = _record_hom_calls(monkeypatch)
     assert decompose(M, labels) == closed_form_fuse(L1, L2)
     assert forced and asked == _weight_filtered(M, labels)
 

@@ -216,9 +216,9 @@ def _dense_rank_mod(rows, cols, p):
 @_properties
 @given(sparse_matrices())
 def test_modular_rank_reads_residues(A):
-    # entries given as their residues mod p, as the Hom systems of
-    # `ydmod._hom_system` give them, have the rank of a dense elimination
-    # of the residues
+    # entries given as their residues mod p, as the modular loop of
+    # `nichols.graded_dims` gives them, have the rank of a dense
+    # elimination of the residues
     p = modular_prime(A.n)
     residues = _residues(A, p)
     dense = [[residues.data.get(r, {}).get(c, 0) for c in range(A.cols)]

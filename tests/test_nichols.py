@@ -688,19 +688,19 @@ def _series_product(a, b, top):
     return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(top + 1)]
 
 
-def test_sum_criterion_against_graded_dims_of_the_sums(A3):
-    # every pair of distinct finite U labels at n = 3: the Hilbert series
-    # of a disconnected sum is the product of the summands' through degree
-    # 5, and a connected sum already differs from that product in degree 2
-    labels = sorted(L for L in list_simples(A3)
-                    if L.kind == "U" and str(L) in _FINITE_U_N3)
-    assert len(labels) == 12
-    modules = {L: build_simple(A3, L) for L in labels}
-    series = {L: graded_dims(braided_space(M), 5, want_relations=False).dims
-              for L, M in modules.items()}
+def _check_sums(A, pairs):
+    """For each pair of finite U labels at A, the Hilbert series of a
+    disconnected sum (`sum_criterion`) is the product of the summands'
+    through degree 5, and that of a connected sum already differs from the
+    product in degree 2; returns the number of disconnected pairs."""
+    series = {}
+    for L in {L for pair in pairs for L in pair}:
+        series[L] = graded_dims(braided_space(build_simple(A, L)), 5,
+                                want_relations=False).dims
     disconnected = 0
-    for L1, L2 in itertools.combinations(labels, 2):
-        sum_space = braided_space(direct_sum(modules[L1], modules[L2]))
+    for L1, L2 in pairs:
+        sum_space = braided_space(direct_sum(build_simple(A, L1),
+                                             build_simple(A, L2)))
         if sum_criterion([L1, L2])["per_pair"][0]["disconnected"]:
             disconnected += 1
             rep = graded_dims(sum_space, 5, want_relations=False)
@@ -710,7 +710,29 @@ def test_sum_criterion_against_graded_dims_of_the_sums(A3):
             rep = graded_dims(sum_space, 2, want_relations=False)
             assert rep.dims[2] != _series_product(series[L1], series[L2],
                                                   2)[2], (str(L1), str(L2))
-    assert disconnected == 12
+    return disconnected
+
+
+def test_sum_criterion_against_graded_dims_of_the_sums(A3):
+    # every pair of distinct finite U labels at n = 3
+    labels = sorted(L for L in list_simples(A3)
+                    if L.kind == "U" and str(L) in _FINITE_U_N3)
+    assert len(labels) == 12
+    assert _check_sums(A3, list(itertools.combinations(labels, 2))) == 12
+    # at the composite n = 15, seeded pairs of finite U labels: the first
+    # three disconnected and the first three connected ones drawn
+    A = KnAlgebra(15)
+    finite = [L for L in list_simples(A)
+              if L.kind == "U" and a2_criterion(L)["finite"]]
+    rng = random.Random(15)
+    drawn = {True: [], False: []}
+    while min(map(len, drawn.values())) < 3:
+        L1, L2 = rng.sample(finite, 2)
+        pairs = drawn[sum_criterion([L1, L2])["per_pair"][0]["disconnected"]]
+        if len(pairs) < 3:
+            pairs.append((L1, L2))
+    assert (U(15, 1, 9, 5, 5), U(15, 12, 13, 1, 1)) in drawn[True]
+    assert _check_sums(A, drawn[True] + drawn[False]) == 3
 
 
 # -- infiniteness pre-check -----------------------------------------------------------

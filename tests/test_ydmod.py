@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knyd.cyclotomic import (CycNum, cyc, mod_p, modular_prime, root,
-                             root_order)
+from knyd.cyclotomic import CycNum, cyc, modular_prime, root, root_order
 from knyd.fusion import closed_form_fuse, decompose, tensor_module
 from knyd.hopf import (KnAlgebra, _collect, character, comultiply, counit,
                        delta2_term, multiply)
 from knyd import ydmod
 from knyd.linalg import CycMatrix
-from knyd.ydmod import (U, V, W, YDModule, _hom_system, _sandwich_term,
+from knyd.ydmod import (U, V, W, YDModule, _sandwich_term,
                         braided_space, braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
@@ -580,15 +579,12 @@ def test_swapped_weights_are_told_apart(A3):
     # the x^ and coaction of U(1,0,1,0) with the weights of u1 and u2
     # swapped: only the weights tell it apart
     n = 3
-    p = modular_prime(n)
     Um = build_u_module(A3, 1, 0, 1, 0)
     swapped = build_u_module(A3, 0, 1, 1, 0)
     fake = YDModule(A3, 2, swapped.weights, Um.action_x, Um.coaction)
     assert fake.weights == tuple(reversed(Um.weights))
     assert hom_dimension(Um, fake) == 0
-    assert hom_dimension(Um, fake, p) == 0
-    assert hom_dimension(Um, Um, p) == 1
-    _check_modular_system(Um, fake, p)
+    assert hom_dimension(Um, Um) == 1
     assert not is_yd_map(Um, fake, CycMatrix.identity(n, 2))
     assert not is_yd_map(Um, fake, CycMatrix.from_rows(n, [[0, 1], [1, 0]]))
     assert is_yd_map(Um, Um, CycMatrix.identity(n, 2))
@@ -631,54 +627,6 @@ def test_generator_duals_generate_the_dual_algebra(n):
     for dropped in ydmod._GENERATORS:
         rest = [g for g in ydmod._GENERATORS if g != dropped]
         assert _dual_words(n, rest) < keys, dropped
-
-
-# -- the Hom system over F_p --------------------------------------------------------------
-
-
-def _check_modular_system(S, M, p):
-    """The F_p system of (S, M) is the image of the exact one under mod_p,
-    row for row once zero entries and zero rows are dropped, and it has the
-    exact nullity.  Both systems are compared in full."""
-    offsets, system = _hom_system(S, M)
-    offsets_p, system_p = _hom_system(S, M, p)
-    assert offsets_p == offsets and system_p.cols == system.cols
-    image = {}
-    for key, row in system.data.items():
-        row = {c: mod_p(v, p) for c, v in row.items()}
-        row = {c: x for c, x in row.items() if x}
-        if row:
-            image[key] = row
-    rows_p = dict(system_p.data.items())
-    assert rows_p == image
-    assert all(0 < x < p for row in rows_p.values() for x in row.values())
-    assert hom_dimension(S, M, p) == hom_dimension(S, M)
-
-
-def _shifted(L):
-    """A simple label with the weights of L and another coaction."""
-    n = L.n
-    if L.kind == "U":
-        i, j, m, t = L.data
-        return U(n, i, j, m + 1, t + 1)
-    eps, i, m = L.data
-    return (V if L.kind == "V" else W)(n, eps, i, m + 1)
-
-
-@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (9, 2)])
-def test_modular_hom_system_is_the_image_of_the_exact_one(n, seed):
-    # M = L1 (x) L2 against two of its summands and a label of the same
-    # weights as a summand, which has a nonempty system
-    A = KnAlgebra(n)
-    p = modular_prime(n)
-    rng = random.Random(seed)
-    labels = list_simples(A)
-    for _ in range(3):
-        L1, L2 = rng.choice(labels), rng.choice(labels)
-        M = tensor_module(build_simple(A, L1), build_simple(A, L2))
-        summands = [L for L, _ in closed_form_fuse(L1, L2).terms[:2]]
-        for S in summands + [_shifted(summands[0])]:
-            _check_modular_system(build_simple(A, S), M, p)
 
 
 # -- the Hom system against a dense reference --------------------------------------------
@@ -727,9 +675,18 @@ def _reference_hom_dimension(S, M):
     return dm * ds - len(rref(system)[1])
 
 
-def _check_against_reference(S, M, p):
+def _shifted(L):
+    """A simple label with the weights of L and another coaction."""
+    n = L.n
+    if L.kind == "U":
+        i, j, m, t = L.data
+        return U(n, i, j, m + 1, t + 1)
+    eps, i, m = L.data
+    return (V if L.kind == "V" else W)(n, eps, i, m + 1)
+
+
+def _check_against_reference(S, M):
     expected = _reference_hom_dimension(S, M)
-    assert hom_dimension(S, M, p) == expected
     assert hom_dimension(S, M) == expected
     return expected
 
@@ -742,14 +699,13 @@ def test_hom_dimension_of_a_simple_with_a_repeated_weight(A3):
     assert len(set(S.weights)) == 1
     M = tensor_module(build_simple(A3, W(n, -1, 0, 2)),
                       build_simple(A3, W(n, 1, 2, 2)))
-    assert _check_against_reference(S, M, modular_prime(n)) == 1
+    assert _check_against_reference(S, M) == 1
 
 
 def test_hom_dimension_matches_the_dense_reference_n3(A3):
     # every simple at n = 3, the nine U(i,i,m,t) among them, against a
     # seeded tensor product that contains it and one drawn at random
     n = 3
-    p = modular_prime(n)
     labels = list_simples(A3)
     pairs = [(L1, L2) for L1 in labels for L2 in labels]
     rng = random.Random(14)
@@ -762,10 +718,10 @@ def test_hom_dimension_matches_the_dense_reference_n3(A3):
         S = build_simple(A3, L)
         M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
         mult = dict(closed_form_fuse(L1, L2).terms)[L]
-        assert _check_against_reference(S, M, p) == mult, (L, L1, L2)
+        assert _check_against_reference(S, M) == mult, (L, L1, L2)
         L1, L2 = rng.choice(pairs)
         M = tensor_module(build_simple(A3, L1), build_simple(A3, L2))
-        assert (_check_against_reference(S, M, p)
+        assert (_check_against_reference(S, M)
                 == dict(closed_form_fuse(L1, L2).terms).get(L, 0)), (L, L1, L2)
 
 
@@ -774,7 +730,6 @@ def test_hom_dimension_matches_the_dense_reference_n9():
     # two summands and a label with the weights of the first
     n = 9
     A = KnAlgebra(n)
-    p = modular_prime(n)
     rng = random.Random(9)
     kinds = {}
     for L in list_simples(A):
@@ -785,5 +740,5 @@ def test_hom_dimension_matches_the_dense_reference_n9():
         fused = dict(closed_form_fuse(L1, L2).terms)
         summands = sorted(fused)[:2]
         for L in summands + [_shifted(summands[0])]:
-            assert (_check_against_reference(build_simple(A, L), M, p)
+            assert (_check_against_reference(build_simple(A, L), M)
                     == fused.get(L, 0)), (L, L1, L2)
