@@ -183,15 +183,20 @@ def hopf_verify(n, json_out):
 # -- simples ----------------------------------------------------------------------
 
 
+def _check_label_budget(n):
+    """MemoryBudgetError unless the budget admits listing K_n's simples."""
+    count = 4 * n * n + n * n * (n * n - 1) // 2   # 2n^2 V, 2n^2 W, the U
+    # 720 bytes a label: at most 708 under tracemalloc, n = 5 to 21, --json
+    _check_budget(720 * count, "listing the %d simples of K_%d" % (count, n))
+
+
 @main.command("simples")
 @_n_option
 @_json_option
 def simples(n, json_out):
     """List the simple Yetter-Drinfeld module labels, dimensions, and the
     sum-of-squares census (expected 4 n^4)."""
-    count = 4 * n * n + n * n * (n * n - 1) // 2   # 2n^2 V, 2n^2 W, the U
-    # 720 bytes a label: at most 708 under tracemalloc, n = 5 to 21, --json
-    _check_budget(720 * count, "listing the %d simples of K_%d" % (count, n))
+    _check_label_budget(n)
     A = KnAlgebra(n)
     labels = list_simples(A)
     census = dimension_census(A)
@@ -219,6 +224,7 @@ def simples(n, json_out):
 def yd_verify(n, sample, seed, json_out):
     """Verify the module, comodule, and Yetter-Drinfeld axioms for every
     simple label (or a seeded sample)."""
+    _check_label_budget(n)
     A = KnAlgebra(n)
     labels = list_simples(A)
     if sample is not None:
@@ -285,6 +291,7 @@ def fusion_table_cmd(n, out_path, sample, seed, verify, json_out):
             and os.path.realpath(out_path) == os.path.realpath(json_out)):
         raise click.UsageError("invalid output path: --out and --json both "
                                "name %s" % out_path)
+    _check_label_budget(n)
     A = KnAlgebra(n)
     pairs = sample_pairs(A, sample, seed) if sample is not None else None
     rows, mismatches = fusion_table(A, pairs=pairs, verify=verify)
@@ -476,8 +483,9 @@ def paper_verify(n, seed, json_out):
     """Run the full verification battery: Hopf axioms, YD sweep, census,
     fusion table, Nichols graded dimensions, square-zero elimination, and
     the rack battery.  Exhaustive at n=3; seeded samples for larger n."""
+    _check_label_budget(n)
     A = KnAlgebra(n)
-    # the Nichols checks run first, so that an exceeded memory budget is
+    # the Nichols checks run next, so that an exceeded memory budget is
     # reported before the long Hopf, YD and fusion sweeps; they are listed
     # after them
     nichols_checks = _nichols_checks(A)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .cyclotomic import CycNum, cyc, root, root_exponents, _field_data
 
@@ -345,85 +346,70 @@ def _sums_equal(n: int, lhs: list, rhs: list) -> bool:
             == _collect((key, value(t)) for key, t in rhs))
 
 
-def _first_mismatch(lhs: dict, rhs: dict):
-    """The least key on which two sparse maps differ, or None."""
-    bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)]
-    return min(bad) if bad else None
+def _first_failure(cases):
+    """The first case of a stream of (case, failed) pairs that failed, or
+    None: the one counterexample rule of the exhaustive audits."""
+    return next((case for case, failed in cases if failed), None)
 
 
 def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     """Exhaustive Hopf-axiom audit over the basis.  Returns a report dict
-    {axiom: {"ok": bool, "counterexample": ... or None}}; a counterexample
-    is the first failing basis key, pair or triple in basis order.  An
+    {axiom: {"ok": bool, "counterexample": ... or None}}: each axiom is a
+    stream of (case, failed) pairs in basis order, and its counterexample
+    the first failing basis key, pair or triple (`_first_failure`).  An
     alternative antipode may be injected for negative-control tests.
 
-    The product checks read `product_table`: a product of basis elements is
-    one basis element with coefficient 1, or zero."""
+    Associativity and eps-multiplicativity read `product_table`; the unit
+    and the antipode multiply through `multiply`.  The counit and antipode
+    laws are summed exactly (`_collect`), every product a root-times-root
+    lookup; coassociativity and Delta-multiplicativity compare multisets
+    of root exponents (`_sums_equal`)."""
     S = antipode_fn if antipode_fn is not None else antipode
     n = A.n
-    report = {}
     basis = list(A.basis_indices())
     one = A.unit()
+    e = {k: A.basis(*k) for k in basis}
     table = product_table(n)
     left_of = _left_partners(table)
+    delta = _delta_cache(n)
+    m = 2 * n
+    axioms = {}
+
+    def compare(lhs, rhs):
+        # the keys of two sparse maps in sorted (basis) order, failing
+        # where the maps differ
+        return ((k, lhs.get(k) != rhs.get(k))
+                for k in sorted(lhs.keys() | rhs.keys()))
 
     # associativity on basis triples: both sides of every triple are one
     # basis key or zero, so comparing the nonzero triples of (xy)z and of
     # x(yz), 4 dim each, covers all dim^3
-    lhs = {(x, y, z): xyz for x, partners in table.items()
-           for y, xy in partners for z, xyz in table[xy]}
-    rhs = {(x, y, z): xyz for y, partners in table.items()
-           for z, yz in partners for x, xyz in left_of[yz]}
-    ce = _first_mismatch(lhs, rhs)
-    report["associativity"] = {"ok": ce is None, "counterexample": ce}
+    axioms["associativity"] = compare(
+        {(x, y, z): xyz for x, partners in table.items()
+         for y, xy in partners for z, xyz in table[xy]},
+        {(x, y, z): xyz for y, partners in table.items()
+         for z, yz in partners for x, xyz in left_of[yz]})
 
-    # unit: 1 x = x = x 1
-    ce = None
-    unit = one.coeffs
-    for kx in basis:
-        x = {kx: A.scalar(1)}
-        if (_collect((key, unit[k1]) for k1, key in left_of[kx] if k1 in unit)
-                != x
-                or _collect((key, unit[k2]) for k2, key in table[kx]
-                            if k2 in unit) != x):
-            ce = kx
-            break
-    report["unit"] = {"ok": ce is None, "counterexample": ce}
+    axioms["unit"] = ((kx, not multiply(one, x) == x == multiply(x, one))
+                      for kx, x in e.items())
 
     # coassociativity: (Delta x id) Delta = (id x Delta) Delta, every
     # coefficient a root, multiplied by adding exponents mod 2n
-    delta = _delta_cache(n)
-    m = 2 * n
-    ce = None
-    for kx in basis:
-        dx = delta[kx]
-        if not _sums_equal(n, [((k11, k12, k2), (v + w) % m)
-                               for k1, k2, v in dx
-                               for k11, k12, w in delta[k1]],
-                           [((k1, k21, k22), (v + w) % m)
-                            for k1, k2, v in dx
-                            for k21, k22, w in delta[k2]]):
-            ce = kx
-            break
-    report["coassociativity"] = {"ok": ce is None, "counterexample": ce}
+    axioms["coassociativity"] = ((kx, not _sums_equal(
+        n, [((k11, k12, k2), (v + w) % m) for k1, k2, v in delta[kx]
+            for k11, k12, w in delta[k1]],
+        [((k1, k21, k22), (v + w) % m) for k1, k2, v in delta[kx]
+         for k21, k22, w in delta[k2]])) for kx in basis)
 
-    # counit laws: (eps x id) Delta = id = (id x eps) Delta, eps read from
-    # one table of its nonzero values on the basis
-    e = {k: A.basis(*k) for k in basis}
+    # counit laws: (eps x id) Delta = id = (id x eps) Delta
     eps = _collect((k, counit(x)) for k, x in e.items())
-    eps_terms = {k: _root_terms(c) for k, c in eps.items()}
-    ce = None
-    for kx in basis:
-        dx = delta[kx]
-        x = [(kx, (0, 1))]
-        if (not _sums_equal(n, [(k2, ((v + f) % m, w)) for k1, k2, v in dx
-                                if k1 in eps for f, w in eps_terms[k1]], x)
-                or not _sums_equal(n, [(k1, ((v + f) % m, w))
-                                       for k1, k2, v in dx if k2 in eps
-                                       for f, w in eps_terms[k2]], x)):
-            ce = kx
-            break
-    report["counit"] = {"ok": ce is None, "counterexample": ce}
+    axioms["counit"] = (
+        (kx, not _collect((k2, root(n, v) * eps[k1])
+                          for k1, k2, v in delta[kx] if k1 in eps)
+         == x.coeffs
+         == _collect((k1, root(n, v) * eps[k2])
+                     for k1, k2, v in delta[kx] if k2 in eps))
+        for kx, x in e.items())
 
     # Delta is an algebra map; Delta(1) acts as the unit of the image.  A
     # term l1 (x) r1 of Delta(x) meets only the 2 x 2 tensors of right
@@ -434,65 +420,57 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
         for l2, r2, w in delta[ky]:
             owner.setdefault((l2, r2), []).append((ky, w))
     du = {k: _root_terms(c) for k, c in comultiply(one).coeffs.items()}
-    ce = None
-    for kx in basis:
-        dx = delta[kx]
-        if not _sums_equal(n, [((kl, kr), ((v + f) % m, w))
-                               for l2, r2, v in dx
-                               for l1, kl in left_of[l2]
-                               for r1, kr in left_of[r2] if (l1, r1) in du
-                               for f, w in du[(l1, r1)]],
-                           [((l2, r2), (v, 1)) for l2, r2, v in dx]):
-            ce = ("unit", kx)
-            break
-        products: dict = {}
-        for l1, r1, v in dx:
-            for l2, kl in table[l1]:
-                for r2, kr in table[r1]:
-                    for ky, w in owner.get((l2, r2), ()):
-                        products.setdefault(ky, []).append(
-                            ((kl, kr), (v + w) % m))
-        xy = dict(table[kx])
-        for ky in basis:
-            expected = ([] if ky not in xy else
-                        [((l2, r2), w) for l2, r2, w in delta[xy[ky]]])
-            if not _sums_equal(n, products.get(ky, []), expected):
-                ce = (kx, ky)
-                break
-        if ce:
-            break
-    report["delta_multiplicative"] = {"ok": ce is None, "counterexample": ce}
 
-    # eps is an algebra map: eps(xy) = eps(x) eps(y) on basis pairs
-    ce = None
-    if not counit(one).is_one():
-        ce = "unit"
-    else:
-        lhs = {(x, y): eps[xy] for x, partners in table.items()
-               for y, xy in partners if xy in eps}
-        rhs = _collect(((x, y), eps[x] * eps[y]) for x in eps for y in eps)
-        ce = _first_mismatch(lhs, rhs)
-    report["counit_multiplicative"] = {"ok": ce is None, "counterexample": ce}
+    def delta_multiplicative():
+        for kx in basis:
+            dx = delta[kx]
+            yield ("unit", kx), not _sums_equal(
+                n, [((kl, kr), ((v + f) % m, w)) for l2, r2, v in dx
+                    for l1, kl in left_of[l2]
+                    for r1, kr in left_of[r2] if (l1, r1) in du
+                    for f, w in du[(l1, r1)]],
+                [((l2, r2), (v, 1)) for l2, r2, v in dx])
+            products: dict = {}
+            for l1, r1, v in dx:
+                for l2, kl in table[l1]:
+                    for r2, kr in table[r1]:
+                        for ky, w in owner.get((l2, r2), ()):
+                            products.setdefault(ky, []).append(
+                                ((kl, kr), (v + w) % m))
+            xy = dict(table[kx])
+            for ky in basis:
+                yield (kx, ky), not _sums_equal(
+                    n, products.get(ky, []),
+                    [] if ky not in xy else
+                    [((l2, r2), w) for l2, r2, w in delta[xy[ky]]])
+    axioms["delta_multiplicative"] = delta_multiplicative()
+
+    # eps is an algebra map: eps(1) = 1, and eps(xy) = eps(x) eps(y) on
+    # basis pairs
+    axioms["counit_multiplicative"] = chain(
+        [("unit", not counit(one).is_one())],
+        compare({(x, y): eps[xy] for x, partners in table.items()
+                 for y, xy in partners if xy in eps},
+                _collect(((x, y), eps[x] * eps[y])
+                         for x in eps for y in eps)))
 
     # antipode axiom: m(S x id)Delta = eps(.)1 = m(id x S)Delta, with S
     # applied once per basis key
     Se = {k: S(x) for k, x in e.items()}
+    target = {k: one.scale(c).coeffs for k, c in eps.items()}
 
-    def convolution(dx, left, right):
-        return [(key, ((v + f) % m, w)) for k1, k2, v in dx
-                for key, c in multiply(left[k1], right[k2]).coeffs.items()
-                for f, w in _root_terms(c)]
+    def convolution(kx, left, right):
+        return _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
+                        for key, c in multiply(left[k1],
+                                               right[k2]).coeffs.items())
 
-    ce = None
-    for kx in basis:
-        dx = delta[kx]
-        target = ([(k, t) for k, c in unit.items()
-                   for t in _root_terms(eps[kx] * c)] if kx in eps else [])
-        if (not _sums_equal(n, convolution(dx, Se, e), target)
-                or not _sums_equal(n, convolution(dx, e, Se), target)):
-            ce = kx
-            break
-    report["antipode"] = {"ok": ce is None, "counterexample": ce}
+    axioms["antipode"] = ((kx, not convolution(kx, Se, e)
+                           == target.get(kx, {})
+                           == convolution(kx, e, Se)) for kx in basis)
 
-    report["ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
+    report = {}
+    for name, cases in axioms.items():
+        ce = _first_failure(cases)
+        report[name] = {"ok": ce is None, "counterexample": ce}
+    report["ok"] = all(v["ok"] for v in report.values())
     return report

@@ -35,12 +35,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .cyclotomic import CycNum
 from .linalg import CycMatrix
-from .hopf import (F, P, KnAlgebra, KnElement, _collect, _root_terms,
-                   _sums_equal, antipode_key, character, counit, delta2_term,
-                   delta_terms, product_table)
+from .hopf import (F, P, KnAlgebra, KnElement, _collect, _first_failure,
+                   _root_terms, _sums_equal, antipode_key, character, counit,
+                   delta2_term, delta_terms, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -311,7 +312,10 @@ def _sandwich_term(n: int, hkind: int, gkey):
 
 def check_yd(M: YDModule) -> dict:
     """Verify module axioms, comodule axioms, and the YD compatibility
-    delta(h.v) = h1 v_{-1} S(h3) (x) h2.v_0 on every basis pair.
+    delta(h.v) = h1 v_{-1} S(h3) (x) h2.v_0 on every basis pair.  Returns
+    {"module", "comodule", "yd": first failing case or None, "ok": bool};
+    each check is a stream of (case, failed) pairs in basis order, and
+    `hopf._first_failure` picks its case.
 
     Every coefficient of the action and the coaction is read as a short sum
     of weighted roots (`hopf._root_terms`), one term for a root of unity, so
@@ -320,48 +324,38 @@ def check_yd(M: YDModule) -> dict:
     A = M.algebra
     n = A.n
     m = 2 * n
-    report = {"module": None, "comodule": None, "yd": None}
 
     # module axioms via generator relations (equivalent to rho being an
     # algebra map on the basis).  On a weight basis the p's are orthogonal
     # idempotents summing to the identity by construction; left are x^2 = 1
     # and x p_{ab} = p_{ba} x, i.e. x^ maps weight (a,b) to weight (b,a).
     wt = M.weights
-    failure = None
-    if M.action_x @ M.action_x != CycMatrix.identity(n, M.dim):
-        failure = ("x_squared", None)
-    else:
-        bad = next((wt[c] for r, row in M.action_x.data.items()
-                    for c, v in row.items()
-                    if wt[r] != wt[c][::-1] and not v.is_zero()), None)
-        if bad is not None:
-            failure = ("x_p_commutation", bad)
-    report["module"] = failure
+    module = chain(
+        [(("x_squared", None),
+          M.action_x @ M.action_x != CycMatrix.identity(n, M.dim))],
+        ((("x_p_commutation", wt[c]), wt[r] != wt[c][::-1] and not v.is_zero())
+         for r, row in M.action_x.data.items() for c, v in row.items()))
 
     # the coaction matrix with each cell a list of (K_n key, terms)
     co = [{k: [(hkey, _root_terms(v)) for hkey, v in h.coeffs.items()]
            for k, h in row.items()} for row in M.coaction]
 
     # comodule axioms on each row of the coaction matrix
-    failure = None
-    one = CycNum.one(n)
-    for j, row in enumerate(M.coaction):
-        # counit: (eps (x) id) delta = id
-        if _collect((k, counit(h)) for k, h in row.items()) != {j: one}:
-            failure = ("counit", j)
-            break
-        # coassociativity: (Delta (x) id) delta = (id (x) delta) delta
-        left = [((k1, k2, k), ((e + f) % m, w))
-                for k, cell in co[j].items() for hkey, ts in cell
-                for k1, k2, f in delta_terms(A, hkey) for e, w in ts]
-        right = [((hkey, gkey, l), ((e + f) % m, w * x))
+    def comodule():
+        one = CycNum.one(n)
+        for j, row in enumerate(M.coaction):
+            # counit: (eps (x) id) delta = id
+            yield (("counit", j),
+                   _collect((k, counit(h)) for k, h in row.items()) != {j: one})
+            # coassociativity: (Delta (x) id) delta = (id (x) delta) delta
+            yield ("coassociativity", j), not _sums_equal(
+                n, [((k1, k2, k), ((e + f) % m, w))
+                    for k, cell in co[j].items() for hkey, ts in cell
+                    for k1, k2, f in delta_terms(A, hkey) for e, w in ts],
+                [((hkey, gkey, l), ((e + f) % m, w * x))
                  for k, cell in co[j].items() for l, gcell in co[k].items()
                  for hkey, ts in cell for gkey, gs in gcell
-                 for e, w in ts for f, x in gs]
-        if not _sums_equal(n, left, right):
-            failure = ("coassociativity", j)
-            break
-    report["comodule"] = failure
+                 for e, w in ts for f, x in gs])
 
     # YD compatibility on every (basis of K_n) x (basis of M).  column maps
     # (key, c) to the nonzero entries (row, terms) of column c of key's
@@ -389,22 +383,19 @@ def check_yd(M: YDModule) -> dict:
                 rhs.setdefault((h, j), []).extend(
                     ((result, r), ((e + d + f) % m, w * x))
                     for e, w in gs for r, ts in entries for f, x in ts)
-    failure = None
-    for hkey in basis:
-        for j in range(M.dim):
-            # lhs: delta(h . v_j)
-            lhs = [((gkey, l), ((e + f) % m, w * x))
-                   for k, ts in column.get((hkey, j), ())
-                   for l, gcell in co[k].items() for gkey, gs in gcell
-                   for e, w in ts for f, x in gs]
-            if not _sums_equal(n, lhs, rhs.get((hkey, j), [])):
-                failure = ("yd", hkey, j)
-                break
-        if failure:
-            break
-    report["yd"] = failure
+    # delta(h . v_j) against rhs[(h, j)]; a pair with both sides empty passes
+    yd = ((("yd", hkey, j), not _sums_equal(
+        n, [((gkey, l), ((e + f) % m, w * x))
+            for k, ts in column.get((hkey, j), ())
+            for l, gcell in co[k].items() for gkey, gs in gcell
+            for e, w in ts for f, x in gs], rhs.get((hkey, j), [])))
+        for hkey in basis for j in range(M.dim)
+        if (hkey, j) in column or (hkey, j) in rhs)
 
-    report["ok"] = all(report[k] is None for k in ("module", "comodule", "yd"))
+    report = {"module": _first_failure(module),
+              "comodule": _first_failure(comodule()),
+              "yd": _first_failure(yd)}
+    report["ok"] = all(v is None for v in report.values())
     return report
 
 

@@ -281,8 +281,8 @@ def test_invalid_cutoff(runner):
 ], ids=["nichols", "nichols-sum", "paper-verify"])
 def test_memory_budget_error(runner, monkeypatch, args):
     monkeypatch.setenv("KN_MEMORY_MB", "1")
-    # paper-verify must meet the budget in its Nichols checks before it
-    # starts the minutes-long Hopf, YD and fusion sweeps
+    # paper-verify must meet the budget before it starts the minutes-long
+    # Hopf, YD and fusion sweeps
     audits = []
     monkeypatch.setattr(cli, "verify_hopf_axioms",
                         lambda A: audits.append(A.n))
@@ -327,9 +327,14 @@ def _run_under_2gb(*args):
                           preexec_fn=limit, timeout=120)
 
 
-def test_memory_budget_error_before_listing_simples():
-    # at n = 101 the 52 065 904 labels would need about 37 GB
-    proc = _run_under_2gb("simples", "--n", "101")
+@pytest.mark.parametrize("args", [
+    ["simples"], ["yd-verify", "--sample", "1"],
+    ["fusion-table", "--sample", "1"], ["paper-verify"],
+], ids=["simples", "yd-verify", "fusion-table", "paper-verify"])
+def test_memory_budget_error_before_listing_simples(args):
+    # at n = 101 the 52 065 904 labels would need about 37 GB; each command
+    # that lists them, sampled or not, checks the count before any work
+    proc = _run_under_2gb(*args, "--n", "101")
     assert proc.returncode == 1
     assert proc.stderr.startswith("Error: memory budget exceeded: listing "
                                   "the 52065904 simples of K_101 exceeds")

@@ -544,13 +544,20 @@ def test_each_simple_reads_as_itself(n):
 
 
 def test_decompose_reads_without_a_hom_system(monkeypatch):
-    # once the cross-check has run at n, decompose builds no Hom system
+    # a tensor product of simples never takes the fallback: the character
+    # read alone gives the closed form on all 5 184 ordered pairs at n = 3,
+    # and once the cross-check has run at n, decompose builds no Hom system
     monkeypatch.setattr(fusion, "_CROSS_CHECKED", {3, 5})
     asked = _record_hom_calls(monkeypatch)
-    for n, count in ((3, 30), (5, 10)):
-        A = KnAlgebra(n)
-        for L1, L2 in sample_pairs(A, count, 8):
-            assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
+    A = KnAlgebra(3)
+    simples = [(L, build_simple(A, L)) for L in list_simples(A)]
+    for L1, S1 in simples:
+        for L2, S2 in simples:
+            assert (fusion._read_characters(tensor_module(S1, S2))
+                    == closed_form_fuse(L1, L2)), (L1, L2)
+    A = KnAlgebra(5)
+    for L1, L2 in sample_pairs(A, 10, 8):
+        assert _oracle(A, L1, L2) == closed_form_fuse(L1, L2), (L1, L2)
     assert asked == []
 
 

@@ -122,26 +122,39 @@ def test_counit_is_multiplicative(A3):
             assert counit(multiply(x, y)) == counit(x) * counit(y)
 
 
-def test_hopf_axiom_suite_passes(A3):
-    report = verify_hopf_axioms(A3)
+@pytest.mark.parametrize("n", [3, 9])
+def test_hopf_axiom_suite_passes(n):
+    report = verify_hopf_axioms(KnAlgebra(n))
     assert report["ok"]
     for name, entry in report.items():
         if isinstance(entry, dict):
             assert entry["ok"], (name, entry["counterexample"])
 
 
-def test_corrupted_antipode_detected(A3):
-    def bad_antipode(x):
-        # swap the f-index convention: S(f_ij) = f_{-i,-j} instead of f_{-j,-i}
-        n = x.algebra.n
-        out = {}
-        for (kind, i, j), v in x.coeffs.items():
-            key = (P, (-i) % n, (-j) % n) if kind == P else \
-                (F, (-i) % n, (-j) % n)
-            out[key] = out.get(key, x.algebra.scalar(0)) + v
-        return KnElement(x.algebra, out)
+def _index_swapped_antipode(x):
+    """S with the f-index convention swapped: S(f_ij) = f_{-i,-j} instead
+    of f_{-j,-i}."""
+    n = x.algebra.n
+    out = {}
+    for (kind, i, j), v in x.coeffs.items():
+        key = (P, (-i) % n, (-j) % n) if kind == P else \
+            (F, (-i) % n, (-j) % n)
+        out[key] = out.get(key, x.algebra.scalar(0)) + v
+    return KnElement(x.algebra, out)
 
-    report = verify_hopf_axioms(A3, antipode_fn=bad_antipode)
+
+def _antipode_with_a_stray_term(x):
+    """S with f_10 added to S(p_02), at n = 3.  In m(S x id)Delta(p_00)
+    the term S(p_02) p_01 gains f_10 p_01 = f_10; in m(id x S)Delta(p_00)
+    the term p_01 S(p_02) gains p_01 f_10 = 0.  So at p_00 only the left
+    side of the antipode law fails; the right side fails first at p_12."""
+    out = antipode(x)
+    c = x.coeffs.get((P, 0, 2))
+    return out if c is None else out + KnElement(x.algebra, {(F, 1, 0): c})
+
+
+def test_corrupted_antipode_detected(A3):
+    report = verify_hopf_axioms(A3, antipode_fn=_index_swapped_antipode)
     assert not report["ok"]
     assert not report["antipode"]["ok"]
     assert report["antipode"]["counterexample"] is not None
@@ -153,20 +166,35 @@ def test_corrupted_antipode_detected(A3):
 # -- the table audit against element-level loops ------------------------------
 
 
-def _reference_audit(A):
-    """Counterexamples of the product axioms found by multiplying basis
-    elements: every triple for associativity, every pair for the rest."""
+def _reference_audit(A, antipode_fn=None):
+    """Counterexamples of the Hopf axioms found by multiplying and
+    comultiplying basis elements: every triple for associativity, every
+    pair for the multiplicativity axioms, every basis element for the
+    rest."""
+    S = antipode_fn if antipode_fn is not None else antipode
     basis = list(A.basis_indices())
     e = {k: A.basis(*k) for k in basis}
     one = A.unit()
 
     def delta(x):
+        # term by term: a faulty Delta may hold one tensor key twice
         out = TensorElement(A, {})
         for key, v in x.coeffs.items():
-            out = out + TensorElement(A, {(k1, k2): root(A.n, w)
-                                          for k1, k2, w
-                                          in delta_terms(A, key)}).scale(v)
+            for k1, k2, w in delta_terms(A, key):
+                out = out + TensorElement(A, {(k1, k2): root(A.n, w) * v})
         return out
+
+    def total(elements):
+        out = KnElement(A, {})
+        for x in elements:
+            out = out + x
+        return out
+
+    def triples(terms):
+        out: dict = {}
+        for key, c in terms:
+            out[key] = out[key] + c if key in out else c
+        return {k: v for k, v in out.items() if not v.is_zero()}
 
     def first(cases):
         return next((ce for ce, bad in cases if bad), None)
@@ -179,6 +207,25 @@ def _reference_audit(A):
             for y in basis:
                 yield (x, y), delta(multiply(e[x], e[y])) != dx * delta(e[y])
 
+    def coassociative(x):
+        dx = delta(e[x]).coeffs.items()
+        return (triples(((l1, l2, r), v * w) for (l, r), v in dx
+                        for (l1, l2), w in delta(e[l]).coeffs.items())
+                == triples(((l, r1, r2), v * w) for (l, r), v in dx
+                           for (r1, r2), w in delta(e[r]).coeffs.items()))
+
+    def counital(x):
+        dx = delta(e[x]).coeffs.items()
+        return (total(e[r].scale(counit(e[l]) * v) for (l, r), v in dx)
+                == e[x]
+                == total(e[l].scale(v * counit(e[r])) for (l, r), v in dx))
+
+    def antipodal(x):
+        dx = delta(e[x]).coeffs.items()
+        return (total(multiply(S(e[l]), e[r]).scale(v) for (l, r), v in dx)
+                == one.scale(counit(e[x]))
+                == total(multiply(e[l], S(e[r])).scale(v) for (l, r), v in dx))
+
     return {
         "associativity": first(
             ((x, y, z), multiply(multiply(e[x], e[y]), e[z])
@@ -186,10 +233,13 @@ def _reference_audit(A):
             for x in basis for y in basis for z in basis),
         "unit": first((x, multiply(one, e[x]) != e[x]
                        or multiply(e[x], one) != e[x]) for x in basis),
+        "coassociativity": first((x, not coassociative(x)) for x in basis),
+        "counit": first((x, not counital(x)) for x in basis),
         "delta_multiplicative": first(delta_cases()),
         "counit_multiplicative": first(
             ((x, y), counit(multiply(e[x], e[y])) != counit(e[x]) * counit(e[y]))
             for x in basis for y in basis),
+        "antipode": first((x, not antipodal(x)) for x in basis),
     }
 
 
@@ -204,13 +254,14 @@ def _wrong_product(n, key=(P, 0, 0), slot=0, right=(P, 0, 0),
     return table
 
 
-def _wrong_twist(n):
-    """The Delta cache with one twist of Delta(f_12) multiplied by xi,
-    whose exponent in Z/2n is n + 1."""
+def _wrong_twist(n, term=1):
+    """The Delta cache with the twist of term number `term` of Delta(f_12)
+    multiplied by xi, whose exponent in Z/2n is n + 1.  Term 0 is
+    f_00 (x) f_12, the one term that the counit law (eps x id) reads."""
     cache = dict(hopf._delta_cache(n))
     terms = list(cache[(F, 1, 2)])
-    k1, k2, v = terms[1]
-    terms[1] = (k1, k2, (v + n + 1) % (2 * n))
+    k1, k2, v = terms[term]
+    terms[term] = (k1, k2, (v + n + 1) % (2 * n))
     cache[(F, 1, 2)] = terms
     return cache
 
@@ -236,25 +287,48 @@ FAULTS = {
                 "product": (F, 2, 1)},
 }
 
+DELTA_FAULTS = {
+    "twist": lambda: _wrong_twist(3),
+    "counit-twist": lambda: _wrong_twist(3, term=0),
+    "swap": lambda: _swapped_factors(3),
+}
 
-@pytest.mark.parametrize("fault", [None, *FAULTS, "twist", "swap"])
-def test_table_audit_matches_element_loops(A3, monkeypatch, fault):
+ANTIPODE_FAULTS = {"antipode": _index_swapped_antipode,
+                   "stray-antipode-term": _antipode_with_a_stray_term}
+
+
+def _inject(monkeypatch, fault):
+    """Install a named fault for K_3; returns the antipode both audits
+    are given (None for the true one)."""
     if fault in FAULTS:
         monkeypatch.setattr(hopf, "product_table",
                             lambda n, t=_wrong_product(3, **FAULTS[fault]): t)
-    elif fault == "twist":
+    elif fault in DELTA_FAULTS:
         monkeypatch.setattr(hopf, "_delta_cache",
-                            lambda n, c=_wrong_twist(3): c)
-    elif fault == "swap":
-        monkeypatch.setattr(hopf, "_delta_cache",
-                            lambda n, c=_swapped_factors(3): c)
-    report = verify_hopf_axioms(A3)
-    reference = _reference_audit(A3)
+                            lambda n, c=DELTA_FAULTS[fault](): c)
+    return ANTIPODE_FAULTS.get(fault)
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS, *DELTA_FAULTS,
+                                   *ANTIPODE_FAULTS])
+def test_table_audit_matches_element_loops(A3, monkeypatch, fault):
+    antipode_fn = _inject(monkeypatch, fault)
+    report = verify_hopf_axioms(A3, antipode_fn=antipode_fn)
+    reference = _reference_audit(A3, antipode_fn)
     for axiom, ce in reference.items():
         assert report[axiom]["ok"] == (ce is None), axiom
         assert report[axiom]["counterexample"] == ce, axiom
     if fault is not None:
         assert any(ce is not None for ce in reference.values())
+
+
+def test_every_axiom_fails_under_some_fault(A3, monkeypatch):
+    failed = set()
+    for fault in [*FAULTS, *DELTA_FAULTS, *ANTIPODE_FAULTS]:
+        with monkeypatch.context() as patch:
+            reference = _reference_audit(A3, _inject(patch, fault))
+        failed |= {axiom for axiom, ce in reference.items() if ce is not None}
+    assert failed == set(_reference_audit(A3))
 
 
 def test_wrong_product_key_fails_associativity(A3, monkeypatch):
