@@ -152,9 +152,10 @@ def _hopf_audit(A):
     """`verify_hopf_axioms` on A, once the memory budget admits the audit
     of its 2n^4 coproduct terms."""
     terms = 2 * A.n ** 4
-    # 640 bytes a term: the whole audit peaked at 521-561 under tracemalloc
-    # at n = 5 to 15, and grew the resident set by 524-572 at n = 5 to 13
-    _check_budget(640 * terms, "the Hopf audit of K_%d, %d coproduct terms,"
+    # 750 bytes a term: the whole audit, its Delta table included, peaked
+    # at 637-673 under tracemalloc at n = 5 to 15, and grew the resident
+    # set by 487-706 at n = 7 to 15
+    _check_budget(750 * terms, "the Hopf audit of K_%d, %d coproduct terms,"
                   % (A.n, terms))
     return verify_hopf_axioms(A)
 

@@ -18,8 +18,6 @@ implementation of this rule), and
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -82,6 +80,14 @@ class _SparseElement:
     def __init__(self, algebra: KnAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+
+    @classmethod
+    def _nonzero(cls, algebra: KnAlgebra, coeffs: dict):
+        """The element of coeffs, taken as they are: every one is nonzero."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.coeffs = coeffs
+        return out
 
     def _check(self, other):
         if self.algebra.n != other.algebra.n:
@@ -156,9 +162,13 @@ def product_table(n: int) -> dict:
 
 
 def multiply(x: KnElement, y: KnElement) -> KnElement:
+    """The product xy.  The coefficients of x and y are nonzero, and so is
+    a product of two of them, so only a key that sums products can come
+    out zero; those keys alone are tested."""
     x._check(y)
     table = product_table(x.algebra.n)
     out: dict = {}
+    summed = []
     ycoeffs = y.coeffs
     for k1, v in x.coeffs.items():
         for k2, key in table[k1]:
@@ -167,8 +177,15 @@ def multiply(x: KnElement, y: KnElement) -> KnElement:
                 continue
             c = v * w
             s = out.get(key)
-            out[key] = c if s is None else s + c
-    return KnElement(x.algebra, out)
+            if s is None:
+                out[key] = c
+            else:
+                out[key] = s + c
+                summed.append(key)
+    for key in summed:
+        if key in out and out[key].is_zero():
+            del out[key]
+    return KnElement._nonzero(x.algebra, out)
 
 
 class TensorElement(_SparseElement):
@@ -315,35 +332,51 @@ def _collect(terms) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _root_terms(c: CycNum) -> tuple:
-    """c as a short sum of weighted roots, a tuple of (exponent in Z/2n,
-    rational weight) terms: ((e, 1),) when c is the root of exponent e,
-    else its power-basis expansion, one term per nonzero coefficient."""
-    n = c.n
-    e = root_exponents(n).get(c)
-    if e is not None:
-        return ((e, 1),)
-    return tuple((k * (n + 1) % (2 * n), Fraction(v, c.den))
-                 for k, v in enumerate(c.num) if v)
-
-
-def _sums_equal(n: int, lhs: list, rhs: list) -> bool:
-    """Whether two sparse sums over Q(xi_n) are equal.  Each is a list of
-    (key, term) pairs; a term is an exponent e in Z/2n, standing for the
-    root `cyclotomic.root(n, e)`, or a pair (e, w), for w times that root.
-    Equal multisets of terms per key prove equality; otherwise both sides
-    are summed exactly, zeros pruned, and compared."""
-    if lhs == rhs or dict.__eq__(Counter(lhs), Counter(rhs)):
+def _sums_equal(lhs: tuple, rhs: tuple) -> bool:
+    """Whether two sparse sums over Q(xi_n) are equal: the one comparison
+    rule of the exhaustive audits.  Each side is a triple (exponents,
+    count, terms): terms() streams its terms as (key, CycNum) pairs, count
+    is their number, and exponents maps keys to the exponent in Z/2n
+    (`cyclotomic.root`) of a root-of-unity term there, the last one if a
+    key has several; terms that are not roots are left out of it.  A side
+    whose count is the size of its map has one term per key, each a root.
+    The 2n roots are distinct for odd n, so two such sides with equal maps
+    are equal sums.  Anything else -- a repeated key, a term that is not a
+    root, or maps that differ -- is decided by the exact sums of the two
+    streams (`_collect`)."""
+    (lmap, lcount, lterms), (rmap, rcount, rterms) = lhs, rhs
+    if lcount == len(lmap) and rcount == len(rmap) and lmap == rmap:
         return True
+    return _collect(lterms()) == _collect(rterms())
 
-    def value(t):
-        if isinstance(t, int):
-            return root(n, t)
-        r, w = root(n, t[0]), Fraction(t[1])
-        return CycNum(n, tuple(c * w.numerator for c in r.num), w.denominator)
 
-    return (_collect((key, value(t)) for key, t in lhs)
-            == _collect((key, value(t)) for key, t in rhs))
+def _scatter(n: int, terms) -> dict:
+    """The sides (`_sums_equal`) of many identities, read in one pass over
+    terms(), a stream of (case, key, term) triples, where a term is the
+    exponent in Z/2n of a root of unity or a CycNum that is not one.
+    Returns {case: side}.  The first side read exactly makes one more pass,
+    which lists the exact terms of every case."""
+    sides: dict = {}
+    exact: dict = {}
+
+    def exact_terms(case):
+        if not exact:
+            for c, key, t in terms():
+                exact.setdefault(c, []).append(
+                    (key, root(n, t) if type(t) is int else t))
+        return exact[case]
+
+    for case, key, t in terms():
+        side = sides.get(case)
+        if side is None:
+            side = sides[case] = [{}, 0, lambda case=case: exact_terms(case)]
+        if type(t) is int:
+            side[0][key] = t
+        side[1] += 1
+    return sides
+
+
+_EMPTY = ({}, 0, tuple)   # the side of no terms
 
 
 def _first_failure(cases):
@@ -362,8 +395,11 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     Associativity and eps-multiplicativity read `product_table`; the unit
     and the antipode multiply through `multiply`.  The counit and antipode
     laws are summed exactly (`_collect`), every product a root-times-root
-    lookup; coassociativity and Delta-multiplicativity compare multisets
-    of root exponents (`_sums_equal`)."""
+    lookup.  Coassociativity and Delta-multiplicativity multiply roots by
+    adding exponents: each side of an identity is one map {key: exponent}
+    with the count of its terms, compared by the one rule `_sums_equal`,
+    which sums exactly only a side with a repeated key or a term that is
+    not a root, or maps that differ."""
     S = antipode_fn if antipode_fn is not None else antipode
     n = A.n
     basis = list(A.basis_indices())
@@ -393,13 +429,33 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     axioms["unit"] = ((kx, not multiply(one, x) == x == multiply(x, one))
                       for kx, x in e.items())
 
-    # coassociativity: (Delta x id) Delta = (id x Delta) Delta, every
-    # coefficient a root, multiplied by adding exponents mod 2n
-    axioms["coassociativity"] = ((kx, not _sums_equal(
-        n, [((k11, k12, k2), (v + w) % m) for k1, k2, v in delta[kx]
-            for k11, k12, w in delta[k1]],
-        [((k1, k21, k22), (v + w) % m) for k1, k2, v in delta[kx]
-         for k21, k22, w in delta[k2]])) for kx in basis)
+    # coassociativity: (Delta x id) Delta = (id x Delta) Delta.  Numbering
+    # the basis keys 0 .. dim - 1 in basis order, a term h1 (x) h2 (x) h3
+    # is the number (i1 dim + i2) dim + i3, and tensors[i] lists Delta of
+    # key number i as (i1 dim + i2, exponent).  A term i1 (x) i2 of
+    # Delta(x) gives one term of the left side per term of Delta(i1) and
+    # one of the right side per term of Delta(i2); every coefficient is a
+    # root, and products add exponents mod 2n
+    dim, dim2 = A.dim, A.dim ** 2
+    number = {k: i for i, k in enumerate(basis)}
+    tensors = [[(number[l] * dim + number[r], w) for l, r, w in delta[k]]
+               for k in basis]
+
+    def coassociativity():
+        for kx in basis:
+            dx = [(number[l], number[r], v) for l, r, v in delta[kx]]
+            yield kx, not _sums_equal(
+                ({t * dim + i2: (v + w) % m
+                  for i1, i2, v in dx for t, w in tensors[i1]},
+                 sum(len(tensors[i1]) for i1, _, _ in dx),
+                 lambda: ((t * dim + i2, root(n, v + w))
+                          for i1, i2, v in dx for t, w in tensors[i1])),
+                ({i1 * dim2 + t: (v + w) % m
+                  for i1, i2, v in dx for t, w in tensors[i2]},
+                 sum(len(tensors[i2]) for _, i2, _ in dx),
+                 lambda: ((i1 * dim2 + t, root(n, v + w))
+                          for i1, i2, v in dx for t, w in tensors[i2])))
+    axioms["coassociativity"] = coassociativity()
 
     # counit laws: (eps x id) Delta = id = (id x eps) Delta
     eps = _collect((k, counit(x)) for k, x in e.items())
@@ -415,34 +471,51 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     # term l1 (x) r1 of Delta(x) meets only the 2 x 2 tensors of right
     # partners of l1 and r1, and each such tensor is a term of Delta(y) for
     # one y, so one pass over Delta(x) gives Delta(x) Delta(y) for every y.
+    # Likewise a term of Delta(x) meets Delta(1) only at the 2 x 2 tensors
+    # of left partners of its factors.
     owner: dict = {}
     for ky in basis:
         for l2, r2, w in delta[ky]:
             owner.setdefault((l2, r2), []).append((ky, w))
-    du = {k: _root_terms(c) for k, c in comultiply(one).coeffs.items()}
+    du = comultiply(one).coeffs
+    roots = root_exponents(n)
+    du_exponents = {k: roots[c] for k, c in du.items() if c in roots}
+
+    def delta_side(kz):
+        # Delta(z) as one side
+        dz = delta[kz]
+        return ({(l2, r2): w for l2, r2, w in dz}, len(dz),
+                lambda: (((l2, r2), root(n, w)) for l2, r2, w in dz))
+
+    def products(dx):
+        # the terms of Delta(x) Delta(y) for every y, as (y, key, exponent)
+        for l1, r1, v in dx:
+            for l2, kl in table[l1]:
+                for r2, kr in table[r1]:
+                    for ky, w in owner.get((l2, r2), ()):
+                        yield ky, (kl, kr), (v + w) % m
 
     def delta_multiplicative():
         for kx in basis:
             dx = delta[kx]
             yield ("unit", kx), not _sums_equal(
-                n, [((kl, kr), ((v + f) % m, w)) for l2, r2, v in dx
-                    for l1, kl in left_of[l2]
-                    for r1, kr in left_of[r2] if (l1, r1) in du
-                    for f, w in du[(l1, r1)]],
-                [((l2, r2), (v, 1)) for l2, r2, v in dx])
-            products: dict = {}
-            for l1, r1, v in dx:
-                for l2, kl in table[l1]:
-                    for r2, kr in table[r1]:
-                        for ky, w in owner.get((l2, r2), ()):
-                            products.setdefault(ky, []).append(
-                                ((kl, kr), (v + w) % m))
+                ({(kl, kr): (du_exponents[(l1, r1)] + v) % m
+                  for l2, r2, v in dx for l1, kl in left_of[l2]
+                  for r1, kr in left_of[r2] if (l1, r1) in du_exponents},
+                 sum((l1, r1) in du for l2, r2, _ in dx
+                     for l1, _ in left_of[l2] for r1, _ in left_of[r2]),
+                 lambda: (((kl, kr), du[(l1, r1)] * root(n, v))
+                          for l2, r2, v in dx for l1, kl in left_of[l2]
+                          for r1, kr in left_of[r2] if (l1, r1) in du)),
+                delta_side(kx))
+            by_y = _scatter(n, lambda: products(dx))
             xy = dict(table[kx])
+            # a pair with both sides empty passes
             for ky in basis:
-                yield (kx, ky), not _sums_equal(
-                    n, products.get(ky, []),
-                    [] if ky not in xy else
-                    [((l2, r2), w) for l2, r2, w in delta[xy[ky]]])
+                if ky in by_y or ky in xy:
+                    yield (kx, ky), not _sums_equal(
+                        by_y.get(ky, _EMPTY),
+                        delta_side(xy[ky]) if ky in xy else _EMPTY)
     axioms["delta_multiplicative"] = delta_multiplicative()
 
     # eps is an algebra map: eps(1) = 1, and eps(xy) = eps(x) eps(y) on

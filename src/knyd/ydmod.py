@@ -37,11 +37,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, root, root_exponents
 from .linalg import CycMatrix
-from .hopf import (F, P, KnAlgebra, KnElement, _collect, _first_failure,
-                   _root_terms, _sums_equal, antipode_key, character, counit,
-                   delta2_term, delta_terms, product_table)
+from .hopf import (_EMPTY, F, P, KnAlgebra, KnElement, _collect,
+                   _first_failure, _scatter, _sums_equal, antipode_key,
+                   character, counit, delta2_term, delta_terms,
+                   product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -183,7 +184,7 @@ class YDModule:
                 x = self.action_x.data
                 data = {r: dict(x[r]) for r in rows if r in x}
             else:
-                one = CycNum.one(n)
+                one = root(n, 0)
                 data = {r: {r: one} for r in rows}
             m = self._act_cache[key] = CycMatrix(n, self.dim, self.dim, data)
         return m
@@ -317,10 +318,12 @@ def check_yd(M: YDModule) -> dict:
     each check is a stream of (case, failed) pairs in basis order, and
     `hopf._first_failure` picks its case.
 
-    Every coefficient of the action and the coaction is read as a short sum
-    of weighted roots (`hopf._root_terms`), one term for a root of unity, so
-    products add exponents mod 2n; each side of an identity is then a
-    sparse sum that `hopf._sums_equal` compares exactly."""
+    Both sides of comodule coassociativity and of each YD pair are
+    compared by `hopf._sums_equal`: every action and coaction coefficient
+    that is a root of unity is read as its exponent, so products add
+    exponents mod 2n, each side is built as one map of exponents with a
+    count of its terms, and a side with a repeated key or a coefficient
+    that is not a root is summed exactly."""
     A = M.algebra
     n = A.n
     m = 2 * n
@@ -336,65 +339,107 @@ def check_yd(M: YDModule) -> dict:
         ((("x_p_commutation", wt[c]), wt[r] != wt[c][::-1] and not v.is_zero())
          for r, row in M.action_x.data.items() for c, v in row.items()))
 
-    # the coaction matrix with each cell a list of (K_n key, terms)
-    co = [{k: [(hkey, _root_terms(v)) for hkey, v in h.coeffs.items()]
-           for k, h in row.items()} for row in M.coaction]
+    # the coaction matrix, with each cell also read as {K_n key: exponent}
+    # over its root-of-unity coefficients, and the number of coefficients
+    # of each row
+    roots = root_exponents(n)
+    co = M.coaction
+    ex = [{k: {hkey: roots[v] for hkey, v in h.coeffs.items() if v in roots}
+           for k, h in row.items()} for row in co]
+    size = [sum(len(h.coeffs) for h in row.values()) for row in co]
 
     # comodule axioms on each row of the coaction matrix
     def comodule():
-        one = CycNum.one(n)
-        for j, row in enumerate(M.coaction):
+        one = root(n, 0)
+        for j, row in enumerate(co):
             # counit: (eps (x) id) delta = id
             yield (("counit", j),
                    _collect((k, counit(h)) for k, h in row.items()) != {j: one})
             # coassociativity: (Delta (x) id) delta = (id (x) delta) delta
+            cells = ex[j].items()
             yield ("coassociativity", j), not _sums_equal(
-                n, [((k1, k2, k), ((e + f) % m, w))
-                    for k, cell in co[j].items() for hkey, ts in cell
-                    for k1, k2, f in delta_terms(A, hkey) for e, w in ts],
-                [((hkey, gkey, l), ((e + f) % m, w * x))
-                 for k, cell in co[j].items() for l, gcell in co[k].items()
-                 for hkey, ts in cell for gkey, gs in gcell
-                 for e, w in ts for f, x in gs])
+                ({(k1, k2, k): (e + f) % m for k, cell in cells
+                  for hkey, e in cell.items()
+                  for k1, k2, f in delta_terms(A, hkey)},
+                 sum(len(delta_terms(A, hkey))
+                     for h in row.values() for hkey in h.coeffs),
+                 lambda: (((k1, k2, k), u * root(n, f))
+                          for k, h in row.items()
+                          for hkey, u in h.coeffs.items()
+                          for k1, k2, f in delta_terms(A, hkey))),
+                ({(hkey, gkey, l): (e + f) % m for k, cell in cells
+                  for l, gcell in ex[k].items() for hkey, e in cell.items()
+                  for gkey, f in gcell.items()},
+                 sum(len(h.coeffs) * size[k] for k, h in row.items()),
+                 lambda: (((hkey, gkey, l), u * v) for k, h in row.items()
+                          for l, g in co[k].items()
+                          for hkey, u in h.coeffs.items()
+                          for gkey, v in g.coeffs.items())))
 
     # YD compatibility on every (basis of K_n) x (basis of M).  column maps
-    # (key, c) to the nonzero entries (row, terms) of column c of key's
-    # action.
+    # (key, c) to the nonzero entries (row, coefficient) of column c of
+    # key's action, read off the weights and x^: p_{ab} is the 0/1
+    # diagonal on the vectors of weight (a, b), and f_{ab} = p_{ab} x^ the
+    # rows of x^ at those vectors; xcolumn holds the entries that are roots
+    # as exponents
     basis = list(A.basis_indices())
-    column: dict = {}
-    for key in basis:
-        for r, row in M.action_of(key).data.items():
-            for c, v in row.items():
-                if not v.is_zero():
-                    column.setdefault((key, c), []).append(
-                        (r, _root_terms(v)))
-    # rhs[(h, j)]: h1 v_{-1} S(h3) (x) h2 . v_0 for v = v_j.  A term g of
-    # cell (j, k) of the coaction meets one h1, h3 of each kind (the
-    # sandwich), and h2 . v_k is nonzero only for the keys h2 of column k;
-    # the indices of h1, h2, h3 add up to h's (`hopf.delta2_term`)
-    rhs: dict = {}
-    for (h2, k), entries in column.items():
-        hkind, a, b = h2
-        for j, row in enumerate(co):
-            for gkey, gs in row.get(k, ()):
-                h1, h3, result = _sandwich_term(n, hkind, gkey)
-                h = (hkind, (h1[1] + a + h3[1]) % n, (h1[2] + b + h3[2]) % n)
-                d = delta2_term(n, h, h1, h3)[1]
-                rhs.setdefault((h, j), []).extend(
-                    ((result, r), ((e + d + f) % m, w * x))
-                    for e, w in gs for r, ts in entries for f, x in ts)
+    column: dict = {((P, a, b), c): [(c, root(n, 0))]
+                    for c, (a, b) in enumerate(wt)}
+    for r, row in M.action_x.data.items():
+        a, b = wt[r]
+        for c, v in row.items():
+            if not v.is_zero():
+                column.setdefault(((F, a, b), c), []).append((r, v))
+    xcolumn = {key: [(r, roots[v]) for r, v in entries if v in roots]
+               for key, entries in column.items()}
+
+    def yd_rhs():
+        # ((h, j), key, term) for every term of h1 v_{-1} S(h3) (x) h2 . v_0,
+        # v = v_j.  A term g of cell (j, k) of the coaction meets one h1, h3
+        # of each kind (the sandwich), and h2 . v_k is nonzero only for the
+        # keys h2 of column k; the indices of h1, h2, h3 add up to h's
+        # (`hopf.delta2_term`).  A term is an exponent when both
+        # coefficients are roots, else their exact product.
+        for (h2, k), entries in column.items():
+            hkind, a, b = h2
+            for j, row in enumerate(co):
+                if k not in row:
+                    continue
+                for gkey, u in row[k].coeffs.items():
+                    h1, h3, result = _sandwich_term(n, hkind, gkey)
+                    h = (hkind, (h1[1] + a + h3[1]) % n,
+                         (h1[2] + b + h3[2]) % n)
+                    d = delta2_term(n, h, h1, h3)[1]
+                    e = roots.get(u)
+                    for r, x in entries:
+                        f = roots.get(x)
+                        yield (h, j), (result, r), (
+                            u * root(n, d) * x if e is None or f is None
+                            else (e + d + f) % m)
+
+    rhs = _scatter(n, yd_rhs)
+
     # delta(h . v_j) against rhs[(h, j)]; a pair with both sides empty passes
-    yd = ((("yd", hkey, j), not _sums_equal(
-        n, [((gkey, l), ((e + f) % m, w * x))
-            for k, ts in column.get((hkey, j), ())
-            for l, gcell in co[k].items() for gkey, gs in gcell
-            for e, w in ts for f, x in gs], rhs.get((hkey, j), [])))
-        for hkey in basis for j in range(M.dim)
-        if (hkey, j) in column or (hkey, j) in rhs)
+    def yd():
+        for hkey in basis:
+            for j in range(M.dim):
+                entries = column.get((hkey, j), ())
+                if not entries and (hkey, j) not in rhs:
+                    continue
+                yield ("yd", hkey, j), not _sums_equal(
+                    ({(gkey, l): (e + f) % m
+                      for k, e in xcolumn.get((hkey, j), ())
+                      for l, gcell in ex[k].items()
+                      for gkey, f in gcell.items()},
+                     sum(size[k] for k, _ in entries),
+                     lambda: (((gkey, l), x * v) for k, x in entries
+                              for l, g in co[k].items()
+                              for gkey, v in g.coeffs.items())),
+                    rhs.get((hkey, j), _EMPTY))
 
     report = {"module": _first_failure(module),
               "comodule": _first_failure(comodule()),
-              "yd": _first_failure(yd)}
+              "yd": _first_failure(yd())}
     report["ok"] = all(v is None for v in report.values())
     return report
 

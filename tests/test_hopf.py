@@ -1,8 +1,11 @@
 """Structure maps and axioms of K_n."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knyd import hopf
 from knyd.cyclotomic import CycNum, cyc, root, root_exponents
@@ -266,6 +269,18 @@ def _wrong_twist(n, term=1):
     return cache
 
 
+def _repeated_term(n):
+    """The Delta cache with term 1 of Delta(f_12) appended again under
+    another exponent, that of xi times its own, so that Delta(f_12) holds
+    that tensor key twice, with two different roots."""
+    cache = dict(hopf._delta_cache(n))
+    terms = list(cache[(F, 1, 2)])
+    k1, k2, v = terms[1]
+    terms.append((k1, k2, (v + n + 1) % (2 * n)))
+    cache[(F, 1, 2)] = terms
+    return cache
+
+
 def _swapped_factors(n):
     """The Delta cache with the factors of one term of Delta(f_12)
     swapped, so that Delta(f_12) holds that tensor key twice."""
@@ -291,6 +306,7 @@ DELTA_FAULTS = {
     "twist": lambda: _wrong_twist(3),
     "counit-twist": lambda: _wrong_twist(3, term=0),
     "swap": lambda: _swapped_factors(3),
+    "repeat": lambda: _repeated_term(3),
 }
 
 ANTIPODE_FAULTS = {"antipode": _index_swapped_antipode,
@@ -478,3 +494,94 @@ def test_comatrix_row_span_invariant_under_adjoint(A3):
             vec = coords(result)
             assert vec is not None, (hkey, r)
             assert solve(span, vec) is not None, (hkey, r)
+
+
+# -- the comparison rule of the audits ----------------------------------------
+
+
+def _value(n, t):
+    """A term of a side: the root of exponent t, or t itself (a CycNum)."""
+    return root(n, t) if type(t) is int else t
+
+
+def _gathered(n, terms):
+    """A side as the audits gather one: the exponents of the root terms,
+    the count of all terms and the exact stream."""
+    return ({key: t for key, t in terms if type(t) is int}, len(terms),
+            lambda: ((key, _value(n, t)) for key, t in terms))
+
+
+def _scattered(n, terms):
+    """The same side read through `hopf._scatter`, as one case of many."""
+    sides = hopf._scatter(n, lambda: (("case", key, t) for key, t in terms))
+    return sides.get("case", hopf._EMPTY)
+
+
+def _exactly_equal(n, lhs, rhs):
+    return (hopf._collect((key, _value(n, t)) for key, t in lhs)
+            == hopf._collect((key, _value(n, t)) for key, t in rhs))
+
+
+def _verdicts(n, lhs, rhs):
+    return {hopf._sums_equal(side(n, lhs), side(n, rhs))
+            for side in (_gathered, _scattered)}
+
+
+def test_sums_equal_hand_cases():
+    n = 3
+    two = CycNum.rational(n, 2)
+    cases = [
+        # the last-wins maps agree, {k: 0}, but 1 + 1 != 1, on either side
+        ([("k", 0), ("k", 0)], [("k", 0)], False),
+        ([("k", 0)], [("k", 0), ("k", 0)], False),
+        ([("k", 0), ("k", 0)], [("k", two)], True),
+        # xi + (-xi) = 0: a cancelling pair against no terms
+        ([("k", 4), ("k", 4 + n)], [], True),
+        ([("k", 4), ("l", 2)], [("l", 2), ("k", 4)], True),
+        ([("k", 4)], [("k", 1)], False),
+        ([("k", two)], [("k", two)], True),
+    ]
+    for lhs, rhs, equal in cases:
+        assert _exactly_equal(n, lhs, rhs) is equal
+        assert _verdicts(n, lhs, rhs) == {equal}, (lhs, rhs)
+
+
+def _term(n):
+    """A term over Q(xi_n): a root's exponent, a rational multiple of a
+    root or 1 + xi^k, as a CycNum."""
+    exponent = st.integers(0, 2 * n - 1)
+    weighted = st.builds(
+        lambda e, p, q: root(n, e) * CycNum.rational(n, Fraction(p, q)),
+        exponent, st.integers(-3, 3).filter(bool), st.integers(2, 3))
+    one_plus = st.builds(lambda k: cyc(n, 0) + cyc(n, k),
+                         st.integers(1, n - 1))
+    return st.one_of(exponent, exponent, weighted, one_plus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sums_equal_is_the_exact_comparison(data):
+    n = data.draw(st.sampled_from([3, 5]))
+    keys = st.sampled_from("klm")
+    lhs = data.draw(st.lists(st.tuples(keys, _term(n)), max_size=6))
+    # cancelling pairs: some root terms also with the opposite root
+    lhs += [(key, (t + n) % (2 * n)) for key, t in lhs
+            if type(t) is int and data.draw(st.booleans())]
+    way = data.draw(st.sampled_from(["shuffled", "summed", "drawn"]))
+    if way == "drawn":
+        rhs = data.draw(st.lists(st.tuples(keys, _term(n)), max_size=6))
+    else:
+        rhs = data.draw(st.permutations(lhs))
+        if way == "summed":
+            # each key's terms as one exact term, a root read as its
+            # exponent, zeros dropped
+            exponents = root_exponents(n)
+            sums = hopf._collect((key, _value(n, t)) for key, t in rhs)
+            rhs = [(key, exponents.get(c, c)) for key, c in sums.items()]
+    if data.draw(st.booleans()) and rhs:
+        # one term moved to another root
+        i = data.draw(st.integers(0, len(rhs) - 1))
+        key, t = rhs[i]
+        rhs[i] = (key, (t + n + 1) % (2 * n) if type(t) is int
+                  else t * cyc(n, 1))
+    assert _verdicts(n, lhs, rhs) == {_exactly_equal(n, lhs, rhs)}
