@@ -17,7 +17,8 @@ spaces that `nichols.graded_dims` carries from degree to degree), followed
 by the back-substitution `_reduce`; `_reduced` runs both and gives the
 reduced echelon basis of the row space.  That form is unique, so the
 results do not depend on the row order.  Kernel bases are returned in
-reduced echelon form (pivot = first nonzero column).  The pass reads no
+reduced echelon form (pivot = first nonzero column), each vector a sparse
+row {column: entry} like the rows of a matrix.  The pass reads no
 more rows once every column has a pivot row.  The tests keep the plain
 column-by-column elimination as a reference (`tests/oracles.py`).
 """
@@ -201,10 +202,12 @@ class CycMatrix:
         rank over Q(xi_n) from below."""
         return len(_echelon(self))
 
-    def kernel_basis(self) -> list[list]:
-        """Basis of the right kernel, as rows of a reduced-echelon matrix
-        (each basis vector's first nonzero entry is a leading 1 in a column
-        no other basis vector uses).
+    def kernel_basis(self) -> list[dict]:
+        """Basis of the right kernel, as the rows of a reduced-echelon
+        matrix: each basis vector's least column is a leading 1 in a column
+        no other basis vector uses.  Each vector is a sparse row
+        {column: entry}, like the rows of a CycMatrix, with no zero entry
+        and its columns in ascending order.
 
         The pivot rows are keyed by their greatest column, so after
         reduction a row with pivot p has its other entries in free columns
@@ -213,17 +216,11 @@ class CycMatrix:
         sorted by f, these vectors are the reduced echelon basis, which is
         unique, over either field."""
         prime = self.prime
-        if prime is None:
-            zero, one = CycNum.zero(self.n), CycNum.one(self.n)
-        else:
-            zero, one = 0, 1
+        one = CycNum.one(self.n) if prime is None else 1
         red = _reduced(self, last=True)
-        vecs = {f: [zero] * self.cols for f in range(self.cols)
-                if f not in red}
-        for f, vec in vecs.items():
-            vec[f] = one
-        for p, row in red.items():
-            for f, x in row.items():
+        vecs = {f: {f: one} for f in range(self.cols) if f not in red}
+        for p in sorted(red):
+            for f, x in red[p].items():
                 if f != p:
                     vecs[f][p] = -x if prime is None else prime - x
         return list(vecs.values())

@@ -36,8 +36,9 @@ space: R_k is the reduced echelon basis of the rows of N_k, a matrix of
 only r_{k-1} d rows, and rank(QS_k) = rank(N_k).  N_k is formed as
 R_{k-1}.kron(id) @ T, with T holding only the rows of T*_k that the columns
 of R_{k-1} (x) id reach.  ker(QS_k) = ker(R_k), whose reduced echelon basis
-`kernel_basis` reads off R_k with no further elimination: for each column f
-that is no pivot, e_f minus column f of R_k.
+`kernel_basis` gives after one more echelon pass over R_k, which finds it
+already reduced and subtracts nothing: for each column f that is no pivot,
+e_f minus column f of R_k, as a sparse vector {column: entry}.
 
 The same loop runs over F_p, p = `modular_prime(n)`, when c is a
 permutation matrix with root-of-unity entries: once for each of the phi(n)
@@ -211,35 +212,42 @@ def _coset_factor(B: BraidedSpace, k: int):
     to a root times one e_t^T: row r is followed through the strand moves
     c_{k-1}, ..., c_1, each of which takes the index x of the two strands
     it acts on to the column of c's entry in row x, adding that entry's
-    exponent mod 2n.  The moves of every row are found once per degree, as
-    lists over the rows, and shared by every field.  X T*_k is then X @ T,
-    with T holding only the rows of T*_k that the columns of X reach.  Any
-    other c is applied to X over Q(xi_n) by sparse right multiplication,
-    one c_j at a time."""
+    exponent mod 2n.  Only the rows of T*_k that the columns of X reach are
+    followed, each once per degree, when some X first reaches it; every
+    field shares the moves found.  X T*_k is then X @ T, with T holding
+    just those rows.  Any other c is applied to X over Q(xi_n) by sparse
+    right multiplication, one c_j at a time."""
     d, N, size = B.dim, 2 * B.n, B.dim ** k
     perm = _permutation_rows(B.c)
     if perm is None:
         return lambda X, roots=None: _right_products(B, k, X)
-    # moves[i] = (targets, exponents) with, for every row r,
-    # e_r^T c_{k-1} ... c_{k-1-i} = root(exponents[r]) e_{targets[r]}^T
-    moves, inner = [], 1
-    targets, exponents = range(size), [0] * size
-    for _ in range(k - 1):   # c_{k-1}, ..., c_1: inner = d^(k-1-j)
-        step = [perm[t // inner % (d * d)] for t in targets]
-        exponents = [(e + f) % N for e, (_, f) in zip(exponents, step)]
-        targets = [t + shift * inner for t, (shift, _) in zip(targets, step)]
-        moves.append((targets, exponents))
-        inner *= d
+    dd = d * d
+    # moves[r] = [(t_i, e_i)] with, for i = 0, ..., k - 2,
+    # e_r^T c_{k-1} ... c_{k-1-i} = root(e_i) e_{t_i}^T
+    moves: dict[int, list] = {}
+
+    def follow(r):
+        path, e, inner = [], 0, 1
+        for _ in range(k - 1):   # c_{k-1}, ..., c_1: inner = d^(k-1-j)
+            shift, f = perm[r // inner % dd]
+            r += shift * inner
+            e = (e + f) % N
+            path.append((r, e))
+            inner *= d
+        return path
 
     def times(X, roots=None):
         if roots is None:
             roots = [root(B.n, e) for e in range(N)]
-        sums = {c: {c: roots[0]} for row in X.data.values() for c in row}
-        for targets, exponents in moves:
-            for r, row in sums.items():
-                t, v = targets[r], roots[exponents[r]]
+        sums = {}
+        for c in {c for row in X.data.values() for c in row}:
+            path = moves.get(c)
+            if path is None:
+                path = moves[c] = follow(c)
+            row = sums[c] = {c: roots[0]}
+            for t, e in path:
                 s = row.get(t)
-                row[t] = v if s is None else s + v
+                row[t] = roots[e] if s is None else s + roots[e]
         return X @ CycMatrix.from_sums(B.n, size, size, sums, X.prime)
 
     return times
@@ -277,21 +285,28 @@ def _qs2(B: BraidedSpace) -> CycMatrix:
 
 
 # What a degree of `graded_dims` holds, measured with tracemalloc on the
-# permutation braidings of W(-1,1,0) at n = 3 to degree 7 and at n = 9 to 3, U(1,0,1,0) at n = 3 to
-# 9 and at n = 15 to 6, U(0,1,0,2) + U(0,1,2,1) to 5 and W(-1,0,0) at n = 5
-# to 5 and at n = 7 to 4, in the last degree.  Per cell of N_k's shape
-# below: over F_p, each field kept R_k in at most 7 bytes, the one field
-# advancing took at most 19 (N_k, its echelon and R_k), and the lifted R_k
-# at most 8; over Q(xi_n) the advancing field took at most 32 (up to 79 in
-# the small ones, inside the fixed cost).  The strand moves and one
-# field's rows of T*_k took at most 300 bytes per entry of T*_k (k = 2 at
-# n = 15; 145-235 for k >= 3), and the dense kernel basis at most 9 per
-# entry.  Whole degrees took at most 0.4 of the estimate without relations
-# and 0.5 with them, on either route.  Any other braiding runs over
+# permutation braidings of W(-1,1,0) at n = 3 to degree 7 and at n = 9 to 3,
+# U(1,0,1,0) at n = 3 to 9 and at n = 15 to 6, U(0,1,0,2) + U(0,1,2,1) to 5
+# and W(-1,0,0) at n = 5 to 5 and at n = 7 to 4, in the last degree.  Per
+# cell of N_k's shape below: over F_p, each field kept R_k in at most 7
+# bytes, the one field advancing took at most 19 (N_k, its echelon and R_k),
+# and the lifted R_k at most 8; over Q(xi_n) the advancing field took at
+# most 32 (up to 79 in the small ones, inside the fixed cost).  The strand
+# moves and one field's rows of T*_k took at most 300 bytes per entry of
+# T*_k (k = 2 at n = 15; 145-235 for k >= 3), and a kernel basis of d^k
+# dense vectors at most 9 per entry.  Whole degrees took at most 0.4 of the
+# estimate without relations and 0.5 with them, on either route.  The sparse
+# kernel basis holds no more cells than R_k and one per column without a
+# pivot, but with relations the estimate counts d^{2k} cells at
+# _KERNEL_CELL_BYTES: the cells that `kn nichols --relations` writes densely
+# for degree k.  That term does not bound the memory of the JSON, which is
+# built after the last degree and not checked: with indent=2 it took
+# 1.4-2.1 kB of peak resident set per dense cell (U(1,0,1,0) at n = 3 to
+# degree 9, W(-1,0,0) at n = 5 to degree 4).  Any other braiding runs over
 # Q(xi_n) on dense rows whose entries grow with k: on the Jordan plane to
-# degree 13, 2 _CELL_BYTES per cell fell short from degree 8 on (1.42 of
-# the estimate in degree 13), and with _DENSE_CELL_BYTES whole degrees
-# took at most 0.61 of it.
+# degree 13, 2 _CELL_BYTES per cell fell short from degree 8 on (1.42 of the
+# estimate in degree 13), and with _DENSE_CELL_BYTES whole degrees took at
+# most 0.61 of it.
 _DEGREE_BYTES = 64 * 1024
 _TERM_BYTES = 320
 _CELL_BYTES = 40
@@ -307,8 +322,9 @@ def _degree_bytes(d: int, k: int, r_prev: int, relations: bool,
     and R_k, with at most as many cells, over Q(xi_n), at _DENSE_CELL_BYTES
     for a braiding that is not a permutation matrix with root entries; or
     over each of `fields` F_p in lockstep, R_k in every field, N_k in one at
-    a time and R_k lifted to Q(xi_n); with relations also the kernel basis
-    of QS_k, at most d^k dense vectors of d^k entries."""
+    a time and R_k lifted to Q(xi_n); with relations also d^k vectors of
+    d^k cells, the most that the dense JSON of the kernel basis of QS_k
+    has (see the comment above)."""
     shape = d ** (k + 1) * r_prev   # N_k's, and the most R_k can hold
     if fields:
         cell_bytes = _RESIDUE_CELL_BYTES * (fields + 1) + _CELL_BYTES
@@ -324,7 +340,8 @@ def _degree_bytes(d: int, k: int, r_prev: int, relations: bool,
 @dataclass
 class GradedReport:
     dims: list            # dims[d] = dim of the degree-d component, d >= 0
-    relations: dict       # degree -> kernel basis (lists of CycNum)
+    relations: dict       # degree -> kernel basis, each vector a sparse
+                          # row {column: CycNum}, dense in to_json
     status: str           # "finite" | "infinite" | "undetermined"
     cutoff: int
     total: int | None = None
@@ -344,13 +361,21 @@ class GradedReport:
             "dims": list(self.dims),
             "total": self.total,
             "top_degree": self.top_degree,
-            "relations": {str(deg): [[v.to_json() for v in vec]
+            "relations": {str(deg): [_dense_json(vec, self.dims[1] ** deg)
                                      for vec in basis]
                           for deg, basis in self.relations.items()},
             "status": self.status,
             "witness": ([v.to_json() for v in self.witness]
                         if self.witness is not None else None),
         }
+
+
+def _dense_json(vec: dict, size: int) -> list:
+    """The sparse kernel vector vec, of length size, as the dense JSON list
+    `kn nichols --relations` writes: one entry per column, zeros
+    included."""
+    zero = CycNum.zero(next(iter(vec.values())).n).to_json()
+    return [vec[c].to_json() if c in vec else zero for c in range(size)]
 
 
 def graded_dims(B: BraidedSpace, cutoff: int,
@@ -633,7 +658,8 @@ class SquareZeroSpace:
     """The linear conditions QS_2(x (x) x) = 0 rewritten over the
     d(d+1)/2 symmetric monomials mu_ab = lambda_a lambda_b (a <= b)."""
     pairs: list          # ordered list of (a, b), a <= b
-    kernel: list         # reduced-echelon basis of the solution space
+    kernel: list         # reduced-echelon basis of the solution space,
+                         # sparse rows {pair index: CycNum}
     forced_zero: list    # pairs whose coordinate vanishes on the space
 
     def forces_axis(self):
@@ -667,10 +693,8 @@ def square_zero_monomial_space(B: BraidedSpace) -> SquareZeroSpace:
         for r in {a * d + b, b * d + a}:
             sym.data.setdefault(r, {})[idx] = one
     kernel = (_qs2(B) @ sym).kernel_basis()
-    forced = []
-    for idx, pair in enumerate(pairs):
-        if all(vec[idx].is_zero() for vec in kernel):
-            forced.append(pair)
+    reached = set().union(*kernel)
+    forced = [pair for idx, pair in enumerate(pairs) if idx not in reached]
     return SquareZeroSpace(pairs=pairs, kernel=kernel, forced_zero=forced)
 
 

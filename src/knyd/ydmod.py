@@ -144,7 +144,9 @@ class YDModule:
     zero cells are dropped.
 
     The third argument may also be a dict {(a, b): matrix of p_{ab}}.  It is
-    read once and must describe a weight basis, else ValueError.
+    read once and must describe a weight basis, else ValueError.  Each
+    weight is stored as the tuple (a, b) of ints with 0 <= a, b < n that
+    equals it; a weight equal to no such pair raises ValueError.
     """
 
     def __init__(self, algebra: KnAlgebra, dim: int, weights,
@@ -155,7 +157,7 @@ class YDModule:
             raise ValueError("%d weights for dimension %d" % (len(weights), dim))
         self.algebra = algebra
         self.dim = dim
-        self.weights = tuple(weights)
+        self.weights = _stored_weights(weights, algebra.n)
         self.action_x = action_x
         self.coaction = [{k: h for k, h in row.items() if not h.is_zero()}
                          for row in coaction]
@@ -192,6 +194,25 @@ class YDModule:
     def __repr__(self):
         return "YDModule(%s, dim %d over K_%d)" % (
             self.label if self.label else "?", self.dim, self.algebra.n)
+
+
+@lru_cache(maxsize=None)
+def _weight_table(n: int) -> dict:
+    """{(a, b): (a, b)} over the weights of K_n, ints 0 <= a, b < n."""
+    return {(a, b): (a, b) for a in range(n) for b in range(n)}
+
+
+def _stored_weights(weights, n: int) -> tuple:
+    """The weights as the tuples of `_weight_table(n)` that they equal;
+    ValueError naming the first weight that equals none."""
+    table, stored = _weight_table(n), []
+    for w in weights:
+        try:
+            stored.append(table[tuple(w)])
+        except (KeyError, TypeError):
+            raise ValueError("weight %r is not a pair (a, b) of ints in "
+                             "0 .. %d" % (w, n - 1)) from None
+    return tuple(stored)
 
 
 def _weights_of(action_p: dict, dim: int) -> list:

@@ -11,8 +11,9 @@ row spaces); the comatrix elements of K_n (against the W coaction of
 multiplication and antipode; a test of one matrix against the Hom system of
 `knyd.ydmod` and the explicit U (x) W0 isomorphism it checks; the q-matrix
 of a diagonal braiding; the plain column-by-column elimination (against
-`knyd.linalg._echelon`), a linear solver, the transpose and a matrix copy;
-and a few small racks, solutions and cocycles.
+`knyd.linalg._echelon`), a linear solver, the transpose, a matrix copy and
+the dense form of a sparse kernel vector; and a few small racks, solutions
+and cocycles.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ def contains_profile(space: SquareZeroSpace, v: list) -> bool:
         return False
     n = v[0].n
     profile = [v[a] * v[b] for (a, b) in space.pairs]
-    rows = {i: {c: x for c, x in enumerate(vec) if not x.is_zero()}
-            for i, vec in enumerate(space.kernel)}
+    rows = dict(enumerate(space.kernel))
     mat = CycMatrix(n, len(space.kernel), len(space.pairs), rows)
     base_rank = mat.rank()
     extra = {c: x for c, x in enumerate(profile) if not x.is_zero()}
@@ -274,6 +274,15 @@ def uw0_isomorphism(A: KnAlgebra, i: int, j: int, m: int, t: int):
 # -- linear algebra --------------------------------------------------------------------
 
 
+def dense(vec: dict, size: int) -> list:
+    """The sparse vector vec {column: entry}, as `kernel_basis` returns
+    it, as a list of size entries: the zeros are CycNum over Q(xi_n) and
+    0 over F_p."""
+    sample = next(iter(vec.values()))
+    zero = CycNum.zero(sample.n) if isinstance(sample, CycNum) else 0
+    return [vec.get(c, zero) for c in range(size)]
+
+
 def transpose(M: CycMatrix) -> CycMatrix:
     out = CycMatrix(M.n, M.cols, M.rows)
     for r, row in M.data.items():
@@ -288,9 +297,16 @@ def copy_matrix(M: CycMatrix) -> CycMatrix:
 
 
 def rref(M: CycMatrix) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form of M over Q(xi_n) by plain column-by-column
-    elimination, pivoting on the first nonzero row; returns (its nonzero
-    rows as sparse dicts, their pivot columns)."""
+    """Reduced row echelon form of M over its field, Q(xi_n) or F_p, by
+    plain column-by-column elimination, pivoting on the first nonzero row;
+    returns (its nonzero rows as sparse dicts, their pivot columns)."""
+    p = M.prime
+    if p is None:
+        zero, is_zero = CycNum.zero(M.n), CycNum.is_zero
+        inverse, norm = CycNum.inv, lambda x: x
+    else:
+        zero, is_zero = 0, lambda x: x == 0
+        inverse, norm = lambda x: pow(x, -1, p), lambda x: x % p
     work = [dict(M.data.get(r, {})) for r in range(M.rows)]
     pivots: list[int] = []
     rank = 0
@@ -300,22 +316,38 @@ def rref(M: CycMatrix) -> tuple[list[dict], list[int]]:
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][c].inv()
-        prow = work[rank] = {k: v * inv for k, v in work[rank].items()}
+        inv = inverse(work[rank][c])
+        prow = work[rank] = {k: norm(v * inv) for k, v in work[rank].items()}
         for r in range(M.rows):
             factor = work[r].get(c) if r != rank else None
             if factor is None:
                 continue
             row = work[r]
             for k, v in prow.items():
-                s = row.get(k, CycNum.zero(M.n)) - factor * v
-                if s.is_zero():
+                s = norm(row.get(k, zero) - factor * v)
+                if is_zero(s):
                     row.pop(k, None)
                 else:
                     row[k] = s
         pivots.append(c)
         rank += 1
     return work[:rank], pivots
+
+
+def rref_kernel(M: CycMatrix) -> list[dict]:
+    """The reduced echelon basis of the right kernel of M, from `rref`
+    alone: the vectors e_f - sum_i rows[i][f] e_{pivots[i]}, one for each
+    free column f, put in reduced echelon form by `rref` once more."""
+    rows, pivots = rref(M)
+    one = CycNum.one(M.n) if M.prime is None else 1
+    free = [f for f in range(M.cols) if f not in pivots]
+    basis = {}
+    for i, f in enumerate(free):
+        vec = basis[i] = {f: one}
+        for row, p in zip(rows, pivots):
+            if f in row:
+                vec[p] = -row[f] if M.prime is None else M.prime - row[f]
+    return rref(CycMatrix(M.n, len(free), M.cols, basis, M.prime))[0]
 
 
 def solve(M: CycMatrix, b: list):

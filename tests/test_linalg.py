@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, mod_p, modular_prime
 from knyd.linalg import CycMatrix, _reduced
-from oracles import copy_matrix, rref, solve, transpose
+from oracles import copy_matrix, dense, rref, rref_kernel, solve, transpose
 
 
 def _mat(n, rows):
@@ -38,7 +38,7 @@ def test_rank_and_kernel_rational_case():
     ker = A.kernel_basis()
     assert len(ker) == 1
     for vec in ker:
-        assert all(x.is_zero() for x in A.apply(vec))
+        assert all(x.is_zero() for x in A.apply(dense(vec, A.cols)))
 
 
 def test_rank_cyclotomic_entries():
@@ -60,6 +60,7 @@ def test_kernel_is_reduced_echelon_and_deterministic():
     # canonical reduced form: each vector has a leading 1 in a distinct
     # coordinate that vanishes on every other basis vector
     leads = []
+    k1 = [dense(vec, A.cols) for vec in k1]
     for vec in k1:
         lead = next(i for i, x in enumerate(vec) if not x.is_zero())
         assert vec[lead].is_one()
@@ -95,7 +96,7 @@ def test_block_decomposition_agrees_with_dense_elimination():
     ker = A.kernel_basis()
     assert len(ker) == A.cols - A.rank()
     for vec in ker:
-        assert all(x.is_zero() for x in A.apply(vec))
+        assert all(x.is_zero() for x in A.apply(dense(vec, A.cols)))
 
 
 def test_solve():
@@ -221,9 +222,9 @@ def test_modular_rank_reads_residues(A):
     # elimination of the residues
     p = modular_prime(A.n)
     residues = _residues(A, p)
-    dense = [[residues.data.get(r, {}).get(c, 0) for c in range(A.cols)]
+    table = [[residues.data.get(r, {}).get(c, 0) for c in range(A.cols)]
              for r in range(A.rows)]
-    assert residues.rank() == _dense_rank_mod(dense, A.cols, p)
+    assert residues.rank() == _dense_rank_mod(table, A.cols, p)
 
 
 def _image(v, p):
@@ -249,8 +250,9 @@ def test_residue_matrices_follow_the_exact_ones(A):
                 pivot: {c: x for c, v in row.items() if (x := mod_p(v, p))}
                 for pivot, row in exact.items()}
             if last:   # the pivots kernel_basis keys its rows by
-                assert R.kernel_basis() == [[_image(v, p) for v in vec]
-                                            for vec in A.kernel_basis()]
+                assert [dense(vec, R.cols) for vec in R.kernel_basis()] \
+                    == [[_image(v, p) for v in dense(vec, A.cols)]
+                        for vec in A.kernel_basis()]
     with pytest.raises(ValueError):
         R @ At
     with pytest.raises(ValueError):
@@ -300,7 +302,7 @@ def block_matrices(draw):
 def test_rank_nullity_and_kernel(A):
     # the kernel is the reduced echelon basis: leading 1s in ascending
     # columns, each column led by one vector and zero in all the others
-    ker = A.kernel_basis()
+    ker = [dense(vec, A.cols) for vec in A.kernel_basis()]
     assert A.rank() + len(ker) == A.cols
     assert len(rref(A)[1]) == A.rank()   # the plain elimination agrees
     leads = []
@@ -314,6 +316,29 @@ def test_rank_nullity_and_kernel(A):
     for i, vec in enumerate(ker):
         assert all(vec[lead].is_zero() for j, lead in enumerate(leads)
                    if j != i)
+
+
+@_properties
+@given(st.one_of(sparse_matrices(), block_matrices()),
+       st.sampled_from(["Q(xi_n)", "F_p", "small F_p"]))
+def test_kernel_vectors_are_sparse_and_the_rref_kernel(A, field):
+    # over Q(xi_n) and over F_p, each kernel vector is a sparse row with no
+    # zero entry, its columns in ascending order, the least of them holding
+    # its leading 1, and the vectors densify to the reduced echelon kernel
+    # of the plain elimination
+    if field != "Q(xi_n)":
+        A = _residues(A, modular_prime(A.n) if field == "F_p"
+                      else SMALL_PRIME[A.n])
+    if A.prime is None:
+        is_zero, is_one = CycNum.is_zero, CycNum.is_one
+    else:
+        is_zero, is_one = (lambda x: not 0 < x < A.prime), (lambda x: x == 1)
+    ker = A.kernel_basis()
+    for vec in ker:
+        assert vec and not any(map(is_zero, vec.values()))
+        assert list(vec) == sorted(vec) and is_one(vec[min(vec)])
+    assert [dense(vec, A.cols) for vec in ker] \
+        == [dense(row, A.cols) for row in rref_kernel(A)]
 
 
 @_properties

@@ -25,7 +25,7 @@ from knyd.nichols import (BraidedSpace, MemoryBudgetError, a2_criterion,
 from knyd.racks import (cq_braiding, d_cocycle, dihedral_rack, sF_braiding,
                         standard_solution, w_cocycle)
 from oracles import (BraidWord, braid_representation, contains_profile,
-                     copy_matrix, diagonal_data, matsumoto_lift,
+                     copy_matrix, dense, diagonal_data, matsumoto_lift,
                      naive_quantum_symmetrizer, quantum_symmetrizer, solve,
                      transpose)
 
@@ -357,7 +357,7 @@ def test_graded_dims_against_full_symmetrizer(n, summands, top):
         qs = quantum_symmetrizer(B, k)
         rank = qs.rank()
         assert report.dims[k] == rank, k
-        rels = report.relations[k]
+        rels = [dense(vec, B.dim ** k) for vec in report.relations[k]]
         assert len(rels) == B.dim ** k - rank, k
         for vec in rels:
             assert all(x.is_zero() for x in qs.apply(vec)), k
@@ -892,6 +892,9 @@ def test_fomin_kirillov_relations_map_in(A3):
         rels.append((2, tensor_vector(B, 2, terms)))
     result = presentation_check(B, rels)
     assert result["all_in_kernel"]
+    # and they span it: B_1 is FK_3 in degree 2
+    assert result["degree2_rank"] == 5
+    assert result["degree2_spans"]
 
 
 def test_presentation_check_rejects_a_degree_3_relation(A3):
@@ -1100,5 +1103,6 @@ def test_a_coefficient_off_by_p_is_refused(A3, monkeypatch):
     report = graded_dims(B, 5)
     assert shifted and routes == ["refused", "exact"]
     assert report == exact
-    assert all(abs(c) < p for vecs in report.relations.values()
-               for vec in vecs for x in vec for c in x.num)
+    assert all(abs(c) < p for deg, vecs in report.relations.items()
+               for vec in vecs for x in dense(vec, B.dim ** deg)
+               for c in x.num)

@@ -570,6 +570,32 @@ def test_module_rebuilt_from_its_p_action(n):
         assert hom_dimension(M, rebuilt) == 1
 
 
+def test_weights_given_as_lists_are_stored_as_tuples(A3):
+    # W(+1,1,2) rebuilt with each weight a list is the same module: p_ab and
+    # f_ab act on it, so its braiding is that of the tuple weights
+    M = build_simple(A3, W(3, +1, 1, 2))
+    L = YDModule(A3, M.dim, [list(w) for w in M.weights], M.action_x,
+                 M.coaction)
+    assert L.weights == M.weights
+    assert all(type(w) is tuple for w in L.weights)
+    # a weight is read by its value: 1.0 is stored as the int 1
+    F = YDModule(A3, M.dim, [(float(a), b) for a, b in M.weights],
+                 M.action_x, M.coaction)
+    assert [tuple(map(type, w)) for w in F.weights] == [(int, int)] * M.dim
+    assert check_yd(L)["ok"]
+    assert braiding(L, L) == braiding(M, M)
+    assert hom_dimension(M, L) == 1
+
+
+@pytest.mark.parametrize("weight", [
+    (3, 0), (0, -1), (0.5, 1), ("0", 1), (1,), (1, 2, 0), 5, None, "01"])
+def test_weights_that_are_not_pairs_of_residues_are_refused(A3, weight):
+    M = build_simple(A3, W(3, +1, 1, 2))
+    weights = [weight] + list(M.weights[1:])
+    with pytest.raises(ValueError, match="weight"):
+        YDModule(A3, M.dim, weights, M.action_x, M.coaction)
+
+
 def test_label_weights_are_the_built_weights(A3):
     for L in list_simples(A3):
         assert build_simple(A3, L).weights == tuple(label_weights(L)), str(L)
