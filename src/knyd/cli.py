@@ -246,6 +246,20 @@ def yd_verify(n, sample, seed, json_out):
 # -- fuse -------------------------------------------------------------------------
 
 
+def _check_tensor_budget(L1, L2):
+    """MemoryBudgetError unless the budget admits the tensor module of two
+    simples: the 2n^4 terms of the Delta table its action reads, and the
+    (dim L1 dim L2)^2 cells of its coaction matrix."""
+    n = L1.n
+    terms, cells = 2 * n ** 4, (L1.dim() * L2.dim()) ** 2
+    # 80 bytes a Delta term and 240 a cell: at n = 11 to 21, `kn fuse` grew
+    # the resident set by 71-73 bytes a Delta term for V (x) V, and by
+    # 209-222 bytes a cell more for W (x) W
+    _check_budget(80 * terms + 240 * cells,
+                  "the tensor product %s (x) %s over K_%d, %d coproduct terms "
+                  "and %d coaction cells," % (L1, L2, n, terms, cells))
+
+
 @main.command("fuse")
 @_n_option
 @click.option("--left", required=True, help='Left factor, e.g. "W(-1,0,0)".')
@@ -260,6 +274,8 @@ def fuse(n, left, right, verify, json_out):
     L1 = _parse(left, n)
     L2 = _parse(right, n)
     closed = closed_form_fuse(L1, L2)
+    if verify:
+        _check_tensor_budget(L1, L2)
     agreed = (decompose(tensor_module(build_simple(A, L1),
                                       build_simple(A, L2))) == closed
               if verify else None)

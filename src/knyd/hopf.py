@@ -293,6 +293,15 @@ def _delta_cache(n: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def basis_numbers(n: int) -> dict:
+    """{basis key: number}: the keys of K_n numbered 0 .. 2n^2 - 1 in basis
+    order (`KnAlgebra.basis_indices`), so (kind, i, j) is (kind n + i) n + j.
+    The exhaustive audits key their sums by these numbers.  The keys are
+    those of `product_table`, which lists them in basis order."""
+    return {k: i for i, k in enumerate(product_table(n))}
+
+
 def delta2_term(n: int, h, h1, h3):
     """The one Delta^2 rule: the term h1 (x) h2 (x) h3 of Delta^2(h) for
     basis keys h1, h3 of h's kind, as (h2 key, exponent in Z/2n of its
@@ -429,15 +438,15 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     axioms["unit"] = ((kx, not multiply(one, x) == x == multiply(x, one))
                       for kx, x in e.items())
 
-    # coassociativity: (Delta x id) Delta = (id x Delta) Delta.  Numbering
-    # the basis keys 0 .. dim - 1 in basis order, a term h1 (x) h2 (x) h3
+    # coassociativity: (Delta x id) Delta = (id x Delta) Delta.  With the
+    # basis keys numbered (`basis_numbers`), a term h1 (x) h2 (x) h3
     # is the number (i1 dim + i2) dim + i3, and tensors[i] lists Delta of
     # key number i as (i1 dim + i2, exponent).  A term i1 (x) i2 of
     # Delta(x) gives one term of the left side per term of Delta(i1) and
     # one of the right side per term of Delta(i2); every coefficient is a
     # root, and products add exponents mod 2n
     dim, dim2 = A.dim, A.dim ** 2
-    number = {k: i for i, k in enumerate(basis)}
+    number = basis_numbers(n)
     tensors = [[(number[l] * dim + number[r], w) for l, r, w in delta[k]]
                for k in basis]
 

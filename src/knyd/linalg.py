@@ -184,6 +184,13 @@ class CycMatrix:
         return out
 
     def apply(self, vec: list[CycNum]) -> list[CycNum]:
+        """The product of the matrix with the column vector vec, a dense
+        sequence of one entry per column; ValueError for anything else,
+        a sparse `kernel_basis` row among them."""
+        if not isinstance(vec, (list, tuple)) or len(vec) != self.cols:
+            raise ValueError("apply takes a list of %d entries, one per "
+                             "column; got a %s of %d" % (
+                                 self.cols, type(vec).__name__, len(vec)))
         zero = CycNum.zero(self.n)
         out = [zero] * self.rows
         for r, row in self.data.items():

@@ -41,8 +41,8 @@ from .cyclotomic import CycNum, root, root_exponents
 from .linalg import CycMatrix
 from .hopf import (_EMPTY, F, P, KnAlgebra, KnElement, _collect,
                    _first_failure, _scatter, _sums_equal, antipode_key,
-                   character, counit, delta2_term, delta_terms,
-                   product_table)
+                   basis_numbers, character, counit, delta2_term,
+                   delta_terms, product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -315,21 +315,49 @@ def direct_sum(M1: YDModule, M2: YDModule) -> YDModule:
 # -- YD axiom checking ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sandwich_term(n: int, hkind: int, gkey):
-    """For h1 g S(h3) with h1, h3 of kind hkind and g a basis key, the unique
-    nonzero combination: returns (h1key, h3key, result_key)."""
-    table = product_table(n)
-    gkind, c, d = gkey
-    # h1 g != 0 needs g at h1's partner position; the partner map on index
-    # pairs is an involution, so h1 sits at the partner position of (c, d)
-    _, a, b = table[(hkind, c, d)][0][0]
-    h1 = (hkind, a, b)
-    q = table[h1][gkind][1]                     # h1 g
-    # s3 = S(h3) is the right factor of kind hkind meeting q; S is an
-    # involution on basis keys, so h3 = S(s3)
-    s3, result = table[q][hkind]
-    return h1, antipode_key(n, s3), result
+class _YDTerms(dict):
+    """The terms of the YD right sides over K_n, filled as they are met:
+    {hkind dim + g: (si, sj, result, e0, ea, eb)} for a kind hkind and the
+    basis key numbered g (`hopf.basis_numbers`).  In h1 g S(h3), with h1
+    and h3 of kind hkind, one h1 and one h3 give a nonzero product, the key
+    numbered result.  For h2 = (hkind, a, b), the term h1 (x) h2 (x) h3 of
+    Delta^2 is that of h = (hkind, si + a, sj + b), and its coefficient is
+    the root of exponent e0 + a ea + b eb in Z/2n (`hopf.delta2_term`): h's
+    indices and the exponent, (i1 (j2 + j3) - j1 (i2 + i3) + i2 j3 - j2 i3)
+    (n + 1) for f, are affine in (i2, j2) = (a, b)."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.basis = list(basis_numbers(n))
+
+    def __missing__(self, key):
+        n = self.n
+        table = product_table(n)
+        hkind, g = divmod(key, 2 * n * n)
+        gkind, c, d = self.basis[g]
+        # h1 g != 0 needs g at h1's partner position; the partner map on
+        # index pairs is an involution, so h1 sits at the partner position
+        # of (c, d)
+        h1 = (hkind,) + table[(hkind, c, d)][0][0][1:]
+        q = table[h1][gkind][1]                     # h1 g
+        # s3 = S(h3) is the right factor of kind hkind meeting q; S is an
+        # involution on basis keys, so h3 = S(s3)
+        s3, result = table[q][hkind]
+        h3 = antipode_key(n, s3)
+        si, sj = h1[1] + h3[1], h1[2] + h3[2]
+
+        def exponent(a, b):
+            return delta2_term(n, (hkind, (si + a) % n, (sj + b) % n),
+                               h1, h3)[1]
+
+        e0 = exponent(0, 0)
+        entry = self[key] = (si, sj, basis_numbers(n)[result], e0,
+                             exponent(1, 0) - e0, exponent(0, 1) - e0)
+        return entry
+
+
+_yd_terms = lru_cache(maxsize=None)(_YDTerms)    # one table per n
 
 
 def check_yd(M: YDModule) -> dict:
@@ -344,10 +372,15 @@ def check_yd(M: YDModule) -> dict:
     that is a root of unity is read as its exponent, so products add
     exponents mod 2n, each side is built as one map of exponents with a
     count of its terms, and a side with a repeated key or a coefficient
-    that is not a root is summed exactly."""
+    that is not a root is summed exactly.  The maps are keyed by integers:
+    with the basis of K_n numbered (`hopf.basis_numbers`) and M of
+    dimension d, a term h (x) v_l is h d + l, and h1 (x) h2 (x) v_l is
+    (h1 dim + h2) d + l."""
     A = M.algebra
     n = A.n
     m = 2 * n
+    d, dim = M.dim, A.dim
+    number = basis_numbers(n)
 
     # module axioms via generator relations (equivalent to rho being an
     # algebra map on the basis).  On a weight basis the p's are orthogonal
@@ -360,103 +393,105 @@ def check_yd(M: YDModule) -> dict:
         ((("x_p_commutation", wt[c]), wt[r] != wt[c][::-1] and not v.is_zero())
          for r, row in M.action_x.data.items() for c, v in row.items()))
 
-    # the coaction matrix, with each cell also read as {K_n key: exponent}
-    # over its root-of-unity coefficients, and the number of coefficients
-    # of each row
+    # the coaction matrix as numbered terms: cells[j] maps k to the terms
+    # (h, u, e) of cell (j, k), where u is the coefficient of the key
+    # numbered h and e its exponent, None if u is not a root; tails[k]
+    # lists the terms of delta(v_k) as (h d + l, u, e)
     roots = root_exponents(n)
+    one = root(n, 0)
     co = M.coaction
-    ex = [{k: {hkey: roots[v] for hkey, v in h.coeffs.items() if v in roots}
-           for k, h in row.items()} for row in co]
-    size = [sum(len(h.coeffs) for h in row.values()) for row in co]
+    cells = [{k: [(number[hkey], u, roots.get(u))
+                  for hkey, u in h.coeffs.items()] for k, h in row.items()}
+             for row in co]
+    tails = [[(h * d + l, u, e) for l, cell in row.items() for h, u, e in cell]
+             for row in cells]
 
-    # comodule axioms on each row of the coaction matrix
+    # comodule axioms on each row of the coaction matrix.  A term
+    # h (x) g (x) v_l is h dim d + (g d + l).  delta_of[h dim d] pairs the
+    # number (h1 dim + h2) d of each term h1 (x) h2 of Delta(h), once per
+    # call, with the list of those terms that `hopf.delta_terms` keeps
+    dd = dim * d
+    basis = list(number)
+    delta_of = {h * dd: ([(number[k1] * dim + number[k2]) * d
+                          for k1, k2, _ in delta_terms(A, basis[h])],
+                         delta_terms(A, basis[h]))
+                for h in {h for row in cells for cell in row.values()
+                          for h, _, _ in cell}}
+
     def comodule():
-        one = root(n, 0)
         for j, row in enumerate(co):
             # counit: (eps (x) id) delta = id
             yield (("counit", j),
                    _collect((k, counit(h)) for k, h in row.items()) != {j: one})
             # coassociativity: (Delta (x) id) delta = (id (x) delta) delta
-            cells = ex[j].items()
+            terms = [(k, h * dd, u, e) for k, cell in cells[j].items()
+                     for h, u, e in cell]
             yield ("coassociativity", j), not _sums_equal(
-                ({(k1, k2, k): (e + f) % m for k, cell in cells
-                  for hkey, e in cell.items()
-                  for k1, k2, f in delta_terms(A, hkey)},
-                 sum(len(delta_terms(A, hkey))
-                     for h in row.values() for hkey in h.coeffs),
-                 lambda: (((k1, k2, k), u * root(n, f))
-                          for k, h in row.items()
-                          for hkey, u in h.coeffs.items()
-                          for k1, k2, f in delta_terms(A, hkey))),
-                ({(hkey, gkey, l): (e + f) % m for k, cell in cells
-                  for l, gcell in ex[k].items() for hkey, e in cell.items()
-                  for gkey, f in gcell.items()},
-                 sum(len(h.coeffs) * size[k] for k, h in row.items()),
-                 lambda: (((hkey, gkey, l), u * v) for k, h in row.items()
-                          for l, g in co[k].items()
-                          for hkey, u in h.coeffs.items()
-                          for gkey, v in g.coeffs.items())))
+                ({t + k: (e + f) % m for k, h, _, e in terms if e is not None
+                  for t, (_, _, f) in zip(*delta_of[h])},
+                 sum(len(delta_of[h][0]) for _, h, _, _ in terms),
+                 lambda: ((t + k, u * root(n, f)) for k, h, u, _ in terms
+                          for t, (_, _, f) in zip(*delta_of[h]))),
+                ({h + t: (e + f) % m for k, h, _, e in terms if e is not None
+                  for t, _, f in tails[k] if f is not None},
+                 sum(len(tails[k]) for k, _, _, _ in terms),
+                 lambda: ((h + t, u * v) for k, h, u, _ in terms
+                          for t, v, _ in tails[k])))
 
     # YD compatibility on every (basis of K_n) x (basis of M).  column maps
-    # (key, c) to the nonzero entries (row, coefficient) of column c of
-    # key's action, read off the weights and x^: p_{ab} is the 0/1
-    # diagonal on the vectors of weight (a, b), and f_{ab} = p_{ab} x^ the
-    # rows of x^ at those vectors; xcolumn holds the entries that are roots
-    # as exponents
-    basis = list(A.basis_indices())
-    column: dict = {((P, a, b), c): [(c, root(n, 0))]
-                    for c, (a, b) in enumerate(wt)}
+    # h d + c, for the key numbered h, to the nonzero entries (r, x, f) of
+    # column c of that key's action, f the exponent of x or None, read off
+    # the weights and x^: p_{ab} is the 0/1 diagonal on the vectors of
+    # weight (a, b), and f_{ab} = p_{ab} x^ the rows of x^ at those vectors
+    column: dict = {number[(P,) + w] * d + c: [(c, one, 0)]
+                    for c, w in enumerate(wt)}
     for r, row in M.action_x.data.items():
-        a, b = wt[r]
+        h = number[(F,) + wt[r]]
         for c, v in row.items():
             if not v.is_zero():
-                column.setdefault(((F, a, b), c), []).append((r, v))
-    xcolumn = {key: [(r, roots[v]) for r, v in entries if v in roots]
-               for key, entries in column.items()}
+                column.setdefault(h * d + c, []).append((r, v, roots.get(v)))
+    terms_of = _yd_terms(n)
+    nn = n * n
 
     def yd_rhs():
-        # ((h, j), key, term) for every term of h1 v_{-1} S(h3) (x) h2 . v_0,
-        # v = v_j.  A term g of cell (j, k) of the coaction meets one h1, h3
-        # of each kind (the sandwich), and h2 . v_k is nonzero only for the
-        # keys h2 of column k; the indices of h1, h2, h3 add up to h's
-        # (`hopf.delta2_term`).  A term is an exponent when both
-        # coefficients are roots, else their exact product.
-        for (h2, k), entries in column.items():
-            hkind, a, b = h2
-            for j, row in enumerate(co):
-                if k not in row:
-                    continue
-                for gkey, u in row[k].coeffs.items():
-                    h1, h3, result = _sandwich_term(n, hkind, gkey)
-                    h = (hkind, (h1[1] + a + h3[1]) % n,
-                         (h1[2] + b + h3[2]) % n)
-                    d = delta2_term(n, h, h1, h3)[1]
-                    e = roots.get(u)
-                    for r, x in entries:
-                        f = roots.get(x)
-                        yield (h, j), (result, r), (
-                            u * root(n, d) * x if e is None or f is None
-                            else (e + d + f) % m)
+        # (h d + j, result d + r, term) for every term of
+        # h1 v_{-1} S(h3) (x) h2 . v_0, v = v_j.  A term g of cell (j, k)
+        # of the coaction meets one h1, h3 of each kind, and h2 . v_k is
+        # nonzero only for the keys h2 of column k (`_YDTerms`).  A term is
+        # an exponent when both coefficients are roots, else their exact
+        # product.
+        for key, entries in column.items():
+            h2, k = divmod(key, d)
+            kind, ab = divmod(h2, nn)
+            a, b = divmod(ab, n)
+            for j, row in enumerate(cells):
+                for g, u, e in row.get(k, ()):
+                    si, sj, result, e0, ea, eb = terms_of[kind * dim + g]
+                    h = kind * nn + (si + a) % n * n + (sj + b) % n
+                    t = e0 + a * ea + b * eb
+                    for r, x, f in entries:
+                        yield h * d + j, result * d + r, (
+                            u * root(n, t) * x if e is None or f is None
+                            else (e + t + f) % m)
 
     rhs = _scatter(n, yd_rhs)
 
-    # delta(h . v_j) against rhs[(h, j)]; a pair with both sides empty passes
+    # delta(h . v_j) against rhs[h d + j]; a pair with both sides empty
+    # passes
     def yd():
-        for hkey in basis:
-            for j in range(M.dim):
-                entries = column.get((hkey, j), ())
-                if not entries and (hkey, j) not in rhs:
+        for h, hkey in enumerate(basis):
+            for j in range(d):
+                case = h * d + j
+                entries = column.get(case, ())
+                if not entries and case not in rhs:
                     continue
                 yield ("yd", hkey, j), not _sums_equal(
-                    ({(gkey, l): (e + f) % m
-                      for k, e in xcolumn.get((hkey, j), ())
-                      for l, gcell in ex[k].items()
-                      for gkey, f in gcell.items()},
-                     sum(size[k] for k, _ in entries),
-                     lambda: (((gkey, l), x * v) for k, x in entries
-                              for l, g in co[k].items()
-                              for gkey, v in g.coeffs.items())),
-                    rhs.get((hkey, j), _EMPTY))
+                    ({t: (e + f) % m for k, _, e in entries if e is not None
+                      for t, _, f in tails[k] if f is not None},
+                     sum(len(tails[k]) for k, _, _ in entries),
+                     lambda: ((t, x * v) for k, x, _ in entries
+                              for t, v, _ in tails[k])),
+                    rhs.get(case, _EMPTY))
 
     report = {"module": _first_failure(module),
               "comodule": _first_failure(comodule()),

@@ -306,6 +306,29 @@ def test_memory_budget_error_from_a_degree_estimate(runner, monkeypatch):
     assert "Traceback" not in result.output
 
 
+def test_memory_budget_error_before_the_tensor_module(runner, monkeypatch):
+    # with the process itself counted as empty, W (x) W at n = 15 needs
+    # about 20 MB by the estimate, past a 10 MB budget, though its Delta
+    # table alone would fit; no tensor module is built
+    monkeypatch.setenv("KN_MEMORY_MB", "10")
+    monkeypatch.setattr(nichols, "_process_bytes", lambda: 0)
+    built = []
+    monkeypatch.setattr(cli, "tensor_module",
+                        lambda *modules: built.append(modules))
+    args = ["fuse", "--n", "15", "--left", "W(-1,1,0)", "--right",
+            "W(-1,0,3)"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert ("memory budget exceeded: the tensor product W(-1,1,0) (x) "
+            "W(-1,0,3) over K_15, 101250 coproduct terms and 50625 coaction "
+            "cells, exceeds") in result.output
+    assert "Traceback" not in result.output
+    assert built == []
+    # the closed form alone needs no tensor module
+    result = runner.invoke(main, args + ["--no-verify"])
+    assert result.exit_code == 0 and built == []
+
+
 def test_simples_label_count_in_closed_form():
     # the count `kn simples` checks against the budget before listing
     for n in (3, 5, 7, 9):
@@ -338,6 +361,18 @@ def test_memory_budget_error_before_listing_simples(args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("Error: memory budget exceeded: listing "
                                   "the 52065904 simples of K_101 exceeds")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_memory_budget_error_before_fusing_at_n101():
+    # at n = 101 the Delta table that the tensor module reads holds
+    # 208 120 802 terms; the check comes before any module is built
+    proc = _run_under_2gb("fuse", "--n", "101", "--left", "W(-1,0,0)",
+                          "--right", "W(-1,0,1)")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Error: memory budget exceeded: the tensor "
+                                  "product W(-1,0,0) (x) W(-1,0,1) over "
+                                  "K_101, 208120802 coproduct terms")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

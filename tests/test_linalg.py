@@ -141,6 +141,26 @@ def test_shape_mismatch_rejected():
         B @ A @ A
 
 
+def test_apply_takes_one_entry_per_column():
+    n = 3
+    A = _mat(n, [[1, 2, 0], [0, 0, 1]])
+    one = CycNum.one(n)
+    assert A.apply([one, one, one]) == [CycNum.rational(n, 3), one]
+    for vec in ([one, one], [one] * 4):
+        with pytest.raises(ValueError, match="list of 3 entries.* of %d"
+                                             % len(vec)):
+            A.apply(vec)
+    # sparse kernel rows, whether or not they hold every column the rows
+    # of the matrix touch: {0, 1} misses column 2 of row 1, and {0, 1} of
+    # the first row alone covers it
+    for B in (A, _mat(n, [[1, 2, 0]])):
+        vec = B.kernel_basis()[0]
+        assert sorted(vec) == [0, 1]
+        with pytest.raises(ValueError, match="got a dict of 2"):
+            B.apply(vec)
+        assert all(x.is_zero() for x in B.apply(dense(vec, B.cols)))
+
+
 # -- properties on random sparse matrices ---------------------------------------------
 
 # per conductor, a small prime = 1 (mod n): ranks mod a small prime fall

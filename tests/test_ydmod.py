@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, modular_prime, root, root_order
 from knyd.fusion import closed_form_fuse, decompose, tensor_module
-from knyd.hopf import (KnAlgebra, _collect, character, comultiply, counit,
-                       delta2_term, multiply)
+from knyd.hopf import (KnAlgebra, _collect, antipode, character, comultiply,
+                       counit, delta2_term, multiply)
 from knyd import ydmod
 from knyd.linalg import CycMatrix
-from knyd.ydmod import (U, V, W, YDModule, _sandwich_term,
-                        braided_space, braiding,
+from knyd.ydmod import (U, V, W, YDModule, braided_space, braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
                         label_weights, list_simples, parse_label)
@@ -168,10 +168,29 @@ def test_corrupted_coaction_detected(A3):
 # -- check_yd against the element-level reference ----------------------------
 
 
+@lru_cache(maxsize=None)
+def _sandwiches(n, hkind, gkey):
+    """Every nonzero h1 g S(h3) with h1, h3 basis keys of kind hkind, by
+    `multiply` and `antipode`: a list of (h1, h3, {key: coefficient})."""
+    A = KnAlgebra(n)
+    keys = [k for k in A.basis_indices() if k[0] == hkind]
+    out = []
+    for h1 in keys:
+        q = multiply(A.basis(*h1), A.basis(*gkey))
+        if q.is_zero():
+            continue
+        for h3 in keys:
+            x = multiply(q, antipode(A.basis(*h3)))
+            if not x.is_zero():
+                out.append((h1, h3, x.coeffs))
+    return out
+
+
 def _reference_check_yd(M):
     """check_yd with every coefficient a CycNum: Delta from `comultiply`,
-    the Delta^2 coefficient as the root of `delta2_term`'s exponent, and
-    each side of every identity summed in Q(xi_n) and compared."""
+    h1 g S(h3) from `multiply` (`_sandwiches`), the Delta^2 coefficient as
+    the root of `delta2_term`'s exponent, and each side of every identity
+    summed in Q(xi_n) and compared."""
     A = M.algebra
     n = A.n
     report = {"module": None, "comodule": None, "yd": None}
@@ -227,10 +246,11 @@ def _reference_check_yd(M):
             rhs = []
             for k, g in M.coaction[j].items():
                 for gkey, gamma in g.coeffs.items():
-                    h1, h3, result = _sandwich_term(n, hkey[0], gkey)
-                    h2key, d = delta2_term(n, hkey, h1, h3)
-                    rhs += [((result, r), gamma * root(n, d) * w)
-                            for r, w in column(h2key, k)]
+                    for h1, h3, product in _sandwiches(n, hkey[0], gkey):
+                        h2key, d = delta2_term(n, hkey, h1, h3)
+                        rhs += [((result, r), gamma * c * root(n, d) * w)
+                                for result, c in product.items()
+                                for r, w in column(h2key, k)]
             if lhs != _collect(rhs):
                 failure = ("yd", hkey, j)
                 break
@@ -297,6 +317,15 @@ def _reference_cases():
     # W(-1,2,3) at n = 5 with one coaction cell negated
     M = build_simple(A5, W(5, -1, 2, 3))
     cases.append(_scaled_cell(M, "coaction", (1, 3), A5.scalar(-1)))
+    # tensor products, of dimensions other than 1, 2 and n: W (x) W at
+    # n = 3, U (x) W at n = 5, and W (x) W with one coaction cell negated
+    WW = tensor_module(build_simple(A3, W(3, 1, 1, 2)),
+                       build_simple(A3, W(3, -1, 0, 1)))
+    cases.append(WW)
+    cases.append(tensor_module(build_simple(A5, U(5, 1, 2, 0, 3)),
+                               build_simple(A5, W(5, -1, 2, 3))))
+    cases.append(_scaled_cell(WW, "coaction", _cells(WW, "coaction")[7],
+                              A3.scalar(-1)))
     # U(1,0,1,0) in the basis (p u1, u2): x^ has the entries 1/p and p
     p = modular_prime(3)
     Um = build_u_module(A3, 1, 0, 1, 0)
@@ -321,7 +350,7 @@ def test_check_yd_matches_the_reference():
         report = check_yd(M)
         assert report == _reference_check_yd(M), M
         failing += not report["ok"]
-    assert failing == 3
+    assert failing == 4
 
 
 @pytest.mark.parametrize("n", [3, 5])
