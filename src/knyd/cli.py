@@ -445,11 +445,21 @@ def square_zero(n, module_text, json_out):
 # -- rack -------------------------------------------------------------------------
 
 
+def _check_rack_budget(n):
+    """MemoryBudgetError unless the budget admits the rack battery, which
+    holds 4n^2 cocycle tables and 2n^2 braidings of n^2 cells each."""
+    # 800 bytes per n^4: at most 771 under tracemalloc, n = 7 to 15, and
+    # 697 of resident set growth, n = 11 to 21
+    _check_budget(800 * n ** 4, "the rack battery at n=%d, %d table and "
+                  "braiding cells," % (n, 6 * n ** 4))
+
+
 @main.command("rack")
 @_n_option
 @_json_option
 def rack_cmd(n, json_out):
     """Rack, cocycle, and twist-equivalence verification battery."""
+    _check_rack_budget(n)
     _report_checks("rack battery, n=%d" % n, {"n": n},
                    rackbattery.run_battery(n), json_out)
 
@@ -501,6 +511,7 @@ def paper_verify(n, seed, json_out):
     fusion table, Nichols graded dimensions, square-zero elimination, and
     the rack battery.  Exhaustive at n=3; seeded samples for larger n."""
     _check_label_budget(n)
+    _check_rack_budget(n)
     A = KnAlgebra(n)
     # the Nichols checks run next, so that an exceeded memory budget is
     # reported before the long Hopf, YD and fusion sweeps; they are listed

@@ -415,22 +415,16 @@ def root_images(n: int, p: int) -> tuple[tuple[int, ...], ...]:
 def _images_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     """The inverse mod p of the Vandermonde matrix V[i][t] = omega^(u_i t)
     that takes power-basis coefficients to the images under the embeddings
-    of `root_images`: row t gives coefficient t from the images."""
-    deg = len(_omega_powers(n, p))
+    of `root_images`: row t gives coefficient t from the images, read off
+    row t of the reduced echelon form of [V | id] (`linalg._reduced`)."""
+    from .linalg import CycMatrix, _reduced   # linalg imports this module
     omega = _omega_powers(n, p)[1]
-    rows = [[pow(omega, u * t, p) for t in range(deg)]
-            + [int(i == j) for j in range(deg)]
-            for i, u in enumerate(_units(n))]
-    for col in range(deg):   # Gauss-Jordan on [V | id]; V is invertible
-        piv = next(r for r in range(col, deg) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        rows[col] = [x * inv % p for x in rows[col]]
-        for r in range(deg):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[deg:]) for row in rows)
+    deg = len(_units(n))
+    red = _reduced(CycMatrix(n, deg, 2 * deg, {
+        i: {**{t: pow(omega, u * t, p) for t in range(deg)}, deg + i: 1}
+        for i, u in enumerate(_units(n))}, p))
+    return tuple(tuple(red[t].get(deg + j, 0) for j in range(deg))
+                 for t in range(deg))
 
 
 def _rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:

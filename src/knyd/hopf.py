@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .cyclotomic import CycNum, cyc, root, root_exponents, _field_data
+from .cyclotomic import CycNum, cyc, root, _field_data
 
 P = 0
 F = 1
@@ -212,26 +212,11 @@ class TensorElement(_SparseElement):
 
 
 def comultiply(x: KnElement) -> TensorElement:
-    A = x.algebra
-    n = A.n
-    out: dict = {}
-    for (kind, i, j), v in x.coeffs.items():
-        if kind == P:
-            for i1 in range(n):
-                for j1 in range(n):
-                    key = ((P, i1, j1), (P, (i - i1) % n, (j - j1) % n))
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
-        else:
-            for i1 in range(n):
-                i2 = (i - i1) % n
-                for j1 in range(n):
-                    j2 = (j - j1) % n
-                    c = v * A.xi(i1 * j2 - j1 * i2)
-                    key = ((F, i1, j1), (F, i2, j2))
-                    s = out.get(key)
-                    out[key] = c if s is None else s + c
-    return TensorElement(A, out)
+    """Delta(x), read off the Delta table (`_delta_cache`)."""
+    n = x.algebra.n
+    return TensorElement._nonzero(x.algebra, _collect(
+        ((k1, k2), v * root(n, e)) for key, v in x.coeffs.items()
+        for k1, k2, e in _delta_cache(n)[key]))
 
 
 def antipode_key(n: int, key):
@@ -272,10 +257,10 @@ def delta_terms(A: KnAlgebra, key) -> list:
 
 @lru_cache(maxsize=None)
 def _delta_cache(n: int) -> dict:
-    """Delta on every basis key, from the closed form in the module
-    docstring, terms in ascending (i', j'): the coefficient of
-    f_{i'j'} (x) f_{i''j''} is xi^{i'j'' - j'i''}, whose exponent in Z/2n
-    is (i'j'' - j'i'')(n + 1)."""
+    """The one Delta: Delta on every basis key, from the closed form in
+    the module docstring, the term of left factor (i', j') at entry
+    i' n + j': the coefficient of f_{i'j'} (x) f_{i''j''} is
+    xi^{i'j'' - j'i''}, whose exponent in Z/2n is (i'j'' - j'i'')(n + 1)."""
     # one key tuple per basis element: the audits compare tuples built from
     # these keys, and equal items that are the same object compare at once
     keys = [[[(kind, i, j) for j in range(n)] for i in range(n)]
@@ -300,24 +285,6 @@ def basis_numbers(n: int) -> dict:
     The exhaustive audits key their sums by these numbers.  The keys are
     those of `product_table`, which lists them in basis order."""
     return {k: i for i, k in enumerate(product_table(n))}
-
-
-def delta2_term(n: int, h, h1, h3):
-    """The one Delta^2 rule: the term h1 (x) h2 (x) h3 of Delta^2(h) for
-    basis keys h1, h3 of h's kind, as (h2 key, exponent in Z/2n of its
-    coefficient).  Every term of Delta^2(h) has three factors of h's kind,
-    indices adding up to h's: i2 = i - i1 - i3, j2 = j - j1 - j3, with
-    coefficient 1 for p and xi^{i1(j2+j3) - j1(i2+i3) + i2 j3 - j2 i3}
-    for f."""
-    kind, i, j = h
-    _, i1, j1 = h1
-    _, i3, j3 = h3
-    i2 = (i - i1 - i3) % n
-    j2 = (j - j1 - j3) % n
-    if kind == P:
-        return (P, i2, j2), 0
-    return (F, i2, j2), ((i1 * (j2 + j3) - j1 * (i2 + i3) + i2 * j3 - j2 * i3)
-                         * (n + 1) % (2 * n))
 
 
 # -- axiom verification ---------------------------------------------------------
@@ -402,13 +369,14 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     alternative antipode may be injected for negative-control tests.
 
     Associativity and eps-multiplicativity read `product_table`; the unit
-    and the antipode multiply through `multiply`.  The counit and antipode
-    laws are summed exactly (`_collect`), every product a root-times-root
-    lookup.  Coassociativity and Delta-multiplicativity multiply roots by
-    adding exponents: each side of an identity is one map {key: exponent}
-    with the count of its terms, compared by the one rule `_sums_equal`,
-    which sums exactly only a side with a repeated key or a term that is
-    not a root, or maps that differ."""
+    and the antipode multiply through `multiply`; Delta(1) comes from
+    `comultiply`.  The counit and antipode laws are summed exactly
+    (`_collect`), every product a root-times-root lookup.  Coassociativity
+    and Delta-multiplicativity multiply roots by adding exponents: each
+    side of an identity is one map {key: exponent} with the count of its
+    terms, compared by the one rule `_sums_equal`, which sums exactly only
+    a side with a repeated key or a term that is not a root, or maps that
+    differ."""
     S = antipode_fn if antipode_fn is not None else antipode
     n = A.n
     basis = list(A.basis_indices())
@@ -476,19 +444,15 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
                      for k1, k2, v in delta[kx] if k2 in eps))
         for kx, x in e.items())
 
-    # Delta is an algebra map; Delta(1) acts as the unit of the image.  A
-    # term l1 (x) r1 of Delta(x) meets only the 2 x 2 tensors of right
-    # partners of l1 and r1, and each such tensor is a term of Delta(y) for
-    # one y, so one pass over Delta(x) gives Delta(x) Delta(y) for every y.
-    # Likewise a term of Delta(x) meets Delta(1) only at the 2 x 2 tensors
-    # of left partners of its factors.
+    # Delta is an algebra map: Delta(1) = 1 (x) 1, and Delta(xy) =
+    # Delta(x) Delta(y) on basis pairs.  A term l1 (x) r1 of Delta(x) meets
+    # only the 2 x 2 tensors of right partners of l1 and r1, and each such
+    # tensor is a term of Delta(y) for one y, so one pass over Delta(x)
+    # gives Delta(x) Delta(y) for every y
     owner: dict = {}
     for ky in basis:
         for l2, r2, w in delta[ky]:
             owner.setdefault((l2, r2), []).append((ky, w))
-    du = comultiply(one).coeffs
-    roots = root_exponents(n)
-    du_exponents = {k: roots[c] for k, c in du.items() if c in roots}
 
     def delta_side(kz):
         # Delta(z) as one side
@@ -506,18 +470,7 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
 
     def delta_multiplicative():
         for kx in basis:
-            dx = delta[kx]
-            yield ("unit", kx), not _sums_equal(
-                ({(kl, kr): (du_exponents[(l1, r1)] + v) % m
-                  for l2, r2, v in dx for l1, kl in left_of[l2]
-                  for r1, kr in left_of[r2] if (l1, r1) in du_exponents},
-                 sum((l1, r1) in du for l2, r2, _ in dx
-                     for l1, _ in left_of[l2] for r1, _ in left_of[r2]),
-                 lambda: (((kl, kr), du[(l1, r1)] * root(n, v))
-                          for l2, r2, v in dx for l1, kl in left_of[l2]
-                          for r1, kr in left_of[r2] if (l1, r1) in du)),
-                delta_side(kx))
-            by_y = _scatter(n, lambda: products(dx))
+            by_y = _scatter(n, lambda: products(delta[kx]))
             xy = dict(table[kx])
             # a pair with both sides empty passes
             for ky in basis:
@@ -525,7 +478,10 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
                     yield (kx, ky), not _sums_equal(
                         by_y.get(ky, _EMPTY),
                         delta_side(xy[ky]) if ky in xy else _EMPTY)
-    axioms["delta_multiplicative"] = delta_multiplicative()
+    axioms["delta_multiplicative"] = chain(
+        [("unit", comultiply(one).coeffs != {
+            (k1, k2): v * w for k1, v in one.coeffs.items()
+            for k2, w in one.coeffs.items()})], delta_multiplicative())
 
     # eps is an algebra map: eps(1) = 1, and eps(xy) = eps(x) eps(y) on
     # basis pairs

@@ -135,36 +135,25 @@ class BraidedSpace:
             self.name or "?", self.dim, self.n)
 
 
-def _monomial_columns(c: CycMatrix):
-    """For c with exactly one nonzero entry in each column, every one a
-    root of unity: the list of (row, exponent in Z/2n) per column (see
-    `root_exponents`).  None for any other c."""
-    roots = root_exponents(c.n)
-    cols = [None] * c.cols
-    for r, row in c.data.items():
-        for j, v in row.items():
-            e = roots.get(v)
-            if e is None or cols[j] is not None:
-                return None
-            cols[j] = (r, e)
-    return None if None in cols else cols
-
-
 def check_braid_equation(B: BraidedSpace) -> bool:
     """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c)
     as d^3 x d^3 matrices.
 
-    When c is monomial with root-of-unity entries (`_monomial_columns`), so
-    is every product of c1 = c (x) id and c2 = id (x) c, and both sides are
-    compared on each basis triple as a (target index, exponent mod 2n)
-    pair: exact integer arithmetic in the roots of unity.  Any other c
+    When c is a permutation matrix with root-of-unity entries
+    (`_permutation_rows`), so is every product of c1 = c^T (x) id and
+    c2 = id (x) c^T, and both sides are compared for c^T on each basis
+    triple as a (target index, exponent mod 2n) pair: exact integer
+    arithmetic in the roots of unity.  c^T holds the equation exactly when
+    c does, since transposing reverses both triple products.  Any other c
     takes the route through kron and matrix products."""
-    cols = _monomial_columns(B.c)
-    if cols is not None:
+    perm = _permutation_rows(B.c)
+    if perm is not None:
         d, N = B.dim, 2 * B.n
         dd = d * d
-        c1 = [(r * d + z, e) for r, e in cols for z in range(d)]
-        c2 = [(x * dd + r, e) for x in range(d) for r, e in cols]
+        c1 = [((x + s) * d + z, e) for x, (s, e) in enumerate(perm)
+              for z in range(d)]
+        c2 = [(x * dd + y + s, e) for x in range(d)
+              for y, (s, e) in enumerate(perm)]
         for t in range(dd * d):
             u, e1 = c1[t]
             u, e2 = c2[u]
@@ -187,19 +176,19 @@ def check_braid_equation(B: BraidedSpace) -> bool:
 def _permutation_rows(c: CycMatrix):
     """For c a permutation matrix with root-of-unity entries: for each row
     x, the pair (y - x, e) for its one entry, in column y, the root of
-    exponent e in Z/2n (see `root_exponents`).  None for any other c."""
-    cols = _monomial_columns(c)
-    if cols is None:
+    exponent e in Z/2n (see `root_exponents`).  None for any other c: the
+    one reader of permutation braidings."""
+    roots = root_exponents(c.n)
+    entries = [c.data.get(x, {}) for x in range(c.rows)]
+    if (any(len(row) != 1 for row in entries)
+            or len({y for row in entries for y in row}) != c.cols):
         return None
-    rows = [None] * c.rows
-    for y, (x, e) in enumerate(cols):
-        if rows[x] is not None:
-            return None
-        rows[x] = (y - x, e)
-    return rows
+    rows = [(y - x, roots.get(v)) for x, row in enumerate(entries)
+            for y, v in row.items()]
+    return None if any(e is None for _, e in rows) else rows
 
 
-def _coset_factor(B: BraidedSpace, k: int):
+def _coset_factor(B: BraidedSpace, k: int, perm):
     """The map X -> X T*_k, for the coset factor
 
         T*_k = id + c_{k-1} + c_{k-1}c_{k-2} + ... + c_{k-1}c_{k-2} ... c_1
@@ -208,7 +197,8 @@ def _coset_factor(B: BraidedSpace, k: int):
     field of X, with roots[e] the image there of the root of exponent e
     (by default the roots themselves, over Q(xi_n)).
 
-    When c is a permutation matrix with root entries, each term sends e_r^T
+    When c is a permutation matrix with root entries, perm its rows
+    (`_permutation_rows`, None for any other c), each term sends e_r^T
     to a root times one e_t^T: row r is followed through the strand moves
     c_{k-1}, ..., c_1, each of which takes the index x of the two strands
     it acts on to the column of c's entry in row x, adding that entry's
@@ -218,7 +208,6 @@ def _coset_factor(B: BraidedSpace, k: int):
     just those rows.  Any other c is applied to X over Q(xi_n) by sparse
     right multiplication, one c_j at a time."""
     d, N, size = B.dim, 2 * B.n, B.dim ** k
-    perm = _permutation_rows(B.c)
     if perm is None:
         return lambda X, roots=None: _right_products(B, k, X)
     dd = d * d
@@ -404,11 +393,13 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     found = None
-    fields = _embeddings(B)
+    perm = _permutation_rows(B.c)
+    fields = None if perm is None else _embeddings(B)
     if fields is not None:
-        found = _degrees(B, fields, cutoff, want_relations, _kernel_lift(B))
+        found = _degrees(B, perm, fields, cutoff, want_relations,
+                         _kernel_lift(B))
     if found is None:
-        found = _degrees(B, [(None, None)], cutoff, want_relations)
+        found = _degrees(B, perm, [(None, None)], cutoff, want_relations)
     dims, relations = found
     d = B.dim
     if dims[-1] == 0:
@@ -452,22 +443,22 @@ class _RowSpace:
                            R_id.prime)
 
 
-def _degrees(B: BraidedSpace, fields: list, cutoff: int,
+def _degrees(B: BraidedSpace, perm, fields: list, cutoff: int,
              want_relations: bool, lift=None):
     """The degree loop of `graded_dims`: one `_RowSpace` per field
     (prime, roots), advanced in lockstep, sharing one `_coset_factor` per
-    degree; the relations are ker R_k.  Over Q(xi_n), fields is
-    [(None, None)]; over F_p, they are the embeddings of `_embeddings`, and
-    lift(deg, row spaces) gives R_k over Q(xi_n), or None when it cannot
-    certify its kernel.  That ends the loop with None, and so does a degree
-    past the memory budget over F_p, whose estimate exceeds the one over
-    Q(xi_n); over Q(xi_n) that raises MemoryBudgetError.  Returns
-    (dims, relations) otherwise."""
+    degree, with perm the rows of c (`_permutation_rows`); the relations
+    are ker R_k.  Over Q(xi_n), fields is [(None, None)]; over F_p, they
+    are the embeddings of `_embeddings`, and lift(deg, row spaces) gives
+    R_k over Q(xi_n), or None when it cannot certify its kernel.  That
+    ends the loop with None, and so does a degree past the memory budget
+    over F_p, whose estimate exceeds the one over Q(xi_n); over Q(xi_n)
+    that raises MemoryBudgetError.  Returns (dims, relations) otherwise."""
     d = B.dim
     states = [_RowSpace(B, prime, roots) for prime, roots in fields]
     dims, relations = [1, d], {}
     lockstep = len(states) if lift is not None else 0
-    dense = _permutation_rows(B.c) is None
+    dense = perm is None
     for deg in range(2, cutoff + 1):
         need = _degree_bytes(d, deg, dims[-1], want_relations, lockstep,
                              dense)
@@ -478,7 +469,7 @@ def _degrees(B: BraidedSpace, fields: list, cutoff: int,
             if lift is None:
                 raise
             return None
-        times = _coset_factor(B, deg)
+        times = _coset_factor(B, deg, perm)
         for state in states:
             state.advance(times)
         R = states[0].R if lift is None else lift(deg, states)
@@ -495,11 +486,8 @@ def _degrees(B: BraidedSpace, fields: list, cutoff: int,
 def _embeddings(B: BraidedSpace):
     """The fields (p, roots) of B's embeddings into F_p, p =
     `modular_prime(n)`, roots the images of the 2n roots of unity under
-    each (`root_images`); None unless c is a permutation matrix with
-    root-of-unity entries, the braidings whose kernels `_kernel_lift` can
-    certify."""
-    if _permutation_rows(B.c) is None:
-        return None
+    each (`root_images`), for c a permutation matrix with root-of-unity
+    entries: the braidings whose kernels `_kernel_lift` can certify."""
     p = modular_prime(B.n)
     return [(p, roots) for roots in root_images(B.n, p)]
 

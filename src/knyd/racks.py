@@ -33,7 +33,7 @@ mod 2n, with no field multiplication.
 
 from __future__ import annotations
 
-from .cyclotomic import cyc, root_exponents
+from .cyclotomic import root, root_exponents
 from .linalg import CycMatrix
 from .nichols import BraidedSpace
 
@@ -193,13 +193,13 @@ class CocycleTable:
 
 
 def _root_cocycle(n: int, eps: int, exponent) -> CocycleTable:
-    """The table eps xi^{exponent(l, r)} on Z_n x Z_n."""
+    """The table eps xi^{exponent(l, r)} on Z_n x Z_n, each entry a cached
+    root (`root`): xi^k has exponent k(n + 1) in Z/2n, and -1 has n."""
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    rows = [[cyc(n, exponent(l, r)) for r in range(n)] for l in range(n)]
-    if eps == -1:
-        rows = [[-v for v in row] for row in rows]
-    return CocycleTable(rows)
+    sign = 0 if eps == 1 else n
+    return CocycleTable([[root(n, exponent(l, r) * (n + 1) + sign)
+                          for r in range(n)] for l in range(n)])
 
 
 def w_cocycle(n: int, eps: int, i: int, m: int) -> CocycleTable:

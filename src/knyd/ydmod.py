@@ -40,8 +40,8 @@ from itertools import chain
 from .cyclotomic import CycNum, root, root_exponents
 from .linalg import CycMatrix
 from .hopf import (_EMPTY, F, P, KnAlgebra, KnElement, _collect,
-                   _first_failure, _scatter, _sums_equal, antipode_key,
-                   basis_numbers, character, counit, delta2_term,
+                   _delta_cache, _first_failure, _scatter, _sums_equal,
+                   antipode_key, basis_numbers, character, counit,
                    delta_terms, product_table)
 
 
@@ -322,9 +322,11 @@ class _YDTerms(dict):
     and h3 of kind hkind, one h1 and one h3 give a nonzero product, the key
     numbered result.  For h2 = (hkind, a, b), the term h1 (x) h2 (x) h3 of
     Delta^2 is that of h = (hkind, si + a, sj + b), and its coefficient is
-    the root of exponent e0 + a ea + b eb in Z/2n (`hopf.delta2_term`): h's
-    indices and the exponent, (i1 (j2 + j3) - j1 (i2 + i3) + i2 j3 - j2 i3)
-    (n + 1) for f, are affine in (i2, j2) = (a, b)."""
+    the root of exponent e0 + a ea + b eb in Z/2n.  Delta^2 is Delta
+    applied twice, h -> h12 (x) h3 and h12 -> h1 (x) h2 with
+    h12 = h - h3, both read off `hopf._delta_cache`; each exponent is a
+    twist with one factor fixed (h3, h1) and the other moving with (a, b),
+    so their sum is affine in (a, b)."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -333,7 +335,7 @@ class _YDTerms(dict):
 
     def __missing__(self, key):
         n = self.n
-        table = product_table(n)
+        table, delta = product_table(n), _delta_cache(n)
         hkind, g = divmod(key, 2 * n * n)
         gkind, c, d = self.basis[g]
         # h1 g != 0 needs g at h1's partner position; the partner map on
@@ -348,8 +350,11 @@ class _YDTerms(dict):
         si, sj = h1[1] + h3[1], h1[2] + h3[2]
 
         def exponent(a, b):
-            return delta2_term(n, (hkind, (si + a) % n, (sj + b) % n),
-                               h1, h3)[1]
+            # h12 = (i, j); a term of left factor (i', j') is entry i' n + j'
+            i, j = (h1[1] + a) % n, (h1[2] + b) % n
+            h = (hkind, (i + h3[1]) % n, (j + h3[2]) % n)
+            return (delta[h][i * n + j][2]
+                    + delta[(hkind, i, j)][h1[1] * n + h1[2]][2]) % (2 * n)
 
         e0 = exponent(0, 0)
         entry = self[key] = (si, sj, basis_numbers(n)[result], e0,

@@ -6,8 +6,10 @@ the product in Q(xi_n) by long division by Phi_n (against `CycNum.__mul__`
 and its exponent sums of roots); the braid-group representation and the
 naive |S_k|-term quantum symmetrizer, against the full coset-factored QS_k
 built from `knyd.nichols._coset_factor` (the recursion `graded_dims` runs on
-row spaces); the comatrix elements of K_n (against the W coaction of
-`knyd.ydmod.build_simple`) and its adjoint action from its comultiplication,
+row spaces); the coproduct of K_n from its closed form (against the Delta
+table of `knyd.hopf`, which `comultiply`, the audits and the Delta^2 terms
+of `check_yd` read); the comatrix elements of K_n (against the W coaction of
+`knyd.ydmod.build_simple`) and its adjoint action from that coproduct,
 multiplication and antipode; a test of one matrix against the Hom system of
 `knyd.ydmod` and the explicit U (x) W0 isomorphism it checks; the q-matrix
 of a diagonal braiding; the plain column-by-column elimination (against
@@ -24,7 +26,8 @@ from itertools import permutations
 from knyd import nichols
 from knyd.cyclotomic import CycNum, cyclotomic_polynomial
 from knyd.fusion import _simple, tensor_module
-from knyd.hopf import F, KnAlgebra, KnElement, antipode, comultiply, multiply
+from knyd.hopf import (F, P, KnAlgebra, KnElement, TensorElement, antipode,
+                       multiply)
 from knyd.linalg import CycMatrix, _reduced
 from knyd.nichols import BraidedSpace, SquareZeroSpace
 from knyd.racks import BraidedSet, CocycleTable, Rack
@@ -124,8 +127,9 @@ def quantum_symmetrizer(B: BraidedSpace, k: int) -> CycMatrix:
     """QS_k as a d^k x d^k matrix, by the right coset factorization
     QS_k = (QS_{k-1} (x) id) T*_k, each T*_k applied by `_coset_factor`."""
     ident = qs = CycMatrix.identity(B.n, B.dim)
+    perm = nichols._permutation_rows(B.c)
     for deg in range(2, k + 1):
-        qs = nichols._coset_factor(B, deg)(qs.kron(ident))
+        qs = nichols._coset_factor(B, deg, perm)(qs.kron(ident))
     return qs
 
 
@@ -208,11 +212,32 @@ def comatrix_element(A: KnAlgebra, k: int, l: int) -> KnElement:
     return KnElement(A, out)
 
 
+def closed_form_comultiply(x: KnElement) -> TensorElement:
+    """Delta(x) from the closed form in the `knyd.hopf` docstring, without
+    its Delta table: Delta(p_{ij}) sums p_{i'j'} (x) p_{i''j''} and
+    Delta(f_{ij}) sums xi^{i'j'' - j'i''} f_{i'j'} (x) f_{i''j''}, over
+    i' + i'' = i and j' + j'' = j."""
+    A = x.algebra
+    n = A.n
+    out: dict = {}
+    for (kind, i, j), v in x.coeffs.items():
+        for i1 in range(n):
+            i2 = (i - i1) % n
+            for j1 in range(n):
+                j2 = (j - j1) % n
+                c = v if kind == P else v * A.xi(i1 * j2 - j1 * i2)
+                key = ((kind, i1, j1), (kind, i2, j2))
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+    return TensorElement(A, out)
+
+
 def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
-    """h -> z = h_(1) z S(h_(2)), computed via comultiply/multiply/antipode."""
+    """h -> z = h_(1) z S(h_(2)), computed via the closed-form Delta,
+    multiply and antipode."""
     A = h.algebra
     acc = KnElement(A, {})
-    for (k1, k2), v in comultiply(h).coeffs.items():
+    for (k1, k2), v in closed_form_comultiply(h).coeffs.items():
         left = KnElement(A, {k1: v})
         right = antipode(KnElement(A, {k2: A.scalar(1)}))
         acc = acc + multiply(multiply(left, z), right)

@@ -329,6 +329,32 @@ def test_memory_budget_error_before_the_tensor_module(runner, monkeypatch):
     assert result.exit_code == 0 and built == []
 
 
+def test_memory_budget_error_before_the_rack_battery(runner, monkeypatch):
+    # with the process itself counted as empty, the battery needs 1.9 MB
+    # by the estimate at n = 7 and 11.7 MB at n = 11, against 10 MB; the
+    # refused one builds no cocycle table
+    monkeypatch.setenv("KN_MEMORY_MB", "10")
+    monkeypatch.setattr(nichols, "_process_bytes", lambda: 0)
+    battery = rackbattery.run_battery
+    runs = []
+    monkeypatch.setattr(rackbattery, "run_battery",
+                        lambda n: runs.append(n) or battery(n))
+    result = runner.invoke(main, ["rack", "--n", "11"])
+    assert result.exit_code == 1
+    assert ("memory budget exceeded: the rack battery at n=11, 87846 table "
+            "and braiding cells, exceeds") in result.output
+    assert "Traceback" not in result.output and runs == []
+    result = runner.invoke(main, ["rack", "--n", "7", "--json"])
+    assert result.exit_code == 0 and runs == [7]
+    # paper-verify checks it before its sweeps, once its 7744 labels fit
+    audits = []
+    monkeypatch.setattr(cli, "verify_hopf_axioms",
+                        lambda A: audits.append(A.n))
+    result = runner.invoke(main, ["paper-verify", "--n", "11"])
+    assert result.exit_code == 1 and audits == [] and runs == [7]
+    assert "memory budget exceeded: the rack battery at n=11" in result.output
+
+
 def test_simples_label_count_in_closed_form():
     # the count `kn simples` checks against the budget before listing
     for n in (3, 5, 7, 9):
@@ -383,6 +409,17 @@ def test_memory_budget_error_before_the_hopf_audit():
     assert proc.stderr.startswith("Error: memory budget exceeded: the Hopf "
                                   "audit of K_101, 208120802 coproduct "
                                   "terms, exceeds")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_memory_budget_error_before_the_rack_battery_at_n101():
+    # at n = 101 the 4n^2 cocycle tables and 2n^2 braidings of n^2 cells
+    # would need about 83 GB; the check comes before any table is built
+    proc = _run_under_2gb("rack", "--n", "101", "--json")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Error: memory budget exceeded: the rack "
+                                  "battery at n=101, 624362406 table and "
+                                  "braiding cells, exceeds")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from knyd import hopf
 from knyd.cyclotomic import CycNum, cyc, root, root_exponents
 from knyd.hopf import (F, KnAlgebra, KnElement, P, TensorElement, antipode,
-                       character, comultiply, counit, delta2_term,
-                       delta_terms, multiply, product_table,
-                       verify_hopf_axioms)
-from oracles import (adjoint_action, comatrix_element, solve, transpose,
-                     xhat)
+                       character, comultiply, counit, delta_terms, multiply,
+                       product_table, verify_hopf_axioms)
+from oracles import (adjoint_action, closed_form_comultiply, comatrix_element,
+                     solve, transpose, xhat)
 
 
 @pytest.fixture(scope="module")
@@ -203,10 +202,11 @@ def _reference_audit(A, antipode_fn=None):
         return next((ce for ce, bad in cases if bad), None)
 
     def delta_cases():
-        du = delta(one)
+        yield "unit", delta(one) != TensorElement(
+            A, {(k1, k2): v * w for k1, v in one.coeffs.items()
+                for k2, w in one.coeffs.items()})
         for x in basis:
             dx = delta(e[x])
-            yield ("unit", x), du * dx != dx
             for y in basis:
                 yield (x, y), delta(multiply(e[x], e[y])) != dx * delta(e[y])
 
@@ -257,15 +257,16 @@ def _wrong_product(n, key=(P, 0, 0), slot=0, right=(P, 0, 0),
     return table
 
 
-def _wrong_twist(n, term=1):
-    """The Delta cache with the twist of term number `term` of Delta(f_12)
-    multiplied by xi, whose exponent in Z/2n is n + 1.  Term 0 is
-    f_00 (x) f_12, the one term that the counit law (eps x id) reads."""
+def _wrong_twist(n, term=1, key=(F, 1, 2)):
+    """The Delta cache with the coefficient of term number `term` of
+    Delta(key) multiplied by xi, whose exponent in Z/2n is n + 1.  Term 0
+    of Delta(f_12) is f_00 (x) f_12, the one term that the counit law
+    (eps x id) reads."""
     cache = dict(hopf._delta_cache(n))
-    terms = list(cache[(F, 1, 2)])
+    terms = list(cache[key])
     k1, k2, v = terms[term]
     terms[term] = (k1, k2, (v + n + 1) % (2 * n))
-    cache[(F, 1, 2)] = terms
+    cache[key] = terms
     return cache
 
 
@@ -305,6 +306,8 @@ FAULTS = {
 DELTA_FAULTS = {
     "twist": lambda: _wrong_twist(3),
     "counit-twist": lambda: _wrong_twist(3, term=0),
+    # xi on p_01 (x) p_02 in Delta(p_00), so Delta(1) != 1 (x) 1
+    "p-twist": lambda: _wrong_twist(3, key=(P, 0, 0)),
     "swap": lambda: _swapped_factors(3),
     "repeat": lambda: _repeated_term(3),
 }
@@ -377,26 +380,11 @@ def test_delta_terms_is_comultiply_on_exponents(n, samples):
         keys = random.Random(n).sample(keys, samples)
     for key in keys:
         assert delta_terms(A, key) == [
-            (k1, k2, roots[v])
-            for (k1, k2), v in comultiply(A.basis(*key)).coeffs.items()], key
-
-
-@pytest.mark.parametrize("n,samples", [(3, None), (9, 6)])
-def test_delta2_term_is_delta_applied_twice(n, samples):
-    A = KnAlgebra(n)
-    roots = root_exponents(n)
-    keys = list(A.basis_indices())
-    if samples is not None:
-        keys = random.Random(n).sample(keys, samples)
-    for h in keys:
-        # (Delta (x) id) Delta(h) through comultiply alone
-        terms: dict = {}
-        for (k1, k2), v in comultiply(A.basis(*h)).coeffs.items():
-            for (k11, k12), w in comultiply(A.basis(*k1)).coeffs.items():
-                terms[(k11, k12, k2)] = v * w
-        assert len(terms) == n ** 4
-        for (h1, h2, h3), c in terms.items():
-            assert delta2_term(n, h, h1, h3) == (h2, roots[c]), (h, h1, h3)
+            (k1, k2, roots[v]) for (k1, k2), v
+            in closed_form_comultiply(A.basis(*key)).coeffs.items()], key
+    # comultiply reads the table, on a sum of basis keys
+    x = KnElement(A, {key: cyc(n, t) for t, key in enumerate(keys)})
+    assert comultiply(x) == closed_form_comultiply(x)
 
 
 def test_characters_are_group_like(A3):

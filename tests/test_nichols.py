@@ -120,8 +120,9 @@ def _braid_equation_oracle(c, d):
 
 
 def _check_and_route(B):
-    """check_braid_equation(B), and whether it took the monomial route
-    (no CycMatrix.kron call) rather than the fallback."""
+    """check_braid_equation(B), and whether it took the route of a
+    permutation braiding (no CycMatrix.kron call) rather than the
+    fallback."""
     calls = []
     kron = CycMatrix.kron
 
@@ -143,15 +144,28 @@ def _pm_xi(n, j):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_monomial_braid_equation_against_matrix_products(data):
+    # a monomial c, one root entry per column: a permutation matrix for at
+    # least half the examples, else any row for each column.  The rows
+    # route is taken exactly for a permutation matrix, and the verdict is
+    # that of the matrix products, for c and for its transpose
     n = 3
     d = data.draw(st.sampled_from([2, 3]))
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(range(d * d)))
+    else:
+        rows = [data.draw(st.integers(0, d * d - 1)) for _ in range(d * d)]
     c = CycMatrix.zero(n, d * d, d * d)
-    for col in range(d * d):
-        row = data.draw(st.integers(0, d * d - 1))
+    for col, row in enumerate(rows):
         c.set(row, col, _pm_xi(n, data.draw(st.integers(0, 2 * n - 1))))
-    verdict, monomial = _check_and_route(BraidedSpace(d, c))
-    assert monomial
-    assert verdict == _braid_equation_oracle(c, d)
+    permutation = sorted(rows) == list(range(d * d))
+    verdicts = []
+    for m in (c, transpose(c)):
+        verdict, rows_route = _check_and_route(BraidedSpace(d, m))
+        assert rows_route == permutation
+        assert verdict == _braid_equation_oracle(m, d)
+        verdicts.append(verdict)
+    # c holds the braid equation exactly when its transpose does
+    assert verdicts[0] == verdicts[1]
 
 
 def test_rack_braidings_braid_equation_against_matrix_products():
@@ -163,7 +177,7 @@ def test_rack_braidings_braid_equation_against_matrix_products():
         for eps in (1, -1) for i in range(n) for m in range(n)]
     for S in spaces:
         assert _check_and_route(S) == (True, True)
-        # one entry times xi: still monomial
+        # one entry times xi: still a permutation matrix
         bad = copy_matrix(S.c)
         r, row = next(iter(bad.data.items()))
         col = next(iter(row))
@@ -266,7 +280,7 @@ def test_right_coset_factorization_equals_the_naive_symmetrizer(name):
     monomial = name not in ("2 flip", "half diagonal", "Jordan plane")
     assert (nichols._permutation_rows(B.c) is not None) == monomial
     for k in (2, 3, 4):
-        times = nichols._coset_factor(B, k)
+        times = nichols._coset_factor(B, k, nichols._permutation_rows(B.c))
         assert times(naive_quantum_symmetrizer(B, k - 1).kron(ident)) == \
             naive_quantum_symmetrizer(B, k), (name, k)
 
@@ -289,7 +303,7 @@ def test_coset_factor_over_f_p_is_the_image(name):
         X = naive_quantum_symmetrizer(B, k)
         X.data = {r: {c: v for c, v in row.items() if c % 3}
                   for r, row in X.data.items() if r % 2}
-        times = nichols._coset_factor(B, k)
+        times = nichols._coset_factor(B, k, nichols._permutation_rows(B.c))
         exact = times(X)
         for u, roots in enumerate(root_images(B.n, p)):
             def image(M):
@@ -973,8 +987,8 @@ def _routes(monkeypatch):
     routes = []
     degrees = nichols._degrees
 
-    def recording(B, fields, cutoff, want_relations, lift=None):
-        found = degrees(B, fields, cutoff, want_relations, lift)
+    def recording(B, perm, fields, cutoff, want_relations, lift=None):
+        found = degrees(B, perm, fields, cutoff, want_relations, lift)
         routes.append("exact" if lift is None else
                       "certified" if found is not None else "refused")
         return found

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from knyd.cyclotomic import CycNum, cyc, modular_prime, root, root_order
 from knyd.fusion import closed_form_fuse, decompose, tensor_module
-from knyd.hopf import (KnAlgebra, _collect, antipode, character, comultiply,
-                       counit, delta2_term, multiply)
+from knyd.hopf import (F, P, KnAlgebra, _collect, antipode, basis_numbers,
+                       character, counit, multiply)
 from knyd import ydmod
 from knyd.linalg import CycMatrix
 from knyd.ydmod import (U, V, W, YDModule, braided_space, braiding,
                         build_simple, build_u_module, check_yd,
                         dimension_census, direct_sum, hom_dimension,
                         label_weights, list_simples, parse_label)
-from oracles import comatrix_element, is_yd_map, rref
+from oracles import (closed_form_comultiply, comatrix_element, is_yd_map,
+                     rref)
 
 
 @pytest.fixture(scope="module")
@@ -186,21 +187,56 @@ def _sandwiches(n, hkind, gkey):
     return out
 
 
+@lru_cache(maxsize=None)
+def _delta(n, hkey):
+    """Delta of a basis key from its closed form (`oracles`), as
+    {(key1, key2): coefficient}."""
+    return closed_form_comultiply(KnAlgebra(n).basis(*hkey)).coeffs
+
+
+def _delta2(n, h, h1, h3):
+    """The term h1 (x) h2 (x) h3 of Delta^2(h), for h1, h3 of h's kind, as
+    (h2, coefficient): the closed-form Delta applied twice,
+    h -> h12 (x) h3 and h12 -> h1 (x) h2."""
+    kind, i, j = h
+    h12 = (kind, (i - h3[1]) % n, (j - h3[2]) % n)
+    h2 = (kind, (h12[1] - h1[1]) % n, (h12[2] - h1[2]) % n)
+    return h2, _delta(n, h)[(h12, h3)] * _delta(n, h12)[(h1, h2)]
+
+
+@pytest.mark.parametrize("n,samples", [(3, None), (9, 6)])
+def test_yd_terms_are_delta_applied_twice(n, samples):
+    # each entry of the per-n table of YD right-side terms against
+    # h1 g S(h3) by `multiply` (`_sandwiches`) and Delta^2 from the closed
+    # form: one (h1, h3) per kind and g, and the coefficient of
+    # h1 (x) h2 (x) h3 for every h2
+    basis = list(basis_numbers(n))
+    keys = [(hkind, g) for hkind in (P, F) for g in range(len(basis))]
+    if samples is not None:
+        keys = random.Random(n).sample(keys, samples)
+    terms = ydmod._yd_terms(n)
+    for hkind, g in keys:
+        si, sj, result, e0, ea, eb = terms[hkind * len(basis) + g]
+        (h1, h3, product), = _sandwiches(n, hkind, basis[g])
+        assert product == {basis[result]: CycNum.one(n)}
+        for a in range(n):
+            for b in range(n):
+                h = (hkind, (si + a) % n, (sj + b) % n)
+                assert _delta2(n, h, h1, h3) == (
+                    (hkind, a, b), root(n, e0 + a * ea + b * eb)), (h, g)
+
+
 def _reference_check_yd(M):
-    """check_yd with every coefficient a CycNum: Delta from `comultiply`,
-    h1 g S(h3) from `multiply` (`_sandwiches`), the Delta^2 coefficient as
-    the root of `delta2_term`'s exponent, and each side of every identity
-    summed in Q(xi_n) and compared."""
+    """check_yd with every coefficient a CycNum: Delta from its closed form
+    (`_delta`), h1 g S(h3) from `multiply` (`_sandwiches`), the Delta^2
+    coefficient as that Delta applied twice (`_delta2`), and each side of
+    every identity summed in Q(xi_n) and compared."""
     A = M.algebra
     n = A.n
     report = {"module": None, "comodule": None, "yd": None}
-    deltas: dict = {}
 
     def delta(hkey):
-        if hkey not in deltas:
-            deltas[hkey] = [(k1, k2, v) for (k1, k2), v
-                            in comultiply(A.basis(*hkey)).coeffs.items()]
-        return deltas[hkey]
+        return [(k1, k2, v) for (k1, k2), v in _delta(n, hkey).items()]
 
     wt = M.weights
     failure = None
@@ -247,8 +283,8 @@ def _reference_check_yd(M):
             for k, g in M.coaction[j].items():
                 for gkey, gamma in g.coeffs.items():
                     for h1, h3, product in _sandwiches(n, hkey[0], gkey):
-                        h2key, d = delta2_term(n, hkey, h1, h3)
-                        rhs += [((result, r), gamma * c * root(n, d) * w)
+                        h2key, d = _delta2(n, hkey, h1, h3)
+                        rhs += [((result, r), gamma * c * d * w)
                                 for result, c in product.items()
                                 for r, w in column(h2key, k)]
             if lhs != _collect(rhs):
@@ -651,11 +687,12 @@ def test_swapped_weights_are_told_apart(A3):
 def _dual_words(n, generators):
     """The basis keys h whose dual h^* is a root of unity times a product of
     the duals of the generators in the convolution algebra K_n^*, where
-    (k1^* k2^*)(h) is the coefficient of k1 (x) k2 in `comultiply`(h)."""
+    (k1^* k2^*)(h) is the coefficient of k1 (x) k2 in Delta(h)
+    (`_delta`)."""
     A = KnAlgebra(n)
     table: dict = {}
     for h in A.basis_indices():
-        for pair, c in comultiply(A.basis(*h)).coeffs.items():
+        for pair, c in _delta(n, h).items():
             table.setdefault(pair, []).append((h, c))
     # a product of basis duals is a multiple of one basis dual, or zero
     reached = {g: CycNum.one(n) for g in generators}
