@@ -74,6 +74,7 @@ import os
 import resource
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, lcm
 
 from .cyclotomic import (CycNum, from_images, modular_prime, root,
@@ -118,10 +119,16 @@ def _check_budget(need: int, what: str):
 # -- braided spaces ---------------------------------------------------------------
 
 
-class BraidedSpace:
-    """dim-dimensional space with braiding matrix c (d^2 x d^2)."""
+_UNREAD = object()   # a BraidedSpace whose rows are not read yet
 
-    def __init__(self, dim: int, c: CycMatrix, name: str | None = None):
+
+class BraidedSpace:
+    """dim-dimensional space with braiding matrix c (d^2 x d^2).  perm,
+    when given, must be c's rows as `_permutation_rows` reads them; else
+    they are read off c on first use, at most once."""
+
+    def __init__(self, dim: int, c: CycMatrix, name: str | None = None,
+                 perm=None):
         if c.rows != dim * dim or c.cols != dim * dim:
             raise ValueError("braiding must be a %d x %d matrix" %
                              (dim * dim, dim * dim))
@@ -129,6 +136,15 @@ class BraidedSpace:
         self.n = c.n
         self.c = c
         self.name = name
+        self._perm = _UNREAD if perm is None else perm
+
+    @property
+    def perm(self):
+        """c's rows (`_permutation_rows`): None unless c is a permutation
+        matrix with root-of-unity entries."""
+        if self._perm is _UNREAD:
+            self._perm = _permutation_rows(self.c)
+        return self._perm
 
     def __repr__(self):
         return "BraidedSpace(%s, dim %d over Q(xi_%d))" % (
@@ -140,34 +156,57 @@ def check_braid_equation(B: BraidedSpace) -> bool:
     as d^3 x d^3 matrices.
 
     When c is a permutation matrix with root-of-unity entries
-    (`_permutation_rows`), so is every product of c1 = c^T (x) id and
-    c2 = id (x) c^T, and both sides are compared for c^T on each basis
-    triple as a (target index, exponent mod 2n) pair: exact integer
-    arithmetic in the roots of unity.  c^T holds the equation exactly when
-    c does, since transposing reverses both triple products.  Any other c
-    takes the route through kron and matrix products."""
-    perm = _permutation_rows(B.c)
+    (`B.perm`), so is every product of c1 = c^T (x) id and c2 = id (x) c^T.
+    Both sides then send each basis triple t to one triple, through three
+    rows of c each (`_braid_paths`), and are equal exactly when they send
+    every t to the same triple and their three exponents add up to the
+    same sum mod 2n: exact integer arithmetic in the roots of unity.  The
+    paths depend only on where the rows of c go, so braidings that permute
+    alike share them; each call only adds exponents.  c^T holds the
+    equation exactly when c does, since transposing reverses both triple
+    products.  Any other c takes the route through kron and matrix
+    products."""
+    perm = B.perm
     if perm is not None:
-        d, N = B.dim, 2 * B.n
-        dd = d * d
-        c1 = [((x + s) * d + z, e) for x, (s, e) in enumerate(perm)
-              for z in range(d)]
-        c2 = [(x * dd + y + s, e) for x in range(d)
-              for y, (s, e) in enumerate(perm)]
-        for t in range(dd * d):
-            u, e1 = c1[t]
-            u, e2 = c2[u]
-            u, e3 = c1[u]
-            v, f1 = c2[t]
-            v, f2 = c1[v]
-            v, f3 = c2[v]
-            if u != v or (e1 + e2 + e3 - f1 - f2 - f3) % N:
+        paths = _braid_paths(tuple(x + s for x, (s, _) in enumerate(perm)),
+                             B.dim)
+        if paths is None:
+            return False
+        E, N = [e for _, e in perm], 2 * B.n
+        for a, b, c, x, y, z in paths:
+            if (E[a] + E[b] + E[c] - E[x] - E[y] - E[z]) % N:
                 return False
         return True
     ident = CycMatrix.identity(B.n, B.dim)
     c1 = B.c.kron(ident)
     c2 = ident.kron(B.c)
     return c1 @ c2 @ c1 == c2 @ c1 @ c2
+
+
+@lru_cache(maxsize=2)
+def _braid_paths(targets: tuple, d: int):
+    """For a permutation braiding whose row x has its entry in column
+    targets[x]: for each basis triple t of the d^3, the rows of c that
+    c1 c2 c1 reads on t, then those that c2 c1 c2 reads, in order (a
+    6-tuple); None when the two sides send some triple to different
+    triples.  c1 moves t = x d + z to targets[x] d + z by row x, and c2
+    moves t = w d^2 + y to w d^2 + targets[y] by row y.  Cached for the
+    last two target arrays: the rack battery alternates between the one of
+    every s^F and the one of every c^q."""
+    dd = d * d
+    paths = []
+    for t in range(dd * d):
+        x1, z = divmod(t, d)
+        w, y2 = divmod(targets[x1] * d + z, dd)
+        x3, z = divmod(w * dd + targets[y2], d)
+        u = targets[x3] * d + z
+        w, y1 = divmod(t, dd)
+        x2, z = divmod(w * dd + targets[y1], d)
+        w, y3 = divmod(targets[x2] * d + z, dd)
+        if u != w * dd + targets[y3]:
+            return None
+        paths.append((x1, y2, x3, y1, x2, y3))
+    return tuple(paths)
 
 
 # -- quantum symmetrizers -----------------------------------------------------------
@@ -393,7 +432,7 @@ def graded_dims(B: BraidedSpace, cutoff: int,
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     found = None
-    perm = _permutation_rows(B.c)
+    perm = B.perm
     fields = None if perm is None else _embeddings(B)
     if fields is not None:
         found = _degrees(B, perm, fields, cutoff, want_relations,

@@ -256,11 +256,9 @@ def cq_braiding(R: Rack, q: CocycleTable) -> BraidedSpace:
     if not check_rack_cocycle(R, q):
         raise ValueError("the rack 2-cocycle condition fails")
     d = R.size
-    c = CycMatrix.zero(q.n, d * d, d * d)
-    for x in range(d):
-        for y in range(d):
-            c.set(R.op(x, y) * d + x, x * d + y, q[x, y])
-    return BraidedSpace(d, c, name="rack braiding")
+    return _cocycle_braiding(q, [(R.table[x][y] * d + x, x, y)
+                                 for x in range(d) for y in range(d)],
+                             "rack braiding")
 
 
 def sF_braiding(B: BraidedSet, F: CocycleTable) -> BraidedSpace:
@@ -270,11 +268,23 @@ def sF_braiding(B: BraidedSet, F: CocycleTable) -> BraidedSpace:
     if not check_F_cocycle(B, F):
         raise ValueError("the set-theoretic cocycle condition fails")
     d = B.size
-    c = CycMatrix.zero(F.n, d * d, d * d)
-    for x in range(d):
-        for y in range(d):
-            c.set(B.g[x][y] * d + B.f[y][x], x * d + y, F[x, y])
-    return BraidedSpace(d, c, name="set-theoretic braiding")
+    return _cocycle_braiding(F, [(B.g[x][y] * d + B.f[y][x], x, y)
+                                 for x in range(d) for y in range(d)],
+                             "set-theoretic braiding")
+
+
+def _cocycle_braiding(F: CocycleTable, cells, name: str) -> BraidedSpace:
+    """The braiding with entry F[x][y] in row `row`, column x d + y, for
+    each (row, x, y) of cells, which meet every row once: a permutation
+    matrix with root entries, given with its rows (`_permutation_rows`)
+    read off the table's exponents."""
+    d = F.size
+    data, perm = {}, [None] * (d * d)
+    for row, x, y in cells:
+        col = x * d + y
+        data[row] = {col: F.values[x][y]}
+        perm[row] = (col - row, F.exps[x][y])
+    return BraidedSpace(d, CycMatrix(F.n, d * d, d * d, data), name, perm)
 
 
 # -- t-equivalence and twist-equivalence -----------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .cyclotomic import CycNum, root, root_exponents
+from .cyclotomic import CycNum, _xi_powers, root, root_exponents
 from .linalg import CycMatrix
 from .hopf import (_EMPTY, F, P, KnAlgebra, KnElement, _collect,
                    _delta_cache, _first_failure, _scatter, _sums_equal,
@@ -269,19 +269,28 @@ def build_simple(A: KnAlgebra, label: Label) -> YDModule:
         action_x.set((-r) % n, r, coeff)
     # chi_{m,t} e_{rk}: p_{ab} f_{ab} = f_{ab} keeps one term of e_{rk} per
     # s, f_{ab} with (a, b) = (s+r-k, s-r+k), times the character's
-    # xi^{ma+tb}; taken in ascending a, the order of `hopf.multiply`
-    coaction = []
-    for r in range(n):
-        row = {}
-        for k in range(n):
-            coeffs = {}
-            for a in range(n):
-                s = a - r + k
-                b = (s - r + k) % n
-                coeffs[(F, a, b)] = A.xi(m * a + t * b - 2 * s * (r + k))
-            row[k] = KnElement(A, coeffs)
-        coaction.append(row)
+    # xi^{ma+tb}.  With s = a - r + k that is f_{a, a+2(k-r)} times
+    # xi^{a (m+t-2(r+k)) + 2(k-r)(t-r-k)}: a row of `_w_cells`
+    keys, powers = _w_cells(n)
+    coaction = [{k: KnElement._nonzero(A, dict(zip(
+        keys[(k - r) % n],
+        powers[(m + t - 2 * (r + k)) % n][2 * (k - r) * (t - r - k) % n])))
+        for k in range(n)} for r in range(n)]
     return YDModule(A, n, label_weights(label), action_x, coaction, label)
+
+
+@lru_cache(maxsize=None)
+def _w_cells(n: int):
+    """The keys and coefficients of the coaction cells of a W over K_n:
+    keys[u] is f_{a, a+2u} and powers[s][c] the root xi^{c + a s}, each for
+    a = 0 .. n-1 in ascending order, the order of `hopf.multiply`.  Every
+    coefficient is a root, so none is zero."""
+    xs, basis = _xi_powers(n), list(product_table(n))
+    keys = [tuple(basis[(F * n + a) * n + (a + 2 * u) % n] for a in range(n))
+            for u in range(n)]
+    powers = [[tuple(xs[(c + a * s) % n] for a in range(n)) for c in range(n)]
+              for s in range(n)]
+    return keys, powers
 
 
 def build_u_module(A: KnAlgebra, i: int, j: int, m: int, t: int) -> YDModule:
@@ -511,9 +520,51 @@ def check_yd(M: YDModule) -> dict:
 def braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
     """Matrix of c(v (x) w) = v_{-1}.w (x) v_0, mapping Mv (x) Mw to
     Mw (x) Mv; tensor bases are row-major (index of v_a (x) w_b is
-    a*dim(Mw) + b)."""
+    a*dim(Mw) + b).  Each term is the coefficient of a key in a coaction
+    cell of Mv times an entry of that key's action on Mw; when every term
+    is a root of unity, no two fall in one cell and the cells form a
+    permutation matrix, as for every pair of simples, each is placed as it
+    is (`_permutation_braiding`).  Any other pair of modules takes
+    `_summed_braiding`, the one route for any terms."""
     if Mv.algebra.n != Mw.algebra.n:
         raise ValueError("algebra mismatch")
+    c = _permutation_braiding(Mv, Mw)
+    return _summed_braiding(Mv, Mw) if c is None else c
+
+
+def _permutation_braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix | None:
+    """The braiding when its terms are roots that fill a permutation
+    matrix, one term per cell; None for any other pair.  The action of a
+    key on Mw is read off the weights: p_{ab} fixes each v_r of weight
+    (a, b), and f_{ab} = p_{ab} x^ is row r of x^."""
+    n = Mv.algebra.n
+    dv, dw = Mv.dim, Mw.dim
+    roots, one, x = root_exponents(n), root(n, 0), Mw.action_x.data
+    acts: dict = {}   # key -> the entries (r, b, v) of its action on Mw
+    for w, rows in _weight_blocks(Mw)[0].items():
+        acts[(P,) + w] = [(r, r, one) for r in rows]
+        acts[(F,) + w] = [(r, b, v) for r in rows
+                          for b, v in x.get(r, {}).items()]
+    data: dict = {}
+    for a in range(dv):
+        for a1, g in Mv.coaction[a].items():
+            for hkey, coeff in g.coeffs.items():
+                for r, b, v in acts.get(hkey, ()):
+                    term = coeff * v
+                    cells = data.setdefault(r * dv + a1, {})
+                    col = a * dw + b
+                    if col in cells or term not in roots:
+                        return None
+                    cells[col] = term
+    size = dv * dw
+    if (len(data) != size or any(len(row) != 1 for row in data.values())
+            or len({col for row in data.values() for col in row}) != size):
+        return None
+    return CycMatrix(n, size, size, data)
+
+
+def _summed_braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
+    """The braiding with the terms of each cell summed."""
     n = Mv.algebra.n
     dv, dw = Mv.dim, Mw.dim
     acc: dict = {}

@@ -11,11 +11,13 @@ table of `knyd.hopf`, which `comultiply`, the audits and the Delta^2 terms
 of `check_yd` read); the comatrix elements of K_n (against the W coaction of
 `knyd.ydmod.build_simple`) and its adjoint action from that coproduct,
 multiplication and antipode; a test of one matrix against the Hom system of
-`knyd.ydmod` and the explicit U (x) W0 isomorphism it checks; the q-matrix
-of a diagonal braiding; the plain column-by-column elimination (against
-`knyd.linalg._echelon`), a linear solver, the transpose, a matrix copy and
-the dense form of a sparse kernel vector; and a few small racks, solutions
-and cocycles.
+`knyd.ydmod` and the explicit U (x) W0 isomorphism it checks; the
+braiding of two YD modules with the terms of each cell summed (against the
+one term per cell of `knyd.ydmod.braiding` on permutation braidings); the
+q-matrix of a diagonal braiding; the plain column-by-column elimination
+(against `knyd.linalg._echelon`), a linear solver, the transpose, a matrix
+copy and the dense form of a sparse kernel vector; and a few small racks,
+solutions and cocycles.
 """
 
 from __future__ import annotations
@@ -242,6 +244,32 @@ def adjoint_action(h: KnElement, z: KnElement) -> KnElement:
         right = antipode(KnElement(A, {k2: A.scalar(1)}))
         acc = acc + multiply(multiply(left, z), right)
     return acc
+
+
+# -- braidings -------------------------------------------------------------------------
+
+
+def accumulated_braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
+    """The matrix of c(v (x) w) = v_{-1}.w (x) v_0 from Mv (x) Mw to
+    Mw (x) Mv in the bases of `knyd.ydmod.braiding`, with every term
+    summed into its cell: each coefficient of a coaction cell of Mv times
+    each entry of its key's action on Mw (`YDModule.action_of`)."""
+    n = Mv.algebra.n
+    dv, dw = Mv.dim, Mw.dim
+    acc: dict = {}
+    for a in range(dv):
+        for a1, g in Mv.coaction[a].items():
+            for hkey, coeff in g.coeffs.items():
+                for c_, grow in Mw.action_of(hkey).data.items():
+                    for b, v in grow.items():
+                        key = (c_ * dv + a1, a * dw + b)
+                        term = coeff * v
+                        prev = acc.get(key)
+                        acc[key] = term if prev is None else prev + term
+    out = CycMatrix.zero(n, dw * dv, dv * dw)
+    for (row, col), v in acc.items():
+        out.set(row, col, v)
+    return out
 
 
 # -- YD maps ---------------------------------------------------------------------------

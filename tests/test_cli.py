@@ -12,6 +12,8 @@ from click.testing import CliRunner
 
 from knyd import cli, fusion, hopf, nichols, rackbattery
 from knyd.cli import main
+from knyd.cyclotomic import cyc
+from knyd.racks import CocycleTable
 
 
 @pytest.fixture()
@@ -203,6 +205,55 @@ def test_failed_check_exits_1(runner, monkeypatch, args, target, fail, line,
     result = runner.invoke(main, args + ["--json"])
     assert calls and result.exit_code == 1, result.output
     assert json.loads(result.output)[key] is False
+
+
+def _corrupt_one_table(real, label):
+    """real, a cocycle family, with entry (0, 0) of label's table times xi:
+    that table fails its cocycle condition."""
+    def corrupted(n, *lab):
+        table = real(n, *lab)
+        if lab != label:
+            return table
+        values = [list(row) for row in table.values]
+        values[0][0] = values[0][0] * cyc(n, 1)
+        return CocycleTable(values)
+    return corrupted
+
+
+# (the cocycle family corrupted at W(+1,1,0), the checks that fail: the
+#  family's cocycle check, and each check that reads the family's tables or
+#  a braiding that sF_braiding or cq_braiding then refuses to build)
+CORRUPT_TABLES = [
+    ("w_cocycle", [
+        "braiding cocycles satisfy the set-theoretic cocycle condition "
+        "(all labels)",
+        "set-theoretic braiding matches the categorical W braiding "
+        "entry-wise (all labels)",
+        "t-equivalence cocycles exist and are rack 2-cocycles (all labels)",
+        "all produced braidings satisfy the braid equation"]),
+    ("d_cocycle", [
+        "diagonal-family rack 2-cocycles hold (all labels)",
+        "all produced braidings satisfy the braid equation"]),
+]
+
+
+@pytest.mark.parametrize("family, failed", CORRUPT_TABLES,
+                         ids=[case[0] for case in CORRUPT_TABLES])
+def test_failed_cocycle_fails_its_checks(runner, monkeypatch, family,
+                                         failed):
+    monkeypatch.setattr(rackbattery, family, _corrupt_one_table(
+        getattr(rackbattery, family), (1, 1, 0)))
+    result = runner.invoke(main, ["rack", "--n", "3"])
+    assert result.exit_code == 1 and "Traceback" not in result.output
+    assert ["  [FAIL] " + name for name in failed] == [
+        line for line in result.output.splitlines()
+        if line.startswith("  [FAIL] ")]
+    result = runner.invoke(main, ["rack", "--n", "3", "--json"])
+    assert result.exit_code == 1
+    checks = json.loads(result.output)["checks"]
+    assert len(checks) == 10
+    assert sorted(name for name, ok in checks.items() if not ok) == \
+        sorted(failed)
 
 
 # -- error handling --------------------------------------------------------------

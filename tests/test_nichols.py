@@ -202,6 +202,50 @@ def test_rack_braidings_braid_equation_against_matrix_products():
     assert _check_and_route(BraidedSpace(3, flip)) == (True, False)
 
 
+def _swapped_targets(c, r1, r2):
+    """c with the entries of rows r1 and r2 moved to each other's
+    column."""
+    out = copy_matrix(c)
+    (c1, v1), = c.data[r1].items()
+    (c2, v2), = c.data[r2].items()
+    out.data[r1], out.data[r2] = {c2: v1}, {c1: v2}
+    return out
+
+
+def test_shared_braid_paths_negative_controls(monkeypatch):
+    # one exponent of s^F changed keeps s^F's targets, and so its shared
+    # paths, and breaks only the exponent sums; two targets of s^F swapped
+    # break where the two sides send a triple.  Each fails on the shared
+    # paths and on the matrix products
+    n = 3
+    S = sF_braiding(standard_solution(n), w_cocycle(n, -1, 1, 0))
+    R = cq_braiding(dihedral_rack(n), d_cocycle(n, 1, 2, 1))
+    exponent = copy_matrix(S.c)
+    (col, v), = exponent.data[0].items()
+    exponent.set(0, col, v * cyc(n, 1))
+    swapped = _swapped_targets(S.c, 0, 1)
+    nichols._braid_paths.cache_clear()
+    assert _check_and_route(S) == (True, True)
+    for c in (exponent, swapped, exponent):
+        assert _check_and_route(BraidedSpace(S.dim, c)) == (False, True)
+    # a new target array computes its own paths: s^F's, then the swapped
+    # ones, then c^q's, each once; the exponent change reuses s^F's
+    assert _check_and_route(R) == (True, True)
+    assert _check_and_route(S) == (True, True)
+    info = nichols._braid_paths.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    targets = [tuple(x + shift for x, (shift, _) in
+                     enumerate(BraidedSpace(S.dim, c).perm))
+               for c in (S.c, exponent, swapped)]
+    assert targets[0] == targets[1] != targets[2]
+    assert nichols._braid_paths(targets[2], S.dim) is None
+    # the same matrices on the route through kron and matrix products
+    monkeypatch.setattr(nichols, "_permutation_rows", lambda c: None)
+    for c in (exponent, swapped):
+        assert _check_and_route(BraidedSpace(S.dim, c)) == (False, False)
+    assert _check_and_route(BraidedSpace(S.dim, S.c)) == (True, False)
+
+
 # -- quantum symmetrizers ------------------------------------------------------------
 
 
