@@ -449,10 +449,9 @@ def _check_rack_budget(n):
     """MemoryBudgetError unless the budget admits the rack battery, which
     holds 4n^2 cocycle tables of n^2 cells each and, one label at a time,
     two braidings and a W module of n^2 cells each."""
-    # 800 bytes per n^4, the 6 n^4 cells of the 4n^2 tables and 2n^2
-    # braidings that the battery once held: an upper bound on what it
-    # holds now: at most 268 under tracemalloc, n = 7 to 15 (139 at
-    # n = 15), and 106-126 of resident set growth, n = 15 to 33
+    # 800 bytes per n^4, an upper bound on the measured peaks: at most 268
+    # under tracemalloc, n = 7 to 15 (139 at n = 15), and 106-132 of
+    # resident set growth, n = 15 to 33
     _check_budget(800 * n ** 4, "the rack battery at n=%d, %d table and "
                   "braiding cells," % (n, 6 * n ** 4))
 

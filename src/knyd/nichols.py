@@ -123,12 +123,9 @@ _UNREAD = object()   # a BraidedSpace whose rows are not read yet
 
 
 class BraidedSpace:
-    """dim-dimensional space with braiding matrix c (d^2 x d^2).  perm,
-    when given, must be c's rows as `_permutation_rows` reads them; else
-    they are read off c on first use, at most once."""
+    """dim-dimensional space with braiding matrix c (d^2 x d^2)."""
 
-    def __init__(self, dim: int, c: CycMatrix, name: str | None = None,
-                 perm=None):
+    def __init__(self, dim: int, c: CycMatrix, name: str | None = None):
         if c.rows != dim * dim or c.cols != dim * dim:
             raise ValueError("braiding must be a %d x %d matrix" %
                              (dim * dim, dim * dim))
@@ -136,12 +133,12 @@ class BraidedSpace:
         self.n = c.n
         self.c = c
         self.name = name
-        self._perm = _UNREAD if perm is None else perm
+        self._perm = _UNREAD
 
     @property
     def perm(self):
-        """c's rows (`_permutation_rows`): None unless c is a permutation
-        matrix with root-of-unity entries."""
+        """c's rows (`_permutation_rows`), read on first use, at most once:
+        None unless c is a permutation matrix with root-of-unity entries."""
         if self._perm is _UNREAD:
             self._perm = _permutation_rows(self.c)
         return self._perm

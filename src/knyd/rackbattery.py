@@ -12,9 +12,9 @@ from .cyclotomic import cyc
 from .hopf import KnAlgebra
 from .ydmod import W, braided_space, build_simple
 from .nichols import check_braid_equation
-from .racks import (CocycleTable, check_rack_cocycle, cq_braiding,
-                    d_cocycle, derived_rack, dihedral_rack, sF_braiding,
-                    standard_solution, t_equivalence_cocycle,
+from .racks import (CocycleError, CocycleTable, check_rack_cocycle,
+                    cq_braiding, d_cocycle, derived_rack, dihedral_rack,
+                    sF_braiding, standard_solution, t_equivalence_cocycle,
                     twist_equivalence_check, w_cocycle)
 
 
@@ -83,10 +83,10 @@ def run_battery(n: int):
 
 def _accepted(build, space, table):
     """build(space, table), the braiding of a cocycle table, or None when
-    build refuses the table."""
+    build refuses the table for failing its cocycle condition."""
     try:
         return build(space, table)
-    except ValueError:
+    except CocycleError:
         return None
 
 

@@ -251,10 +251,15 @@ def check_rack_cocycle(R: Rack, q: CocycleTable) -> bool:
 # -- braidings from cocycles -------------------------------------------------------------
 
 
+class CocycleError(ValueError):
+    """A cocycle table that fails its cocycle condition, refused by
+    `cq_braiding` or `sF_braiding`."""
+
+
 def cq_braiding(R: Rack, q: CocycleTable) -> BraidedSpace:
     """c(x (x) y) = q[x][y] (x|>y) (x) x."""
     if not check_rack_cocycle(R, q):
-        raise ValueError("the rack 2-cocycle condition fails")
+        raise CocycleError("the rack 2-cocycle condition fails")
     d = R.size
     return _cocycle_braiding(q, [(R.table[x][y] * d + x, x, y)
                                  for x in range(d) for y in range(d)],
@@ -266,7 +271,7 @@ def sF_braiding(B: BraidedSet, F: CocycleTable) -> BraidedSpace:
     if not B.is_solution():
         raise ValueError("s is not a set-theoretic solution")
     if not check_F_cocycle(B, F):
-        raise ValueError("the set-theoretic cocycle condition fails")
+        raise CocycleError("the set-theoretic cocycle condition fails")
     d = B.size
     return _cocycle_braiding(F, [(B.g[x][y] * d + B.f[y][x], x, y)
                                  for x in range(d) for y in range(d)],
@@ -275,16 +280,10 @@ def sF_braiding(B: BraidedSet, F: CocycleTable) -> BraidedSpace:
 
 def _cocycle_braiding(F: CocycleTable, cells, name: str) -> BraidedSpace:
     """The braiding with entry F[x][y] in row `row`, column x d + y, for
-    each (row, x, y) of cells, which meet every row once: a permutation
-    matrix with root entries, given with its rows (`_permutation_rows`)
-    read off the table's exponents."""
+    each (row, x, y) of cells, which meet every row once."""
     d = F.size
-    data, perm = {}, [None] * (d * d)
-    for row, x, y in cells:
-        col = x * d + y
-        data[row] = {col: F.values[x][y]}
-        perm[row] = (col - row, F.exps[x][y])
-    return BraidedSpace(d, CycMatrix(F.n, d * d, d * d, data), name, perm)
+    data = {row: {x * d + y: F.values[x][y]} for row, x, y in cells}
+    return BraidedSpace(d, CycMatrix(F.n, d * d, d * d, data), name)
 
 
 # -- t-equivalence and twist-equivalence -----------------------------------------------------

@@ -521,25 +521,16 @@ def braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
     """Matrix of c(v (x) w) = v_{-1}.w (x) v_0, mapping Mv (x) Mw to
     Mw (x) Mv; tensor bases are row-major (index of v_a (x) w_b is
     a*dim(Mw) + b).  Each term is the coefficient of a key in a coaction
-    cell of Mv times an entry of that key's action on Mw; when every term
-    is a root of unity, no two fall in one cell and the cells form a
-    permutation matrix, as for every pair of simples, each is placed as it
-    is (`_permutation_braiding`).  Any other pair of modules takes
-    `_summed_braiding`, the one route for any terms."""
+    cell of Mv times an entry of that key's action on Mw, read off the
+    weights: p_{ab} fixes each w_r of weight (a, b), and f_{ab} = p_{ab} x^
+    is row r of x^.  Terms that fall in one cell are added, and a cell
+    whose terms cancel is dropped; for every pair of simples the terms are
+    roots that fill a permutation matrix, one per cell."""
     if Mv.algebra.n != Mw.algebra.n:
         raise ValueError("algebra mismatch")
-    c = _permutation_braiding(Mv, Mw)
-    return _summed_braiding(Mv, Mw) if c is None else c
-
-
-def _permutation_braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix | None:
-    """The braiding when its terms are roots that fill a permutation
-    matrix, one term per cell; None for any other pair.  The action of a
-    key on Mw is read off the weights: p_{ab} fixes each v_r of weight
-    (a, b), and f_{ab} = p_{ab} x^ is row r of x^."""
     n = Mv.algebra.n
     dv, dw = Mv.dim, Mw.dim
-    roots, one, x = root_exponents(n), root(n, 0), Mw.action_x.data
+    one, x = root(n, 0), Mw.action_x.data
     acts: dict = {}   # key -> the entries (r, b, v) of its action on Mw
     for w, rows in _weight_blocks(Mw)[0].items():
         acts[(P,) + w] = [(r, r, one) for r in rows]
@@ -550,37 +541,18 @@ def _permutation_braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix | None:
         for a1, g in Mv.coaction[a].items():
             for hkey, coeff in g.coeffs.items():
                 for r, b, v in acts.get(hkey, ()):
-                    term = coeff * v
-                    cells = data.setdefault(r * dv + a1, {})
-                    col = a * dw + b
-                    if col in cells or term not in roots:
-                        return None
-                    cells[col] = term
-    size = dv * dw
-    if (len(data) != size or any(len(row) != 1 for row in data.values())
-            or len({col for row in data.values() for col in row}) != size):
-        return None
-    return CycMatrix(n, size, size, data)
-
-
-def _summed_braiding(Mv: YDModule, Mw: YDModule) -> CycMatrix:
-    """The braiding with the terms of each cell summed."""
-    n = Mv.algebra.n
-    dv, dw = Mv.dim, Mw.dim
-    acc: dict = {}
-    for a in range(dv):
-        for a1, g in Mv.coaction[a].items():
-            for hkey, coeff in g.coeffs.items():
-                for c_, grow in Mw.action_of(hkey).data.items():
-                    for b, v in grow.items():
-                        key = (c_ * dv + a1, a * dw + b)
-                        term = coeff * v
-                        prev = acc.get(key)
-                        acc[key] = term if prev is None else prev + term
-    out = CycMatrix.zero(n, dw * dv, dv * dw)
-    for (row, col), v in acc.items():
-        out.set(row, col, v)
-    return out
+                    row, col = r * dv + a1, a * dw + b
+                    cells = data.setdefault(row, {})
+                    prev = cells.get(col)
+                    if prev is None:
+                        cells[col] = coeff * v
+                    elif (prev := prev + coeff * v).is_zero():
+                        del cells[col]
+                        if not cells:
+                            del data[row]
+                    else:
+                        cells[col] = prev
+    return CycMatrix(n, dw * dv, dv * dw, data)
 
 
 def braided_space(M: YDModule):

@@ -8,9 +8,10 @@ from knyd.cyclotomic import CycNum, cyc
 from knyd.hopf import KnAlgebra
 from knyd.ydmod import W, braided_space, build_simple
 from knyd.nichols import check_braid_equation, graded_dims
-from knyd.racks import (BraidedSet, CocycleTable, Rack, check_F_cocycle,
-                        check_rack_cocycle, cq_braiding, d_cocycle,
-                        derived_rack, dihedral_rack, sF_braiding,
+from knyd import rackbattery
+from knyd.racks import (BraidedSet, CocycleError, CocycleTable, Rack,
+                        check_F_cocycle, check_rack_cocycle, cq_braiding,
+                        d_cocycle, derived_rack, dihedral_rack, sF_braiding,
                         standard_solution, t_equivalence_cocycle,
                         twist_equivalence_check, w_cocycle)
 from knyd.rackbattery import run_battery
@@ -51,8 +52,10 @@ def test_sF_braiding_rejects_a_non_solution_after_a_solution():
     assert sF_braiding(standard_solution(n), F).dim == n
     bad = BraidedSet.from_map(n, lambda x, y: ((y + x) % n, x))
     for _ in range(2):
-        with pytest.raises(ValueError, match="not a set-theoretic solution"):
+        with pytest.raises(ValueError, match="not a set-theoretic solution") \
+                as refused:
             sF_braiding(bad, F)
+        assert not isinstance(refused.value, CocycleError)
     assert sF_braiding(standard_solution(n), F).dim == n
 
 
@@ -101,10 +104,21 @@ def test_failing_cocycle_detected():
     bad = CocycleTable([[cyc(n, x * y) for y in range(n)] for x in range(n)])
     assert not check_F_cocycle(B, bad)
     assert not check_rack_cocycle(dihedral_rack(n), bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(CocycleError):
         sF_braiding(B, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(CocycleError):
         cq_braiding(dihedral_rack(n), bad)
+
+
+@pytest.mark.parametrize("build", ["sF_braiding", "cq_braiding"])
+def test_battery_raises_what_is_no_failed_cocycle(monkeypatch, build):
+    # the battery fails a check only when a cocycle table is refused for
+    # its cocycle condition; any other error of a braiding reaches the caller
+    def broken(space, table):
+        raise ValueError("not a braiding")
+    monkeypatch.setattr(rackbattery, build, broken)
+    with pytest.raises(ValueError, match="not a braiding"):
+        run_battery(3)
 
 
 def test_zero_cocycle_value_rejected():

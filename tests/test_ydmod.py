@@ -503,31 +503,18 @@ def test_w_self_braiding_formula_spot_n5():
                          l * n + r) == coeff
 
 
-def _summed_calls(monkeypatch):
-    """The calls braiding makes to its route that sums the terms of each
-    cell, recorded from now on."""
-    calls = []
-    summed = ydmod._summed_braiding
-    monkeypatch.setattr(ydmod, "_summed_braiding",
-                        lambda Mv, Mw: calls.append(1) or summed(Mv, Mw))
-    return calls
-
-
-def test_braiding_of_every_pair_of_simples_n3(A3, monkeypatch):
-    # every ordered pair, cross pairs included, places one root per cell
-    # of a permutation matrix, and matches the summed terms
-    calls = _summed_calls(monkeypatch)
+def test_braiding_of_every_pair_of_simples_n3(A3):
+    # every ordered pair, cross pairs included, against the summed terms
     modules = [build_simple(A3, L) for L in list_simples(A3)]
     for Mv in modules:
         for Mw in modules:
             assert braiding(Mv, Mw) == accumulated_braiding(Mv, Mw), \
                 (Mv.label, Mw.label)
-    assert len(modules) == 72 and calls == []
+    assert len(modules) == 72
 
 
 @pytest.mark.parametrize("n, count", [(5, 300), (9, 60)])
-def test_braiding_of_seeded_pairs_of_simples(n, count, monkeypatch):
-    calls = _summed_calls(monkeypatch)
+def test_braiding_of_seeded_pairs_of_simples(n, count):
     A = KnAlgebra(n)
     labels = list_simples(A)
     rng = random.Random(n)
@@ -535,36 +522,31 @@ def test_braiding_of_seeded_pairs_of_simples(n, count, monkeypatch):
         Mv, Mw = (build_simple(A, L) for L in rng.sample(labels, 2))
         assert braiding(Mv, Mw) == accumulated_braiding(Mv, Mw), \
             (Mv.label, Mw.label)
-    assert calls == []
 
 
-def test_braiding_falls_back_to_summed_terms(A3, monkeypatch):
-    # the three ways out of the permutation route, each against the summed
-    # terms: a U with one coaction coefficient doubled has a term that is
-    # no root, whatever it braids past; a line whose one coaction cell is
-    # p_00 + f_00 puts two terms into one cell past V(-1,0,0), on which
-    # both keys act; with no coaction the cells are empty, no permutation
-    calls = _summed_calls(monkeypatch)
+def test_braiding_beyond_permutations(A3):
+    # pairs whose braiding is no permutation matrix of roots, against the
+    # summed terms: a U with one coaction coefficient doubled has a term
+    # that is no root, whatever it braids past; a line whose one coaction
+    # cell is p_00 - f_00 puts two terms into one cell past V(-1,0,0), on
+    # which both keys act, and p_00 + f_00 puts two that cancel, since x^
+    # is -1 there; with no coaction every cell is empty.  A tensor product
+    # of simples is braided by a permutation matrix too
     n = 3
     one = CycNum.one(n)
     doubled = _scaled_cell(build_simple(A3, U(n, 0, 1, 0, 2)), "coaction",
                            (0, 0), CycNum.rational(n, 2))
     x = CycMatrix.from_rows(n, [[one]])
-    twice = YDModule(A3, 1, [(0, 0)], x,
-                     [{0: KnElement(A3, {(P, 0, 0): one, (F, 0, 0): one})}])
+    twice, cancel = (YDModule(A3, 1, [(0, 0)], x, [{0: KnElement(
+        A3, {(P, 0, 0): one, (F, 0, 0): f})}]) for f in (-one, one))
     empty = YDModule(A3, 1, [(0, 0)], x, [{}])
     simple, line = build_simple(A3, W(n, 1, 2, 0)), build_simple(
         A3, V(n, -1, 0, 0))
-    for Mv, Mw in ((doubled, doubled), (doubled, simple), (twice, line),
-                   (empty, line)):
-        calls.clear()
-        assert braiding(Mv, Mw) == accumulated_braiding(Mv, Mw)
-        assert calls == [1]
-    # a tensor product of simples is braided by a permutation matrix too
     T = tensor_module(build_simple(A3, W(n, -1, 0, 0)),
                       build_simple(A3, W(n, 1, 1, 2)))
-    calls.clear()
-    assert braiding(T, T) == accumulated_braiding(T, T) and calls == []
+    for Mv, Mw in ((doubled, doubled), (doubled, simple), (twice, line),
+                   (cancel, line), (empty, line), (T, T)):
+        assert braiding(Mv, Mw) == accumulated_braiding(Mv, Mw)
 
 
 # -- hom spaces and isomorphism ---------------------------------------------------
