@@ -152,10 +152,10 @@ def _hopf_audit(A):
     """`verify_hopf_axioms` on A, once the memory budget admits the audit
     of its 2n^4 coproduct terms."""
     terms = 2 * A.n ** 4
-    # 750 bytes a term: the whole audit, its Delta table included, peaked
-    # at 637-673 under tracemalloc at n = 5 to 15, and grew the resident
-    # set by 487-706 at n = 7 to 15
-    _check_budget(750 * terms, "the Hopf audit of K_%d, %d coproduct terms,"
+    # 600 bytes a term: the whole audit, its Delta table included, peaked
+    # at 407-516 under tracemalloc at n = 5 to 21 and 471 at n = 29, and
+    # grew the resident set by 223-504 at n = 5 to 21 and 518 at n = 29
+    _check_budget(600 * terms, "the Hopf audit of K_%d, %d coproduct terms,"
                   % (A.n, terms))
     return verify_hopf_axioms(A)
 
@@ -437,7 +437,8 @@ def square_zero(n, module_text, json_out):
              "monomials mu_ab forced to zero: %s"
              % (", ".join("mu_%d%d" % p for p in space.forced_zero) or "none"),
              "solution space dimension: %d" % len(space.kernel),
-             "no single axis is forced" if axis is None else
+             "only the zero vector squares to zero" if not space.free_axes()
+             else "no single axis is forced" if axis is None else
              "all square-zero vectors lie on the axis of basis vector %d "
              "(all other coordinates vanish)" % axis], json_out)
 
@@ -452,8 +453,8 @@ def _check_rack_budget(n):
     # 800 bytes per n^4, an upper bound on the measured peaks: at most 268
     # under tracemalloc, n = 7 to 15 (139 at n = 15), and 106-132 of
     # resident set growth, n = 15 to 33
-    _check_budget(800 * n ** 4, "the rack battery at n=%d, %d table and "
-                  "braiding cells," % (n, 6 * n ** 4))
+    _check_budget(800 * n ** 4, "the rack battery at n=%d, %d cocycle-table "
+                  "and per-label cells," % (n, 4 * n ** 4 + 3 * n ** 2))
 
 
 @main.command("rack")

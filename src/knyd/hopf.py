@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from .cyclotomic import CycNum, cyc, root, _field_data
 
@@ -361,6 +362,130 @@ def _first_failure(cases):
     return next((case for case, failed in cases if failed), None)
 
 
+# -- coassociativity: (Delta x id) Delta = (id x Delta) Delta ----------------------
+
+
+@lru_cache(maxsize=None)
+def _row_indices(n: int) -> tuple:
+    """The index tables of the row route, which depend on n alone.  A row
+    r over the grid is laid out padded, with n junk lanes after each of
+    its n grid rows, and doubled, as the padded layout of the 2n x 2n grid
+    (i, j) -> r[i mod n, j mod n].  The slice of 2n^2 lanes of the doubled
+    layout at offset 2n g_i + g_j is then the padded layout of the row
+    h2 -> r[g + h2], junk lanes aside.  Returns the itemgetters of the
+    doubled and of the padded layout, the latter reading entry n^2 at a
+    junk lane; for each grid entry g, its offset and the entries g - h1
+    over h1; the mask of the valid lanes of n^2 padded rows laid end to
+    end, as an integer; and for each c in Z/2n, the table
+    v -> (v + c) mod 2n of `bytes.translate`, which takes 255 to 0."""
+    m, size = 2 * n, n * n
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    entries = list(range(size))
+
+    def entry(i, j):
+        # one int object per entry, shared by the n^4 of `minus`
+        return entries[i % n * n + j % n]
+
+    padded = [entry(i, j) if j < n else size for i in range(n)
+              for j in range(m)]
+    double = itemgetter(*(entry(i, j) for i in range(m) for j in range(m)))
+    offsets = [i * m + j for i, j in grid]
+    minus = [[entry(i - i1, j - j1) for i1, j1 in grid] for i, j in grid]
+    mask = int.from_bytes(
+        bytes(0 if e == size else 255 for e in padded) * size, "big")
+    adds = [bytes((v + c) % m for v in range(255)) + b"\0"
+            for c in range(m)]
+    return double, itemgetter(*padded), offsets, minus, mask, adds
+
+
+def _exponent_rows(n: int, delta: dict):
+    """{key: D[key]}, the exponents mod 2n of Delta(key) as one bytes row
+    over the n^2 first factors in grid order, or None where the row route
+    does not apply: when two exponents summed as bytes could exceed 255
+    (4n - 2 > 255, n >= 65), or when some Delta(h) does not list each pair
+    (h1, h - h1) of h's kind exactly once, in grid order."""
+    if 4 * n - 2 > 255:
+        return None
+    m = 2 * n
+    minus = _row_indices(n)[3]
+    rows = {}
+    for kind in (P, F):
+        keys = [(kind, i, j) for i in range(n) for j in range(n)]
+        for key, diffs in zip(keys, minus):
+            terms = delta[key]
+            if ([k1 for k1, _, _ in terms] != keys
+                    or [k2 for _, k2, _ in terms] != [keys[y] for y in diffs]):
+                return None
+            rows[key] = bytes(e % m for _, _, e in terms)
+    return rows
+
+
+def _coassociative_rows(n: int, rows: dict):
+    """The (key, failed) pairs of coassociativity in basis order, decided
+    from the rows of `_exponent_rows`.  Both sides of x sum over the
+    triples h1 (x) h2 (x) h3 of x's kind with h1 + h2 + h3 = x, one root on
+    each.  For each first factor h1, the row over h2 of the left side is
+    D[x] plus column h1 of D, read at h1 + h2; that of the right side is
+    D[x - h1] plus the constant D[x][h1].  The 2n roots are distinct for
+    odd n, so equal rows prove the identity.  The rows of each side, over
+    all h1, are laid end to end in the padded layout of `_row_indices`
+    and compared at once; a row read at h1 + h2 is a slice of its doubled
+    layout.  The exponents are added as 8-bit lanes of one integer, which
+    cannot carry since 4n - 2 <= 255, and reduced mod 2n by
+    `bytes.translate`, which also clears the junk lanes of the right
+    side."""
+    double, pad, offsets, minus, mask, adds = _row_indices(n)
+    width = 2 * n * n
+    length = width * len(offsets)
+    wrap = adds[0]
+    for kind in (P, F):
+        keys = [(kind, i, j) for i in range(n) for j in range(n)]
+        D = [rows[key] for key in keys]
+        # the doubled and the padded layout (junk 255) of each row, and
+        # every column h1 of D read at h1 + h2, end to end
+        doubled_rows = [bytes(double(row)) for row in D]
+        padded_rows = [bytes(pad(row + b"\xff")) for row in D]
+        columns = int.from_bytes(b"".join(
+            [bytes(double(column))[s:s + width]
+             for column, s in zip(zip(*D), offsets)]), "big")
+        for key, dx, row, diffs in zip(keys, D, doubled_rows, minus):
+            left = ((int.from_bytes(b"".join([row[s:s + width]
+                                              for s in offsets]), "big")
+                     + columns) & mask).to_bytes(length, "big")
+            yield key, left.translate(wrap) != b"".join(
+                [padded_rows[y].translate(adds[c]) for y, c in zip(diffs, dx)])
+
+
+def _coassociative_terms(n: int, delta: dict):
+    """The (key, failed) pairs of coassociativity in basis order, decided
+    term by term for any Delta table.  With the basis keys numbered
+    (`basis_numbers`), a term h1 (x) h2 (x) h3 is the number
+    (i1 dim + i2) dim + i3, and tensors[i] lists Delta of key number i as
+    (i1 dim + i2, exponent).  A term i1 (x) i2 of Delta(x) gives one term
+    of the left side per term of Delta(i1) and one of the right side per
+    term of Delta(i2); every coefficient is a root, products add exponents
+    mod 2n, and the sides are compared by `_sums_equal`."""
+    m = 2 * n
+    number = basis_numbers(n)
+    dim = len(number)
+    dim2 = dim * dim
+    tensors = [[(number[l] * dim + number[r], w) for l, r, w in delta[k]]
+               for k in number]
+    for kx in number:
+        dx = [(number[l], number[r], v) for l, r, v in delta[kx]]
+        yield kx, not _sums_equal(
+            ({t * dim + i2: (v + w) % m
+              for i1, i2, v in dx for t, w in tensors[i1]},
+             sum(len(tensors[i1]) for i1, _, _ in dx),
+             lambda: ((t * dim + i2, root(n, v + w))
+                      for i1, i2, v in dx for t, w in tensors[i1])),
+            ({i1 * dim2 + t: (v + w) % m
+              for i1, i2, v in dx for t, w in tensors[i2]},
+             sum(len(tensors[i2]) for _, i2, _ in dx),
+             lambda: ((i1 * dim2 + t, root(n, v + w))
+                      for i1, i2, v in dx for t, w in tensors[i2])))
+
+
 def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     """Exhaustive Hopf-axiom audit over the basis.  Returns a report dict
     {axiom: {"ok": bool, "counterexample": ... or None}}: each axiom is a
@@ -369,13 +494,16 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     alternative antipode may be injected for negative-control tests.
 
     Associativity and eps-multiplicativity read `product_table`; the unit
-    and the antipode multiply through `multiply`; Delta(1) comes from
-    `comultiply`.  The counit and antipode laws are summed exactly
-    (`_collect`), every product a root-times-root lookup.  Coassociativity
-    and Delta-multiplicativity multiply roots by adding exponents: each
-    side of an identity is one map {key: exponent} with the count of its
-    terms, compared by the one rule `_sums_equal`, which sums exactly only
-    a side with a repeated key or a term that is not a root, or maps that
+    multiplies through `multiply`; Delta(1) comes from `comultiply`.  The
+    counit and antipode laws are summed exactly (`_collect`), every
+    product a root-times-root lookup, the antipode's products S(k1) k2 and
+    k1 S(k2) read off `product_table`.  Coassociativity compares whole
+    rows of exponents where the Delta table has the grid shape of K_n
+    (`_coassociative_rows`), else term by term (`_coassociative_terms`).
+    Delta-multiplicativity multiplies roots by adding exponents: each side
+    of an identity is one map {key: exponent} with the count of its terms,
+    compared by the one rule `_sums_equal`, which sums exactly only a side
+    with a repeated key or a term that is not a root, or maps that
     differ."""
     S = antipode_fn if antipode_fn is not None else antipode
     n = A.n
@@ -406,33 +534,12 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     axioms["unit"] = ((kx, not multiply(one, x) == x == multiply(x, one))
                       for kx, x in e.items())
 
-    # coassociativity: (Delta x id) Delta = (id x Delta) Delta.  With the
-    # basis keys numbered (`basis_numbers`), a term h1 (x) h2 (x) h3
-    # is the number (i1 dim + i2) dim + i3, and tensors[i] lists Delta of
-    # key number i as (i1 dim + i2, exponent).  A term i1 (x) i2 of
-    # Delta(x) gives one term of the left side per term of Delta(i1) and
-    # one of the right side per term of Delta(i2); every coefficient is a
-    # root, and products add exponents mod 2n
-    dim, dim2 = A.dim, A.dim ** 2
-    number = basis_numbers(n)
-    tensors = [[(number[l] * dim + number[r], w) for l, r, w in delta[k]]
-               for k in basis]
-
-    def coassociativity():
-        for kx in basis:
-            dx = [(number[l], number[r], v) for l, r, v in delta[kx]]
-            yield kx, not _sums_equal(
-                ({t * dim + i2: (v + w) % m
-                  for i1, i2, v in dx for t, w in tensors[i1]},
-                 sum(len(tensors[i1]) for i1, _, _ in dx),
-                 lambda: ((t * dim + i2, root(n, v + w))
-                          for i1, i2, v in dx for t, w in tensors[i1])),
-                ({i1 * dim2 + t: (v + w) % m
-                  for i1, i2, v in dx for t, w in tensors[i2]},
-                 sum(len(tensors[i2]) for _, i2, _ in dx),
-                 lambda: ((i1 * dim2 + t, root(n, v + w))
-                          for i1, i2, v in dx for t, w in tensors[i2])))
-    axioms["coassociativity"] = coassociativity()
+    # coassociativity by rows where the Delta table has the grid shape of
+    # K_n, else term by term
+    rows = _exponent_rows(n, delta)
+    axioms["coassociativity"] = (
+        _coassociative_terms(n, delta) if rows is None
+        else _coassociative_rows(n, rows))
 
     # counit laws: (eps x id) Delta = id = (id x eps) Delta
     eps = _collect((k, counit(x)) for k, x in e.items())
@@ -493,18 +600,27 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
                          for x in eps for y in eps)))
 
     # antipode axiom: m(S x id)Delta = eps(.)1 = m(id x S)Delta, with S
-    # applied once per basis key
-    Se = {k: S(x) for k, x in e.items()}
+    # applied once per basis key k and the nonzero products S(k) k2 and
+    # k1 S(k), read off `product_table` and its inverse, listed once per
+    # key as {k2: [(key, coefficient)]} and {k1: [(key, coefficient)]}
+    S_times: dict = {}
+    times_S: dict = {}
+    for k, x in e.items():
+        right = S_times[k] = {}
+        left = times_S[k] = {}
+        for s, c in S(x).coeffs.items():
+            for k2, key in table[s]:
+                right.setdefault(k2, []).append((key, c))
+            for k1, key in left_of.get(s, ()):
+                left.setdefault(k1, []).append((key, c))
     target = {k: one.scale(c).coeffs for k, c in eps.items()}
-
-    def convolution(kx, left, right):
-        return _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
-                        for key, c in multiply(left[k1],
-                                               right[k2]).coeffs.items())
-
-    axioms["antipode"] = ((kx, not convolution(kx, Se, e)
-                           == target.get(kx, {})
-                           == convolution(kx, e, Se)) for kx in basis)
+    axioms["antipode"] = (
+        (kx, not _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
+                          for key, c in S_times[k1].get(k2, ()))
+         == target.get(kx, {})
+         == _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
+                     for key, c in times_S[k2].get(k1, ())))
+        for kx in basis)
 
     report = {}
     for name, cases in axioms.items():

@@ -686,16 +686,19 @@ class SquareZeroSpace:
                          # sparse rows {pair index: CycNum}
     forced_zero: list    # pairs whose coordinate vanishes on the space
 
-    def forces_axis(self):
-        """If mu_bb is forced to zero for every index b except one index a,
-        then lambda_b^2 = 0 forces lambda_b = 0 for all b != a, so every
-        square-zero vector lies on the axis a; returns that a, or None."""
+    def free_axes(self) -> list:
+        """The indices a whose mu_aa is not forced to zero.  Where mu_bb is
+        forced, lambda_b^2 = 0 forces lambda_b = 0, so every square-zero
+        vector lies in the span of these axes: with none, it is zero."""
         forced = set(self.forced_zero)
         dim = max(b for (_, b) in self.pairs) + 1 if self.pairs else 0
-        free_axes = [a for a in range(dim) if (a, a) not in forced]
-        if len(free_axes) == 1:
-            return free_axes[0]
-        return None
+        return [a for a in range(dim) if (a, a) not in forced]
+
+    def forces_axis(self):
+        """The one free axis (`free_axes`) on which every square-zero
+        vector lies, or None."""
+        free = self.free_axes()
+        return free[0] if len(free) == 1 else None
 
 
 # the largest dimension `square_zero_monomial_space` accepts

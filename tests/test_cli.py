@@ -139,6 +139,21 @@ def test_square_zero(runner):
     assert [1, 1] in payload["forced_zero"]
 
 
+@pytest.mark.parametrize("label", ["V(+1,0,0)", "U(0,1,1,1)"])
+def test_square_zero_forces_every_coordinate(runner, label):
+    # every mu_aa is forced to zero, so every lambda_a is zero
+    args = ["square-zero", "--n", "3", "--module", label]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.output.splitlines()[-1] == \
+        "only the zero vector squares to zero"
+    result = runner.invoke(main, args + ["--json"])
+    payload = json.loads(result.output)
+    assert payload["solution_dim"] == 0 and payload["forces_axis"] is None
+    assert all([a, a] in payload["forced_zero"]
+               for a in range(max(b for _, b in payload["pairs"]) + 1))
+
+
 def test_rack_battery(runner):
     result = runner.invoke(main, ["rack", "--n", "3", "--json"])
     assert result.exit_code == 0
@@ -392,8 +407,8 @@ def test_memory_budget_error_before_the_rack_battery(runner, monkeypatch):
                         lambda n: runs.append(n) or battery(n))
     result = runner.invoke(main, ["rack", "--n", "11"])
     assert result.exit_code == 1
-    assert ("memory budget exceeded: the rack battery at n=11, 87846 table "
-            "and braiding cells, exceeds") in result.output
+    assert ("memory budget exceeded: the rack battery at n=11, 58927 "
+            "cocycle-table and per-label cells, exceeds") in result.output
     assert "Traceback" not in result.output and runs == []
     result = runner.invoke(main, ["rack", "--n", "7", "--json"])
     assert result.exit_code == 0 and runs == [7]
@@ -464,13 +479,14 @@ def test_memory_budget_error_before_the_hopf_audit():
 
 
 def test_memory_budget_error_before_the_rack_battery_at_n101():
-    # at n = 101 the 4n^2 cocycle tables and 2n^2 braidings of n^2 cells
-    # would need about 83 GB; the check comes before any table is built
+    # at n = 101 the 4n^2 cocycle tables of n^2 cells and the 3n^2 cells
+    # of one label would need about 83 GB by the estimate; the check comes
+    # before any table is built
     proc = _run_under_2gb("rack", "--n", "101", "--json")
     assert proc.returncode == 1
     assert proc.stderr.startswith("Error: memory budget exceeded: the rack "
-                                  "battery at n=101, 624362406 table and "
-                                  "braiding cells, exceeds")
+                                  "battery at n=101, 416272207 cocycle-table "
+                                  "and per-label cells, exceeds")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

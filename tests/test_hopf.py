@@ -145,14 +145,15 @@ def _index_swapped_antipode(x):
     return KnElement(x.algebra, out)
 
 
-def _antipode_with_a_stray_term(x):
+def _antipode_with_a_stray_term(x, stray=(F, 1, 0)):
     """S with f_10 added to S(p_02), at n = 3.  In m(S x id)Delta(p_00)
     the term S(p_02) p_01 gains f_10 p_01 = f_10; in m(id x S)Delta(p_00)
     the term p_01 S(p_02) gains p_01 f_10 = 0.  So at p_00 only the left
-    side of the antipode law fails; the right side fails first at p_12."""
+    side of the antipode law fails; the right side fails first at p_12.
+    With the stray term f_01 the sides swap."""
     out = antipode(x)
     c = x.coeffs.get((P, 0, 2))
-    return out if c is None else out + KnElement(x.algebra, {(F, 1, 0): c})
+    return out if c is None else out + KnElement(x.algebra, {stray: c})
 
 
 def test_corrupted_antipode_detected(A3):
@@ -168,11 +169,11 @@ def test_corrupted_antipode_detected(A3):
 # -- the table audit against element-level loops ------------------------------
 
 
-def _reference_audit(A, antipode_fn=None):
+def _reference_audit(A, antipode_fn=None, axioms=None):
     """Counterexamples of the Hopf axioms found by multiplying and
     comultiplying basis elements: every triple for associativity, every
     pair for the multiplicativity axioms, every basis element for the
-    rest."""
+    rest.  Only the named axioms are checked, if any are named."""
     S = antipode_fn if antipode_fn is not None else antipode
     basis = list(A.basis_indices())
     e = {k: A.basis(*k) for k in basis}
@@ -229,21 +230,26 @@ def _reference_audit(A, antipode_fn=None):
                 == one.scale(counit(e[x]))
                 == total(multiply(e[l], S(e[r])).scale(v) for (l, r), v in dx))
 
-    return {
-        "associativity": first(
+    checks = {
+        "associativity": lambda: first(
             ((x, y, z), multiply(multiply(e[x], e[y]), e[z])
              != multiply(e[x], multiply(e[y], e[z])))
             for x in basis for y in basis for z in basis),
-        "unit": first((x, multiply(one, e[x]) != e[x]
-                       or multiply(e[x], one) != e[x]) for x in basis),
-        "coassociativity": first((x, not coassociative(x)) for x in basis),
-        "counit": first((x, not counital(x)) for x in basis),
-        "delta_multiplicative": first(delta_cases()),
-        "counit_multiplicative": first(
-            ((x, y), counit(multiply(e[x], e[y])) != counit(e[x]) * counit(e[y]))
+        "unit": lambda: first((x, multiply(one, e[x]) != e[x]
+                               or multiply(e[x], one) != e[x])
+                              for x in basis),
+        "coassociativity": lambda: first((x, not coassociative(x))
+                                         for x in basis),
+        "counit": lambda: first((x, not counital(x)) for x in basis),
+        "delta_multiplicative": lambda: first(delta_cases()),
+        "counit_multiplicative": lambda: first(
+            ((x, y), counit(multiply(e[x], e[y]))
+             != counit(e[x]) * counit(e[y]))
             for x in basis for y in basis),
-        "antipode": first((x, not antipodal(x)) for x in basis),
+        "antipode": lambda: first((x, not antipodal(x)) for x in basis),
     }
+    return {axiom: check() for axiom, check in checks.items()
+            if axioms is None or axiom in axioms}
 
 
 def _wrong_product(n, key=(P, 0, 0), slot=0, right=(P, 0, 0),
@@ -312,8 +318,28 @@ DELTA_FAULTS = {
     "repeat": lambda: _repeated_term(3),
 }
 
+def _doubled_antipode(x):
+    """2 S on p_01: S(p_01) = 2 p_02, a coefficient that is not a root of
+    unity (the audit applies S to basis elements only)."""
+    out = antipode(x)
+    return out.scale(x.algebra.scalar(2)) if (P, 0, 1) in x.coeffs else out
+
+
+def _two_term_antipode(x):
+    """S(f_12) = f_12 + xi f_21 at n = 3, a two-term image whose first
+    term is the true one."""
+    out = antipode(x)
+    c = x.coeffs.get((F, 1, 2))
+    return out if c is None else out + KnElement(
+        x.algebra, {(F, 2, 1): c * x.algebra.xi(1)})
+
+
 ANTIPODE_FAULTS = {"antipode": _index_swapped_antipode,
-                   "stray-antipode-term": _antipode_with_a_stray_term}
+                   "stray-antipode-term": _antipode_with_a_stray_term,
+                   "right-stray-antipode-term": lambda x:
+                   _antipode_with_a_stray_term(x, stray=(F, 0, 1)),
+                   "doubled-antipode": _doubled_antipode,
+                   "two-term-antipode": _two_term_antipode}
 
 
 def _inject(monkeypatch, fault):
@@ -348,6 +374,103 @@ def test_every_axiom_fails_under_some_fault(A3, monkeypatch):
             reference = _reference_audit(A3, _inject(patch, fault))
         failed |= {axiom for axiom, ce in reference.items() if ce is not None}
     assert failed == set(_reference_audit(A3))
+
+
+@pytest.mark.parametrize("fault", ["doubled-antipode", "two-term-antipode"])
+def test_antipode_law_is_exact_without_multiply(A3, monkeypatch, fault):
+    # S(k1) k2 and k1 S(k2) are read off the product table: the unit law's
+    # 2 dim products are the audit's only `multiply` calls
+    antipode_fn = ANTIPODE_FAULTS[fault]
+    products = []
+    monkeypatch.setattr(hopf, "multiply",
+                        lambda x, y, f=multiply: products.append(1) or f(x, y))
+    report = verify_hopf_axioms(A3, antipode_fn=antipode_fn)
+    assert len(products) == 2 * A3.dim
+    reference = _reference_audit(A3, antipode_fn, axioms={"antipode"})
+    assert reference["antipode"] is not None
+    assert report["antipode"]["counterexample"] == reference["antipode"]
+    assert [axiom for axiom, entry in report.items()
+            if axiom != "ok" and not entry["ok"]] == ["antipode"]
+
+
+# -- coassociativity by rows and term by term ---------------------------------
+
+
+def _spy_routes(monkeypatch):
+    """The coassociativity routes taken by the audits that follow, in
+    order, as "rows" or "terms"."""
+    routes = []
+    for name in ("rows", "terms"):
+        route = getattr(hopf, "_coassociative_" + name)
+        monkeypatch.setattr(hopf, "_coassociative_" + name,
+                            lambda *args, name=name, route=route:
+                            routes.append(name) or route(*args))
+    return routes
+
+
+@pytest.mark.parametrize("fault,route", [
+    (None, "rows"), ("twist", "rows"), ("counit-twist", "rows"),
+    ("p-twist", "rows"), ("swap", "terms"), ("repeat", "terms")])
+def test_coassociativity_route_follows_the_table_shape(A3, monkeypatch,
+                                                      fault, route):
+    routes = _spy_routes(monkeypatch)
+    _inject(monkeypatch, fault)
+    verify_hopf_axioms(A3)
+    assert routes == [route]
+
+
+def test_swapped_factors_take_the_term_route_at_n5(monkeypatch):
+    routes = _spy_routes(monkeypatch)
+    monkeypatch.setattr(hopf, "_delta_cache",
+                        lambda n, c=_swapped_factors(5): c)
+    A5 = KnAlgebra(5)
+    report = verify_hopf_axioms(A5)
+    assert routes == ["terms"]
+    reference = _reference_audit(A5, axioms={"coassociativity"})
+    assert reference["coassociativity"] is not None
+    assert report["coassociativity"]["counterexample"] == \
+        reference["coassociativity"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coassociativity_routes_agree_on_a_corrupted_exponent(data):
+    # one exponent of one term of the Delta table moved to another root:
+    # both routes give every key the same verdict, and the first failure is
+    # that of the element loops at n = 3
+    n = data.draw(st.sampled_from([3, 5]))
+    cache = dict(hopf._delta_cache(n))
+    key = data.draw(st.sampled_from(list(cache)))
+    term = data.draw(st.integers(0, n * n - 1))
+    terms = list(cache[key])
+    k1, k2, v = terms[term]
+    terms[term] = (k1, k2, (v + data.draw(st.integers(1, 2 * n - 1)))
+                   % (2 * n))
+    cache[key] = terms
+    rows = hopf._exponent_rows(n, cache)
+    assert rows is not None
+    verdicts = list(hopf._coassociative_rows(n, rows))
+    assert verdicts == list(hopf._coassociative_terms(n, cache))
+    ce = hopf._first_failure(verdicts)
+    assert ce is not None
+    if n == 3:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hopf, "_delta_cache", lambda n: cache)
+            reference = _reference_audit(KnAlgebra(3),
+                                         axioms={"coassociativity"})
+        assert ce == reference["coassociativity"]
+
+
+def test_row_route_declines_at_n65_before_reading_the_table():
+    # 4n - 2 = 258: two exponents summed as bytes could exceed 255
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError("the table was read")
+
+        def __getitem__(self, key):
+            raise AssertionError("the table was read")
+
+    assert hopf._exponent_rows(65, Unread()) is None
 
 
 def test_wrong_product_key_fails_associativity(A3, monkeypatch):
