@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .cyclotomic import CycNum, cyc, root, _field_data
+from .cyclotomic import CycNum, cyc, root, root_exponents, _field_data
 
 P = 0
 F = 1
@@ -420,6 +420,17 @@ def _exponent_rows(n: int, delta: dict):
     return rows
 
 
+def _shifted_columns(n: int, D: list) -> int:
+    """Each column h1 of the rows D over the grid, read at h1 + h2, laid out
+    padded (`_row_indices`) and end to end over h1, as one integer: the
+    lane of (h1, h2) holds D[h1 + h2][h1]."""
+    double, _, offsets = _row_indices(n)[:3]
+    width = 2 * n * n
+    return int.from_bytes(b"".join(
+        [bytes(double(column))[s:s + width]
+         for column, s in zip(zip(*D), offsets)]), "big")
+
+
 def _coassociative_rows(n: int, rows: dict):
     """The (key, failed) pairs of coassociativity in basis order, decided
     from the rows of `_exponent_rows`.  Both sides of x sum over the
@@ -445,9 +456,7 @@ def _coassociative_rows(n: int, rows: dict):
         # every column h1 of D read at h1 + h2, end to end
         doubled_rows = [bytes(double(row)) for row in D]
         padded_rows = [bytes(pad(row + b"\xff")) for row in D]
-        columns = int.from_bytes(b"".join(
-            [bytes(double(column))[s:s + width]
-             for column, s in zip(zip(*D), offsets)]), "big")
+        columns = _shifted_columns(n, D)
         for key, dx, row, diffs in zip(keys, D, doubled_rows, minus):
             left = ((int.from_bytes(b"".join([row[s:s + width]
                                               for s in offsets]), "big")
@@ -486,6 +495,32 @@ def _coassociative_terms(n: int, delta: dict):
                       for i1, i2, v in dx for t, w in tensors[i2])))
 
 
+def _antipode_sides(n: int, S, e: dict, delta: dict, table: dict,
+                    left_of: dict):
+    """The two sides of the antipode law on each basis key x, in basis
+    order: (x, m(S x id)Delta(x), m(id x S)Delta(x)), each summed exactly
+    (`_collect`) as {key: coefficient}.  S is applied once per basis
+    element k of e, and the nonzero products S(k) k2 and k1 S(k) are read
+    off `product_table` and its inverse (`_left_partners`), listed once
+    per k as {k2: [(key, coefficient)]} and {k1: [(key, coefficient)]}."""
+    S_times: dict = {}
+    times_S: dict = {}
+    for k, x in e.items():
+        s_k2 = S_times[k] = {}
+        k1_s = times_S[k] = {}
+        for s, c in S(x).coeffs.items():
+            for k2, key in table[s]:
+                s_k2.setdefault(k2, []).append((key, c))
+            for k1, key in left_of.get(s, ()):
+                k1_s.setdefault(k1, []).append((key, c))
+    for kx in e:
+        yield (kx,
+               _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
+                        for key, c in S_times[k1].get(k2, ())),
+               _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
+                        for key, c in times_S[k2].get(k1, ())))
+
+
 def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     """Exhaustive Hopf-axiom audit over the basis.  Returns a report dict
     {axiom: {"ok": bool, "counterexample": ... or None}}: each axiom is a
@@ -494,12 +529,14 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
     alternative antipode may be injected for negative-control tests.
 
     Associativity and eps-multiplicativity read `product_table`; the unit
-    multiplies through `multiply`; Delta(1) comes from `comultiply`.  The
-    counit and antipode laws are summed exactly (`_collect`), every
+    multiplies through `multiply`; Delta(1) comes from `comultiply` and is
+    compared with the root of exponent 0 on each pair of the keys of 1.
+    The counit and antipode laws are summed exactly (`_collect`), every
     product a root-times-root lookup, the antipode's products S(k1) k2 and
-    k1 S(k2) read off `product_table`.  Coassociativity compares whole
-    rows of exponents where the Delta table has the grid shape of K_n
-    (`_coassociative_rows`), else term by term (`_coassociative_terms`).
+    k1 S(k2) read off `product_table` (`_antipode_sides`).
+    Coassociativity compares whole rows of exponents where the Delta table
+    has the grid shape of K_n (`_coassociative_rows`), else term by term
+    (`_coassociative_terms`).
     Delta-multiplicativity multiplies roots by adding exponents: each side
     of an identity is one map {key: exponent} with the count of its terms,
     compared by the one rule `_sums_equal`, which sums exactly only a side
@@ -585,10 +622,16 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
                     yield (kx, ky), not _sums_equal(
                         by_y.get(ky, _EMPTY),
                         delta_side(xy[ky]) if ky in xy else _EMPTY)
+    # Delta(1) = 1 (x) 1: each coefficient of 1 = sum p_{ij} is one, so
+    # 1 (x) 1 holds the root of exponent 0 at each of the n^4 pairs of
+    # its keys, and Delta(1) must hold that many terms, each such a pair
+    # with that root
+    ones, roots = one.coeffs, root_exponents(n)
+    d1 = comultiply(one).coeffs
     axioms["delta_multiplicative"] = chain(
-        [("unit", comultiply(one).coeffs != {
-            (k1, k2): v * w for k1, v in one.coeffs.items()
-            for k2, w in one.coeffs.items()})], delta_multiplicative())
+        [("unit", len(d1) != len(ones) ** 2 or any(
+            k1 not in ones or k2 not in ones or roots.get(v) != 0
+            for (k1, k2), v in d1.items()))], delta_multiplicative())
 
     # eps is an algebra map: eps(1) = 1, and eps(xy) = eps(x) eps(y) on
     # basis pairs
@@ -599,28 +642,11 @@ def verify_hopf_axioms(A: KnAlgebra, antipode_fn=None) -> dict:
                 _collect(((x, y), eps[x] * eps[y])
                          for x in eps for y in eps)))
 
-    # antipode axiom: m(S x id)Delta = eps(.)1 = m(id x S)Delta, with S
-    # applied once per basis key k and the nonzero products S(k) k2 and
-    # k1 S(k), read off `product_table` and its inverse, listed once per
-    # key as {k2: [(key, coefficient)]} and {k1: [(key, coefficient)]}
-    S_times: dict = {}
-    times_S: dict = {}
-    for k, x in e.items():
-        right = S_times[k] = {}
-        left = times_S[k] = {}
-        for s, c in S(x).coeffs.items():
-            for k2, key in table[s]:
-                right.setdefault(k2, []).append((key, c))
-            for k1, key in left_of.get(s, ()):
-                left.setdefault(k1, []).append((key, c))
+    # antipode axiom: m(S x id)Delta = eps(.)1 = m(id x S)Delta
     target = {k: one.scale(c).coeffs for k, c in eps.items()}
     axioms["antipode"] = (
-        (kx, not _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
-                          for key, c in S_times[k1].get(k2, ()))
-         == target.get(kx, {})
-         == _collect((key, root(n, v) * c) for k1, k2, v in delta[kx]
-                     for key, c in times_S[k2].get(k1, ())))
-        for kx in basis)
+        (kx, not left == target.get(kx, {}) == right)
+        for kx, left, right in _antipode_sides(n, S, e, delta, table, left_of))
 
     report = {}
     for name, cases in axioms.items():

@@ -40,9 +40,10 @@ from itertools import chain
 from .cyclotomic import CycNum, _xi_powers, root, root_exponents
 from .linalg import CycMatrix
 from .hopf import (_EMPTY, F, P, KnAlgebra, KnElement, _collect,
-                   _delta_cache, _first_failure, _scatter, _sums_equal,
-                   antipode_key, basis_numbers, character, counit,
-                   delta_terms, product_table)
+                   _delta_cache, _exponent_rows, _first_failure, _row_indices,
+                   _scatter, _shifted_columns, _sums_equal, antipode_key,
+                   basis_numbers, character, counit, delta_terms,
+                   product_table)
 
 
 # -- labels ---------------------------------------------------------------------
@@ -374,6 +375,89 @@ class _YDTerms(dict):
 _yd_terms = lru_cache(maxsize=None)(_YDTerms)    # one table per n
 
 
+@lru_cache(maxsize=None)
+def _coaction_tables(n: int):
+    """The tables of the row route of comodule coassociativity (`check_yd`),
+    which depend on n alone, or None where that route does not apply
+    (4n - 2 > 255, `hopf._exponent_rows`): the itemgetters of the doubled
+    and the padded layout, the slice offsets, the mask of the valid lanes
+    and the `bytes.translate` tables v -> (v + c) mod 2n of
+    `hopf._row_indices`; for each kind the columns of D, the rows of
+    Delta's exponents, read at h1 + h2 (`hopf._shifted_columns`); and the
+    padded layout of the row of no terms, 255 in its valid lanes."""
+    rows = _exponent_rows(n, _delta_cache(n))
+    if rows is None:
+        return None
+    double, pad, offsets, _, mask, adds = _row_indices(n)
+    columns = [_shifted_columns(n, [rows[(kind, i, j)] for i in range(n)
+                                    for j in range(n)]) for kind in (P, F)]
+    absent = bytes(pad(b"\xff" * (n * n) + b"\0"))
+    return double, pad, offsets, mask, adds, columns, absent
+
+
+def _coaction_rows(n: int, cells: list, tables) -> list:
+    """Each row of the coaction matrix as bytes rows over the grid of one
+    kind, or None where it has a coefficient that is not a root, keys of
+    both kinds or a key in two cells: (kind, C, E, then the doubled layouts
+    of C and E, the padded layout of C with junk 0 and that of E with junk
+    255; `hopf._row_indices`).  C[h] is the cell k that holds the key of
+    grid index h, 255 where none does, and E[h] that term's exponent.  An
+    empty row has kind None.  cells is the coaction as `check_yd` numbers
+    it, and each k is below 255."""
+    double, pad = tables[:2]
+    size = n * n
+    out = []
+    for row in cells:
+        terms = [(k, h, e) for k, cell in row.items() for h, _, e in cell]
+        kinds = {h // size for _, h, _ in terms}
+        C, E = bytearray(b"\xff" * size), bytearray(size)
+        for k, h, e in terms:
+            if e is None:
+                break
+            C[h % size], E[h % size] = k, e
+        else:
+            if len(kinds) < 2 and C.count(255) == size - len(terms):
+                out.append((next(iter(kinds), None), C, E,
+                            bytes(double(C)), bytes(double(E)),
+                            bytes(pad(C + b"\0")), bytes(pad(E + b"\xff"))))
+                continue
+        out.append(None)
+    return out
+
+
+def _row_failed(n: int, j: int, rows: list, tables) -> bool:
+    """Whether comodule coassociativity fails on row j, decided from the
+    rows of `_coaction_rows`: row j and every row of a cell of it are rows
+    over the grid of row j's kind, or empty.  Each side of row j sums over
+    the pairs h1, h2 of that kind, one term h1 (x) h2 (x) v_l on each, with
+    a root coefficient.  For each h1, the left side (Delta (x) id) delta
+    has cell l = C_j[h1 + h2] and exponent E_j[h1 + h2] + D[h1 + h2][h1];
+    the right side (id (x) delta) delta has, with k = C_j[h1], cell
+    C_k[h2] and exponent E_k[h2] + E_j[h1].  The 2n roots are distinct for
+    odd n, so equal cells and exponents prove the identity.  The rows of
+    each side over all h1 are laid end to end in the padded layout and
+    compared at once, as in `hopf._coassociative_rows`: a row read at
+    h1 + h2 is a slice of its doubled layout, the mask clears its junk
+    lanes, and exponents are added as 8-bit lanes and reduced mod 2n by
+    `bytes.translate`.  The cells are compared first, 255 for no term.
+    Equal cells leave a row that misses a key with no term at all, since
+    each term at h1 + h2 on the left needs one at h1 on the right, so
+    only a full row compares exponents."""
+    _, _, offsets, mask, adds, columns, absent = tables
+    width = 2 * n * n
+    kind, C, E, dc, de = rows[j][:5]
+    if (int.from_bytes(b"".join([dc[s:s + width] for s in offsets]), "big")
+            & mask) != int.from_bytes(b"".join(
+                [absent if k == 255 else rows[k][5] for k in C]), "big"):
+        return True
+    if 255 in C:
+        return False
+    left = ((int.from_bytes(b"".join([de[s:s + width] for s in offsets]),
+                            "big") + columns[kind]) & mask)
+    return left.to_bytes(width * len(C), "big").translate(adds[0]) != \
+        b"".join([rows[k][6].translate(adds[e]) for k, e in zip(C, E)])
+
+
 def check_yd(M: YDModule) -> dict:
     """Verify module axioms, comodule axioms, and the YD compatibility
     delta(h.v) = h1 v_{-1} S(h3) (x) h2.v_0 on every basis pair.  Returns
@@ -381,15 +465,18 @@ def check_yd(M: YDModule) -> dict:
     each check is a stream of (case, failed) pairs in basis order, and
     `hopf._first_failure` picks its case.
 
-    Both sides of comodule coassociativity and of each YD pair are
-    compared by `hopf._sums_equal`: every action and coaction coefficient
-    that is a root of unity is read as its exponent, so products add
-    exponents mod 2n, each side is built as one map of exponents with a
-    count of its terms, and a side with a repeated key or a coefficient
-    that is not a root is summed exactly.  The maps are keyed by integers:
-    with the basis of K_n numbered (`hopf.basis_numbers`) and M of
-    dimension d, a term h (x) v_l is h d + l, and h1 (x) h2 (x) v_l is
-    (h1 dim + h2) d + l."""
+    Comodule coassociativity on a row of the coaction matrix compares whole
+    bytes rows of cells and exponents (`_row_failed`) when that row and
+    every row it reaches have root coefficients on distinct keys of one
+    kind, M has dimension below 255 and 4n - 2 <= 255.  Other rows, and
+    each YD pair, compare their two sides by `hopf._sums_equal`: every
+    action and coaction coefficient that is a root of unity is read as its
+    exponent, so products add exponents mod 2n, each side is built as one
+    map of exponents with a count of its terms, and a side with a repeated
+    key or a coefficient that is not a root is summed exactly.  The maps
+    are keyed by integers: with the basis of K_n numbered
+    (`hopf.basis_numbers`) and M of dimension d, a term h (x) v_l is
+    h d + l, and h1 (x) h2 (x) v_l is (h1 dim + h2) d + l."""
     A = M.algebra
     n = A.n
     m = 2 * n
@@ -420,17 +507,26 @@ def check_yd(M: YDModule) -> dict:
     tails = [[(h * d + l, u, e) for l, cell in row.items() for h, u, e in cell]
              for row in cells]
 
-    # comodule axioms on each row of the coaction matrix.  A term
-    # h (x) g (x) v_l is h dim d + (g d + l).  delta_of[h dim d] pairs the
-    # number (h1 dim + h2) d of each term h1 (x) h2 of Delta(h), once per
-    # call, with the list of those terms that `hopf.delta_terms` keeps
+    # comodule axioms on each row of the coaction matrix.  by_rows[j] says
+    # whether row j takes the row route (`_row_failed`)
+    tables = _coaction_tables(n) if d < 255 else None
+    by_rows = [False] * d
+    if tables is not None:
+        rows = _coaction_rows(n, cells, tables)
+        by_rows = [lay is not None and all(
+            rows[k] is not None and rows[k][0] in (lay[0], None) for k in row)
+            for lay, row in zip(rows, cells)]
+    # on the term route a term h (x) g (x) v_l is h dim d + (g d + l).
+    # delta_of[h dim d] pairs the number (h1 dim + h2) d of each term
+    # h1 (x) h2 of Delta(h), once per call, with the list of those terms
+    # that `hopf.delta_terms` keeps
     dd = dim * d
     basis = list(number)
     delta_of = {h * dd: ([(number[k1] * dim + number[k2]) * d
                           for k1, k2, _ in delta_terms(A, basis[h])],
                          delta_terms(A, basis[h]))
-                for h in {h for row in cells for cell in row.values()
-                          for h, _, _ in cell}}
+                for h in {h for row, fast in zip(cells, by_rows) if not fast
+                          for cell in row.values() for h, _, _ in cell}}
 
     def comodule():
         for j, row in enumerate(co):
@@ -438,6 +534,9 @@ def check_yd(M: YDModule) -> dict:
             yield (("counit", j),
                    _collect((k, counit(h)) for k, h in row.items()) != {j: one})
             # coassociativity: (Delta (x) id) delta = (id (x) delta) delta
+            if by_rows[j]:
+                yield ("coassociativity", j), _row_failed(n, j, rows, tables)
+                continue
             terms = [(k, h * dd, u, e) for k, cell in cells[j].items()
                      for h, u, e in cell]
             yield ("coassociativity", j), not _sums_equal(

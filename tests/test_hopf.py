@@ -393,6 +393,32 @@ def test_antipode_law_is_exact_without_multiply(A3, monkeypatch, fault):
             if axiom != "ok" and not entry["ok"]] == ["antipode"]
 
 
+@pytest.mark.parametrize("fault", [None, "doubled-antipode",
+                                   "two-term-antipode",
+                                   "stray-antipode-term"])
+def test_each_side_of_the_antipode_law(A3, fault):
+    # every fault of S shows on both sides at one first key, so the
+    # counterexample cannot tell whether each side reads S's coefficients:
+    # each side's sum at every key is held to `multiply` and `antipode`
+    S = ANTIPODE_FAULTS.get(fault, antipode)
+    n = A3.n
+    e = {k: A3.basis(*k) for k in A3.basis_indices()}
+    table = product_table(n)
+    sides = hopf._antipode_sides(n, S, e, hopf._delta_cache(n), table,
+                                 hopf._left_partners(table))
+    keys = []
+    for kx, left, right in sides:
+        keys.append(kx)
+        dx = closed_form_comultiply(e[kx]).coeffs.items()
+        for side, product in ((left, lambda l, r: multiply(S(e[l]), e[r])),
+                              (right, lambda l, r: multiply(e[l], S(e[r])))):
+            total = KnElement(A3, {})
+            for (l, r), v in dx:
+                total = total + product(l, r).scale(v)
+            assert side == total.coeffs, (fault, kx)
+    assert keys == list(e)
+
+
 # -- coassociativity by rows and term by term ---------------------------------
 
 

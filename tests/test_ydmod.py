@@ -226,6 +226,27 @@ def test_yd_terms_are_delta_applied_twice(n, samples):
                     (hkind, a, b), root(n, e0 + a * ea + b * eb)), (h, g)
 
 
+def _reference_comodule(M):
+    """The first failing comodule case of M, as `_reference_check_yd`
+    finds it: each side of coassociativity summed in Q(xi_n), with Delta
+    from its closed form."""
+    n = M.algebra.n
+    one = CycNum.one(n)
+    for j, row in enumerate(M.coaction):
+        if _collect((k, counit(h)) for k, h in row.items()) != {j: one}:
+            return ("counit", j)
+        left = _collect(((k1, k2, k), v * w) for k, h in row.items()
+                        for hkey, v in h.coeffs.items()
+                        for (k1, k2), w in _delta(n, hkey).items())
+        right = _collect(((hkey, gkey, l), v * w) for k, h in row.items()
+                         for l, g in M.coaction[k].items()
+                         for hkey, v in h.coeffs.items()
+                         for gkey, w in g.coeffs.items())
+        if left != right:
+            return ("coassociativity", j)
+    return None
+
+
 def _reference_check_yd(M):
     """check_yd with every coefficient a CycNum: Delta from its closed form
     (`_delta`), h1 g S(h3) from `multiply` (`_sandwiches`), the Delta^2
@@ -234,9 +255,6 @@ def _reference_check_yd(M):
     A = M.algebra
     n = A.n
     report = {"module": None, "comodule": None, "yd": None}
-
-    def delta(hkey):
-        return [(k1, k2, v) for (k1, k2), v in _delta(n, hkey).items()]
 
     wt = M.weights
     failure = None
@@ -250,23 +268,7 @@ def _reference_check_yd(M):
             failure = ("x_p_commutation", bad)
     report["module"] = failure
 
-    failure = None
-    one = CycNum.one(n)
-    for j, row in enumerate(M.coaction):
-        if _collect((k, counit(h)) for k, h in row.items()) != {j: one}:
-            failure = ("counit", j)
-            break
-        left = _collect(((k1, k2, k), v * w) for k, h in row.items()
-                        for hkey, v in h.coeffs.items()
-                        for k1, k2, w in delta(hkey))
-        right = _collect(((hkey, gkey, l), v * w) for k, h in row.items()
-                         for l, g in M.coaction[k].items()
-                         for hkey, v in h.coeffs.items()
-                         for gkey, w in g.coeffs.items())
-        if left != right:
-            failure = ("coassociativity", j)
-            break
-    report["comodule"] = failure
+    report["comodule"] = _reference_comodule(M)
 
     def column(key, c):
         return [(r, row[c]) for r, row in M.action_of(key).data.items()
@@ -423,6 +425,215 @@ def test_check_yd_matches_the_reference_on_one_scaled_cell(data):
         factor = cyc(n, 0) + cyc(n, data.draw(st.integers(0, n - 1)))
     bad = _scaled_cell(M, part, cell, factor)
     assert check_yd(bad) == _reference_check_yd(bad)
+
+
+# -- comodule coassociativity by rows --------------------------------------------
+
+
+def _spy_rows(monkeypatch):
+    """The rows that the check_yd calls that follow decide by rows
+    (`ydmod._row_failed`), in order, and for each call which rows have a
+    row layout (`ydmod._coaction_rows`)."""
+    decided, layouts = [], []
+    row_failed, coaction_rows = ydmod._row_failed, ydmod._coaction_rows
+
+    def spy_layouts(*args):
+        rows = coaction_rows(*args)
+        layouts.append([lay is not None for lay in rows])
+        return rows
+
+    monkeypatch.setattr(ydmod, "_row_failed", lambda n, j, *args:
+                        decided.append(j) or row_failed(n, j, *args))
+    monkeypatch.setattr(ydmod, "_coaction_rows", spy_layouts)
+    return decided, layouts
+
+
+def _term_route_report(M):
+    """check_yd with every row of the coaction on the term route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ydmod, "_coaction_tables", lambda n: None)
+        return check_yd(M)
+
+
+def _with_terms(M, changes):
+    """M with coaction terms changed: changes maps (j, k, key) to the new
+    coefficient of key in cell (j, k), or None to drop it; a cell left
+    empty is dropped."""
+    coaction = [{k: dict(h.coeffs) for k, h in row.items()}
+                for row in M.coaction]
+    for (j, k, key), v in changes.items():
+        cell = coaction[j].setdefault(k, {})
+        if v is None:
+            del cell[key]
+        else:
+            cell[key] = v
+    return YDModule(M.algebra, M.dim, M.weights, M.action_x,
+                    [{k: KnElement(M.algebra, c) for k, c in row.items() if c}
+                     for row in coaction])
+
+
+def _one_of_each_kind(n, seed):
+    rng = random.Random(seed)
+    return [rng.choice([L for L in _SIMPLES[n] if L.kind == kind])
+            for kind in "VUW"]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_simples_decide_coassociativity_by_rows(monkeypatch, n):
+    # every row of every simple takes the row route, and the report is the
+    # reference's: all 72 simples at n = 3, one seeded simple of each kind
+    # after
+    labels = _SIMPLES[3] if n == 3 else _one_of_each_kind(n, n + 1)
+    decided, layouts = _spy_rows(monkeypatch)
+    for L in labels:
+        M = build_simple(KnAlgebra(n), L)
+        del decided[:]
+        report = check_yd(M)
+        assert report["ok"] and report == _reference_check_yd(M), L
+        assert decided == list(range(M.dim)) and all(layouts[-1]), L
+
+
+def test_simples_decide_coassociativity_by_rows_at_n15(monkeypatch):
+    # composite n = 15: the row route's report is the term route's on one
+    # seeded simple of each kind, and the comodule case is the reference's
+    # on the V and the U (the reference's YD pairs and its W comodule take
+    # seconds each at this n)
+    A = KnAlgebra(15)
+    rng = random.Random(15)
+    labels = [V(15, rng.choice((1, -1)), rng.randrange(15), rng.randrange(15)),
+              U(15, 1, 3, rng.randrange(15), rng.randrange(15)),
+              W(15, rng.choice((1, -1)), rng.randrange(15),
+                rng.randrange(15))]
+    decided, _ = _spy_rows(monkeypatch)
+    for L in labels:
+        M = build_simple(A, L)
+        del decided[:]
+        report = check_yd(M)
+        assert decided == list(range(M.dim)), L
+        assert report["ok"] and report == _term_route_report(M), L
+        if L.kind != "W":
+            assert _reference_comodule(M) is None
+
+
+def _graded_rows(n, kinds):
+    """A module of dimension 3 over K_n, n divisible by 3, graded by Z_3
+    through the first index: cell (j + c) mod 3 of row j holds the keys
+    (kinds[j][c], i, k) with i = c mod 3, each with coefficient 1.  With
+    p keys on every row it is a comodule; x^ is the identity on weight
+    (0, 0)."""
+    A = KnAlgebra(n)
+    one = CycNum.one(n)
+    coaction = [{(j + c) % 3: KnElement(A, {
+        (kinds[j][c], i, k): one for i in range(c, n, 3) for k in range(n)})
+        for c in range(3)} for j in range(3)]
+    return YDModule(A, 3, [(0, 0)] * 3, CycMatrix.identity(n, 3), coaction)
+
+
+def _row_faults():
+    """Coaction faults, each as (name, module, whether every row has a row
+    layout, whether the first failing row is decided by rows)."""
+    A3, A5 = KnAlgebra(3), KnAlgebra(5)
+    n = 5
+    Wm = build_simple(A5, W(n, -1, 1, 2))
+    cell = Wm.coaction[1][3].coeffs
+    key = next(iter(cell))
+    # V(+1,0,0) + V(+1,0,0): trivial coaction, every exponent 0, so only
+    # the cells tell a moved term
+    VV = direct_sum(build_simple(A3, V(3, 1, 0, 0)),
+                    build_simple(A3, V(3, 1, 0, 0)))
+    swapped = [dict(row) for row in Wm.coaction]
+    swapped[1][2], swapped[1][4] = swapped[1][4], swapped[1][2]
+    return [
+        ("exponent shifted by a root", _with_terms(
+            Wm, {(1, 3, key): cell[key] * root(n, 3)}), True, True),
+        ("term moved to another cell", _with_terms(
+            VV, {(0, 0, (P, 1, 2)): None,
+                 (0, 1, (P, 1, 2)): CycNum.one(3)}), True, True),
+        ("two cells of a row swapped",
+         YDModule(A5, n, Wm.weights, Wm.action_x, swapped), True, True),
+        ("key in two cells of a row", _with_terms(
+            Wm, {(1, 0, key): root(n, 1)}), False, False),
+        ("p key on the grid index of an f key", _with_terms(
+            Wm, {(1, 3, (P, 1, 1)): root(n, 0)}), False, False),
+        # rows whose cells and exponents, read as bytes, are those of the
+        # graded comodule on p keys: row 0 on p keys and f keys, and row 0
+        # on p keys reaching rows 1 and 2 on f keys
+        ("row mixing p and f keys",
+         _graded_rows(3, ((P, F, F), (P,) * 3, (P,) * 3)), False, False),
+        ("row reaching rows of the other kind",
+         _graded_rows(3, ((P,) * 3, (F,) * 3, (F,) * 3)), True, False),
+    ]
+
+
+@pytest.mark.parametrize("fault", range(len(_row_faults())))
+def test_coaction_faults_by_rows_match_the_reference(monkeypatch, fault):
+    name, M, laid_out, by_rows = _row_faults()[fault]
+    decided, layouts = _spy_rows(monkeypatch)
+    report = check_yd(M)
+    assert report == _reference_check_yd(M), name
+    assert all(layouts[0]) == laid_out, name
+    case, j = report["comodule"]
+    assert case == "coassociativity", name
+    assert (j in decided) == by_rows, name
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_graded_rows_take_the_row_route(monkeypatch, n):
+    # the Z_3-graded comodule on p keys: every row reaches every row.  On
+    # f keys with coefficients 1 it is no comodule, since Delta twists the
+    # f keys: row 0 fails on its exponents
+    decided, _ = _spy_rows(monkeypatch)
+    for kind, rows in ((P, [0, 1, 2]), (F, [0])):
+        M = _graded_rows(n, ((kind,) * 3,) * 3)
+        del decided[:]
+        report = check_yd(M)["comodule"]
+        assert report == _reference_comodule(M), kind
+        assert (report is None) == (kind == P) and decided == rows, kind
+
+
+def test_coaction_rows_without_a_root_leave_the_row_route(monkeypatch):
+    # the coaction of W(-1,1,2) at n = 5 in the basis (r+1) w_r, a valid
+    # comodule with rational factors, and a coefficient 1 + xi on
+    # the conjugated V(+1,0,0) + V(-1,0,0): those rows, and every row that
+    # reaches one, take the term route
+    A5 = KnAlgebra(5)
+    M = build_simple(A5, W(5, -1, 1, 2))
+    scaled = YDModule(A5, 5, M.weights, M.action_x, [
+        {k: h.scale(A5.scalar(Fraction(j + 1, k + 1)))
+         for k, h in row.items()} for j, row in enumerate(M.coaction)])
+    conjugated = _conjugated_v_sum(5)
+    bad = _scaled_cell(conjugated, "coaction", (0, 0), cyc(5, 0) + cyc(5, 1))
+    decided, layouts = _spy_rows(monkeypatch)
+    assert check_yd(scaled)["comodule"] is None and decided == []
+    assert layouts[-1] == [False] * 5
+    assert check_yd(conjugated)["ok"] and decided == [0, 1]
+    del decided[:]
+    report = check_yd(bad)
+    assert report == _reference_check_yd(bad)
+    assert layouts[-1] == [False, True] and decided == []
+
+
+def _trivial_sum(A, d):
+    """V(+1,0,0) summed d times, from blocks of doubling dimension."""
+    block, M = build_simple(A, V(A.n, 1, 0, 0)), None
+    while d:
+        if d & 1:
+            M = block if M is None else direct_sum(M, block)
+        d >>= 1
+        block = direct_sum(block, block) if d else block
+    return M
+
+
+@pytest.mark.parametrize("d,by_rows", [(254, True), (255, False)])
+def test_row_route_takes_modules_below_dimension_255(monkeypatch, d,
+                                                     by_rows):
+    # cells are bytes, and 255 marks no term
+    M = _trivial_sum(KnAlgebra(3), d)
+    assert M.dim == d
+    decided, layouts = _spy_rows(monkeypatch)
+    assert check_yd(M)["comodule"] is None
+    assert decided == (list(range(d)) if by_rows else [])
+    assert len(layouts) == by_rows
 
 
 def test_w_weights(A3):
